@@ -44,6 +44,13 @@ CycleSimConfig::validate() const
             ", l1 ", l1Latency, ", l2 ", l2Latency, ", off-chip ",
             offChipLatency, ")");
     }
+    if (std::max({aluLatency, l1Latency, l2Latency, offChipLatency}) >
+        maxLatency) {
+        return Status::invalidArgument(
+            "execution latencies must be <= ", maxLatency,
+            " cycles (alu ", aluLatency, ", l1 ", l1Latency, ", l2 ",
+            l2Latency, ", off-chip ", offChipLatency, ")");
+    }
     return Status::okStatus();
 }
 

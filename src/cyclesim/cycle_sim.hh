@@ -75,13 +75,19 @@ struct CycleSimConfig
 
     uint64_t warmupInsts = 0;
 
+    /** Largest accepted execution latency, in cycles (the paper's
+     *  largest is 1000). Every scheduled event lies at most this far
+     *  ahead, which bounds the scheduler's calendar ring. */
+    static constexpr unsigned maxLatency = 65536;
+
     /**
      * Width/size/latency sanity, mirroring MlpConfig::validate().
      * Execution latencies must be >= 1: the event-driven scheduler
      * delivers a value no earlier than the cycle after issue, so a
-     * zero-latency producer would be consumable a cycle late. The
-     * CycleSim constructor asserts this; bench setup surfaces it as a
-     * Status before any sweep starts.
+     * zero-latency producer would be consumable a cycle late. They
+     * must also be <= maxLatency. The CycleSim constructor asserts
+     * this; bench setup surfaces it as a Status before any sweep
+     * starts.
      */
     Status validate() const;
 

@@ -236,6 +236,22 @@ TEST(CycleSimConfigValidate, RejectsBadConfigs)
         cfg.*width = 0;
         EXPECT_FALSE(cfg.validate().ok());
     }
+    // Latencies are capped: the scheduler's calendar ring spans the
+    // largest of them, so an unbounded one would size it unboundedly.
+    for (unsigned CycleSimConfig::*latency :
+         {&CycleSimConfig::aluLatency, &CycleSimConfig::l1Latency,
+          &CycleSimConfig::l2Latency, &CycleSimConfig::offChipLatency}) {
+        CycleSimConfig cfg;
+        cfg.*latency = CycleSimConfig::maxLatency;
+        EXPECT_TRUE(cfg.validate().ok());
+        cfg.*latency = CycleSimConfig::maxLatency + 1;
+        const auto s = cfg.validate();
+        EXPECT_FALSE(s.ok());
+        EXPECT_NE(s.message().find("<= 65536"), std::string::npos)
+            << s.message();
+        cfg.*latency = 4'000'000'000u;
+        EXPECT_FALSE(cfg.validate().ok());
+    }
 }
 
 // --- warm-up accounting at the trace boundary ------------------------
@@ -778,16 +794,33 @@ randomTrace(uint32_t seed, size_t n)
     return s;
 }
 
+void
+expectMatchesReference(const CycleSimConfig &cfg,
+                       const core::WorkloadContext &ctx)
+{
+    const auto expect = ReferencePipeline(cfg, ctx).run();
+    const auto got = CycleSim(cfg, ctx).run();
+    EXPECT_EQ(got.cycles, expect.cycles);
+    EXPECT_EQ(got.instructions, expect.instructions);
+    EXPECT_EQ(got.offChipAccesses, expect.offChipAccesses);
+    EXPECT_EQ(got.mlpCycles, expect.mlpCycles);
+    EXPECT_EQ(got.mlpSum, expect.mlpSum);
+}
+
 } // namespace
 
 TEST(CycleSimEquivalence, MatchesTheLegacyScanSchedulerExactly)
 {
+    // Off-chip latencies straddle the scheduler's power-of-two ring
+    // sizes (63 | 64, 65 and 1024 | 1025 land on either side of a
+    // bucket-count boundary), so a wrap-around slip cannot hide.
     for (uint32_t seed : {1u, 2u, 3u}) {
         ScriptedTrace s = randomTrace(0xC0FFEE + seed, 600);
         const auto ctx = s.context();
         for (auto ic : {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
             for (unsigned window : {8u, 32u}) {
-                for (unsigned lat : {60u, 300u}) {
+                for (unsigned lat : {60u, 63u, 64u, 65u, 300u, 1024u,
+                                     1025u}) {
                     for (uint64_t warm : {uint64_t(0), uint64_t(100)}) {
                         CycleSimConfig cfg;
                         cfg.issue = ic;
@@ -799,16 +832,36 @@ TEST(CycleSimEquivalence, MatchesTheLegacyScanSchedulerExactly)
                                      << "seed=" << seed << " "
                                      << cfg.metricLabel()
                                      << " warm=" << warm);
-                        const auto expect =
-                            ReferencePipeline(cfg, ctx).run();
-                        const auto got = CycleSim(cfg, ctx).run();
-                        EXPECT_EQ(got.cycles, expect.cycles);
-                        EXPECT_EQ(got.instructions, expect.instructions);
-                        EXPECT_EQ(got.offChipAccesses,
-                                  expect.offChipAccesses);
-                        EXPECT_EQ(got.mlpCycles, expect.mlpCycles);
-                        EXPECT_EQ(got.mlpSum, expect.mlpSum);
+                        expectMatchesReference(cfg, ctx);
                     }
+                }
+            }
+            for (unsigned lat : {60u, 300u}) {
+                CycleSimConfig cfg;
+                cfg.issue = ic;
+                cfg.offChipLatency = lat;
+                {
+                    // A perfect L2 turns every off-chip access, data
+                    // and instruction, into an L2 hit.
+                    CycleSimConfig perfect = cfg;
+                    perfect.perfectL2 = true;
+                    perfect.warmupInsts = 100;
+                    SCOPED_TRACE(testing::Message()
+                                 << "seed=" << seed << " "
+                                 << perfect.metricLabel());
+                    expectMatchesReference(perfect, ctx);
+                }
+                {
+                    // A redirect penalty longer than the off-chip
+                    // latency resumes fetch beyond the farthest
+                    // scheduled completion.
+                    CycleSimConfig redirect = cfg;
+                    redirect.branchRedirectPenalty = 3 * lat + 7;
+                    SCOPED_TRACE(testing::Message()
+                                 << "seed=" << seed << " "
+                                 << redirect.metricLabel() << " redirect="
+                                 << redirect.branchRedirectPenalty);
+                    expectMatchesReference(redirect, ctx);
                 }
             }
         }

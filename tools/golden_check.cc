@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-result regression gate for the epoch-model simulators.
+ * Golden-result regression gate for the simulators.
  *
  * Runs a small fixed sweep — every commercial workload under issue
  * configs A..E plus the runahead, value-prediction and store-buffer
@@ -15,6 +15,14 @@
  * Usage:
  *   golden_check --check FILE   # compare a fresh sweep against FILE
  *   golden_check --write FILE   # (re)generate FILE
+ *   --suite cyclesim            # the cycle-accurate pipeline's sweep
+ *                               # instead (data/golden_cyclesim.json)
+ *
+ * The cyclesim suite is the Table 3 cell set — every commercial
+ * workload x windows 32/64/128 x issue configs A-C x off-chip
+ * latencies 200/1000, plus one perfect-L2 cell — with all five
+ * CycleSimResult fields per cell, so the timed pipeline's scheduler
+ * can be rewritten under the same bit-identical gate.
  *
  * Checkpoint/resume (the golden_resume ctest):
  *   --journal FILE      persist each completed cell to FILE and skip
@@ -40,6 +48,7 @@
 #include "core/mlpsim.hh"
 #include "core/result_json.hh"
 #include "core/result_journal.hh"
+#include "cyclesim/cycle_sim.hh"
 #include "metrics/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
@@ -139,6 +148,68 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
     return doc;
 }
 
+JsonValue
+cycleSimResultToJson(const cyclesim::CycleSimResult &r)
+{
+    JsonValue out = JsonValue::object();
+    out.set("cycles", r.cycles);
+    out.set("instructions", r.instructions);
+    out.set("offchip_accesses", r.offChipAccesses);
+    out.set("mlp_cycles", r.mlpCycles);
+    out.set("mlp_sum", r.mlpSum);
+    return out;
+}
+
+JsonValue
+runCycleSimSweep()
+{
+    core::AnnotationOptions ann;
+    ann.warmupInsts = goldenWarmup;
+
+    JsonValue results = JsonValue::object();
+    for (const std::string &name : workloads::commercialWorkloadNames()) {
+        auto generator = workloads::makeWorkload(name);
+        trace::TraceBuffer buffer(name);
+        buffer.fill(*generator, goldenInsts);
+        const core::AnnotatedTrace annotated(buffer, ann);
+        auto cell = [&](const cyclesim::CycleSimConfig &cfg) {
+            results.set(name + "/" + cfg.metricLabel(),
+                        cycleSimResultToJson(
+                            cyclesim::CycleSim(cfg, annotated.context())
+                                .run()));
+        };
+        for (unsigned window : {32u, 64u, 128u}) {
+            for (auto ic : {core::IssueConfig::A, core::IssueConfig::B,
+                            core::IssueConfig::C}) {
+                for (unsigned lat : {200u, 1000u}) {
+                    cyclesim::CycleSimConfig cfg;
+                    cfg.issue = ic;
+                    cfg.issueWindowSize = window;
+                    cfg.robSize = window;
+                    cfg.offChipLatency = lat;
+                    cfg.warmupInsts = goldenWarmup;
+                    cell(cfg);
+                }
+            }
+        }
+        if (name == workloads::commercialWorkloadNames().front()) {
+            cyclesim::CycleSimConfig cfg;
+            cfg.perfectL2 = true;
+            cfg.warmupInsts = goldenWarmup;
+            cell(cfg);
+        }
+    }
+
+    JsonValue doc = JsonValue::object();
+    doc.set("schema", "mlpsim-golden-cyclesim-v1");
+    JsonValue meta = JsonValue::object();
+    meta.set("insts", goldenInsts);
+    meta.set("warmup", goldenWarmup);
+    doc.set("meta", std::move(meta));
+    doc.set("results", std::move(results));
+    return doc;
+}
+
 /** First path at which two documents differ, for an actionable diff. */
 std::string
 firstDifference(const JsonValue &a, const JsonValue &b,
@@ -171,17 +242,23 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    opts.rejectUnknown({"check", "write", "journal", "kill-after"});
+    opts.rejectUnknown({"check", "write", "suite", "journal", "kill-after"});
 
     const std::string check = opts.getString("check", "");
     const std::string write = opts.getString("write", "");
     if (check.empty() == write.empty())
         fatal("exactly one of --check FILE / --write FILE is required");
 
+    const std::string suite = opts.getString("suite", "epoch");
+    if (suite != "epoch" && suite != "cyclesim")
+        fatal("--suite must be epoch or cyclesim, got '", suite, "'");
+
     const std::string journal_path = opts.getString("journal", "");
     const uint64_t kill_after = opts.getU64("kill-after", 0);
     if (kill_after != 0 && journal_path.empty())
         fatal("--kill-after requires --journal (nothing would survive)");
+    if (suite == "cyclesim" && !journal_path.empty())
+        fatal("--journal applies to the epoch suite only");
 
     std::optional<core::ResultJournal> journal;
     if (!journal_path.empty()) {
@@ -198,7 +275,9 @@ main(int argc, char **argv)
     }
 
     const JsonValue fresh =
-        runGoldenSweep(journal ? &*journal : nullptr, kill_after);
+        suite == "cyclesim"
+            ? runCycleSimSweep()
+            : runGoldenSweep(journal ? &*journal : nullptr, kill_after);
 
     if (!write.empty()) {
         metrics::writeJsonFile(write, fresh).orFatal();
@@ -212,7 +291,8 @@ main(int argc, char **argv)
         fatal(check, ": results drifted from golden at ",
               firstDifference(fresh, golden, ""),
               "; if the change is intended, regenerate with "
-              "golden_check --write ", check);
+              "golden_check --write ", check,
+              suite == "cyclesim" ? " --suite cyclesim" : "");
     }
     std::printf("%s: matches (%zu cells, %llu insts each)\n",
                 check.c_str(),
