@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 
 #include "metrics/registry.hh"
 #include "util/cancellation.hh"
@@ -56,8 +55,7 @@ EpochEngine::EpochEngine(const MlpConfig &config,
     storeProducer.reset(size_t(std::min<uint64_t>(2 * cfg.robSize, 16384)));
     memFifo.reset(256);
     branchFifo.reset(256);
-    candRun.reserve(256);
-    candHeap.reserve(64);
+    ready.reserve(256, 64);
 }
 
 bool
@@ -140,45 +138,6 @@ EpochEngine::linkUnresolvedStoreTail(RobEntry &entry)
     else
         usHead = seq;
     usTail = seq;
-}
-
-void
-EpochEngine::pushCandidate(RobEntry &entry)
-{
-    if (entry.is(kInCand) || entry.is(kExecuted))
-        return;
-    entry.flags |= kInCand;
-    const Seq seq = entry.seq;
-    if (candRun.empty() || seq > candRun.back())
-        candRun.push_back(seq);
-    else {
-        candHeap.push_back(seq);
-        std::push_heap(candHeap.begin(), candHeap.end(),
-                       std::greater<>());
-    }
-}
-
-EpochEngine::Seq
-EpochEngine::popCandidate()
-{
-    // The run past its cursor is ascending and each seq is pooled at
-    // most once (kInCand), so the global minimum is the smaller of the
-    // two lane heads.
-    const bool run_has = candRunCursor != candRun.size();
-    if (!candHeap.empty() &&
-        (!run_has || candHeap.front() < candRun[candRunCursor])) {
-        std::pop_heap(candHeap.begin(), candHeap.end(),
-                      std::greater<>());
-        const Seq seq = candHeap.back();
-        candHeap.pop_back();
-        return seq;
-    }
-    const Seq seq = candRun[candRunCursor++];
-    if (candRunCursor == candRun.size()) {
-        candRun.clear();
-        candRunCursor = 0;
-    }
-    return seq;
 }
 
 void
@@ -451,8 +410,8 @@ EpochEngine::executePasses()
     // the instruction that caused it, so this min-heap order replays
     // the old scan-to-closure loop's execution order exactly.
     bool any = false;
-    while (!candidatesEmpty()) {
-        RobEntry &entry = entryRef(popCandidate());
+    while (!ready.empty()) {
+        RobEntry &entry = entryRef(ready.pop());
         entry.flags &= ~kInCand;
         if (entry.is(kExecuted))
             continue;

@@ -146,13 +146,15 @@ class EpochEngine
     void linkWaitingTail(RobEntry &entry);
     void unlinkWaiting(RobEntry &entry);
     void linkUnresolvedStoreTail(RobEntry &entry);
-    void pushCandidate(RobEntry &entry);
-    Seq popCandidate();
 
-    bool
-    candidatesEmpty() const
+    /** Pool @p entry unless it is already pooled or executed. */
+    void
+    pushCandidate(RobEntry &entry)
     {
-        return candRunCursor == candRun.size() && candHeap.empty();
+        if (entry.is(kInCand) || entry.is(kExecuted))
+            return;
+        entry.flags |= kInCand;
+        ready.push(entry.seq);
     }
 
     // --- configuration and inputs ---
@@ -180,15 +182,7 @@ class EpochEngine
     util::SeqFifo memFifo;             //!< config-A in-order memory ops
     util::SeqFifo branchFifo;          //!< in-order branches (A/B/C)
 
-    // Ready-candidate pool, popped in ascending seq order. Nearly all
-    // pushes arrive already ascending (dispatch allocates seqs in
-    // order, and in-drain wakeups always target younger instructions),
-    // so those append O(1) to candRun; the rare out-of-order push goes
-    // to the candHeap overflow min-heap and pop takes the smaller of
-    // the two lane heads.
-    std::vector<Seq> candRun;          //!< ascending run, cursor-consumed
-    size_t candRunCursor = 0;
-    std::vector<Seq> candHeap;         //!< out-of-order overflow min-heap
+    util::ReadyPool ready;             //!< ready candidates, oldest first
     std::vector<Seq> blockedOnStore;   //!< config-B entries to re-wake
     std::vector<Seq> pendingValueWake; //!< dMiss values for epoch close
 

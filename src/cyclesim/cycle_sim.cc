@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 
 #include "metrics/registry.hh"
 #include "util/cancellation.hh"
@@ -91,8 +90,7 @@ CycleSim::CycleSim(const CycleSimConfig &config,
     storeProducer.reset(size_t(std::min<uint64_t>(2 * cfg.robSize, 16384)));
     memFifo.reset(256);
     branchFifo.reset(256);
-    candRun.reserve(256);
-    candHeap.reserve(64);
+    ready.reserve(256, 64);
 }
 
 void
@@ -117,45 +115,6 @@ CycleSim::linkUnresolvedStoreTail(RobEntry &entry)
     else
         usHead = seq;
     usTail = seq;
-}
-
-void
-CycleSim::pushCandidate(RobEntry &entry)
-{
-    if (entry.is(kInCand) || entry.is(kIssued))
-        return;
-    entry.flags |= kInCand;
-    const Seq seq = entry.seq;
-    if (candRun.empty() || seq > candRun.back())
-        candRun.push_back(seq);
-    else {
-        candHeap.push_back(seq);
-        std::push_heap(candHeap.begin(), candHeap.end(),
-                       std::greater<>());
-    }
-}
-
-CycleSim::Seq
-CycleSim::popCandidate()
-{
-    // The run past its cursor is ascending and each seq is pooled at
-    // most once (kInCand), so the global minimum is the smaller of the
-    // two lane heads.
-    const bool run_has = candRunCursor != candRun.size();
-    if (!candHeap.empty() &&
-        (!run_has || candHeap.front() < candRun[candRunCursor])) {
-        std::pop_heap(candHeap.begin(), candHeap.end(),
-                      std::greater<>());
-        const Seq seq = candHeap.back();
-        candHeap.pop_back();
-        return seq;
-    }
-    const Seq seq = candRun[candRunCursor++];
-    if (candRunCursor == candRun.size()) {
-        candRun.clear();
-        candRunCursor = 0;
-    }
-    return seq;
 }
 
 unsigned
@@ -469,8 +428,8 @@ CycleSim::issueStage()
     // older entry of the guarded class had not issued by this cycle.
     bool any = false;
     unsigned issued_now = 0;
-    while (issued_now < cfg.issueWidth && !candidatesEmpty()) {
-        RobEntry &entry = entryRef(popCandidate());
+    while (issued_now < cfg.issueWidth && !ready.empty()) {
+        RobEntry &entry = entryRef(ready.pop());
         entry.flags &= ~kInCand;
         if (entry.is(kIssued))
             continue;

@@ -203,13 +203,15 @@ class CycleSim
     void wakeBlockedOnStore();
     void growRing();
     void linkUnresolvedStoreTail(RobEntry &entry);
-    void pushCandidate(RobEntry &entry);
-    Seq popCandidate();
 
-    bool
-    candidatesEmpty() const
+    /** Pool @p entry unless it is already pooled or issued. */
+    void
+    pushCandidate(RobEntry &entry)
     {
-        return candRunCursor == candRun.size() && candHeap.empty();
+        if (entry.is(kInCand) || entry.is(kIssued))
+            return;
+        entry.flags |= kInCand;
+        ready.push(entry.seq);
     }
 
     uint64_t robOccupancy() const { return tailSeq - headSeq; }
@@ -243,12 +245,7 @@ class CycleSim
     Seq usHead = 0;                    //!< unresolved stores (config B)
     Seq usTail = 0;
 
-    // Ready-candidate pool, popped in ascending seq order: an ascending
-    // run consumed by cursor plus an overflow min-heap for the rare
-    // out-of-order push (see the epoch engine's identical pool).
-    std::vector<Seq> candRun;
-    size_t candRunCursor = 0;
-    std::vector<Seq> candHeap;
+    util::ReadyPool ready;             //!< ready candidates, oldest first
     std::vector<Seq> blockedOnStore;   //!< config-B entries to re-wake
 
     uint64_t nextFetchIdx = 0;

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace mlpsim::util {
@@ -61,6 +62,66 @@ class SeqFifo
     std::vector<Seq> buf;
     uint32_t head = 0;
     uint32_t tail = 0;
+};
+
+/**
+ * Ready-candidate pool, popped in ascending seq order. Nearly all
+ * pushes arrive already ascending (dispatch allocates seqs in order,
+ * and in-drain wakeups almost always target younger instructions), so
+ * those append O(1) to an ascending run consumed by cursor; the rare
+ * out-of-order push goes to an overflow min-heap, and pop takes the
+ * smaller of the two lane heads. The caller guarantees that a seq is
+ * pooled at most once at a time (the engines keep a kInCand flag).
+ */
+class ReadyPool
+{
+  public:
+    void
+    reserve(size_t run_capacity, size_t heap_capacity)
+    {
+        run.reserve(run_capacity);
+        heap.reserve(heap_capacity);
+    }
+
+    bool empty() const { return cursor == run.size() && heap.empty(); }
+
+    void
+    push(Seq seq)
+    {
+        if (run.empty() || seq > run.back()) {
+            run.push_back(seq);
+        } else {
+            heap.push_back(seq);
+            std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        }
+    }
+
+    /** Smallest pooled seq; the pool must not be empty. */
+    Seq
+    pop()
+    {
+        // The run past its cursor is ascending and each seq is pooled
+        // at most once, so the global minimum is the smaller of the
+        // two lane heads.
+        const bool run_has = cursor != run.size();
+        if (!heap.empty() && (!run_has || heap.front() < run[cursor])) {
+            std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+            const Seq seq = heap.back();
+            heap.pop_back();
+            return seq;
+        }
+        const Seq seq = run[cursor++];
+        if (cursor == run.size()) {
+            run.clear();
+            cursor = 0;
+        }
+        return seq;
+    }
+
+  private:
+    std::vector<Seq> run;   //!< ascending, consumed from cursor
+    size_t cursor = 0;
+    std::vector<Seq> heap;  //!< out-of-order overflow min-heap
 };
 
 /**
