@@ -91,6 +91,26 @@ CycleSim::CycleSim(const CycleSimConfig &config,
     memFifo.reset(256);
     branchFifo.reset(256);
     ready.reserve(256, 64);
+
+    // Calendar ring: more buckets than the longest latency, so no two
+    // pending events share one; at least one bitmap word.
+    const uint64_t horizon = std::max(
+        {cfg.aluLatency, cfg.l1Latency, cfg.l2Latency, cfg.offChipLatency});
+    const uint64_t buckets =
+        std::bit_ceil(std::max<uint64_t>(horizon + 1, 64));
+    wheel.assign(size_t(buckets), Bucket{});
+    wheelBusy.assign(size_t(buckets / 64), 0);
+    wheelMask = buckets - 1;
+}
+
+CycleSim::Bucket &
+CycleSim::bucketFor(uint64_t cycle)
+{
+    MLPSIM_ASSERT(cycle > now && cycle - now <= wheelMask,
+                  "event scheduled beyond the calendar ring's horizon");
+    const uint64_t b = cycle & wheelMask;
+    wheelBusy[b >> 6] |= uint64_t(1) << (b & 63);
+    return wheel[b];
 }
 
 void
@@ -272,22 +292,36 @@ CycleSim::makeEntry(uint64_t idx)
 void
 CycleSim::recordOffChip(uint64_t idx, uint64_t complete_cycle)
 {
-    outstanding.push(complete_cycle);
-    events.push(complete_cycle);
+    ++bucketFor(complete_cycle).offChipReturns;
+    ++outstandingCount;
     if (idx >= cfg.warmupInsts)
         ++result.offChipAccesses;
 }
 
 void
-CycleSim::drainCompletions()
+CycleSim::drainDue()
 {
-    while (!completions.empty() && completions.top().first <= now) {
-        const Seq seq = completions.top().second;
-        completions.pop();
+    const uint64_t b = now & wheelMask;
+    uint64_t &busy = wheelBusy[b >> 6];
+    const uint64_t bit = uint64_t(1) << (b & 63);
+    if ((busy & bit) == 0)
+        return;
+    busy &= ~bit;
+    Bucket &bucket = wheel[b];
+    outstandingCount -= bucket.offChipReturns;
+    bucket.offChipReturns = 0;
+    Seq seq = bucket.dueHead;
+    bucket.dueHead = 0;
+    // Delivery order within a cycle does not matter: every effect of
+    // notifyConsumers (pending counts, the unresolved-store list, the
+    // ready pool, which pops in seq order) depends only on the set of
+    // producers completing this cycle.
+    while (seq != 0) {
         RobEntry &entry = entryRef(seq);
         // A completion always fires no later than the cycle its entry
         // could first retire, so the slot cannot have been recycled.
         MLPSIM_ASSERT(entry.seq == seq, "completion for a recycled slot");
+        seq = entry.nextDue;
         notifyConsumers(entry);
     }
 }
@@ -383,8 +417,9 @@ CycleSim::issueEntry(RobEntry &entry)
         latency = dataLatency(entry);
     }
     entry.completeCycle = now + latency;
-    events.push(entry.completeCycle);
-    completions.push({entry.completeCycle, entry.seq});
+    Bucket &due = bucketFor(entry.completeCycle);
+    entry.nextDue = due.dueHead;
+    due.dueHead = entry.seq;
 
     const uint64_t idx = uint64_t(entry.seq) - 1;
     if (!cfg.perfectL2 && (entry.is(kDMiss) || entry.is(kUsefulPmiss)))
@@ -396,7 +431,6 @@ CycleSim::issueEntry(RobEntry &entry)
         fetchResumeCycle =
             std::max(fetchResumeCycle,
                      entry.completeCycle + cfg.branchRedirectPenalty);
-        events.push(fetchResumeCycle);
         mispredBlockSeq = 0;
     }
 
@@ -516,7 +550,6 @@ CycleSim::fetchStage()
             const unsigned latency =
                 cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency;
             fetchResumeCycle = now + latency;
-            events.push(fetchResumeCycle);
             if (!cfg.perfectL2)
                 recordOffChip(idx, now + cfg.offChipLatency);
             any = true;
@@ -543,8 +576,22 @@ uint64_t
 CycleSim::nextEventCycle() const
 {
     uint64_t next = ~0ULL;
-    if (!events.empty())
-        next = events.top();
+    // First busy bucket at or after now + 1, scanning the bitmap once
+    // around: the start word again last, for the buckets below start.
+    // Bucket now itself was drained this cycle, so it reads idle.
+    const uint64_t start = (now + 1) & wheelMask;
+    const size_t words = wheelBusy.size();
+    size_t w = size_t(start >> 6);
+    uint64_t bits = wheelBusy[w] & (~uint64_t(0) << (start & 63));
+    for (size_t n = 0; n <= words; ++n) {
+        if (bits != 0) {
+            const uint64_t b = (uint64_t(w) << 6) | std::countr_zero(bits);
+            next = now + 1 + ((b - start) & wheelMask);
+            break;
+        }
+        w = (w + 1) & (words - 1);
+        bits = wheelBusy[w];
+    }
     if (fetchResumeCycle > now)
         next = std::min(next, fetchResumeCycle);
     return next;
@@ -553,19 +600,13 @@ CycleSim::nextEventCycle() const
 void
 CycleSim::accumulateMlp(uint64_t from_cycle, uint64_t to_cycle)
 {
-    while (from_cycle < to_cycle) {
-        while (!outstanding.empty() && outstanding.top() <= from_cycle)
-            outstanding.pop();
-        if (outstanding.empty())
-            return;
-        const uint64_t seg_end =
-            std::min<uint64_t>(to_cycle, outstanding.top());
-        if (measuring) {
-            result.mlpSum +=
-                double(outstanding.size()) * double(seg_end - from_cycle);
-            result.mlpCycles += seg_end - from_cycle;
-        }
-        from_cycle = seg_end;
+    // No off-chip access returns inside (from_cycle, to_cycle): each
+    // return is a ring event, and the loop never skips one. Returns at
+    // from_cycle were retired by drainDue().
+    if (measuring && outstandingCount != 0) {
+        result.mlpSum +=
+            double(outstandingCount) * double(to_cycle - from_cycle);
+        result.mlpCycles += to_cycle - from_cycle;
     }
 }
 
@@ -601,7 +642,7 @@ CycleSim::run()
         // at readiness: a completion always lands no later than the
         // first cycle its entry could retire, so consumer links are
         // walked strictly before their slots can be recycled.
-        drainCompletions();
+        drainDue();
 
         bool work = false;
         work |= commitStage();
@@ -617,8 +658,6 @@ CycleSim::run()
                       committed, " of ", trace_size);
             next = std::max(next, event);
         }
-        while (!events.empty() && events.top() <= now)
-            events.pop();
 
         accumulateMlp(now, next);
         if (guard < next - now)

@@ -25,7 +25,11 @@
  * number, each entry carries an intrusive consumer list so it is
  * re-examined only when one of its at most four producers completes
  * (O(dependence edges) instead of an O(window) rescan every cycle),
- * completions drain from a min-heap keyed by cycle, and the Table 2
+ * completions and off-chip returns sit in a calendar ring of per-cycle
+ * buckets (every event lies at most the largest configured latency
+ * ahead, so the bucket index cycle & mask is unique) whose busy bitmap
+ * also finds the next event when an idle stretch is skipped, and the
+ * Table 2
  * issue constraints are tracked incrementally — in-order FIFOs for
  * config-A memory ops and for branches, an intrusive unresolved-store
  * list for config B — whose head advances wake exactly the
@@ -37,8 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "core/chunk_window.hh"
@@ -179,6 +181,7 @@ class CycleSim
         uint8_t numAddrProds = 0;      //!< inputs 0..n) form the address
         uint8_t dstReg = 0;            //!< destination (noReg if none)
         uint16_t flags = 0;
+        Seq nextDue = 0;               //!< next completion, same bucket
 
         bool is(uint16_t f) const { return (flags & f) != 0; }
     };
@@ -186,6 +189,18 @@ class CycleSim
     static_assert(sizeof(RobEntry) == 64,
                   "RobEntry must stay one cache line; see the "
                   "packed-layout notes in DESIGN.md section 14");
+
+    /**
+     * One cycle of the calendar ring that holds every scheduled event.
+     * The ring's power-of-two size exceeds every configured latency, so
+     * each pending event (all within (now, now + latency]) owns a
+     * distinct bucket, drained at the top of its cycle.
+     */
+    struct Bucket
+    {
+        Seq dueHead = 0;             //!< completion chain via nextDue
+        uint32_t offChipReturns = 0; //!< useful off-chip accesses ending
+    };
 
     // --- pipeline stages (each returns whether it made progress) ---
     bool commitStage();
@@ -197,7 +212,7 @@ class CycleSim
     // --- event-driven scheduler helpers ---
     void makeEntry(uint64_t idx);
     void issueEntry(RobEntry &entry);
-    void drainCompletions();
+    void drainDue();
     void notifyConsumers(RobEntry &producer);
     void resolveStore(RobEntry &store);
     void wakeBlockedOnStore();
@@ -220,6 +235,10 @@ class CycleSim
     unsigned dataLatency(const RobEntry &entry) const;
     void recordOffChip(uint64_t idx, uint64_t complete_cycle);
     void accumulateMlp(uint64_t from_cycle, uint64_t to_cycle);
+
+    /** Calendar-ring bucket of @p cycle, marked busy; the cycle must
+     *  lie within the ring's horizon. */
+    Bucket &bucketFor(uint64_t cycle);
 
     // --- configuration and inputs ---
     const CycleSimConfig cfg;
@@ -255,20 +274,12 @@ class CycleSim
     uint64_t mispredBlockSeq = 0;    //!< 0 = not blocked
     uint64_t serializeBlockSeq = 0;  //!< 0 = not blocked
 
-    /** Completion times of outstanding useful off-chip accesses. */
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> outstanding;
-
-    /** All scheduled wake-up times (issue completions, redirects),
-     *  used to fast-forward idle stretches. */
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> events;
-
-    /** Issued-instruction completions awaiting delivery: (cycle, seq)
-     *  min-heap drained at the top of every simulated cycle. */
-    std::priority_queue<std::pair<uint64_t, Seq>,
-                        std::vector<std::pair<uint64_t, Seq>>,
-                        std::greater<std::pair<uint64_t, Seq>>> completions;
+    // Calendar ring of scheduled events (see Bucket): wheel[cycle &
+    // wheelMask]. Fetch redirects are tracked by fetchResumeCycle.
+    std::vector<Bucket> wheel;
+    std::vector<uint64_t> wheelBusy;   //!< one bit per non-empty bucket
+    uint64_t wheelMask = 0;
+    uint64_t outstandingCount = 0;     //!< useful off-chip accesses out
 
     bool measuring = false;
     uint64_t committed = 0;
