@@ -29,11 +29,10 @@
  * buckets (every event lies at most the largest configured latency
  * ahead, so the bucket index cycle & mask is unique) whose busy bitmap
  * also finds the next event when an idle stretch is skipped, and the
- * Table 2
- * issue constraints are tracked incrementally — in-order FIFOs for
- * config-A memory ops and for branches, an intrusive unresolved-store
- * list for config B — whose head advances wake exactly the
- * instructions those policies were blocking. Ready instructions drain
+ * Table 2 issue constraints are tracked incrementally — in-order
+ * FIFOs for config-A memory ops and for branches, an intrusive
+ * unresolved-store list for config B — whose head advances wake
+ * exactly the instructions those policies were blocking. Ready instructions drain
  * in ascending sequence order, which reproduces the old oldest-first
  * scan's issue order, and therefore every CycleSimResult bit, exactly.
  */

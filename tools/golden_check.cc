@@ -98,6 +98,20 @@ goldenConfigs()
     return configs;
 }
 
+/** The committed document: schema, golden budget and per-cell results. */
+JsonValue
+goldenDocument(const char *schema, JsonValue results)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("schema", schema);
+    JsonValue meta = JsonValue::object();
+    meta.set("insts", goldenInsts);
+    meta.set("warmup", goldenWarmup);
+    doc.set("meta", std::move(meta));
+    doc.set("results", std::move(results));
+    return doc;
+}
+
 JsonValue
 runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
 {
@@ -138,14 +152,7 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
         }
     }
 
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "mlpsim-golden-results-v1");
-    JsonValue meta = JsonValue::object();
-    meta.set("insts", goldenInsts);
-    meta.set("warmup", goldenWarmup);
-    doc.set("meta", std::move(meta));
-    doc.set("results", std::move(results));
-    return doc;
+    return goldenDocument("mlpsim-golden-results-v1", std::move(results));
 }
 
 JsonValue
@@ -200,14 +207,7 @@ runCycleSimSweep()
         }
     }
 
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "mlpsim-golden-cyclesim-v1");
-    JsonValue meta = JsonValue::object();
-    meta.set("insts", goldenInsts);
-    meta.set("warmup", goldenWarmup);
-    doc.set("meta", std::move(meta));
-    doc.set("results", std::move(results));
-    return doc;
+    return goldenDocument("mlpsim-golden-cyclesim-v1", std::move(results));
 }
 
 /** First path at which two documents differ, for an actionable diff. */
