@@ -85,8 +85,7 @@ BenchSetup::tryFromOptions(const Options &opts,
         "warmup",       "insts",        "workload",
         "jobs",         "metrics-out",  "trace-events",
         "deadline-ms",  "retries",      "collect-failures",
-        "sweep-report", "stream-chunk", "materialize",
-        "no-share-streams"};
+        "sweep-report", "stream-chunk", "materialize"};
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     MLPSIM_RETURN_IF_ERROR(opts.checkKnown(known));
 
@@ -142,7 +141,6 @@ BenchSetup::tryFromOptions(const Options &opts,
         }
     }
     setup.streamChunk = uint32_t(stream_chunk);
-    setup.shareStreams = !opts.has("no-share-streams");
 
     if (!setup.metricsOut.empty() || !setup.traceEventsOut.empty()) {
         metrics::setEnabled(true);
@@ -290,9 +288,7 @@ runCycleSim(cyclesim::CycleSimConfig config,
     return cyclesim::CycleSim(config, workload.context()).run();
 }
 
-Sweep::Sweep(const BenchSetup &setup)
-    : runner(setup.jobs),
-      shareStreams(setup.streaming() && setup.shareStreams)
+Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
 {
     runner.setJobLimits(setup.jobLimits);
     if (setup.collectFailures)
@@ -315,7 +311,7 @@ Job<core::MlpResult>
 Sweep::mlp(core::MlpConfig config, const PreparedWorkload &workload)
 {
     const PreparedWorkload *wl = &workload;
-    if (shareStreams && wl->streamed) {
+    if (wl->streamed && runner.jobLimits().shareable()) {
         // Shared-generation path: the cell joins its workload's group
         // and consumes a claimed fan-out slot; its job commits exactly
         // this cell's result and metrics (see SharedCellGroup).
@@ -349,7 +345,7 @@ Sweep::cycleSim(cyclesim::CycleSimConfig config,
                 const PreparedWorkload &workload)
 {
     const PreparedWorkload *wl = &workload;
-    if (shareStreams && wl->streamed) {
+    if (wl->streamed && runner.jobLimits().shareable()) {
         core::SharedCellGroup *group = groupFor(workload);
         auto slot =
             std::make_shared<std::optional<cyclesim::CycleSimResult>>();

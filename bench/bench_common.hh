@@ -42,30 +42,14 @@
 namespace mlpsim::bench {
 
 /**
- * One prepared (annotated) workload, in one of two trace modes:
- *
- *  - materialised (default): `buffer` holds the whole trace,
- *    `annotated` its annotations;
- *  - streamed (--stream-chunk): `source` regenerates the trace on
- *    demand and `streamed` holds the annotations built in one fused
- *    generate-and-annotate pass — no instruction is ever stored.
- *
- * Everything lives on the heap so the annotations' back-pointers stay
- * valid when the PreparedWorkload itself is moved.
+ * One prepared (annotated) workload: a core::PreparedTrace, materialised
+ * by default or streamed under --stream-chunk, plus its name and
+ * warm-up budget.
  */
-struct PreparedWorkload
+struct PreparedWorkload : core::PreparedTrace
 {
     std::string name;
-    std::unique_ptr<trace::TraceBuffer> buffer;
-    std::unique_ptr<core::AnnotatedTrace> annotated;
-    std::unique_ptr<trace::GeneratedChunkSource> source;
-    std::unique_ptr<core::StreamingTrace> streamed;
     uint64_t warmupInsts = 0;
-
-    core::WorkloadContext context() const
-    {
-        return annotated ? annotated->context() : streamed->context();
-    }
 };
 
 /** Instruction budgets and annotation knobs for a bench run. */
@@ -88,15 +72,6 @@ struct BenchSetup
     uint32_t streamChunk = 0;
 
     bool streaming() const { return streamChunk != 0; }
-
-    /**
-     * Streamed sweeps group cells by workload and attach them as
-     * consumers of ONE shared stream generation per wave (default on;
-     * results and metric snapshots are byte-identical either way).
-     * --no-share-streams restores one generation per cell — the A/B
-     * lever the streaming-equivalence ctest flips.
-     */
-    bool shareStreams = true;
 
     /**
      * Destination for the deterministic metrics snapshot ("" = metric
@@ -223,8 +198,8 @@ class Sweep
 
     SweepRunner runner;
     /** Streamed cells of one batch, grouped by workload so each group
-     *  rides shared stream generations (see BenchSetup::shareStreams). */
-    bool shareStreams = false;
+     *  rides shared stream generations (results and metric snapshots
+     *  are byte-identical to running every cell on its own). */
     std::vector<std::pair<const PreparedWorkload *,
                           std::unique_ptr<core::SharedCellGroup>>>
         groups;

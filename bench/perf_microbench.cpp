@@ -97,7 +97,7 @@ BENCHMARK(BM_EpochEngine)->Arg(64)->Arg(256)->Arg(2048);
 
 /**
  * Streaming-mode counterpart of annotatedWorkload(): annotations come
- * from one fused generate-and-annotate pass, and each engine run
+ * from one streamed annotate pass, and each engine run
  * re-streams the trace from the replayable source instead of reading
  * a materialised buffer.
  */

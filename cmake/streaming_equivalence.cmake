@@ -41,18 +41,8 @@ run_mode(stream --jobs 2 --stream-chunk=4096)
 # An odd, tiny chunk size at a different --jobs: chunk-boundary and
 # scheduling effects must not reach any output byte.
 run_mode(stream_odd --jobs 1 --stream-chunk=777)
-# Fan-out leg: the same streamed runs with sharing forced off, so each
-# cell regenerates independently. Shared-stream grouping must not move
-# a single output byte relative to either independent streaming or the
-# materialised reference, at both --jobs values.
-run_mode(noshare --jobs 2 --stream-chunk=4096 --no-share-streams)
-run_mode(noshare_j1 --jobs 1 --stream-chunk=4096 --no-share-streams)
 
 expect_same(mat.txt stream.txt)
 expect_same(mat.json stream.json)
 expect_same(mat.txt stream_odd.txt)
 expect_same(mat.json stream_odd.json)
-expect_same(mat.txt noshare.txt)
-expect_same(mat.json noshare.json)
-expect_same(mat.txt noshare_j1.txt)
-expect_same(mat.json noshare_j1.json)

@@ -144,14 +144,4 @@ BranchAnnotator::add(const trace::TraceChunk &chunk)
     });
 }
 
-BranchAnnotations
-annotateBranches(const trace::TraceBuffer &buffer,
-                 const BranchConfig &config, uint64_t warmup_insts)
-{
-    BranchAnnotator pass(config, warmup_insts);
-    for (size_t ci = 0; ci < buffer.numChunks(); ++ci)
-        pass.add(buffer.chunk(ci));
-    return pass.finish();
-}
-
 } // namespace mlpsim::branch

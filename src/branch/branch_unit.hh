@@ -18,7 +18,7 @@
 #include "branch/btb.hh"
 #include "branch/gshare.hh"
 #include "branch/ras.hh"
-#include "trace/trace_buffer.hh"
+#include "trace/trace_chunk.hh"
 #include "util/bitvec.hh"
 #include "util/status.hh"
 
@@ -92,10 +92,10 @@ struct BranchAnnotations
 };
 
 /**
- * Chunk-incremental branch annotator: the streaming pipeline feeds
- * trace chunks in program order and the predictor state (gshare
- * history, BTB, RAS) carries across chunk boundaries, so the outcome
- * plane is bit-identical to a whole-trace pass for any chunking.
+ * Chunk-incremental branch annotator: the annotate pass feeds trace
+ * chunks in program order and the predictor state (gshare history,
+ * BTB, RAS) carries across chunk boundaries, so the outcome plane is
+ * bit-identical to a whole-trace pass for any chunking.
  */
 class BranchAnnotator
 {
@@ -105,16 +105,8 @@ class BranchAnnotator
     {
     }
 
-    /** Size the misprediction plane for an @p n-instruction trace up
-     *  front so fused runs never reallocate it mid-stream. */
-    void preallocate(size_t n) { ann.mispredicted.assign(n, false); }
-
     /** Feed the next chunk of the trace, in order. */
     void add(const trace::TraceChunk &chunk);
-
-    /** The in-progress annotations: final for every chunk already
-     *  add()ed (branch outcomes are never retroactive). */
-    const BranchAnnotations &partial() const { return ann; }
 
     /** The completed annotations; the annotator is spent afterwards. */
     BranchAnnotations finish() { return std::move(ann); }
@@ -126,15 +118,5 @@ class BranchAnnotator
     /** Per-chunk branch mask scratch (trace/chunk_scan.hh). */
     std::vector<uint64_t> scanMask;
 };
-
-/**
- * Run @p config's predictor over @p buffer in program order (a fresh
- * BranchAnnotator pass over its chunks).
- * @param warmup_insts Branches before this index train the predictor
- *        but are excluded from the rate statistics.
- */
-BranchAnnotations annotateBranches(const trace::TraceBuffer &buffer,
-                                   const BranchConfig &config,
-                                   uint64_t warmup_insts = 0);
 
 } // namespace mlpsim::branch

@@ -503,11 +503,6 @@ EpochEngine::fetch()
             break;
         }
         const uint64_t idx = nextFetchIdx;
-        // Position the window on idx's chunk BEFORE touching any
-        // annotation plane: in a fused run the gated stream's chunk
-        // delivery is the acquire that makes the planes below the
-        // frontier readable, so the plane lookups for idx must come
-        // after it.
         const trace::TraceChunk &ck = fetchCur.at(idx);
         if (wl.misses->fetchMiss(idx) && !imissHandled) {
             if (!epochOpen &&

@@ -130,11 +130,6 @@ InOrderRun::lookaheadImiss(uint64_t stall_idx)
     const uint64_t limit =
         std::min<uint64_t>(wl.size(), stall_idx + 1 + cfg.fetchBufferSize);
     for (uint64_t j = stall_idx + 1; j < limit; ++j) {
-        // Pull j's chunk before reading its plane bit: in a fused run
-        // chunk delivery is the acquire that makes the planes below
-        // the frontier readable (the walk revisits these chunks, so
-        // the window keeps them).
-        cur.at(j);
         if (wl.misses->fetchMiss(j) && !imissConsumed(j)) {
             setImissConsumed(j);
             ++epochAccesses;

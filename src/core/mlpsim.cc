@@ -1,7 +1,5 @@
 #include "mlpsim.hh"
 
-#include "metrics/registry.hh"
-
 namespace mlpsim::core {
 
 Status
@@ -14,59 +12,6 @@ AnnotationOptions::validate() const
     MLPSIM_RETURN_IF_ERROR(
         predictor::validateConfig(value).withContext("value predictor"));
     return Status::okStatus();
-}
-
-Expected<AnnotatedTrace>
-AnnotatedTrace::make(const trace::TraceBuffer &buffer,
-                     const AnnotationOptions &options)
-{
-    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
-        "annotating trace '", buffer.name(), "'"));
-    return AnnotatedTrace(buffer, options);
-}
-
-AnnotatedTrace::AnnotatedTrace(const trace::TraceBuffer &buffer,
-                               const AnnotationOptions &options)
-    : buf(&buffer), opts(options)
-{
-    opts.validate().orFatal();
-    memory::ProfileConfig profile_cfg;
-    profile_cfg.hierarchy = opts.hierarchy;
-    profile_cfg.warmupInsts = opts.warmupInsts;
-    {
-        metrics::ScopedTimer t("core/annotate/profile_s");
-        missAnn = memory::AccessProfiler(profile_cfg).profile(buffer);
-    }
-
-    {
-        metrics::ScopedTimer t("core/annotate/branch_s");
-        brAnn = branch::annotateBranches(buffer, opts.branch,
-                                         opts.warmupInsts);
-    }
-
-    if (opts.buildValues) {
-        metrics::ScopedTimer t("core/annotate/value_s");
-        valAnn = predictor::annotateValues(buffer, missAnn, opts.value,
-                                           opts.warmupInsts);
-        hasValues = true;
-    }
-
-    if (metrics::enabled()) {
-        metrics::cur().add(metrics::scopedPath("core/annotate/traces"), 1);
-        metrics::cur().add(metrics::scopedPath("core/annotate/insts"),
-                           buffer.size());
-    }
-}
-
-WorkloadContext
-AnnotatedTrace::context() const
-{
-    WorkloadContext ctx;
-    ctx.buffer = buf;
-    ctx.misses = &missAnn;
-    ctx.branches = &brAnn;
-    ctx.values = hasValues ? &valAnn : nullptr;
-    return ctx;
 }
 
 Expected<MlpResult>

@@ -54,7 +54,8 @@ struct AnnotationOptions
  * A trace plus the program-order annotations every simulator shares:
  * which accesses go off-chip (and which prefetches are useful), which
  * branches mispredict, and which missing loads value-predict
- * correctly.
+ * correctly. Built by the annotate pass over the buffer's chunks
+ * (core/trace_pipeline.hh), the same pass a StreamingTrace runs.
  */
 class AnnotatedTrace
 {

@@ -1,37 +1,18 @@
 #include "shared_stream.hh"
 
 #include <algorithm>
-#include <deque>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <optional>
-#include <iterator>
 #include <thread>
 #include <utility>
 
-#include "branch/branch_unit.hh"
-#include "memory/access_profiler.hh"
 #include "metrics/registry.hh"
-#include "predictor/value_predictor.hh"
 #include "util/cancellation.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::core {
-
-trace::ChunkPtr
-GatedChunkStream::next()
-{
-    trace::ChunkPtr c = inner->next();
-    // Gate AFTER the pop: the ring cursor has advanced, so a waiting
-    // engine never pins ring slots against the annotate consumer. The
-    // end-of-stream wait on `complete` makes the annotators' totals
-    // (published before the sentinel) visible to the drained engine.
-    const uint64_t target = c ? c->end() : FrontierGate::complete;
-    if (!gate->waitReach(target)) {
-        throw CancelledError(Status::cancelled(
-            "fused annotate pass failed; abandoning gated stream"));
-    }
-    return c;
-}
 
 namespace {
 
@@ -98,7 +79,7 @@ executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
                                 token);
             continue;
         }
-        auto fanout = base.stream->openFanout(n, options.ringChunks);
+        auto fanout = base.stream->openFanout(n);
         std::vector<std::unique_ptr<trace::ChunkStream>> slots(n);
         for (size_t i = 0; i < n; ++i)
             slots[i] = fanout->stream(i);
@@ -209,162 +190,6 @@ SharedCellGroup::runCell(size_t index)
         metrics::cur().merge(*g.execs[index].registry);
     if (g.execs[index].error)
         std::rethrow_exception(g.execs[index].error);
-}
-
-Expected<StreamingTrace>
-runFusedAnnotateAndCells(const trace::ChunkSource &source,
-                         const AnnotationOptions &options,
-                         std::vector<SharedCell> &cells,
-                         const SharedRunOptions &run_options,
-                         FusedRunReport *report)
-{
-    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
-        "annotating stream '", source.name(), "'"));
-    if (cells.empty())
-        return StreamingTrace::make(source, options);
-
-    const size_t wave = std::max<size_t>(1, run_options.maxConcurrent);
-    const size_t fused_n = std::min(cells.size(), wave);
-    const size_t lookahead = run_options.lookaheadChunks;
-    const size_t ring_chunks =
-        run_options.ringChunks ? run_options.ringChunks : lookahead + 3;
-    if (report)
-        report->fusedCells = fused_n;
-
-    // Annotators with planes preallocated to the full trace: engines
-    // read them concurrently, so storage must never move.
-    memory::ProfileConfig profile_cfg;
-    profile_cfg.hierarchy = options.hierarchy;
-    profile_cfg.warmupInsts = options.warmupInsts;
-    memory::AccessProfiler profiler(profile_cfg);
-    branch::BranchAnnotator branch_pass(options.branch, options.warmupInsts);
-    std::optional<predictor::ValueAnnotator> value_pass;
-    if (options.buildValues) {
-        value_pass.emplace(profiler.partial(), options.value,
-                           options.warmupInsts);
-    }
-    const uint64_t limit = source.size();
-    profiler.preallocate(size_t(limit));
-    branch_pass.preallocate(size_t(limit));
-    if (value_pass)
-        value_pass->preallocate(size_t(limit));
-
-    FrontierGate gate;
-    profiler.setConcurrentReadFloor(&gate.raw());
-
-    // One producer, fused_n engine cursors + 1 annotate cursor.
-    auto fanout = source.openFanout(fused_n + 1, ring_chunks);
-
-    WorkloadContext fused_base;
-    fused_base.stream = &source;
-    fused_base.misses = &profiler.partial();
-    fused_base.branches = &branch_pass.partial();
-    fused_base.values = value_pass ? &value_pass->partial() : nullptr;
-
-    const CancelToken *token = activeCancelToken();
-    std::vector<CellExec> execs(cells.size());
-    std::vector<std::unique_ptr<GatedChunkStream>> gated(fused_n);
-    for (size_t i = 0; i < fused_n; ++i)
-        gated[i] = std::make_unique<GatedChunkStream>(fanout->stream(i),
-                                                      gate);
-
-    std::vector<std::thread> engines;
-    engines.reserve(fused_n);
-    for (size_t i = 0; i < fused_n; ++i) {
-        WorkloadContext ctx = fused_base;
-        ctx.attached = gated[i].get();
-        engines.emplace_back([&cells, &execs, ctx, token, i]() {
-            runCellIsolated(cells[i], ctx, execs[i], token);
-        });
-    }
-
-    // The annotate consumer runs here, on the job thread (deadline
-    // polls and metric labels behave exactly like the classic pass).
-    uint64_t streamed = 0;
-    std::exception_ptr annotate_error;
-    try {
-        metrics::ScopedTimer t("core/annotate/stream_s");
-        auto ann_stream = fanout->stream(fused_n);
-        // Chunk ends of the last `lookahead` chunks: the frontier is
-        // the end of the chunk `lookahead` behind the annotate
-        // position, rounded down to a 64-bit plane-word boundary so
-        // gated readers and the annotate writer never share a word.
-        std::deque<uint64_t> recent_ends;
-        while (trace::ChunkPtr c = ann_stream->next()) {
-            pollCancellation();
-            profiler.add(*c);
-            branch_pass.add(*c);
-            if (value_pass)
-                value_pass->add(*c);
-            streamed += c->count;
-            recent_ends.push_back(c->end());
-            if (recent_ends.size() > lookahead) {
-                gate.publish(recent_ends.front() & ~uint64_t(63));
-                recent_ends.pop_front();
-            }
-        }
-        // Totals must be final before the sentinel: a drained engine
-        // reads them with only the gate's release/acquire between us.
-        profiler.finalizeInPlace();
-        gate.publish(FrontierGate::complete);
-    } catch (...) {
-        annotate_error = std::current_exception();
-        gate.poison();
-    }
-
-    for (std::thread &t : engines)
-        t.join();
-    gated.clear();
-    fanout.reset();
-
-    if (annotate_error)
-        std::rethrow_exception(annotate_error);
-
-    const bool hazard = profiler.hazardDetected();
-    if (hazard) {
-        profiler.applyDeferredCredits();
-        if (report)
-            report->hazardFallback = true;
-    }
-
-    // Export the annotate metrics on this thread — after deferred
-    // credits, so the useful/useless tallies match a classic pass.
-    profiler.exportMetrics();
-    if (metrics::enabled()) {
-        metrics::cur().add(metrics::scopedPath("core/annotate/traces"), 1);
-        metrics::cur().add(metrics::scopedPath("core/annotate/insts"),
-                           streamed);
-        metrics::cur().add(
-            metrics::scopedPath("core/annotate/fused_hazards"),
-            hazard ? 1 : 0);
-    }
-
-    predictor::ValueAnnotations val_ann;
-    const bool has_values = value_pass.has_value();
-    if (value_pass)
-        val_ann = value_pass->finish();
-    StreamingTrace trace(source, options, profiler.finish(),
-                         branch_pass.finish(), std::move(val_ann),
-                         has_values, streamed);
-
-    if (hazard) {
-        // The fused engine outputs read pre-credit plane values:
-        // discard them (results and registries) and re-run every cell
-        // from the completed annotations. Bit-identical to the classic
-        // two-pass pipeline by construction.
-        runSharedCells(trace.context(), cells, run_options);
-        return trace;
-    }
-
-    mergeAndRethrow(execs);
-    if (cells.size() > fused_n) {
-        std::vector<SharedCell> rest(
-            std::make_move_iterator(cells.begin() + fused_n),
-            std::make_move_iterator(cells.end()));
-        runSharedCells(trace.context(), rest, run_options);
-        std::move(rest.begin(), rest.end(), cells.begin() + fused_n);
-    }
-    return trace;
 }
 
 } // namespace mlpsim::core

@@ -6,32 +6,14 @@
  * paper's theme of overlapping long-latency work instead of
  * serialising it.
  *
- * Two entry points:
- *
- *  - runSharedCells(): engine-only sharing for a context whose
- *    annotations are already complete (the common sweep shape — one
- *    PreparedWorkload, many engine configs). Cells are grouped into
- *    waves of at most `maxConcurrent`; each wave claims the slots of
- *    one StreamFanout and runs its cells on threads, so a wave of N
- *    engines consumes one generation.
- *
- *  - runFusedAnnotateAndCells(): the single-generation fusion of the
- *    two-pass StreamingTrace. The annotate pass and the engine cells
- *    become consumers of the SAME producer; the annotate consumer
- *    runs a bounded lookahead ahead and publishes a monotonically
- *    increasing *stable frontier* — the global instruction index
- *    below which every annotation plane is final. Engine streams are
- *    gated on the frontier (GatedChunkStream), so an engine never
- *    reads a plane word the annotator might still write: the frontier
- *    trails the annotate position by `lookaheadChunks` chunks and is
- *    rounded down to a 64-bit plane-word boundary, which keeps reader
- *    and writer on disjoint words by construction. The one annotation
- *    that can land arbitrarily far back — the retroactive
- *    useful-prefetch credit — is deferred when it would cross below
- *    the frontier (AccessProfiler::setConcurrentReadFloor); that run's
- *    engine outputs are then discarded and the cells are re-run from
- *    the completed annotations, so results are bit-identical to the
- *    classic two-pass pipeline by construction, fused or not.
+ * runSharedCells() runs engine cells over a context whose annotations
+ * are already complete (the common sweep shape — one prepared trace,
+ * many engine configs). Cells are grouped into waves of at most
+ * `maxConcurrent`; each wave claims the slots of one StreamFanout and
+ * runs its cells on threads, so a wave of N engines consumes one
+ * generation. SharedCellGroup runs the same waves from inside a
+ * SweepRunner job grid. Annotation is never shared this way: it is a
+ * separate pass (core/trace_pipeline.hh) that completes first.
  *
  * Determinism: each cell runs under a private metric registry
  * (CollectorScope); registries are merged into the caller's registry
@@ -42,101 +24,15 @@
  */
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/mlpsim.hh"
-#include "core/trace_pipeline.hh"
-#include "trace/trace_chunk.hh"
+#include "core/workload_context.hh"
 
 namespace mlpsim::core {
-
-/**
- * The stable frontier of a fused run: a monotonic global instruction
- * index published by the annotate consumer (release) and awaited by
- * engine consumers (acquire), giving the cross-thread happens-before
- * for every plane word below it. poison() unblocks all waiters with a
- * sticky failure marker (annotate pass died — waiters throw).
- */
-class FrontierGate
-{
-  public:
-    /** Sentinel meaning "every plane is final" (published after the
-     *  annotators finalize, so a drained consumer also inherits the
-     *  happens-before for the annotation totals). */
-    static constexpr uint64_t complete = ~uint64_t(0);
-
-    /** Publish frontier @p v (annotate thread only; monotonic). */
-    void
-    publish(uint64_t v)
-    {
-        pos.store(v, std::memory_order_release);
-        std::lock_guard<std::mutex> lock(mutex);
-        cv.notify_all();
-    }
-
-    /** Unblock every waiter and mark the run failed. */
-    void
-    poison()
-    {
-        poisoned.store(true, std::memory_order_release);
-        pos.store(complete, std::memory_order_release);
-        std::lock_guard<std::mutex> lock(mutex);
-        cv.notify_all();
-    }
-
-    /** Block until the frontier reaches @p target. Returns false if
-     *  the gate was poisoned (the caller must abandon the run). */
-    bool
-    waitReach(uint64_t target)
-    {
-        if (pos.load(std::memory_order_acquire) >= target)
-            return !poisoned.load(std::memory_order_acquire);
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] {
-            return pos.load(std::memory_order_acquire) >= target;
-        });
-        return !poisoned.load(std::memory_order_acquire);
-    }
-
-    /** The raw frontier atomic — the profiler's concurrent-read floor. */
-    const std::atomic<uint64_t> &raw() const { return pos; }
-
-  private:
-    std::atomic<uint64_t> pos{0};
-    std::atomic<bool> poisoned{false};
-    mutable std::mutex mutex;
-    std::condition_variable cv;
-};
-
-/**
- * A fan-out slot stream whose chunks are released to the consumer
- * only once the frontier covers them. The gate sits AFTER the ring
- * pop, so a gated engine never blocks the ring itself (its cursor has
- * already advanced) — the ring only needs `lookaheadChunks + slack`
- * capacity for the whole pack to make progress.
- */
-class GatedChunkStream : public trace::ChunkStream
-{
-  public:
-    GatedChunkStream(std::unique_ptr<trace::ChunkStream> inner_stream,
-                     FrontierGate &frontier_gate)
-        : inner(std::move(inner_stream)), gate(&frontier_gate)
-    {
-    }
-
-    trace::ChunkPtr next() override;
-
-  private:
-    std::unique_ptr<trace::ChunkStream> inner;
-    FrontierGate *gate;
-};
 
 /**
  * One type-erased consumer of a shared stream: the body receives a
@@ -156,11 +52,6 @@ struct SharedRunOptions
 {
     /** Cells run concurrently per generation (wave size). */
     size_t maxConcurrent = 8;
-    /** Fused mode: chunks the annotate consumer leads the frontier
-     *  by. Larger = fewer deferred-credit fallbacks, more ring. */
-    size_t lookaheadChunks = 2;
-    /** Shared ring bound in chunks; 0 = lookaheadChunks + 3. */
-    size_t ringChunks = 0;
 };
 
 /**
@@ -189,6 +80,11 @@ void runSharedCells(const WorkloadContext &base,
  * ungrouped execution. Deadlock-free because the leader never waits
  * on another job.
  *
+ * The leader's attempt context (cancel token, deadline) governs every
+ * cell of the group, and a retried job only re-reads its cell's first
+ * outcome. So only jobs with no deadline and one attempt
+ * (JobLimits::shareable()) may join a group; the rest run on their own.
+ *
  * Build the group fully (add() every cell) before submitting any of
  * its jobs.
  */
@@ -214,32 +110,5 @@ class SharedCellGroup
     struct Impl;
     std::unique_ptr<Impl> impl;
 };
-
-/** Telemetry from a fused run. */
-struct FusedRunReport
-{
-    /** A useful-prefetch credit crossed the frontier: the fused
-     *  engine outputs were discarded and the cells re-run from the
-     *  completed annotations. */
-    bool hazardFallback = false;
-    /** Cells the fused generation carried (the rest ran via
-     *  runSharedCells afterwards). */
-    size_t fusedCells = 0;
-};
-
-/**
- * Single-generation annotate+simulate: stream @p source once, feeding
- * the annotators AND up to `maxConcurrent` engine cells concurrently
- * (see file comment for the frontier protocol); any remaining cells
- * run afterwards as shared engine-only waves. Returns the completed
- * StreamingTrace for further runs. Results are bit-identical to
- * annotating first and running every cell independently.
- */
-Expected<StreamingTrace>
-runFusedAnnotateAndCells(const trace::ChunkSource &source,
-                         const AnnotationOptions &options,
-                         std::vector<SharedCell> &cells,
-                         const SharedRunOptions &run_options = {},
-                         FusedRunReport *report = nullptr);
 
 } // namespace mlpsim::core

@@ -7,21 +7,20 @@
 
 namespace mlpsim::core {
 
-Expected<StreamingTrace>
-StreamingTrace::make(const trace::ChunkSource &source,
-                     const AnnotationOptions &options)
-{
-    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
-        "annotating stream '", source.name(), "'"));
-    return StreamingTrace(source, options);
-}
+namespace {
 
-StreamingTrace::StreamingTrace(const trace::ChunkSource &source,
-                               const AnnotationOptions &options)
-    : src(&source), opts(options)
+/**
+ * The annotate pass both trace modes run: feed every chunk of
+ * @p stream, in order, to the profiler, then the branch annotator,
+ * then (if opts.buildValues) the value annotator, and move the
+ * completed annotations out. Returns the instructions annotated.
+ */
+uint64_t
+annotatePass(trace::ChunkStream &stream, const AnnotationOptions &opts,
+             memory::MissAnnotations &misses,
+             branch::BranchAnnotations &branches,
+             predictor::ValueAnnotations &values)
 {
-    opts.validate().orFatal();
-
     memory::ProfileConfig profile_cfg;
     profile_cfg.hierarchy = opts.hierarchy;
     profile_cfg.warmupInsts = opts.warmupInsts;
@@ -36,40 +35,85 @@ StreamingTrace::StreamingTrace(const trace::ChunkSource &source,
                            opts.warmupInsts);
     }
 
-    uint64_t streamed = 0;
+    uint64_t insts = 0;
     {
-        metrics::ScopedTimer t("core/annotate/stream_s");
-        auto stream = source.open();
-        while (trace::ChunkPtr c = stream->next()) {
-            // Sweep deadlines stay enforceable during the fused
-            // generate-and-annotate pass (the job thread is here, not
-            // in an engine loop).
+        metrics::ScopedTimer t("core/annotate/pass_s");
+        while (trace::ChunkPtr c = stream.next()) {
+            // Sweep deadlines stay enforceable while a job annotates
+            // (the job thread is here, not in an engine loop).
             pollCancellation();
             profiler.add(*c);
             branch_pass.add(*c);
             if (value_pass)
                 value_pass->add(*c);
-            streamed += c->count;
+            insts += c->count;
         }
     }
 
     // finish() order matters only for the value pass, which borrows
     // the profiler's in-progress planes: close it out first.
-    if (value_pass) {
-        valAnn = value_pass->finish();
-        hasValues = true;
-    }
-    missAnn = profiler.finish();
-    brAnn = branch_pass.finish();
-    numInsts = streamed;
+    if (value_pass)
+        values = value_pass->finish();
+    misses = profiler.finish();
+    branches = branch_pass.finish();
 
-    // Same counters the materialised AnnotatedTrace records, so the
-    // two pipelines produce identical metrics snapshots.
     if (metrics::enabled()) {
         metrics::cur().add(metrics::scopedPath("core/annotate/traces"), 1);
         metrics::cur().add(metrics::scopedPath("core/annotate/insts"),
-                           streamed);
+                           insts);
     }
+    return insts;
+}
+
+} // namespace
+
+Expected<AnnotatedTrace>
+AnnotatedTrace::make(const trace::TraceBuffer &buffer,
+                     const AnnotationOptions &options)
+{
+    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
+        "annotating trace '", buffer.name(), "'"));
+    return AnnotatedTrace(buffer, options);
+}
+
+AnnotatedTrace::AnnotatedTrace(const trace::TraceBuffer &buffer,
+                               const AnnotationOptions &options)
+    : buf(&buffer), opts(options)
+{
+    opts.validate().orFatal();
+    annotatePass(*buffer.chunkSource().open(), opts, missAnn, brAnn,
+                 valAnn);
+    hasValues = opts.buildValues;
+}
+
+WorkloadContext
+AnnotatedTrace::context() const
+{
+    WorkloadContext ctx;
+    ctx.buffer = buf;
+    ctx.misses = &missAnn;
+    ctx.branches = &brAnn;
+    ctx.values = hasValues ? &valAnn : nullptr;
+    return ctx;
+}
+
+Expected<StreamingTrace>
+StreamingTrace::make(const trace::ChunkSource &source,
+                     const AnnotationOptions &options)
+{
+    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
+        "annotating stream '", source.name(), "'"));
+    return StreamingTrace(source, options);
+}
+
+StreamingTrace::StreamingTrace(const trace::ChunkSource &source,
+                               const AnnotationOptions &options)
+    : src(&source), opts(options)
+{
+    opts.validate().orFatal();
+    numInsts =
+        annotatePass(*source.open(), opts, missAnn, brAnn, valAnn);
+    hasValues = opts.buildValues;
 }
 
 WorkloadContext

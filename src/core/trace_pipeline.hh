@@ -1,38 +1,39 @@
 /**
  * @file
- * Pass 1 of the streaming trace pipeline: fused generate-and-annotate.
+ * The annotate pass, for both trace modes.
  *
- * The materialised flow is "generate the whole trace, then run each
- * annotator over it, then run engines". StreamingTrace collapses the
- * first two: it opens one chunk stream over a replayable ChunkSource
- * and feeds every chunk, in order, to the chunk-incremental
- * annotators (memory profiler, branch predictor, value predictor),
- * whose internal state carries across chunk boundaries. Only the
- * whole-trace annotation planes (~1 bit per instruction per plane)
- * are retained — the instructions themselves are dropped as soon as
- * the annotators have seen them, which is where the pipeline's ≥5×
- * peak-RSS win over materialisation comes from.
+ * A trace is annotated once and then replayed by many simulator runs.
+ * The annotate pass walks the trace's chunks in program order and
+ * feeds each chunk to the chunk-incremental annotators — memory
+ * profiler, branch predictor, value predictor — whose internal state
+ * carries across chunk boundaries. AnnotatedTrace (core/mlpsim.hh)
+ * walks a materialised TraceBuffer's chunks; StreamingTrace opens one
+ * stream over a replayable ChunkSource and keeps only the whole-trace
+ * annotation planes (~1 bit per instruction per plane), dropping each
+ * instruction chunk once the annotators have seen it, which is where
+ * streaming's ≥5× peak-RSS win over materialisation comes from. Both
+ * run the same chunk loop, so the two modes are bit-identical by
+ * construction, for any chunk size.
  *
  * The annotation planes must be whole-trace, completed before any
  * engine runs: a demand touch credits a pending software prefetch
  * *retroactively* at an arbitrarily older index (access_profiler.hh),
- * so per-chunk annotations could never be published incrementally
- * without either deadlocking on still-pending prefetches or racing
- * consumers past indices that later flip.
+ * so per-chunk annotations could never be published incrementally.
  *
- * Pass 2: context() hands engines the annotation planes plus the
- * ChunkSource itself; each engine run opens a fresh stream and
- * regenerates the identical instruction sequence (same seed, same
+ * After the pass, context() hands engines the annotation planes plus
+ * the trace. A streamed trace's engine runs each open a fresh stream
+ * and regenerate the identical instruction sequence (same seed, same
  * chunks — the replay-determinism contract), consuming it through a
- * bounded ChunkWindow. Both passes walk the same TraceChunk shape the
- * materialised path stores, so the two modes are bit-identical by
- * construction.
+ * bounded ChunkWindow; runs over one trace may also share one
+ * generation (core/shared_stream.hh).
  */
 #pragma once
 
-#include <utility>
+#include <cstdint>
+#include <memory>
 
 #include "core/mlpsim.hh"
+#include "trace/stream_source.hh"
 #include "trace/trace_chunk.hh"
 
 namespace mlpsim::core {
@@ -56,25 +57,6 @@ class StreamingTrace
     make(const trace::ChunkSource &source,
          const AnnotationOptions &options);
 
-    /**
-     * Assemble from an externally-run annotate pass — the fused
-     * shared-stream pipeline (core/shared_stream.hh) runs the
-     * annotators itself, concurrently with the engines, and hands the
-     * completed planes over here. @p options must already be
-     * validated.
-     */
-    StreamingTrace(const trace::ChunkSource &source,
-                   const AnnotationOptions &options,
-                   memory::MissAnnotations misses,
-                   branch::BranchAnnotations branches,
-                   predictor::ValueAnnotations values, bool has_values,
-                   uint64_t num_insts)
-        : src(&source), opts(options), missAnn(std::move(misses)),
-          brAnn(std::move(branches)), valAnn(std::move(values)),
-          numInsts(num_insts), hasValues(has_values)
-    {
-    }
-
     /** Borrowing view passed to the simulators (stream-backed). */
     WorkloadContext context() const;
 
@@ -94,6 +76,32 @@ class StreamingTrace
     predictor::ValueAnnotations valAnn;
     uint64_t numInsts = 0;
     bool hasValues = false;
+};
+
+/**
+ * One prepared (annotated) trace, shared read-only by the simulator
+ * runs over it, in one of two modes:
+ *
+ *  - materialised: `buffer` holds the whole trace, `annotated` its
+ *    annotations;
+ *  - streamed: `source` regenerates the trace on demand and `streamed`
+ *    holds its annotations — no instruction is ever stored.
+ *
+ * Everything lives on the heap so the annotations' back-pointers stay
+ * valid when the struct itself is moved.
+ */
+struct PreparedTrace
+{
+    std::unique_ptr<trace::TraceBuffer> buffer;
+    std::unique_ptr<AnnotatedTrace> annotated;
+    std::unique_ptr<trace::GeneratedChunkSource> source;
+    std::unique_ptr<StreamingTrace> streamed;
+
+    WorkloadContext
+    context() const
+    {
+        return annotated ? annotated->context() : streamed->context();
+    }
 };
 
 } // namespace mlpsim::core

@@ -7,8 +7,11 @@
  *
  * The trace itself comes in one of two forms: a materialised
  * TraceBuffer, or a replayable ChunkSource the simulators re-stream
- * on every run (the streaming pipeline; the annotation planes are
- * whole-trace either way). Exactly one of `buffer` / `stream` is set.
+ * on every run. Exactly one of `buffer` / `stream` is set. The
+ * annotation planes are whole-trace and complete either way: one
+ * annotate pass (core/trace_pipeline.hh) finishes before any
+ * simulator reads them, so simulators running concurrently over one
+ * context only ever read.
  */
 #pragma once
 

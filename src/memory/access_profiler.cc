@@ -24,17 +24,6 @@ AccessProfiler::creditDemandTouch(uint64_t addr)
         return;
     const size_t prefetch_index = it->second;
     pendingPrefetches.erase(it);
-    if (readFloor &&
-        prefetch_index < readFloor->load(std::memory_order_relaxed)) {
-        // A concurrent engine may already have read this plane index:
-        // writing now would race (and the engine already consumed the
-        // stale value). Record the credit for applyDeferredCredits()
-        // and flag the hazard; the pending-prefetch erase above stays,
-        // matching the classic pass.
-        deferredCredits.push_back(prefetch_index);
-        hazard = true;
-        return;
-    }
     if (ann.usefulPrefetchV.test(prefetch_index))
         return;
     ann.usefulPrefetchV.set(prefetch_index);
@@ -45,36 +34,13 @@ AccessProfiler::creditDemandTouch(uint64_t addr)
 }
 
 void
-AccessProfiler::applyDeferredCredits()
-{
-    for (const size_t prefetch_index : deferredCredits) {
-        if (ann.usefulPrefetchV.test(prefetch_index))
-            continue;
-        ann.usefulPrefetchV.set(prefetch_index);
-        if (prefetch_index >= cfg.warmupInsts) {
-            ++ann.usefulPrefetches;
-            --ann.uselessPrefetches;
-        }
-    }
-    deferredCredits.clear();
-}
-
-void
-AccessProfiler::preallocate(size_t n)
-{
-    ann.resetVectors(n);
-}
-
-void
 AccessProfiler::add(const trace::TraceChunk &chunk)
 {
     using trace::InstClass;
 
     // Grow the annotation planes to cover this chunk. The retroactive
     // prefetch credit above may still write into earlier regions —
-    // the planes are whole-trace state, never per-chunk. Grow-only:
-    // preallocate() sizes them past every chunk, and a fused run
-    // depends on no reallocation happening here.
+    // the planes are whole-trace state, never per-chunk.
     const size_t end = chunk.end();
     if (end > ann.fetchMissV.size()) {
         ann.fetchMissV.resize(end);
@@ -205,20 +171,12 @@ AccessProfiler::add(const trace::TraceChunk &chunk)
     });
 }
 
-void
-AccessProfiler::finalizeInPlace()
+MissAnnotations
+AccessProfiler::finish()
 {
-    if (finalized)
-        return;
-    finalized = true;
-
     const size_t n = ann.fetchMissV.size();
     ann.measuredInsts = n > cfg.warmupInsts ? n - cfg.warmupInsts : 0;
-}
 
-void
-AccessProfiler::exportMetrics()
-{
     if (metrics::enabled()) {
         mem.exportMetrics(metrics::scopedPath("memory"));
         auto &reg = metrics::cur();
@@ -234,13 +192,6 @@ AccessProfiler::exportMetrics()
         reg.add(metrics::scopedPath("memory/profile/useless_prefetches"),
                 ann.uselessPrefetches);
     }
-}
-
-MissAnnotations
-AccessProfiler::finish()
-{
-    finalizeInPlace();
-    exportMetrics();
     return std::move(ann);
 }
 

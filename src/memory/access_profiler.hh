@@ -18,7 +18,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -169,17 +168,17 @@ struct ProfileConfig
 /**
  * Runs the single-pass profile described in the file comment.
  *
- * The profiler is chunk-incremental: the streaming pipeline feeds it
- * one TraceChunk at a time with add() and takes the completed
- * annotations with finish(). The cache hierarchy, the pending-
- * prefetch ledger and the inter-miss tracker all carry across chunk
- * boundaries, so the result is bit-identical to a whole-trace pass no
- * matter how the trace is chunked — profile() is literally the same
- * code walking a materialised buffer's chunks. Note that a demand
- * touch credits a *pending* prefetch retroactively (usefulPrefetchV
- * at an arbitrarily older index), which is exactly why annotation
- * planes are whole-trace state completed before any simulator runs,
- * rather than per-chunk metadata.
+ * The profiler is chunk-incremental: the annotate pass
+ * (core/trace_pipeline.hh) feeds it one TraceChunk at a time with
+ * add(), for materialised and streamed traces alike, and takes the
+ * completed annotations with finish(). The cache hierarchy, the
+ * pending-prefetch ledger and the inter-miss tracker all carry across
+ * chunk boundaries, so the result is bit-identical for any chunking —
+ * profile() is the same code walking a materialised buffer's chunks.
+ * A demand touch credits a *pending* prefetch retroactively
+ * (usefulPrefetchV at an arbitrarily older index), which is why
+ * annotation planes are whole-trace state completed before any
+ * simulator runs, rather than per-chunk metadata.
  */
 class AccessProfiler
 {
@@ -189,62 +188,8 @@ class AccessProfiler
     {
     }
 
-    /**
-     * Size every annotation plane for an @p n-instruction trace up
-     * front. Required before a fused run: engines read the planes
-     * concurrently (gated by the frontier), so the backing words must
-     * never reallocate mid-stream. add() then only grows fill levels,
-     * never storage.
-     */
-    void preallocate(size_t n);
-
-    /**
-     * Install the concurrent-read floor for a fused run: a global
-     * instruction index below which an engine consumer may already
-     * have read the planes. A retroactive useful-prefetch credit that
-     * would land below the floor is deferred (recorded, not written) —
-     * the fused results are then invalid and the caller reruns the
-     * engines from the completed annotations (hazardDetected()).
-     * The atomic is read on the annotate thread only, which is also
-     * the thread that advances it, so the check is always exact.
-     */
-    void
-    setConcurrentReadFloor(const std::atomic<uint64_t> *floor)
-    {
-        readFloor = floor;
-    }
-
-    /** A credit was deferred below the read floor: any engine output
-     *  produced concurrently with this pass must be discarded. Sticky
-     *  (survives applyDeferredCredits()). */
-    bool hazardDetected() const { return hazard; }
-
     /** Feed the next chunk of the trace, in order. */
     void add(const trace::TraceChunk &chunk);
-
-    /**
-     * Complete the totals without moving the annotations out:
-     * partial() afterwards refers to the finished set. Fused runs use
-     * this so engines still draining hold stable references; finish()
-     * may still be called later to take ownership. Idempotent. Does
-     * NOT export metrics — fused runs export on the coordinating
-     * thread (under its metric labels) once deferred credits are
-     * resolved, via exportMetrics().
-     */
-    void finalizeInPlace();
-
-    /** Export memory/profile metrics under the calling thread's
-     *  labels. finish() calls this; fused runs call it explicitly
-     *  after applyDeferredCredits(). */
-    void exportMetrics();
-
-    /**
-     * Apply credits deferred by the read floor — same test-then-set
-     * and counter semantics as the inline path. Call only after every
-     * concurrent reader has stopped; the annotations are then
-     * bit-identical to a classic two-pass profile.
-     */
-    void applyDeferredCredits();
 
     /** Complete the pass: totals, metrics export, annotations out.
      *  The profiler is spent afterwards. */
@@ -279,12 +224,6 @@ class AccessProfiler
     uint64_t lastFetchLine = ~0ULL;
     uint64_t lastUsefulIndex = 0;
     bool haveUseful = false;
-    bool finalized = false;
-
-    /** Fused-run hazard plumbing (see setConcurrentReadFloor). */
-    const std::atomic<uint64_t> *readFloor = nullptr;
-    std::vector<size_t> deferredCredits;
-    bool hazard = false;
 
     /** Per-chunk interest mask scratch (trace/chunk_scan.hh). */
     std::vector<uint64_t> scanMask;

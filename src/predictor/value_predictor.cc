@@ -80,15 +80,4 @@ ValueAnnotator::add(const trace::TraceChunk &chunk)
     }
 }
 
-ValueAnnotations
-annotateValues(const trace::TraceBuffer &buffer,
-               const memory::MissAnnotations &misses,
-               const ValuePredictorConfig &config, uint64_t warmup_insts)
-{
-    ValueAnnotator pass(misses, config, warmup_insts);
-    for (size_t ci = 0; ci < buffer.numChunks(); ++ci)
-        pass.add(buffer.chunk(ci));
-    return pass.finish();
-}
-
 } // namespace mlpsim::predictor

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "memory/access_profiler.hh"
-#include "trace/trace_buffer.hh"
+#include "trace/trace_chunk.hh"
 #include "util/bitvec.hh"
 #include "util/status.hh"
 
@@ -115,20 +115,8 @@ class ValueAnnotator
     {
     }
 
-    /** Size the outcome plane for an @p n-instruction trace up front
-     *  so fused runs never reallocate it mid-stream. */
-    void
-    preallocate(size_t n)
-    {
-        ann.outcome.assign(n, ValueOutcome::NotApplicable);
-    }
-
     /** Feed the next chunk of the trace, in order. */
     void add(const trace::TraceChunk &chunk);
-
-    /** The in-progress annotations: final for every chunk already
-     *  add()ed (value outcomes are never retroactive). */
-    const ValueAnnotations &partial() const { return ann; }
 
     /** The completed annotations; the annotator is spent afterwards. */
     ValueAnnotations finish() { return std::move(ann); }
@@ -139,17 +127,5 @@ class ValueAnnotator
     uint64_t warmup;
     ValueAnnotations ann;
 };
-
-/**
- * Run the predictor over every missing load of @p buffer (as
- * identified by @p misses) in program order (a fresh ValueAnnotator
- * pass over its chunks).
- * @param warmup_insts Loads before this index train the predictor but
- *        are excluded from the statistics.
- */
-ValueAnnotations annotateValues(const trace::TraceBuffer &buffer,
-                                const memory::MissAnnotations &misses,
-                                const ValuePredictorConfig &config,
-                                uint64_t warmup_insts = 0);
 
 } // namespace mlpsim::predictor

@@ -190,12 +190,12 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
     // regenerating the trace (leader/follower — see SharedCellGroup).
     // Groups outlive runAll() below; each group is fully built before
     // the batch executes because defer only queues jobs.
-    std::vector<std::pair<const PreparedTrace *,
+    std::vector<std::pair<const core::PreparedTrace *,
                           std::unique_ptr<core::SharedCellGroup>>>
         stream_groups;
     const auto group_for =
         [&stream_groups](
-            const std::shared_ptr<const PreparedTrace> &prepared) {
+            const std::shared_ptr<const core::PreparedTrace> &prepared) {
             for (auto &entry : stream_groups)
                 if (entry.first == prepared.get())
                     return entry.second.get();
@@ -256,7 +256,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
         ++counters.requests;
         counters.cells += request.configs.size();
 
-        std::shared_ptr<const PreparedTrace> prepared;
+        std::shared_ptr<const core::PreparedTrace> prepared;
         Status trace_error;
         for (const RequestConfig &rc : request.configs) {
             std::string key = cellKey(request, rc.config);
@@ -301,7 +301,10 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
             const core::MlpConfig job_config = rc.config;
             const std::string workload = request.workload;
             const std::string label = workload + "/" + rc.name;
-            if (prepared->streamed) {
+            if (prepared->streamed && limits.shareable()) {
+                // The group leader's attempt governs every cell of the
+                // group, so a cell with its own deadline or retries
+                // runs as its own job (the branch below).
                 core::SharedCellGroup *group = group_for(prepared);
                 auto slot = std::make_shared<
                     std::optional<core::MlpResult>>();
@@ -327,8 +330,8 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
                     label, [prepared, job_config, workload]() {
                         metrics::ScopedLabel wl(workload);
                         metrics::ScopedLabel cfg(job_config.metricLabel());
-                        auto r = core::tryRunMlp(
-                            job_config, prepared->annotated->context());
+                        auto r = core::tryRunMlp(job_config,
+                                                 prepared->context());
                         if (!r.ok())
                             throw StatusError(r.status());
                         return *std::move(r);

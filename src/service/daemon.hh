@@ -70,8 +70,9 @@ struct DaemonConfig
      * this chunk capacity (memory stops scaling with the instruction
      * budget) and groups a batch's computed cells by trace so each
      * group's engines consume shared stream generations
-     * (core::SharedCellGroup). Responses are byte-identical to
-     * materialised mode.
+     * (core::SharedCellGroup). Cells of requests with a deadline or
+     * retries run on their own, under their own limits. Responses are
+     * byte-identical to materialised mode.
      */
     uint32_t streamChunk = 0;
     uint64_t maxInsts = 100'000'000; //!< per-request warmup+insts cap

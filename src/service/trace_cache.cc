@@ -56,7 +56,7 @@ TraceCache::spillPath(const std::string &canonical) const
     return dir + "/trace_" + contentHash(canonical) + ".mlpt";
 }
 
-Expected<std::shared_ptr<const PreparedTrace>>
+Expected<std::shared_ptr<const core::PreparedTrace>>
 TraceCache::get(const Key &key)
 {
     const std::string canonical = key.canonical();
@@ -76,7 +76,7 @@ TraceCache::get(const Key &key)
     // products are bit-identical, and the second insert wins the LRU
     // slot.
     const uint64_t total = key.warmup + key.insts;
-    auto prepared = std::make_shared<PreparedTrace>();
+    auto prepared = std::make_shared<core::PreparedTrace>();
     bool from_disk = false;
 
     if (streamChunk != 0) {
@@ -115,7 +115,7 @@ TraceCache::get(const Key &key)
             index.erase(entries.back().first);
             entries.pop_back();
         }
-        return std::shared_ptr<const PreparedTrace>(prepared);
+        return std::shared_ptr<const core::PreparedTrace>(prepared);
     }
 
     if (!dir.empty()) {
@@ -165,7 +165,7 @@ TraceCache::get(const Key &key)
         index.erase(entries.back().first);
         entries.pop_back();
     }
-    return std::shared_ptr<const PreparedTrace>(prepared);
+    return std::shared_ptr<const core::PreparedTrace>(prepared);
 }
 
 TraceCache::Stats

@@ -7,8 +7,8 @@
  * tuple replays the *same* annotated trace, and consecutive requests
  * in a duplicate-heavy stream replay it again. The daemon therefore
  * prepares each distinct tuple once and hands out shared_ptrs to an
- * immutable PreparedTrace that concurrent sweep jobs read without
- * locking.
+ * immutable core::PreparedTrace that concurrent sweep jobs read
+ * without locking.
  *
  * Two tiers:
  *
@@ -37,38 +37,10 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/mlpsim.hh"
 #include "core/trace_pipeline.hh"
-#include "trace/stream_source.hh"
-#include "trace/trace_buffer.hh"
 #include "util/status.hh"
 
 namespace mlpsim::service {
-
-/**
- * An immutable prepared trace, shared read-only across sweep jobs, in
- * one of two modes (mirroring bench::PreparedWorkload):
- *
- *  - materialised (default): `buffer` + `annotated`;
- *  - streamed (stream_chunk != 0): `source` regenerates the trace on
- *    demand, `streamed` holds its annotations — the daemon's resident
- *    set stops scaling with the instruction budget, and batch cells
- *    share stream generations (see Daemon::handleBatch).
- */
-struct PreparedTrace
-{
-    // unique_ptrs for address stability: AnnotatedTrace borrows the
-    // buffer, and shared_ptr owners may move the struct's container.
-    std::unique_ptr<trace::TraceBuffer> buffer;
-    std::unique_ptr<core::AnnotatedTrace> annotated;
-    std::unique_ptr<trace::GeneratedChunkSource> source;
-    std::unique_ptr<core::StreamingTrace> streamed;
-
-    core::WorkloadContext context() const
-    {
-        return annotated ? annotated->context() : streamed->context();
-    }
-};
 
 class TraceCache
 {
@@ -103,7 +75,8 @@ class TraceCache
      * workload cannot be generated or annotated — never because of
      * spill-directory trouble.
      */
-    Expected<std::shared_ptr<const PreparedTrace>> get(const Key &key);
+    Expected<std::shared_ptr<const core::PreparedTrace>>
+    get(const Key &key);
 
     struct Stats
     {
@@ -124,7 +97,8 @@ class TraceCache
 
     /** LRU: most recently used at the front. */
     std::list<std::pair<std::string,
-                        std::shared_ptr<const PreparedTrace>>> entries;
+                        std::shared_ptr<const core::PreparedTrace>>>
+        entries;
     std::unordered_map<std::string, decltype(entries)::iterator> index;
 
     Stats counters;

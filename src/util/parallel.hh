@@ -196,6 +196,17 @@ struct JobLimits
 
     /** Retry policy for transient failures (default: never retry). */
     RetryPolicy retry;
+
+    /**
+     * No deadline and one attempt: a job under these limits may run
+     * its work inside another job's attempt (core::SharedCellGroup),
+     * because no per-attempt context of its own would be lost.
+     */
+    bool
+    shareable() const
+    {
+        return deadlineMillis < 0.0 && retry.maxAttempts <= 1;
+    }
 };
 
 namespace detail {

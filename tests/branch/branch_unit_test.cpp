@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "branch/branch_unit.hh"
+#include "trace/trace_buffer.hh"
 
 namespace mlpsim::test {
 
@@ -19,6 +20,17 @@ smallConfig()
     cfg.btbEntries = 256;
     cfg.rasDepth = 8;
     return cfg;
+}
+
+/** Feed @p buf's chunks, in order, through a fresh BranchAnnotator. */
+BranchAnnotations
+annotate(const TraceBuffer &buf, const BranchConfig &cfg,
+         uint64_t warmup_insts = 0)
+{
+    BranchAnnotator pass(cfg, warmup_insts);
+    for (size_t ci = 0; ci < buf.numChunks(); ++ci)
+        pass.add(buf.chunk(ci));
+    return pass.finish();
 }
 
 } // namespace
@@ -120,7 +132,7 @@ TEST(AnnotateBranches, FlagsOnlyBranches)
     buf.append(makeAlu(0x100, 1));
     buf.append(makeBranch(0x104, 0x200, true));
     buf.append(makeLoad(0x108, 1, 0x1000));
-    const auto ann = annotateBranches(buf, smallConfig());
+    const auto ann = annotate(buf, smallConfig());
     EXPECT_EQ(ann.branches, 1u);
     EXPECT_FALSE(ann.isMispredict(0));
     EXPECT_FALSE(ann.isMispredict(2));
@@ -131,7 +143,7 @@ TEST(AnnotateBranches, WarmupTrainsButIsNotCounted)
     trace::TraceBuffer buf;
     for (int i = 0; i < 10; ++i)
         buf.append(makeBranch(0x400, 0x500, true));
-    const auto ann = annotateBranches(buf, smallConfig(), 5);
+    const auto ann = annotate(buf, smallConfig(), 5);
     EXPECT_EQ(ann.branches, 5u);
     // The cold mispredictions happened during warm-up.
     EXPECT_EQ(ann.mispredicts, 0u);
@@ -145,7 +157,7 @@ TEST(AnnotateBranches, PerfectModeFlagsNothing)
         buf.append(makeBranch(0x400 + 32u * unsigned(i), 0x9000, true));
     BranchConfig cfg = smallConfig();
     cfg.perfect = true;
-    const auto ann = annotateBranches(buf, cfg);
+    const auto ann = annotate(buf, cfg);
     EXPECT_EQ(ann.mispredicts, 0u);
 }
 

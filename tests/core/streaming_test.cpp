@@ -37,9 +37,8 @@ workloadName()
 }
 
 trace::GeneratedChunkSource
-makeStream(uint32_t chunk_cap)
+makeStream(uint32_t chunk_cap, const std::string &name = workloadName())
 {
-    const std::string name = workloadName();
     return trace::GeneratedChunkSource(
         name, kInsts,
         [name] {
@@ -63,11 +62,11 @@ struct Materialised
     std::unique_ptr<trace::TraceBuffer> buffer;
     std::unique_ptr<core::AnnotatedTrace> annotated;
 
-    Materialised()
+    explicit Materialised(const std::string &name = workloadName())
     {
-        auto generator = workloads::makeWorkload(
-            workloadName(), workloads::workloadSeed(workloadName()));
-        buffer = std::make_unique<trace::TraceBuffer>(workloadName());
+        auto generator =
+            workloads::makeWorkload(name, workloads::workloadSeed(name));
+        buffer = std::make_unique<trace::TraceBuffer>(name);
         buffer->fill(*generator, kInsts);
         annotated = std::make_unique<core::AnnotatedTrace>(
             *buffer, annotationOptions());
@@ -116,15 +115,22 @@ expectSameAnnotations(const core::StreamingTrace &streamed,
 
 TEST(StreamingTrace, AnnotationsMatchMaterialisedForAnyChunkSize)
 {
-    const Materialised ref;
     // Chunk capacity must be result-invariant: a tiny odd size, a
     // mid-size power of two, and the default (trace fits in 3 chunks).
-    for (const uint32_t cap : {613u, 4096u, trace::defaultChunkCapacity}) {
-        SCOPED_TRACE("chunk capacity " + std::to_string(cap));
-        const auto source = makeStream(cap);
-        const core::StreamingTrace streamed(source, annotationOptions());
-        EXPECT_EQ(streamed.instructions(), kInsts);
-        expectSameAnnotations(streamed, *ref.annotated);
+    // specweb99's software prefetches are credited retroactively, and
+    // at 613 some credits land in an earlier chunk than their touch.
+    for (const std::string &name : workloads::commercialWorkloadNames()) {
+        const Materialised ref(name);
+        for (const uint32_t cap :
+             {613u, 4096u, trace::defaultChunkCapacity}) {
+            SCOPED_TRACE(name + " at chunk capacity " +
+                         std::to_string(cap));
+            const auto source = makeStream(cap, name);
+            const core::StreamingTrace streamed(source,
+                                                annotationOptions());
+            EXPECT_EQ(streamed.instructions(), kInsts);
+            expectSameAnnotations(streamed, *ref.annotated);
+        }
     }
 }
 
@@ -264,120 +270,26 @@ TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
     std::vector<core::MlpResult> independent;
     for (const core::MlpConfig &cfg : configs)
         independent.push_back(core::runMlp(cfg, streamed.context()));
+    const size_t built_before_shared = source.generatorsBuilt();
 
-    std::vector<std::optional<core::MlpResult>> slots;
-    auto cells = cellsFor(configs, slots);
-    core::runSharedCells(streamed.context(), cells);
+    // 8: all three cells in one wave. 2: a two-cell wave, then a lone
+    // trailing cell that runs on its own stream.
+    for (const size_t wave : {size_t(8), size_t(2)}) {
+        SCOPED_TRACE("maxConcurrent " + std::to_string(wave));
+        std::vector<std::optional<core::MlpResult>> slots;
+        auto cells = cellsFor(configs, slots);
+        core::SharedRunOptions options;
+        options.maxConcurrent = wave;
+        core::runSharedCells(streamed.context(), cells, options);
 
-    const size_t opens_before_shared = source.generatorsBuilt();
-    for (size_t i = 0; i < configs.size(); ++i) {
-        ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
-        expectSameResult(*slots[i], independent[i]);
-    }
-    // The shared wave rode one broadcast generation, so it cannot have
-    // constructed more generators than the sequential runs already did.
-    EXPECT_EQ(source.generatorsBuilt(), opens_before_shared);
-}
-
-TEST(SharedStream, FusedAnnotateAndCellsMatchesTwoPassPipeline)
-{
-    const Materialised ref;
-    const auto source = makeStream(4096);
-    const auto configs = sampleConfigs();
-
-    std::vector<core::MlpResult> classic;
-    {
-        const core::StreamingTrace streamed(source, annotationOptions());
-        for (const core::MlpConfig &cfg : configs)
-            classic.push_back(core::runMlp(cfg, streamed.context()));
-    }
-
-    std::vector<std::optional<core::MlpResult>> slots;
-    auto cells = cellsFor(configs, slots);
-    core::FusedRunReport report;
-    auto fused = core::runFusedAnnotateAndCells(
-        source, annotationOptions(), cells, core::SharedRunOptions{},
-        &report);
-    ASSERT_TRUE(fused.ok()) << fused.status().toString();
-    EXPECT_EQ(report.fusedCells, configs.size());
-
-    expectSameAnnotations(*fused, *ref.annotated);
-    for (size_t i = 0; i < configs.size(); ++i) {
-        ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
-        expectSameResult(*slots[i], classic[i]);
-    }
-}
-
-TEST(SharedStream, FusedHazardFallbackStaysBitIdentical)
-{
-    // specweb99 emits software prefetches whose demand touches credit
-    // them retroactively; a zero-chunk lookahead over tiny chunks pins
-    // the read floor right behind the annotate position, so some
-    // credit lands below the floor, defers, and triggers the re-run
-    // fallback. Results must not change; the report records the path.
-    const std::string name = "specweb99";
-    const trace::GeneratedChunkSource source(
-        name, kInsts,
-        [name] {
-            return workloads::makeWorkload(name,
-                                           workloads::workloadSeed(name));
-        },
-        613);
-    const auto configs = sampleConfigs();
-
-    std::vector<core::MlpResult> classic;
-    {
-        const core::StreamingTrace streamed(source, annotationOptions());
-        for (const core::MlpConfig &cfg : configs)
-            classic.push_back(core::runMlp(cfg, streamed.context()));
-    }
-
-    std::vector<std::optional<core::MlpResult>> slots;
-    auto cells = cellsFor(configs, slots);
-    core::SharedRunOptions options;
-    options.lookaheadChunks = 0;
-    core::FusedRunReport report;
-    auto fused = core::runFusedAnnotateAndCells(
-        source, annotationOptions(), cells, options, &report);
-    ASSERT_TRUE(fused.ok()) << fused.status().toString();
-    EXPECT_TRUE(report.hazardFallback);
-
-    auto generator =
-        workloads::makeWorkload(name, workloads::workloadSeed(name));
-    trace::TraceBuffer buffer(name);
-    buffer.fill(*generator, kInsts);
-    const core::AnnotatedTrace reference(buffer, annotationOptions());
-    expectSameAnnotations(*fused, reference);
-    for (size_t i = 0; i < configs.size(); ++i) {
-        ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
-        expectSameResult(*slots[i], classic[i]);
-    }
-}
-
-TEST(SharedStream, FusedMoreCellsThanWaveStillAllRun)
-{
-    const auto source = makeStream(4096);
-    const auto configs = sampleConfigs();
-
-    std::vector<core::MlpResult> classic;
-    {
-        const core::StreamingTrace streamed(source, annotationOptions());
-        for (const core::MlpConfig &cfg : configs)
-            classic.push_back(core::runMlp(cfg, streamed.context()));
-    }
-
-    std::vector<std::optional<core::MlpResult>> slots;
-    auto cells = cellsFor(configs, slots);
-    core::SharedRunOptions options;
-    options.maxConcurrent = 2; // 3 cells: 2 fused + 1 shared afterwards
-    core::FusedRunReport report;
-    auto fused = core::runFusedAnnotateAndCells(
-        source, annotationOptions(), cells, options, &report);
-    ASSERT_TRUE(fused.ok()) << fused.status().toString();
-    EXPECT_EQ(report.fusedCells, 2u);
-    for (size_t i = 0; i < configs.size(); ++i) {
-        ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
-        expectSameResult(*slots[i], classic[i]);
+        for (size_t i = 0; i < configs.size(); ++i) {
+            ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
+            expectSameResult(*slots[i], independent[i]);
+        }
+        // The shared waves rode broadcast generations, so they cannot
+        // have constructed more generators than the sequential runs
+        // already did.
+        EXPECT_EQ(source.generatorsBuilt(), built_before_shared);
     }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "predictor/value_predictor.hh"
+#include "trace/trace_buffer.hh"
 
 namespace mlpsim::test {
 
@@ -87,6 +88,18 @@ struct VpFixture
                 misses.markDataMiss(i);
         }
     }
+
+    /** Feed the buffer's chunks, in order, through a fresh
+     *  ValueAnnotator. */
+    ValueAnnotations
+    annotate(const ValuePredictorConfig &cfg,
+             uint64_t warmup_insts = 0) const
+    {
+        ValueAnnotator pass(misses, cfg, warmup_insts);
+        for (size_t ci = 0; ci < buf.numChunks(); ++ci)
+            pass.add(buf.chunk(ci));
+        return pass.finish();
+    }
 };
 
 } // namespace
@@ -94,8 +107,7 @@ struct VpFixture
 TEST(AnnotateValues, OnlyMissingLoadsParticipate)
 {
     VpFixture f({5, 5, 5, 5}, {true, false, true, false});
-    const auto ann =
-        annotateValues(f.buf, f.misses, ValuePredictorConfig{});
+    const auto ann = f.annotate(ValuePredictorConfig{});
     EXPECT_EQ(ann.missingLoads, 2u);
     EXPECT_EQ(ann.outcome[1], ValueOutcome::NotApplicable);
     EXPECT_EQ(ann.outcome[3], ValueOutcome::NotApplicable);
@@ -108,8 +120,7 @@ TEST(AnnotateValues, OnlyMissingLoadsParticipate)
 TEST(AnnotateValues, StatsAddUp)
 {
     VpFixture f({5, 6, 6, 7}, {true, true, true, true});
-    const auto ann =
-        annotateValues(f.buf, f.misses, ValuePredictorConfig{});
+    const auto ann = f.annotate(ValuePredictorConfig{});
     EXPECT_EQ(ann.missingLoads, 4u);
     EXPECT_EQ(ann.noPredict, 1u);
     EXPECT_EQ(ann.wrong, 2u);  // 5->6 and 6->7
@@ -122,8 +133,7 @@ TEST(AnnotateValues, StatsAddUp)
 TEST(AnnotateValues, WarmupTrainsSilently)
 {
     VpFixture f({5, 5, 5}, {true, true, true});
-    const auto ann = annotateValues(f.buf, f.misses,
-                                    ValuePredictorConfig{}, 1);
+    const auto ann = f.annotate(ValuePredictorConfig{}, 1);
     EXPECT_EQ(ann.missingLoads, 2u);
     EXPECT_EQ(ann.correct, 2u); // the no-predict happened in warm-up
 }
@@ -133,7 +143,7 @@ TEST(AnnotateValues, PerfectEverythingCorrect)
     VpFixture f({1, 2, 3}, {true, true, true});
     ValuePredictorConfig cfg;
     cfg.perfect = true;
-    const auto ann = annotateValues(f.buf, f.misses, cfg);
+    const auto ann = f.annotate(cfg);
     EXPECT_EQ(ann.correct, 3u);
     EXPECT_DOUBLE_EQ(ann.fracCorrect(), 1.0);
 }

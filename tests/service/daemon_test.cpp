@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,12 +28,12 @@ using metrics::JsonValue;
 
 std::string
 requestPayload(const std::string &id, const std::string &workload,
-               const std::string &config_body)
+               const std::string &config_body, uint64_t insts = 1000)
 {
     return "{\"schema\":\"mlpsim-sweep-request-v1\",\"id\":\"" + id +
            "\",\"workload\":\"" + workload +
-           "\",\"warmup\":200,\"insts\":1000,\"configs\":[" +
-           config_body + "]}";
+           "\",\"warmup\":200,\"insts\":" + std::to_string(insts) +
+           ",\"configs\":[" + config_body + "]}";
 }
 
 struct Session
@@ -228,6 +229,42 @@ TEST(DaemonTest, ControlFramesPingAndShutdown)
     }
     EXPECT_TRUE(pong);
     EXPECT_TRUE(bye);
+}
+
+TEST(DaemonTest, StreamedDeadlineGovernsOnlyItsOwnRequest)
+{
+    // Streamed mode shares one stream generation among a batch's cells
+    // over one trace. A's 1 ms deadline must fail A alone: B shares A's
+    // trace, has no deadline, and must still compute even though A's
+    // job runs first (jobs = 1). The budget keeps each engine run well
+    // past 1 ms.
+    DaemonConfig config;
+    config.jobs = 1;
+    config.streamChunk = 4096;
+    auto daemon = Daemon::create(config);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().toString();
+
+    constexpr uint64_t insts = 200000;
+    const std::string with_deadline =
+        "{\"deadline_ms\":1," +
+        requestPayload("a", "database", "{}", insts).substr(1);
+    const Session session = runSession(
+        **daemon,
+        {with_deadline,
+         requestPayload("b", "database", "{\"window\":32}", insts)});
+    ASSERT_TRUE(session.served.ok()) << session.served.toString();
+    ASSERT_EQ(session.responses.size(), 2u);
+
+    const JsonValue a = JsonValue::parse(session.responses[0]).orFatal();
+    EXPECT_EQ(a.find("id")->string(), "a");
+    EXPECT_EQ(a.find("status")->string(), "error");
+    EXPECT_EQ(a.find("error")->find("code")->string(),
+              errorCodeName(ErrorCode::DeadlineExceeded));
+
+    const JsonValue b = JsonValue::parse(session.responses[1]).orFatal();
+    EXPECT_EQ(b.find("id")->string(), "b");
+    EXPECT_EQ(b.find("status")->string(), "ok")
+        << session.responses[1];
 }
 
 TEST(DaemonTest, NoEventsModeEmitsOnlyResponses)
