@@ -189,7 +189,9 @@ prepareWorkload(const std::string &name, const BenchSetup &setup)
 
     core::AnnotationOptions annotation = setup.annotation;
     annotation.warmupInsts = setup.warmupInsts;
+    const uint64_t total = setup.warmupInsts + setup.measureInsts;
 
+    const trace::ChunkSource *trace = nullptr;
     if (setup.streaming()) {
         // Streamed mode: no trace buffer is ever materialised. The
         // factory re-creates the generator — with the same
@@ -197,44 +199,34 @@ prepareWorkload(const std::string &name, const BenchSetup &setup)
         // pass and each engine run replay the identical instruction
         // sequence.
         prepared.source = std::make_unique<trace::GeneratedChunkSource>(
-            name, setup.warmupInsts + setup.measureInsts,
+            name, total,
             [name] {
                 return workloads::makeWorkload(
                     name, workloads::workloadSeed(name));
             },
             setup.streamChunk);
-        prepared.streamed = std::make_unique<core::StreamingTrace>(
-            *prepared.source, annotation);
-        if (metrics::enabled()) {
-            // Mirror the materialised path's counters exactly so the
-            // two modes' metric snapshots stay byte-identical.
-            auto &reg = metrics::cur();
-            reg.add(metrics::scopedPath("workloads/traces"), 1);
-            reg.add(metrics::scopedPath("workloads/generated_insts"),
-                    prepared.streamed->instructions());
-        }
-        return prepared;
-    }
-
-    // The explicit workloadSeed(name) pins the trace to the workload's
-    // name: preparation order, thread assignment and --jobs value
-    // cannot change a single emitted instruction.
-    auto generator =
-        workloads::makeWorkload(name, workloads::workloadSeed(name));
-    prepared.buffer = std::make_unique<trace::TraceBuffer>(name);
-    {
+        trace = prepared.source.get();
+    } else {
+        // The explicit workloadSeed(name) pins the trace to the
+        // workload's name: preparation order, thread assignment and
+        // --jobs value cannot change a single emitted instruction.
+        auto generator =
+            workloads::makeWorkload(name, workloads::workloadSeed(name));
+        prepared.buffer = std::make_unique<trace::TraceBuffer>(name);
         metrics::ScopedTimer t("workloads/generate_s");
-        prepared.buffer->fill(*generator,
-                              setup.warmupInsts + setup.measureInsts);
+        prepared.buffer->fill(*generator, total);
+        trace = prepared.buffer.get();
     }
+    prepared.annotated = std::make_unique<core::AnnotatedTrace>(
+        core::AnnotatedTrace::make(*trace, annotation).orFatal());
     if (metrics::enabled()) {
+        // Both modes count the instructions the annotate pass saw, so
+        // their metric snapshots stay byte-identical.
         auto &reg = metrics::cur();
         reg.add(metrics::scopedPath("workloads/traces"), 1);
         reg.add(metrics::scopedPath("workloads/generated_insts"),
-                prepared.buffer->size());
+                prepared.annotated->instructions());
     }
-    prepared.annotated = std::make_unique<core::AnnotatedTrace>(
-        *prepared.buffer, annotation);
     return prepared;
 }
 
@@ -270,22 +262,41 @@ prepareAll(const BenchSetup &setup, const Options &opts)
     return all;
 }
 
+namespace {
+
+core::MlpResult
+mlpCell(core::MlpConfig config, const PreparedWorkload &workload,
+        const core::WorkloadContext &ctx)
+{
+    config.warmupInsts = workload.warmupInsts;
+    return core::runMlp(config, ctx);
+}
+
+cyclesim::CycleSimResult
+cycleSimCell(cyclesim::CycleSimConfig config,
+             const PreparedWorkload &workload,
+             const core::WorkloadContext &ctx)
+{
+    config.warmupInsts = workload.warmupInsts;
+    // Surface a malformed grid cell as a Status diagnostic up front
+    // instead of an assertion from inside the simulator.
+    config.validate().orFatal();
+    return cyclesim::CycleSim(config, ctx).run();
+}
+
+} // namespace
+
 core::MlpResult
 runMlp(core::MlpConfig config, const PreparedWorkload &workload)
 {
-    config.warmupInsts = workload.warmupInsts;
-    return core::runMlp(config, workload.context());
+    return mlpCell(config, workload, workload.annotated->context());
 }
 
 cyclesim::CycleSimResult
 runCycleSim(cyclesim::CycleSimConfig config,
             const PreparedWorkload &workload)
 {
-    config.warmupInsts = workload.warmupInsts;
-    // Surface a malformed grid cell as a Status diagnostic up front
-    // instead of an assertion from inside the simulator.
-    config.validate().orFatal();
-    return cyclesim::CycleSim(config, workload.context()).run();
+    return cycleSimCell(config, workload, workload.annotated->context());
 }
 
 Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
@@ -293,6 +304,40 @@ Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
     runner.setJobLimits(setup.jobLimits);
     if (setup.collectFailures)
         runner.setFailureMode(FailureMode::CollectAll);
+}
+
+template <typename R, typename Config>
+Job<R>
+Sweep::cell(const char *kind, Config config,
+            const PreparedWorkload &workload,
+            R (*body)(Config, const PreparedWorkload &,
+                      const core::WorkloadContext &))
+{
+    const PreparedWorkload *wl = &workload;
+    const std::string label = kind + (" " + workload.name);
+    auto labelled = [config, wl, body](const core::WorkloadContext &ctx) {
+        metrics::ScopedLabel wl_label(wl->name);
+        metrics::ScopedLabel cfg_label(config.metricLabel());
+        return body(config, *wl, ctx);
+    };
+    const core::WorkloadContext ctx = workload.annotated->context();
+    if (!core::sharesGeneration(ctx) || !runner.jobLimits().shareable())
+        return runner.defer<R>(label,
+                               [labelled, ctx] { return labelled(ctx); });
+
+    // Shared-generation path: the cell joins its workload's group and
+    // consumes a claimed fan-out slot; its job commits exactly this
+    // cell's result and metrics (see SharedCellGroup).
+    core::SharedCellGroup *group = groupFor(workload);
+    auto slot = std::make_shared<std::optional<R>>();
+    const size_t index = group->add(core::SharedCell{
+        label, [labelled, slot](const core::WorkloadContext &c) {
+            slot->emplace(labelled(c));
+        }});
+    return runner.defer<R>(label, [group, index, slot] {
+        group->runCell(index);
+        return std::move(**slot);
+    });
 }
 
 core::SharedCellGroup *
@@ -303,74 +348,21 @@ Sweep::groupFor(const PreparedWorkload &workload)
             return entry.second.get();
     groups.emplace_back(&workload,
                         std::make_unique<core::SharedCellGroup>(
-                            workload.context()));
+                            workload.annotated->context()));
     return groups.back().second.get();
 }
 
 Job<core::MlpResult>
 Sweep::mlp(core::MlpConfig config, const PreparedWorkload &workload)
 {
-    const PreparedWorkload *wl = &workload;
-    if (wl->streamed && runner.jobLimits().shareable()) {
-        // Shared-generation path: the cell joins its workload's group
-        // and consumes a claimed fan-out slot; its job commits exactly
-        // this cell's result and metrics (see SharedCellGroup).
-        core::SharedCellGroup *group = groupFor(workload);
-        auto slot = std::make_shared<std::optional<core::MlpResult>>();
-        const size_t index = group->add(core::SharedCell{
-            "mlp " + workload.name,
-            [config, wl, slot](const core::WorkloadContext &ctx) {
-                metrics::ScopedLabel wl_label(wl->name);
-                metrics::ScopedLabel cfg_label(config.metricLabel());
-                core::MlpConfig cfg = config;
-                cfg.warmupInsts = wl->warmupInsts;
-                slot->emplace(core::runMlp(cfg, ctx));
-            }});
-        return runner.defer<core::MlpResult>(
-            "mlp " + workload.name, [group, index, slot] {
-                group->runCell(index);
-                return std::move(**slot);
-            });
-    }
-    return runner.defer<core::MlpResult>(
-        "mlp " + workload.name, [config, wl] {
-            metrics::ScopedLabel wl_label(wl->name);
-            metrics::ScopedLabel cfg_label(config.metricLabel());
-            return runMlp(config, *wl);
-        });
+    return cell("mlp", config, workload, &mlpCell);
 }
 
 Job<cyclesim::CycleSimResult>
 Sweep::cycleSim(cyclesim::CycleSimConfig config,
                 const PreparedWorkload &workload)
 {
-    const PreparedWorkload *wl = &workload;
-    if (wl->streamed && runner.jobLimits().shareable()) {
-        core::SharedCellGroup *group = groupFor(workload);
-        auto slot =
-            std::make_shared<std::optional<cyclesim::CycleSimResult>>();
-        const size_t index = group->add(core::SharedCell{
-            "cyclesim " + workload.name,
-            [config, wl, slot](const core::WorkloadContext &ctx) {
-                metrics::ScopedLabel wl_label(wl->name);
-                metrics::ScopedLabel cfg_label(config.metricLabel());
-                cyclesim::CycleSimConfig cfg = config;
-                cfg.warmupInsts = wl->warmupInsts;
-                cfg.validate().orFatal();
-                slot->emplace(cyclesim::CycleSim(cfg, ctx).run());
-            }});
-        return runner.defer<cyclesim::CycleSimResult>(
-            "cyclesim " + workload.name, [group, index, slot] {
-                group->runCell(index);
-                return std::move(**slot);
-            });
-    }
-    return runner.defer<cyclesim::CycleSimResult>(
-        "cyclesim " + workload.name, [config, wl] {
-            metrics::ScopedLabel wl_label(wl->name);
-            metrics::ScopedLabel cfg_label(config.metricLabel());
-            return runCycleSim(config, *wl);
-        });
+    return cell("cyclesim", config, workload, &cycleSimCell);
 }
 
 void

@@ -192,6 +192,18 @@ class Sweep
     unsigned jobs() const { return runner.jobs(); }
 
   private:
+    /**
+     * Defer one simulator cell, labelled "<kind> <workload>", that
+     * runs @p body. A streamed workload's cell joins its
+     * shared-generation group when the job limits allow sharing
+     * (JobLimits::shareable()); any other cell is a plain job.
+     */
+    template <typename R, typename Config>
+    Job<R> cell(const char *kind, Config config,
+                const PreparedWorkload &workload,
+                R (*body)(Config, const PreparedWorkload &,
+                          const core::WorkloadContext &));
+
     /** The shared-generation group for @p workload (created on first
      *  use; one per workload per batch). */
     core::SharedCellGroup *groupFor(const PreparedWorkload &workload);

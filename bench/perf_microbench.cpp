@@ -62,7 +62,8 @@ annotatedWorkload(const std::string &name)
         auto generator = workloads::makeWorkload(name);
         buffer->fill(*generator, traceInsts);
         auto annotated = std::make_unique<core::AnnotatedTrace>(
-            *buffer, core::AnnotationOptions{});
+            core::AnnotatedTrace::make(*buffer, core::AnnotationOptions{})
+                .orFatal());
         it = cache.emplace(name, std::make_pair(std::move(buffer),
                                                 std::move(annotated)))
                  .first;
@@ -101,13 +102,13 @@ BENCHMARK(BM_EpochEngine)->Arg(64)->Arg(256)->Arg(2048);
  * re-streams the trace from the replayable source instead of reading
  * a materialised buffer.
  */
-const core::StreamingTrace &
+const core::AnnotatedTrace &
 streamedWorkload(const std::string &name)
 {
     static std::map<
         std::string,
         std::pair<std::unique_ptr<trace::GeneratedChunkSource>,
-                  std::unique_ptr<core::StreamingTrace>>>
+                  std::unique_ptr<core::AnnotatedTrace>>>
         cache;
     auto it = cache.find(name);
     if (it == cache.end()) {
@@ -116,8 +117,9 @@ streamedWorkload(const std::string &name)
                 return workloads::makeWorkload(
                     name, workloads::workloadSeed(name));
             });
-        auto streamed = std::make_unique<core::StreamingTrace>(
-            *source, core::AnnotationOptions{});
+        auto streamed = std::make_unique<core::AnnotatedTrace>(
+            core::AnnotatedTrace::make(*source, core::AnnotationOptions{})
+                .orFatal());
         it = cache.emplace(name, std::make_pair(std::move(source),
                                                 std::move(streamed)))
                  .first;

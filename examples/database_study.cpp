@@ -32,7 +32,8 @@ main(int argc, char **argv)
     buffer.fill(database, insts);
     core::AnnotationOptions annotation;
     annotation.warmupInsts = warmup;
-    core::AnnotatedTrace annotated(buffer, annotation);
+    const auto annotated =
+        core::AnnotatedTrace::make(buffer, annotation).orFatal();
 
     // Representative on-chip parameters for the projection (measure
     // them with cyclesim::CycleSim for full fidelity; see

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     const uint64_t warmup = insts / 4;
 
     // 1. A synthetic OLTP trace (see workloads/ for the other
-    //    generators, or trace::readTraceFile for traces on disk).
+    //    generators, or trace::readTrace for traces on disk).
     workloads::DatabaseWorkload database;
     trace::TraceBuffer buffer("database");
     buffer.fill(database, insts);
@@ -39,7 +39,8 @@ main(int argc, char **argv)
     //    the missing-load value predictor.
     core::AnnotationOptions annotation;
     annotation.warmupInsts = warmup;
-    core::AnnotatedTrace annotated(buffer, annotation);
+    const auto annotated =
+        core::AnnotatedTrace::make(buffer, annotation).orFatal();
 
     std::printf("trace: %zu instructions (%llu warm-up)\n",
                 buffer.size(), (unsigned long long)warmup);

@@ -34,7 +34,8 @@ main(int argc, char **argv)
         buffer.fill(*generator, insts);
         core::AnnotationOptions annotation;
         annotation.warmupInsts = warmup;
-        core::AnnotatedTrace annotated(buffer, annotation);
+        const auto annotated =
+            core::AnnotatedTrace::make(buffer, annotation).orFatal();
 
         auto mlp = [&](core::MlpConfig cfg) {
             cfg.warmupInsts = warmup;

@@ -31,12 +31,12 @@ main(int argc, char **argv)
     workloads::SpecWebWorkload web;
     trace::TraceBuffer original("specweb99");
     original.fill(web, insts);
-    trace::writeTraceFile(path, original);
+    trace::writeTrace(path, original).orFatal();
     std::printf("wrote %zu instructions to %s\n", original.size(),
                 path.c_str());
 
     // Reload and verify.
-    const trace::TraceBuffer reloaded = trace::readTraceFile(path);
+    const trace::TraceBuffer reloaded = trace::readTrace(path).orFatal();
     if (reloaded.size() != original.size()) {
         std::fprintf(stderr, "round-trip size mismatch!\n");
         return 1;
@@ -61,7 +61,8 @@ main(int argc, char **argv)
 
     core::AnnotationOptions annotation;
     annotation.warmupInsts = reloaded.size() / 4;
-    core::AnnotatedTrace annotated(reloaded, annotation);
+    const auto annotated =
+        core::AnnotatedTrace::make(reloaded, annotation).orFatal();
     core::MlpConfig cfg = core::MlpConfig::defaultOoO();
     cfg.warmupInsts = annotation.warmupInsts;
     const auto result = core::runMlp(cfg, annotated.context());

@@ -3,11 +3,13 @@
  * Forward-windowed chunk access for the simulators.
  *
  * Engines consume the trace through a ChunkWindow instead of raw
- * buffer indexing so the same hot path serves both trace modes:
+ * buffer indexing so the same hot path serves every ChunkSource. The
+ * window asks the source once, at construction, whether it is
+ * materialised (ChunkSource::materialized()):
  *
- *  - buffer-backed: chunkFor() is one divide into the materialised
- *    TraceBuffer's chunk list and releaseBefore() is a no-op;
- *  - stream-backed: chunks are pulled on demand from a freshly opened
+ *  - materialised: chunkFor() is one divide into the TraceBuffer's
+ *    chunk list and releaseBefore() is a no-op;
+ *  - streamed: chunks are pulled on demand from a freshly opened
  *    ChunkStream (each engine run re-streams the generator — replay
  *    determinism) and retained in a small deque until the engine
  *    declares them dead with releaseBefore().
@@ -29,29 +31,29 @@
 #include <memory>
 
 #include "core/workload_context.hh"
+#include "trace/trace_buffer.hh"
 #include "trace/trace_chunk.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::core {
 
-/** Buffer- or stream-backed supplier of trace chunks by index. */
+/** Supplier of trace chunks by index, over any ChunkSource. */
 class ChunkWindow
 {
   public:
-    explicit ChunkWindow(const WorkloadContext &wl) : buf(wl.buffer)
+    explicit ChunkWindow(const WorkloadContext &wl)
     {
-        if (!buf) {
-            if (wl.attached) {
-                // Fan-out mode: consume the pre-opened shared-ring
-                // cursor instead of opening (and regenerating) our own.
-                src = wl.attached;
-            } else {
-                MLPSIM_ASSERT(wl.stream,
-                              "workload context has neither buffer nor "
-                              "stream");
-                owned = wl.stream->open();
-                src = owned.get();
-            }
+        MLPSIM_ASSERT(wl.source, "workload context has no trace");
+        buf = wl.source->materialized();
+        if (buf)
+            return;
+        if (wl.attached) {
+            // Fan-out mode: consume the pre-opened shared-ring cursor
+            // instead of opening (and regenerating) our own.
+            src = wl.attached;
+        } else {
+            owned = wl.source->open();
+            src = owned.get();
         }
     }
 
@@ -79,7 +81,8 @@ class ChunkWindow
         return window[pos];
     }
 
-    /** Indices below @p idx are dead; stream mode drops their chunks. */
+    /** Indices below @p idx are dead; a streamed window drops their
+     *  chunks. */
     void
     releaseBefore(uint64_t idx)
     {
@@ -88,7 +91,7 @@ class ChunkWindow
     }
 
   private:
-    const trace::TraceBuffer *buf;
+    const trace::TraceBuffer *buf = nullptr; //!< set: index it directly
     std::unique_ptr<trace::ChunkStream> owned;
     trace::ChunkStream *src = nullptr; //!< owned.get() or wl.attached
     std::deque<trace::ChunkPtr> window;

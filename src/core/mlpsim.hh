@@ -10,7 +10,7 @@
  *
  *   core::AnnotationOptions opts;
  *   opts.warmupInsts = 1'000'000;
- *   core::AnnotatedTrace annotated(buf, opts);
+ *   const auto annotated = core::AnnotatedTrace::make(buf, opts).orFatal();
  *
  *   core::MlpResult r =
  *       core::runMlp(core::MlpConfig::defaultOoO(), annotated.context());
@@ -54,43 +54,43 @@ struct AnnotationOptions
  * A trace plus the program-order annotations every simulator shares:
  * which accesses go off-chip (and which prefetches are useful), which
  * branches mispredict, and which missing loads value-predict
- * correctly. Built by the annotate pass over the buffer's chunks
- * (core/trace_pipeline.hh), the same pass a StreamingTrace runs.
+ * correctly. Built by one annotate pass over the trace's chunks
+ * (core/trace_pipeline.hh). The trace is any ChunkSource: a
+ * materialised TraceBuffer, or a generator that is re-streamed on
+ * every simulator run, in which case only the annotation planes are
+ * kept in memory.
  */
 class AnnotatedTrace
 {
   public:
     /**
-     * fatal()-on-error wrapper around make() kept for existing
-     * callers; terminates if @p options fail validation.
-     */
-    AnnotatedTrace(const trace::TraceBuffer &buffer,
-                   const AnnotationOptions &options);
-
-    /**
-     * Validate @p options, then profile and annotate @p buffer.
-     * The buffer must outlive the returned object.
+     * Validate @p options, then stream @p source once through the
+     * annotators. The source must outlive the returned object.
      */
     static Expected<AnnotatedTrace>
-    make(const trace::TraceBuffer &buffer,
+    make(const trace::ChunkSource &source,
          const AnnotationOptions &options);
 
     /** Borrowing view passed to the simulators. */
     WorkloadContext context() const;
 
-    const trace::TraceBuffer &buffer() const { return *buf; }
+    /** Instructions streamed through the annotate pass. */
+    uint64_t instructions() const { return numInsts; }
     const memory::MissAnnotations &misses() const { return missAnn; }
     const branch::BranchAnnotations &branches() const { return brAnn; }
     const predictor::ValueAnnotations &values() const { return valAnn; }
     const AnnotationOptions &options() const { return opts; }
 
   private:
-    const trace::TraceBuffer *buf;
+    AnnotatedTrace(const trace::ChunkSource &source,
+                   const AnnotationOptions &options);
+
+    const trace::ChunkSource *src;
     AnnotationOptions opts;
     memory::MissAnnotations missAnn;
     branch::BranchAnnotations brAnn;
     predictor::ValueAnnotations valAnn;
-    bool hasValues = false;
+    uint64_t numInsts = 0;
 };
 
 /**

@@ -71,15 +71,15 @@ executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
     const size_t wave = std::max<size_t>(1, options.maxConcurrent);
     for (size_t begin = 0; begin < cells.size(); begin += wave) {
         const size_t n = std::min(wave, cells.size() - begin);
-        if (n == 1 || !base.stream) {
+        if (n == 1 || !sharesGeneration(base)) {
             // Lone trailing cell (a one-consumer ring buys nothing) or
-            // buffer-backed: run here, still isolated for ordering.
+            // materialised: run here, still isolated for ordering.
             for (size_t i = 0; i < n; ++i)
                 runCellIsolated(cells[begin + i], base, execs[begin + i],
                                 token);
             continue;
         }
-        auto fanout = base.stream->openFanout(n);
+        auto fanout = base.source->openFanout(n);
         std::vector<std::unique_ptr<trace::ChunkStream>> slots(n);
         for (size_t i = 0; i < n; ++i)
             slots[i] = fanout->stream(i);
@@ -107,8 +107,8 @@ runSharedCells(const WorkloadContext &base, std::vector<SharedCell> &cells,
 {
     if (cells.empty())
         return;
-    if (!base.stream || cells.size() == 1) {
-        // Buffer-backed (chunk access is free) or nothing to share:
+    if (!sharesGeneration(base) || cells.size() == 1) {
+        // Materialised (chunk access is free) or nothing to share:
         // plain sequential execution on the caller's registry.
         for (SharedCell &cell : cells)
             cell.body(base);

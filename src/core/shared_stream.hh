@@ -55,12 +55,23 @@ struct SharedRunOptions
 };
 
 /**
+ * Whether runs over @p ctx gain from sharing a generation: true when
+ * its trace is re-streamed on every run, false when it is
+ * materialised (chunk access is free).
+ */
+inline bool
+sharesGeneration(const WorkloadContext &ctx)
+{
+    return ctx.source->materialized() == nullptr;
+}
+
+/**
  * Run @p cells over @p base, sharing one stream generation per wave
  * of `maxConcurrent` cells. Annotations in @p base must be complete.
- * Falls back to plain sequential execution when the context is
- * buffer-backed or there is only one cell. Exceptions are captured
- * per cell; the first (in submission order) is rethrown after all
- * cells finish and metrics are merged.
+ * Falls back to plain sequential execution when the trace is
+ * materialised (!sharesGeneration) or there is only one cell.
+ * Exceptions are captured per cell; the first (in submission order)
+ * is rethrown after all cells finish and metrics are merged.
  */
 void runSharedCells(const WorkloadContext &base,
                     std::vector<SharedCell> &cells,

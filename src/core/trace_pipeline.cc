@@ -10,10 +10,10 @@ namespace mlpsim::core {
 namespace {
 
 /**
- * The annotate pass both trace modes run: feed every chunk of
- * @p stream, in order, to the profiler, then the branch annotator,
- * then (if opts.buildValues) the value annotator, and move the
- * completed annotations out. Returns the instructions annotated.
+ * The annotate pass: feed every chunk of @p stream, in order, to the
+ * profiler, then the branch annotator, then (if opts.buildValues) the
+ * value annotator, and move the completed annotations out. Returns the
+ * instructions annotated.
  */
 uint64_t
 annotatePass(trace::ChunkStream &stream, const AnnotationOptions &opts,
@@ -68,62 +68,29 @@ annotatePass(trace::ChunkStream &stream, const AnnotationOptions &opts,
 } // namespace
 
 Expected<AnnotatedTrace>
-AnnotatedTrace::make(const trace::TraceBuffer &buffer,
+AnnotatedTrace::make(const trace::ChunkSource &source,
                      const AnnotationOptions &options)
 {
     MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
-        "annotating trace '", buffer.name(), "'"));
-    return AnnotatedTrace(buffer, options);
+        "annotating trace '", source.name(), "'"));
+    return AnnotatedTrace(source, options);
 }
 
-AnnotatedTrace::AnnotatedTrace(const trace::TraceBuffer &buffer,
+AnnotatedTrace::AnnotatedTrace(const trace::ChunkSource &source,
                                const AnnotationOptions &options)
-    : buf(&buffer), opts(options)
+    : src(&source), opts(options)
 {
-    opts.validate().orFatal();
-    annotatePass(*buffer.chunkSource().open(), opts, missAnn, brAnn,
-                 valAnn);
-    hasValues = opts.buildValues;
+    numInsts = annotatePass(*source.open(), opts, missAnn, brAnn, valAnn);
 }
 
 WorkloadContext
 AnnotatedTrace::context() const
 {
     WorkloadContext ctx;
-    ctx.buffer = buf;
+    ctx.source = src;
     ctx.misses = &missAnn;
     ctx.branches = &brAnn;
-    ctx.values = hasValues ? &valAnn : nullptr;
-    return ctx;
-}
-
-Expected<StreamingTrace>
-StreamingTrace::make(const trace::ChunkSource &source,
-                     const AnnotationOptions &options)
-{
-    MLPSIM_RETURN_IF_ERROR(options.validate().withContext(
-        "annotating stream '", source.name(), "'"));
-    return StreamingTrace(source, options);
-}
-
-StreamingTrace::StreamingTrace(const trace::ChunkSource &source,
-                               const AnnotationOptions &options)
-    : src(&source), opts(options)
-{
-    opts.validate().orFatal();
-    numInsts =
-        annotatePass(*source.open(), opts, missAnn, brAnn, valAnn);
-    hasValues = opts.buildValues;
-}
-
-WorkloadContext
-StreamingTrace::context() const
-{
-    WorkloadContext ctx;
-    ctx.stream = src;
-    ctx.misses = &missAnn;
-    ctx.branches = &brAnn;
-    ctx.values = hasValues ? &valAnn : nullptr;
+    ctx.values = opts.buildValues ? &valAnn : nullptr;
     return ctx;
 }
 

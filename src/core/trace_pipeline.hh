@@ -1,19 +1,19 @@
 /**
  * @file
- * The annotate pass, for both trace modes.
+ * The annotate pass, and the prepared trace it produces.
  *
  * A trace is annotated once and then replayed by many simulator runs.
- * The annotate pass walks the trace's chunks in program order and
- * feeds each chunk to the chunk-incremental annotators — memory
- * profiler, branch predictor, value predictor — whose internal state
- * carries across chunk boundaries. AnnotatedTrace (core/mlpsim.hh)
- * walks a materialised TraceBuffer's chunks; StreamingTrace opens one
- * stream over a replayable ChunkSource and keeps only the whole-trace
- * annotation planes (~1 bit per instruction per plane), dropping each
- * instruction chunk once the annotators have seen it, which is where
- * streaming's ≥5× peak-RSS win over materialisation comes from. Both
- * run the same chunk loop, so the two modes are bit-identical by
- * construction, for any chunk size.
+ * AnnotatedTrace::make (core/mlpsim.hh) opens one stream over the
+ * trace's ChunkSource and feeds each chunk, in program order, to the
+ * chunk-incremental annotators — memory profiler, branch predictor,
+ * value predictor — whose internal state carries across chunk
+ * boundaries. Only the whole-trace annotation planes (~1 bit per
+ * instruction per plane) are kept: a streamed trace's chunks are
+ * dropped once the annotators have seen them, which is where
+ * streaming's ≥5× peak-RSS win over materialisation comes from. A
+ * materialised TraceBuffer runs the very same loop over its own
+ * chunks, so the two modes are bit-identical by construction, for any
+ * chunk size.
  *
  * The annotation planes must be whole-trace, completed before any
  * engine runs: a demand touch credits a pending software prefetch
@@ -21,71 +21,32 @@
  * so per-chunk annotations could never be published incrementally.
  *
  * After the pass, context() hands engines the annotation planes plus
- * the trace. A streamed trace's engine runs each open a fresh stream
- * and regenerate the identical instruction sequence (same seed, same
+ * the trace. An engine run over a streamed trace opens a fresh stream
+ * and regenerates the identical instruction sequence (same seed, same
  * chunks — the replay-determinism contract), consuming it through a
  * bounded ChunkWindow; runs over one trace may also share one
  * generation (core/shared_stream.hh).
  */
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "core/mlpsim.hh"
 #include "trace/stream_source.hh"
-#include "trace/trace_chunk.hh"
 
 namespace mlpsim::core {
 
-/** A streamed trace's annotations plus its replayable source. */
-class StreamingTrace
-{
-  public:
-    /**
-     * fatal()-on-error wrapper around make(); terminates if
-     * @p options fail validation.
-     */
-    StreamingTrace(const trace::ChunkSource &source,
-                   const AnnotationOptions &options);
-
-    /**
-     * Validate @p options, then stream @p source once through the
-     * annotators. The source must outlive the returned object.
-     */
-    static Expected<StreamingTrace>
-    make(const trace::ChunkSource &source,
-         const AnnotationOptions &options);
-
-    /** Borrowing view passed to the simulators (stream-backed). */
-    WorkloadContext context() const;
-
-    const trace::ChunkSource &source() const { return *src; }
-    /** Instructions actually streamed through the annotate pass. */
-    uint64_t instructions() const { return numInsts; }
-    const memory::MissAnnotations &misses() const { return missAnn; }
-    const branch::BranchAnnotations &branches() const { return brAnn; }
-    const predictor::ValueAnnotations &values() const { return valAnn; }
-    const AnnotationOptions &options() const { return opts; }
-
-  private:
-    const trace::ChunkSource *src;
-    AnnotationOptions opts;
-    memory::MissAnnotations missAnn;
-    branch::BranchAnnotations brAnn;
-    predictor::ValueAnnotations valAnn;
-    uint64_t numInsts = 0;
-    bool hasValues = false;
-};
+/** AnnotatedTrace under its streamed-mode name, which
+ *  perfbench/mlpbench.cc still uses. */
+using StreamingTrace = AnnotatedTrace;
 
 /**
  * One prepared (annotated) trace, shared read-only by the simulator
- * runs over it, in one of two modes:
- *
- *  - materialised: `buffer` holds the whole trace, `annotated` its
- *    annotations;
- *  - streamed: `source` regenerates the trace on demand and `streamed`
- *    holds its annotations — no instruction is ever stored.
+ * runs over it. It owns its trace in one of two forms — `buffer`
+ * holds the whole materialised trace, or `source` regenerates it on
+ * demand and no instruction is ever stored — and `annotated` holds the
+ * annotations of whichever is set; annotated->context() is what the
+ * simulators read.
  *
  * Everything lives on the heap so the annotations' back-pointers stay
  * valid when the struct itself is moved.
@@ -93,15 +54,8 @@ class StreamingTrace
 struct PreparedTrace
 {
     std::unique_ptr<trace::TraceBuffer> buffer;
-    std::unique_ptr<AnnotatedTrace> annotated;
     std::unique_ptr<trace::GeneratedChunkSource> source;
-    std::unique_ptr<StreamingTrace> streamed;
-
-    WorkloadContext
-    context() const
-    {
-        return annotated ? annotated->context() : streamed->context();
-    }
+    std::unique_ptr<AnnotatedTrace> annotated;
 };
 
 } // namespace mlpsim::core

@@ -5,20 +5,19 @@
  * once per workload/memory configuration and shared by every
  * simulator run over it.
  *
- * The trace itself comes in one of two forms: a materialised
- * TraceBuffer, or a replayable ChunkSource the simulators re-stream
- * on every run. Exactly one of `buffer` / `stream` is set. The
- * annotation planes are whole-trace and complete either way: one
- * annotate pass (core/trace_pipeline.hh) finishes before any
- * simulator reads them, so simulators running concurrently over one
- * context only ever read.
+ * The trace is one handle, a replayable ChunkSource: either a
+ * materialised TraceBuffer, which simulators index directly
+ * (ChunkSource::materialized()), or a generator the simulators
+ * re-stream on every run. The annotation planes are whole-trace and
+ * complete either way: one annotate pass (core/trace_pipeline.hh)
+ * finishes before any simulator reads them, so simulators running
+ * concurrently over one context only ever read.
  */
 #pragma once
 
 #include "branch/branch_unit.hh"
 #include "memory/access_profiler.hh"
 #include "predictor/value_predictor.hh"
-#include "trace/trace_buffer.hh"
 #include "trace/trace_chunk.hh"
 
 namespace mlpsim::core {
@@ -26,16 +25,16 @@ namespace mlpsim::core {
 /** Everything a simulator needs to replay one workload. */
 struct WorkloadContext
 {
-    const trace::TraceBuffer *buffer = nullptr;
-    /** Streaming alternative to `buffer`: each simulator run opens a
-     *  fresh chunk stream and regenerates the identical trace. */
-    const trace::ChunkSource *stream = nullptr;
+    /** The trace. Each simulator run reads a materialised source in
+     *  place and opens a fresh stream over any other. */
+    const trace::ChunkSource *source = nullptr;
     /**
      * Shared-generation fan-out: a pre-opened stream this run should
-     * consume instead of opening `stream` itself — typically one claimed
-     * slot of a StreamFanout, so many engines ride one generation. The
-     * engine takes ownership-of-consumption (drains or detaches it);
-     * `stream` stays set for size()/name(). Borrowed, set per run.
+     * consume instead of opening `source` itself — typically one
+     * claimed slot of a StreamFanout, so many engines ride one
+     * generation. The engine takes ownership-of-consumption (drains or
+     * detaches it); `source` stays set for size()/name(). Borrowed,
+     * set per run.
      */
     trace::ChunkStream *attached = nullptr;
     const memory::MissAnnotations *misses = nullptr;
@@ -43,15 +42,8 @@ struct WorkloadContext
     /** May be null when value prediction is not simulated. */
     const predictor::ValueAnnotations *values = nullptr;
 
-    bool hasTrace() const { return buffer != nullptr || stream != nullptr; }
-
-    size_t
-    size() const
-    {
-        if (buffer)
-            return buffer->size();
-        return stream ? size_t(stream->size()) : 0;
-    }
+    bool hasTrace() const { return source != nullptr; }
+    size_t size() const { return source ? size_t(source->size()) : 0; }
 };
 
 } // namespace mlpsim::core

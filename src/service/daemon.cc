@@ -201,7 +201,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
                     return entry.second.get();
             stream_groups.emplace_back(
                 prepared.get(), std::make_unique<core::SharedCellGroup>(
-                                    prepared->context()));
+                                    prepared->annotated->context()));
             return stream_groups.back().second.get();
         };
 
@@ -301,7 +301,9 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
             const core::MlpConfig job_config = rc.config;
             const std::string workload = request.workload;
             const std::string label = workload + "/" + rc.name;
-            if (prepared->streamed && limits.shareable()) {
+            const core::WorkloadContext ctx =
+                prepared->annotated->context();
+            if (core::sharesGeneration(ctx) && limits.shareable()) {
                 // The group leader's attempt governs every cell of the
                 // group, so a cell with its own deadline or retries
                 // runs as its own job (the branch below).
@@ -327,11 +329,10 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
                     });
             } else {
                 cell.job = runner.defer<core::MlpResult>(
-                    label, [prepared, job_config, workload]() {
+                    label, [prepared, ctx, job_config, workload]() {
                         metrics::ScopedLabel wl(workload);
                         metrics::ScopedLabel cfg(job_config.metricLabel());
-                        auto r = core::tryRunMlp(job_config,
-                                                 prepared->context());
+                        auto r = core::tryRunMlp(job_config, ctx);
                         if (!r.ok())
                             throw StatusError(r.status());
                         return *std::move(r);

@@ -78,11 +78,12 @@ TraceCache::get(const Key &key)
     const uint64_t total = key.warmup + key.insts;
     auto prepared = std::make_shared<core::PreparedTrace>();
     bool from_disk = false;
+    const trace::ChunkSource *trace = nullptr;
 
     if (streamChunk != 0) {
         // Streamed mode: validate the workload up front (the source's
-        // factory uses the fatal() maker and runs on sweep threads),
-        // then annotate in one streaming pass — no buffer, no spill.
+        // factory uses the fatal() maker and runs on sweep threads);
+        // the trace is regenerated on demand — no buffer, no spill.
         if (auto probe = workloads::tryMakeWorkload(key.workload, key.seed);
             !probe.ok()) {
             Status bad = probe.status();
@@ -96,58 +97,40 @@ TraceCache::get(const Key &key)
                 return workloads::makeWorkload(workload, seed);
             },
             streamChunk);
-        core::AnnotationOptions options;
-        options.warmupInsts = key.warmup;
-        MLPSIM_ASSIGN_OR_RETURN(
-            auto streamed,
-            core::StreamingTrace::make(*prepared->source, options));
-        prepared->streamed = std::make_unique<core::StreamingTrace>(
-            std::move(streamed));
-
-        std::lock_guard<std::mutex> lock(mutex);
-        ++counters.builds;
-        const auto it = index.find(canonical);
-        if (it != index.end())
-            return it->second->second;
-        entries.emplace_front(canonical, prepared);
-        index[canonical] = entries.begin();
-        while (entries.size() > capacityLimit) {
-            index.erase(entries.back().first);
-            entries.pop_back();
-        }
-        return std::shared_ptr<const core::PreparedTrace>(prepared);
-    }
-
-    if (!dir.empty()) {
-        auto loaded = trace::readTrace(spillPath(canonical));
-        if (loaded.ok() && loaded->name() == key.workload &&
-            loaded->size() == total) {
-            prepared->buffer = std::make_unique<trace::TraceBuffer>(
-                *std::move(loaded));
-            from_disk = true;
-        }
-    }
-    if (!from_disk) {
-        MLPSIM_ASSIGN_OR_RETURN(
-            auto generator,
-            workloads::tryMakeWorkload(key.workload, key.seed));
-        prepared->buffer =
-            std::make_unique<trace::TraceBuffer>(key.workload);
-        prepared->buffer->fill(*generator, total);
+        trace = prepared->source.get();
+    } else {
         if (!dir.empty()) {
-            const Status spilled =
-                trace::writeTrace(spillPath(canonical),
-                                  *prepared->buffer);
-            if (!spilled.ok())
-                warn("trace cache: spill failed: ", spilled.toString());
+            auto loaded = trace::readTrace(spillPath(canonical));
+            if (loaded.ok() && loaded->name() == key.workload &&
+                loaded->size() == total) {
+                prepared->buffer = std::make_unique<trace::TraceBuffer>(
+                    *std::move(loaded));
+                from_disk = true;
+            }
         }
+        if (!from_disk) {
+            MLPSIM_ASSIGN_OR_RETURN(
+                auto generator,
+                workloads::tryMakeWorkload(key.workload, key.seed));
+            prepared->buffer =
+                std::make_unique<trace::TraceBuffer>(key.workload);
+            prepared->buffer->fill(*generator, total);
+            if (!dir.empty()) {
+                const Status spilled =
+                    trace::writeTrace(spillPath(canonical),
+                                      *prepared->buffer);
+                if (!spilled.ok())
+                    warn("trace cache: spill failed: ",
+                         spilled.toString());
+            }
+        }
+        trace = prepared->buffer.get();
     }
 
     core::AnnotationOptions options;
     options.warmupInsts = key.warmup;
-    MLPSIM_ASSIGN_OR_RETURN(
-        auto annotated,
-        core::AnnotatedTrace::make(*prepared->buffer, options));
+    MLPSIM_ASSIGN_OR_RETURN(auto annotated,
+                            core::AnnotatedTrace::make(*trace, options));
     prepared->annotated =
         std::make_unique<core::AnnotatedTrace>(std::move(annotated));
 

@@ -14,8 +14,8 @@
  * branch target and the loaded/stored value share one word (they are
  * mutually exclusive by class — only branches have targets, and
  * branches carry no value), and the class, branch kind and taken flag
- * share one byte. The 40-byte on-disk record of trace_io keeps its
- * own layout; v1/v2 trace files are unaffected.
+ * share one byte. Trace files (trace_io.hh) store the chunk columns
+ * of trace_chunk.hh, which keep the same packed word and meta byte.
  */
 #pragma once
 

@@ -6,6 +6,35 @@
 
 namespace mlpsim::trace {
 
+namespace {
+
+/** Replays a buffer's chunks in order, sharing rather than copying. */
+class BufferChunks : public ChunkStream
+{
+  public:
+    explicit BufferChunks(const TraceBuffer &b) : buffer(b) {}
+
+    ChunkPtr
+    next() override
+    {
+        if (ci >= buffer.numChunks())
+            return nullptr;
+        return buffer.chunkPtr(ci++);
+    }
+
+  private:
+    const TraceBuffer &buffer;
+    size_t ci = 0;
+};
+
+} // namespace
+
+std::unique_ptr<ChunkStream>
+TraceBuffer::open() const
+{
+    return std::make_unique<BufferChunks>(*this);
+}
+
 void
 TraceBuffer::fill(TraceSource &source, uint64_t limit)
 {

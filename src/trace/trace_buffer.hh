@@ -9,12 +9,13 @@
  * branch-predictor state exactly identical between configurations
  * (the paper replays the same 150M-instruction trace the same way).
  *
- * Storing chunks rather than a flat vector<Instruction> means the
- * materialised and streamed paths feed simulators the *same* chunk
- * shape: every consumer walks SoA columns whether the trace lives in
- * memory or is being generated on the fly, so the two modes cannot
- * diverge. All chunks except the last are full, so random access is
- * one divide away: at(i) = chunk(i / cap).get(i % cap).
+ * A TraceBuffer is a ChunkSource (trace_chunk.hh) like any streamed
+ * trace: open() replays its chunks, so the annotate pass and the
+ * simulators read a materialised and a streamed trace through the
+ * same handle and the two modes cannot diverge. materialized()
+ * returns the buffer itself, which lets readers skip the stream: all
+ * chunks except the last are full, so random access is one divide
+ * away: at(i) = chunk(i / cap).get(i % cap).
  */
 #pragma once
 
@@ -31,7 +32,7 @@
 namespace mlpsim::trace {
 
 /** Owning, random-access instruction trace (chunked SoA storage). */
-class TraceBuffer
+class TraceBuffer : public ChunkSource
 {
   public:
     TraceBuffer() = default;
@@ -69,7 +70,7 @@ class TraceBuffer
         n += chunkList.back()->count;
     }
 
-    size_t size() const { return n; }
+    uint64_t size() const override { return n; }
     bool empty() const { return n == 0; }
 
     /** Instruction @p i, reassembled by value from its chunk. */
@@ -87,7 +88,7 @@ class TraceBuffer
     /** Chunk granularity of every TraceBuffer. */
     static constexpr uint32_t chunkCapacity = defaultChunkCapacity;
 
-    const std::string &name() const { return label; }
+    std::string name() const override { return label; }
     void setName(std::string n_) { label = std::move(n_); }
 
     /** A replayable streaming view over this buffer. */
@@ -116,44 +117,9 @@ class TraceBuffer
     Cursor cursor() const { return Cursor(*this); }
 
     /** A replayable chunk-level view (zero-copy: shares the chunks). */
-    class Chunks : public ChunkStream
-    {
-      public:
-        explicit Chunks(const TraceBuffer &b) : buffer(b) {}
+    std::unique_ptr<ChunkStream> open() const override;
 
-        ChunkPtr
-        next() override
-        {
-            if (ci >= buffer.numChunks())
-                return nullptr;
-            return buffer.chunkPtr(ci++);
-        }
-
-      private:
-        const TraceBuffer &buffer;
-        size_t ci = 0;
-    };
-
-    /** This buffer as a replayable ChunkSource. */
-    class Source : public ChunkSource
-    {
-      public:
-        explicit Source(const TraceBuffer &b) : buffer(b) {}
-
-        uint64_t size() const override { return buffer.size(); }
-        std::string name() const override { return buffer.name(); }
-
-        std::unique_ptr<ChunkStream>
-        open() const override
-        {
-            return std::make_unique<Chunks>(buffer);
-        }
-
-      private:
-        const TraceBuffer &buffer;
-    };
-
-    Source chunkSource() const { return Source(*this); }
+    const TraceBuffer *materialized() const override { return this; }
 
   private:
     std::vector<std::shared_ptr<TraceChunk>> chunkList;

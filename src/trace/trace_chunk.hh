@@ -30,6 +30,8 @@
 
 namespace mlpsim::trace {
 
+class TraceBuffer;
+
 /**
  * Default instructions per chunk. 16K instructions is ~160KB of
  * columns — big enough that per-chunk overheads (ring handoff, cursor
@@ -211,7 +213,9 @@ class StreamFanout
 /**
  * A replayable chunk-stream factory: every open() yields the same
  * chunk sequence from the start (the replay-determinism contract the
- * simulators rely on — each engine run re-streams the trace).
+ * simulators rely on — each engine run re-streams the trace). This is
+ * the one trace handle: a materialised TraceBuffer is a ChunkSource
+ * too, and says so through materialized().
  */
 class ChunkSource
 {
@@ -221,6 +225,15 @@ class ChunkSource
     virtual uint64_t size() const = 0;
     virtual std::string name() const = 0;
     virtual std::unique_ptr<ChunkStream> open() const = 0;
+
+    /**
+     * Random-access hook: the in-memory buffer holding every chunk of
+     * this trace, or null (the default) when the trace only exists as
+     * a stream. Readers use it to index chunks directly instead of
+     * opening a stream, and to skip generation sharing, which buys
+     * nothing for a trace already in memory.
+     */
+    virtual const TraceBuffer *materialized() const { return nullptr; }
 
     /**
      * Open @p consumers streams over the same trace as one group.

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "util/crc32.hh"
-#include "util/logging.hh"
 
 namespace mlpsim::trace {
 
@@ -17,58 +16,35 @@ namespace {
 
 constexpr char traceMagic[4] = {'M', 'L', 'P', 'T'};
 
-/**
- * Full on-disk header. Version 1 files stop at `name` (80 bytes);
- * versions 2 and 3 append the two CRC words (88 bytes). The prefix
- * through `name` is layout-identical in every version.
- */
+/** The 88-byte on-disk header. */
 struct FileHeader
 {
     char magic[4];
     uint32_t version;
     uint64_t numInsts;
     char name[64];
-    uint32_t payloadCrc; // v2+: CRC-32 of all payload bytes
-    uint32_t headerCrc;  // v2+: CRC-32 of bytes [0, offsetof(headerCrc))
+    uint32_t payloadCrc; // CRC-32 of all payload bytes
+    uint32_t headerCrc;  // CRC-32 of bytes [0, offsetof(headerCrc))
 };
 
-constexpr size_t headerSizeV1 = offsetof(FileHeader, payloadCrc);
-constexpr size_t headerSizeV2 = sizeof(FileHeader);
+constexpr size_t headerSize = sizeof(FileHeader);
 constexpr size_t headerCrcSpan = offsetof(FileHeader, headerCrc);
-static_assert(headerSizeV1 == 80, "v1 header layout drifted");
-static_assert(headerSizeV2 == 88, "v2 header layout drifted");
+static_assert(headerSize == 88, "trace header layout drifted");
 
-/** v3 payload prologue, immediately after the header. */
+/** Payload prologue, immediately after the header. */
 struct ChunkPrologue
 {
     uint64_t chunkCapacity;
     uint64_t numChunks;
 };
-static_assert(sizeof(ChunkPrologue) == 16, "v3 prologue layout drifted");
+static_assert(sizeof(ChunkPrologue) == 16, "prologue layout drifted");
 
-/** Bytes one instruction occupies inside a v3 chunk section. */
-constexpr uint64_t v3BytesPerInst = 3 * 8 + 5;
+/** Bytes one instruction occupies inside a chunk section. */
+constexpr uint64_t bytesPerInst = 3 * 8 + 5;
 /** Per-chunk section overhead: the count and chunkCrc words. */
-constexpr uint64_t v3ChunkOverhead = 8;
+constexpr uint64_t chunkOverhead = 8;
 /** Largest chunk capacity the reader will allocate for. */
-constexpr uint64_t maxV3ChunkCapacity = uint64_t(1) << 20;
-
-/** Fixed-width on-disk instruction record (identical in v1 and v2). */
-struct FileRecord
-{
-    uint64_t pc;
-    uint64_t effAddr;
-    uint64_t value;
-    uint64_t target;
-    uint8_t cls;
-    uint8_t dst;
-    uint8_t src[maxSrcRegs];
-    uint8_t taken;
-    uint8_t brKind;
-    uint8_t pad;
-};
-
-static_assert(sizeof(FileRecord) == 40, "trace record layout drifted");
+constexpr uint64_t maxChunkCapacity = uint64_t(1) << 20;
 
 constexpr uint8_t maxInstClass =
     static_cast<uint8_t>(InstClass::Serializing);
@@ -80,57 +56,8 @@ struct FileCloser
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-FileRecord
-packRecord(const Instruction &inst)
-{
-    FileRecord rec{};
-    rec.pc = inst.pc;
-    rec.effAddr = inst.effAddr;
-    rec.value = inst.value();
-    rec.target = inst.target();
-    rec.cls = static_cast<uint8_t>(inst.cls());
-    rec.dst = inst.dst;
-    for (unsigned s = 0; s < maxSrcRegs; ++s)
-        rec.src[s] = inst.src[s];
-    rec.taken = inst.taken() ? 1 : 0;
-    rec.brKind = static_cast<uint8_t>(inst.brKind());
-    return rec;
-}
-
-/** Range-check the enum fields before trusting them as C++ enums. */
-Status
-unpackRecord(const FileRecord &rec, uint64_t index, Instruction &inst)
-{
-    if (rec.cls > maxInstClass) {
-        return Status::dataLoss("record ", index,
-                                ": invalid instruction class ",
-                                unsigned(rec.cls));
-    }
-    if (rec.brKind > maxBranchKind) {
-        return Status::dataLoss("record ", index,
-                                ": invalid branch kind ",
-                                unsigned(rec.brKind));
-    }
-    inst.pc = rec.pc;
-    inst.effAddr = rec.effAddr;
-    inst.setCls(static_cast<InstClass>(rec.cls));
-    // In memory the value and target words share one slot (they are
-    // mutually exclusive by class); a record carrying the word its
-    // class cannot use drops that word here, exactly as every factory-
-    // built trace always left it zero.
-    inst.setValue(rec.cls == static_cast<uint8_t>(InstClass::Branch)
-                      ? rec.target
-                      : rec.value);
-    inst.dst = rec.dst;
-    for (unsigned s = 0; s < maxSrcRegs; ++s)
-        inst.src[s] = rec.src[s];
-    inst.setTaken(rec.taken != 0);
-    inst.setBrKind(static_cast<BranchKind>(rec.brKind));
-    return Status::okStatus();
-}
-
 /**
- * Range-check one packed v3 meta byte: the class and branch-kind
+ * Range-check one packed meta byte: the class and branch-kind
  * fields must name real enumerators and the unused high bit must be
  * clear, so corrupt column bytes cannot smuggle an out-of-range enum
  * into the simulators.
@@ -180,24 +107,9 @@ writePayload(std::FILE *f, Crc32 &crc, const void *data, size_t bytes)
     return std::fwrite(data, bytes, 1, f) == 1;
 }
 
-/** The v2 payload: one 40-byte record per instruction. */
+/** The payload: the chunk prologue plus one SoA section per chunk. */
 Status
-writeRecordsV2(std::FILE *f, Crc32 &crc, const TraceBuffer &buffer)
-{
-    for (size_t ci = 0; ci < buffer.numChunks(); ++ci) {
-        const TraceChunk &chunk = buffer.chunk(ci);
-        for (uint32_t i = 0; i < chunk.count; ++i) {
-            const FileRecord rec = packRecord(chunk.get(i));
-            if (!writePayload(f, crc, &rec, sizeof(rec)))
-                return Status::ioError("short write of trace record");
-        }
-    }
-    return Status::okStatus();
-}
-
-/** The v3 payload: the chunk prologue plus one SoA section per chunk. */
-Status
-writeChunksV3(std::FILE *f, Crc32 &crc, const TraceBuffer &buffer)
+writeChunks(std::FILE *f, Crc32 &crc, const TraceBuffer &buffer)
 {
     const ChunkPrologue pro{TraceBuffer::chunkCapacity,
                             buffer.numChunks()};
@@ -247,22 +159,29 @@ readPayload(std::FILE *f, Crc32 &crc, void *data, size_t bytes)
     return true;
 }
 
-/** Parse the v3 chunked payload into @p buffer. */
+/** Parse the chunked payload into @p buffer. */
 Status
-readChunksV3(std::FILE *f, const FileHeader &hdr, uint64_t actual_size,
-             TraceBuffer &buffer)
+readChunks(std::FILE *f, const FileHeader &hdr, uint64_t actual_size,
+           TraceBuffer &buffer)
 {
     Crc32 payload_crc;
     ChunkPrologue pro{};
-    if (actual_size < headerSizeV2 + sizeof(pro) ||
+    if (actual_size < headerSize + sizeof(pro) ||
         !readPayload(f, payload_crc, &pro, sizeof(pro))) {
         return Status::dataLoss("truncated: file ends inside the chunk "
                                 "prologue");
     }
     if (pro.chunkCapacity == 0 ||
-        pro.chunkCapacity > maxV3ChunkCapacity) {
+        pro.chunkCapacity > maxChunkCapacity) {
         return Status::dataLoss("implausible chunk capacity ",
                                 pro.chunkCapacity);
+    }
+    // Keep the chunk-count and file-size arithmetic below from
+    // overflowing (there is at most one chunk per record).
+    if (hdr.numInsts > (UINT64_MAX - headerSize - sizeof(pro)) /
+                           (bytesPerInst + chunkOverhead)) {
+        return Status::dataLoss("implausible record count ",
+                                hdr.numInsts);
     }
     const uint64_t expected_chunks =
         hdr.numInsts == 0
@@ -279,9 +198,9 @@ readChunksV3(std::FILE *f, const FileHeader &hdr, uint64_t actual_size,
     // Exact-size cross-check before any chunk is parsed (or memory
     // allocated for one): catches truncation, trailing garbage, and a
     // tampered count in one place.
-    const uint64_t expected_size = headerSizeV2 + sizeof(pro) +
-                                   pro.numChunks * v3ChunkOverhead +
-                                   hdr.numInsts * v3BytesPerInst;
+    const uint64_t expected_size = headerSize + sizeof(pro) +
+                                   pro.numChunks * chunkOverhead +
+                                   hdr.numInsts * bytesPerInst;
     if (actual_size < expected_size) {
         return Status::dataLoss("truncated: ", hdr.numInsts,
                                 " records declared but file is ",
@@ -383,72 +302,11 @@ readChunksV3(std::FILE *f, const FileHeader &hdr, uint64_t actual_size,
     return Status::okStatus();
 }
 
-/** Parse the v1/v2 record-stream payload into @p buffer. */
-Status
-readRecordsV1V2(std::FILE *f, const FileHeader &hdr, uint32_t version,
-                uint64_t actual_size, size_t header_size,
-                TraceBuffer &buffer)
-{
-    // Cross-check the declared record count against the file's real
-    // size before reading a single record: catches truncation,
-    // trailing garbage, and a tampered count in one place.
-    if (hdr.numInsts > (UINT64_MAX - header_size) / sizeof(FileRecord)) {
-        return Status::dataLoss("implausible record count ",
-                                hdr.numInsts);
-    }
-    const uint64_t expected_size =
-        header_size + hdr.numInsts * sizeof(FileRecord);
-    if (actual_size < expected_size) {
-        const uint64_t whole_records =
-            (actual_size - header_size) / sizeof(FileRecord);
-        return Status::dataLoss(
-            "truncated: ", hdr.numInsts, " records declared but file "
-            "ends after record ", whole_records, " (", actual_size,
-            " of ", expected_size, " bytes)");
-    }
-    if (actual_size > expected_size) {
-        return Status::dataLoss(
-            "record-count mismatch: ", hdr.numInsts,
-            " records declared but file has ",
-            actual_size - expected_size, " trailing bytes");
-    }
-
-    Crc32 payload_crc;
-    for (uint64_t i = 0; i < hdr.numInsts; ++i) {
-        FileRecord rec{};
-        if (std::fread(&rec, sizeof(rec), 1, f) != 1) {
-            return Status::dataLoss("truncated at record ", i, " of ",
-                                    hdr.numInsts);
-        }
-        payload_crc.update(&rec, sizeof(rec));
-        Instruction inst;
-        Status rec_status = unpackRecord(rec, i, inst);
-        if (!rec_status.ok())
-            return rec_status;
-        buffer.append(inst);
-    }
-
-    if (version >= 2 && payload_crc.value() != hdr.payloadCrc) {
-        return Status::dataLoss(
-            "payload CRC mismatch (stored ", hdr.payloadCrc,
-            ", computed ", payload_crc.value(),
-            "): trace records are corrupt");
-    }
-    return Status::okStatus();
-}
-
 } // namespace
 
 Status
-writeTrace(const std::string &path, const TraceBuffer &buffer,
-           uint32_t version)
+writeTrace(const std::string &path, const TraceBuffer &buffer)
 {
-    if (version != 2 && version != 3) {
-        return Status::invalidArgument("cannot write format version ",
-                                       version, " (writer supports 2 "
-                                       "and 3)");
-    }
-
     // Write to a sibling temp file and rename into place so a crashed
     // or failed write can never leave a half-written trace at `path`.
     const std::string tmp_path =
@@ -470,23 +328,21 @@ writeTrace(const std::string &path, const TraceBuffer &buffer,
     // rename makes the intermediate state invisible to readers.
     FileHeader hdr{};
     std::memcpy(hdr.magic, traceMagic, sizeof(traceMagic));
-    hdr.version = version;
+    hdr.version = traceFormatVersion;
     hdr.numInsts = buffer.size();
     std::strncpy(hdr.name, buffer.name().c_str(), sizeof(hdr.name) - 1);
-    if (std::fwrite(&hdr, headerSizeV2, 1, f.get()) != 1)
+    if (std::fwrite(&hdr, headerSize, 1, f.get()) != 1)
         return fail(Status::ioError("short write of trace header"));
 
     Crc32 payload_crc;
-    Status payload_status =
-        version == 3 ? writeChunksV3(f.get(), payload_crc, buffer)
-                     : writeRecordsV2(f.get(), payload_crc, buffer);
+    Status payload_status = writeChunks(f.get(), payload_crc, buffer);
     if (!payload_status.ok())
         return fail(std::move(payload_status));
 
     hdr.payloadCrc = payload_crc.value();
     hdr.headerCrc = Crc32::compute(&hdr, headerCrcSpan);
     if (std::fseek(f.get(), 0, SEEK_SET) != 0 ||
-        std::fwrite(&hdr, headerSizeV2, 1, f.get()) != 1) {
+        std::fwrite(&hdr, headerSize, 1, f.get()) != 1) {
         return fail(Status::ioError("cannot finalise trace header"));
     }
 
@@ -520,8 +376,9 @@ readTrace(const std::string &path)
     MLPSIM_ASSIGN_OR_RETURN(const uint64_t actual_size,
                             fileSize(f.get(), path));
 
-    // Magic + version prefix, common to every format version.
-    uint8_t raw[headerSizeV2];
+    // Magic and version first, so a foreign or legacy file is named
+    // as such rather than as a corrupt header.
+    uint8_t raw[headerSize];
     if (actual_size < 8 ||
         std::fread(raw, 8, 1, f.get()) != 1) {
         return corrupt(Status::dataLoss(
@@ -533,31 +390,27 @@ readTrace(const std::string &path)
 
     uint32_t version;
     std::memcpy(&version, raw + sizeof(traceMagic), sizeof(version));
-    if (version < traceFormatMinVersion || version > traceFormatVersion) {
+    if (version != traceFormatVersion) {
         return corrupt(Status::invalidArgument(
             "unsupported format version ", version, " (expected ",
-            traceFormatMinVersion, "..", traceFormatVersion, ")"));
+            traceFormatVersion, ")"));
     }
 
-    const size_t header_size =
-        version == 1 ? headerSizeV1 : headerSizeV2;
-    if (actual_size < header_size ||
-        std::fread(raw + 8, header_size - 8, 1, f.get()) != 1) {
+    if (actual_size < headerSize ||
+        std::fread(raw + 8, headerSize - 8, 1, f.get()) != 1) {
         return corrupt(Status::dataLoss(
             "truncated header: file is ", actual_size,
-            " bytes, header needs ", header_size));
+            " bytes, header needs ", headerSize));
     }
 
     FileHeader hdr{};
-    std::memcpy(&hdr, raw, header_size);
+    std::memcpy(&hdr, raw, headerSize);
 
-    if (version >= 2) {
-        const uint32_t computed = Crc32::compute(raw, headerCrcSpan);
-        if (computed != hdr.headerCrc) {
-            return corrupt(Status::dataLoss(
-                "header CRC mismatch (stored ", hdr.headerCrc,
-                ", computed ", computed, ")"));
-        }
+    const uint32_t computed = Crc32::compute(raw, headerCrcSpan);
+    if (computed != hdr.headerCrc) {
+        return corrupt(Status::dataLoss(
+            "header CRC mismatch (stored ", hdr.headerCrc,
+            ", computed ", computed, ")"));
     }
 
     // Bounded name read: the field must contain its terminator.
@@ -567,26 +420,10 @@ readTrace(const std::string &path)
     }
 
     TraceBuffer buffer{std::string(hdr.name)};
-    Status payload_status =
-        version == 3
-            ? readChunksV3(f.get(), hdr, actual_size, buffer)
-            : readRecordsV1V2(f.get(), hdr, version, actual_size,
-                              header_size, buffer);
+    Status payload_status = readChunks(f.get(), hdr, actual_size, buffer);
     if (!payload_status.ok())
         return corrupt(std::move(payload_status));
     return buffer;
-}
-
-void
-writeTraceFile(const std::string &path, const TraceBuffer &buffer)
-{
-    writeTrace(path, buffer).orFatal();
-}
-
-TraceBuffer
-readTraceFile(const std::string &path)
-{
-    return readTrace(path).orFatal();
 }
 
 } // namespace mlpsim::trace

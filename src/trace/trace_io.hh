@@ -1,7 +1,6 @@
 /**
  * @file
- * Versioned binary trace file format (current: version 3, chunked
- * structure-of-arrays).
+ * Binary trace file format, version 3 (chunked structure-of-arrays).
  *
  * The format exists so expensive synthetic traces can be generated
  * once and replayed from disk, and so external tools can feed real
@@ -11,21 +10,18 @@
  * is reported as a descriptive Status error, never an abort and never
  * silent garbage.
  *
- * Common header (all fields little-endian, no padding):
+ * Header (all fields little-endian, no padding):
  *
  *   offset size  field
  *   ------ ----  ------------------------------------------------
  *        0    4  magic "MLPT"
- *        4    4  format version (1, 2 or 3)
+ *        4    4  format version (3)
  *        8    8  record count (instructions)
  *       16   64  trace name, NUL-terminated and NUL-padded
- *       80    4  payload CRC-32 (IEEE, over all payload bytes) [v2+]
- *       84    4  header CRC-32 (IEEE, over bytes [0, 84))      [v2+]
+ *       80    4  payload CRC-32 (IEEE, over all payload bytes)
+ *       84    4  header CRC-32 (IEEE, over bytes [0, 84))
  *
- * v1/v2 payload: 40-byte array-of-structs records starting at offset
- * 80 (v1) or 88 (v2) — see trace_io.cc for the record layout.
- *
- * v3 payload (offset 88): a 16-byte prologue [u64 chunkCapacity]
+ * Payload (offset 88): a 16-byte prologue [u64 chunkCapacity]
  * [u64 numChunks], then one section per chunk:
  *
  *   [u32 count][u32 chunkCrc]
@@ -34,35 +30,32 @@
  *   [count × u8 src1][count × u8 src2]
  *
  * i.e. the TraceChunk columns verbatim (trace_chunk.hh), 29 bytes per
- * instruction instead of 40, loadable straight into the chunk the
- * simulators consume with no per-record decode. chunkCrc covers that
- * chunk's column bytes, so corruption is localised to a chunk; the
- * header's payload CRC additionally covers the whole payload region
- * (prologue and chunk sections), preserving the v2 design property
- * that every single-bit flip anywhere in the file is detected. Every
- * chunk except the last must hold exactly chunkCapacity instructions,
- * so the file size is fully determined by the header and truncation
- * or trailing garbage is diagnosed before any payload is parsed.
+ * instruction, loadable straight into the chunk the simulators
+ * consume with no per-record decode. chunkCrc covers that chunk's
+ * column bytes, so corruption is localised to a chunk; the header's
+ * payload CRC additionally covers the whole payload region (prologue
+ * and chunk sections), so every single-bit flip anywhere in the file
+ * is detected. Every chunk except the last must hold exactly
+ * chunkCapacity instructions, so the file size is fully determined by
+ * the header and truncation or trailing garbage is diagnosed before
+ * any payload is parsed.
  *
  * Integrity checks performed by readTrace():
- *  - magic and version recognised;
- *  - header CRC (v2+) — any corrupted header byte is detected;
+ *  - magic recognised and version 3 (the earlier array-of-structs
+ *    versions 1 and 2 are rejected as unsupported);
+ *  - header CRC — any corrupted header byte is detected;
+ *  - trace name must be NUL-terminated within its 64-byte field;
+ *  - chunk capacity and chunk count consistent with the record count;
  *  - exact file-size cross-check against the declared counts, so
  *    truncation and trailing garbage are both diagnosed up front;
- *  - trace name must be NUL-terminated within its 64-byte field;
- *  - range checks on the class/branch-kind enums (and, v3, the
- *    unused high bit of the packed meta byte);
- *  - v3: per-chunk CRC and chunk-count/capacity cross-checks;
- *  - payload CRC (v2+) — any corrupted payload byte is detected.
+ *  - per-chunk CRC;
+ *  - range checks on the packed meta byte (class and branch-kind
+ *    enums, and its unused high bit);
+ *  - payload CRC — any corrupted payload byte is detected.
  *
  * writeTrace() writes to a temporary file in the same directory and
  * atomically rename(2)s it into place, so an interrupted or failed
  * write can never leave a half-written trace at the target path.
- *
- * Error-handling convention: the Status/Expected API (writeTrace /
- * readTrace) is the real interface; writeTraceFile / readTraceFile are
- * thin fatal()-on-error wrappers kept for interactive tools that want
- * bad input to terminate the process (see DESIGN.md "Error handling").
  */
 #pragma once
 
@@ -73,33 +66,21 @@
 
 namespace mlpsim::trace {
 
-/** Version written by writeTrace() by default. */
+/** The version writeTrace() writes and readTrace() accepts. */
 constexpr uint32_t traceFormatVersion = 3;
 
-/** Oldest version readTrace() still accepts. */
-constexpr uint32_t traceFormatMinVersion = 1;
-
 /**
- * Write @p buffer to @p path (atomic temp-file-and-rename). @p version
- * selects the on-disk format: 3 (chunked SoA, the default) or 2 (the
- * legacy array-of-structs records, kept so compatibility tests can
- * mint v2 files). Returns a Status describing any I/O failure; on
- * failure the target path is left untouched.
+ * Write @p buffer to @p path (atomic temp-file-and-rename). Returns a
+ * Status describing any I/O failure; on failure the target path is
+ * left untouched.
  */
-Status writeTrace(const std::string &path, const TraceBuffer &buffer,
-                  uint32_t version = traceFormatVersion);
+Status writeTrace(const std::string &path, const TraceBuffer &buffer);
 
 /**
- * Read a version-1, -2 or -3 trace file, running the full integrity
- * checklist above. Corrupt or truncated input yields a
- * DataLoss/InvalidArgument Status naming the file and the defect.
+ * Read a trace file, running the full integrity checklist above.
+ * Corrupt or truncated input yields a DataLoss/InvalidArgument Status
+ * naming the file and the defect.
  */
 Expected<TraceBuffer> readTrace(const std::string &path);
-
-/** fatal()-on-error wrapper around writeTrace() for legacy callers. */
-void writeTraceFile(const std::string &path, const TraceBuffer &buffer);
-
-/** fatal()-on-error wrapper around readTrace() for legacy callers. */
-TraceBuffer readTraceFile(const std::string &path);
 
 } // namespace mlpsim::trace

@@ -8,7 +8,6 @@
  */
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "trace/instruction.hh"
@@ -34,45 +33,6 @@ class TraceSource
 
     /** Human-readable name for reports. */
     virtual std::string name() const = 0;
-};
-
-/**
- * Wrapper that truncates an underlying source after a fixed number of
- * instructions. Useful for bounding generator-backed (infinite)
- * workloads.
- */
-class LimitedSource : public TraceSource
-{
-  public:
-    LimitedSource(TraceSource &inner, uint64_t limit)
-        : source(inner), maxInsts(limit)
-    {
-    }
-
-    bool
-    next(Instruction &inst) override
-    {
-        if (produced >= maxInsts)
-            return false;
-        if (!source.next(inst))
-            return false;
-        ++produced;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        source.reset();
-        produced = 0;
-    }
-
-    std::string name() const override { return source.name(); }
-
-  private:
-    TraceSource &source;
-    uint64_t maxInsts;
-    uint64_t produced = 0;
 };
 
 } // namespace mlpsim::trace

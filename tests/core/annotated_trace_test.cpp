@@ -20,14 +20,21 @@ smallTrace()
     return buf;
 }
 
+core::AnnotatedTrace
+annotate(const trace::TraceBuffer &buf, const core::AnnotationOptions &opts)
+{
+    return core::AnnotatedTrace::make(buf, opts).orFatal();
+}
+
 } // namespace
 
 TEST(AnnotatedTrace, ContextPointsAtAllAnnotations)
 {
     const auto buf = smallTrace();
-    core::AnnotatedTrace annotated(buf, core::AnnotationOptions{});
+    const auto annotated = annotate(buf, core::AnnotationOptions{});
     const auto ctx = annotated.context();
-    EXPECT_EQ(ctx.buffer, &buf);
+    EXPECT_EQ(ctx.source, &buf);
+    EXPECT_EQ(ctx.source->materialized(), &buf);
     EXPECT_EQ(ctx.misses, &annotated.misses());
     EXPECT_EQ(ctx.branches, &annotated.branches());
     EXPECT_NE(ctx.values, nullptr);
@@ -39,7 +46,7 @@ TEST(AnnotatedTrace, ValuesCanBeSkipped)
     const auto buf = smallTrace();
     core::AnnotationOptions opts;
     opts.buildValues = false;
-    core::AnnotatedTrace annotated(buf, opts);
+    const auto annotated = annotate(buf, opts);
     EXPECT_EQ(annotated.context().values, nullptr);
 }
 
@@ -48,7 +55,7 @@ TEST(AnnotatedTrace, PerfectHierarchyOptionRemovesImisses)
     const auto buf = smallTrace();
     core::AnnotationOptions opts;
     opts.hierarchy.perfectInstFetch = true;
-    core::AnnotatedTrace annotated(buf, opts);
+    const auto annotated = annotate(buf, opts);
     EXPECT_EQ(annotated.misses().fetchMisses, 0u);
 }
 
@@ -57,7 +64,7 @@ TEST(AnnotatedTrace, PerfectBranchOptionRemovesMispredicts)
     const auto buf = smallTrace();
     core::AnnotationOptions opts;
     opts.branch.perfect = true;
-    core::AnnotatedTrace annotated(buf, opts);
+    const auto annotated = annotate(buf, opts);
     EXPECT_EQ(annotated.branches().mispredicts, 0u);
 }
 
@@ -66,7 +73,7 @@ TEST(AnnotatedTrace, PerfectValueOptionMakesEverythingCorrect)
     const auto buf = smallTrace();
     core::AnnotationOptions opts;
     opts.value.perfect = true;
-    core::AnnotatedTrace annotated(buf, opts);
+    const auto annotated = annotate(buf, opts);
     const auto &v = annotated.values();
     EXPECT_GT(v.missingLoads, 0u);
     EXPECT_EQ(v.correct, v.missingLoads);
@@ -79,7 +86,8 @@ TEST(AnnotatedTrace, SmallerL2RaisesMissRate)
     small.hierarchy.l2.sizeBytes = 256 * 1024;
     core::AnnotationOptions big;
     big.hierarchy.l2.sizeBytes = 8 * 1024 * 1024;
-    core::AnnotatedTrace a(buf, small), b(buf, big);
+    const auto a = annotate(buf, small);
+    const auto b = annotate(buf, big);
     EXPECT_GE(a.misses().usefulAccesses(),
               b.misses().usefulAccesses());
 }
@@ -87,7 +95,7 @@ TEST(AnnotatedTrace, SmallerL2RaisesMissRate)
 TEST(RunMlpFacade, DispatchesByMode)
 {
     const auto buf = smallTrace();
-    core::AnnotatedTrace annotated(buf, core::AnnotationOptions{});
+    const auto annotated = annotate(buf, core::AnnotationOptions{});
     core::MlpConfig som;
     som.mode = core::CoreMode::InOrderStallOnMiss;
     const auto in_order = core::runMlp(som, annotated.context());
@@ -105,7 +113,7 @@ TEST(RunMlpFacade, WarmupMustMatchAnnotationsForFullCoverage)
     const auto buf = smallTrace();
     core::AnnotationOptions opts;
     opts.warmupInsts = 10000;
-    core::AnnotatedTrace annotated(buf, opts);
+    const auto annotated = annotate(buf, opts);
     core::MlpConfig cfg = core::MlpConfig::defaultOoO();
     cfg.warmupInsts = 10000;
     const auto r = core::runMlp(cfg, annotated.context());

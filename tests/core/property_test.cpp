@@ -40,16 +40,16 @@ shared(const std::string &name)
         auto generator = workloads::makeWorkload(name);
         w.buffer->fill(*generator, traceInsts);
         core::AnnotationOptions opts;
-        w.annotated =
-            std::make_unique<core::AnnotatedTrace>(*w.buffer, opts);
+        w.annotated = std::make_unique<core::AnnotatedTrace>(
+            core::AnnotatedTrace::make(*w.buffer, opts).orFatal());
         core::AnnotationOptions bp_opts;
         bp_opts.branch.perfect = true;
-        w.perfectBp =
-            std::make_unique<core::AnnotatedTrace>(*w.buffer, bp_opts);
+        w.perfectBp = std::make_unique<core::AnnotatedTrace>(
+            core::AnnotatedTrace::make(*w.buffer, bp_opts).orFatal());
         core::AnnotationOptions i_opts;
         i_opts.hierarchy.perfectInstFetch = true;
-        w.perfectI =
-            std::make_unique<core::AnnotatedTrace>(*w.buffer, i_opts);
+        w.perfectI = std::make_unique<core::AnnotatedTrace>(
+            core::AnnotatedTrace::make(*w.buffer, i_opts).orFatal());
         it = cache.emplace(name, std::move(w)).first;
     }
     return it->second;

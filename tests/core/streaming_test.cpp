@@ -69,12 +69,13 @@ struct Materialised
         buffer = std::make_unique<trace::TraceBuffer>(name);
         buffer->fill(*generator, kInsts);
         annotated = std::make_unique<core::AnnotatedTrace>(
-            *buffer, annotationOptions());
+            core::AnnotatedTrace::make(*buffer, annotationOptions())
+                .orFatal());
     }
 };
 
 void
-expectSameAnnotations(const core::StreamingTrace &streamed,
+expectSameAnnotations(const core::AnnotatedTrace &streamed,
                       const core::AnnotatedTrace &reference)
 {
     const auto &sm = streamed.misses();
@@ -126,8 +127,9 @@ TEST(StreamingTrace, AnnotationsMatchMaterialisedForAnyChunkSize)
             SCOPED_TRACE(name + " at chunk capacity " +
                          std::to_string(cap));
             const auto source = makeStream(cap, name);
-            const core::StreamingTrace streamed(source,
-                                                annotationOptions());
+            const auto streamed =
+                core::AnnotatedTrace::make(source, annotationOptions())
+                    .orFatal();
             EXPECT_EQ(streamed.instructions(), kInsts);
             expectSameAnnotations(streamed, *ref.annotated);
         }
@@ -137,10 +139,11 @@ TEST(StreamingTrace, AnnotationsMatchMaterialisedForAnyChunkSize)
 TEST(StreamingTrace, ContextExposesStreamAndAnnotations)
 {
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
     const auto ctx = streamed.context();
-    EXPECT_EQ(ctx.buffer, nullptr);
-    EXPECT_EQ(ctx.stream, &source);
+    EXPECT_EQ(ctx.source, &source);
+    EXPECT_EQ(ctx.source->materialized(), nullptr);
     EXPECT_TRUE(ctx.hasTrace());
     EXPECT_EQ(ctx.size(), kInsts);
     EXPECT_EQ(ctx.misses, &streamed.misses());
@@ -152,7 +155,8 @@ TEST(StreamingTrace, EpochEngineMatchesMaterialised)
 {
     const Materialised ref;
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
 
     core::MlpConfig cfg = core::MlpConfig::defaultOoO();
     cfg.warmupInsts = kWarmup;
@@ -171,7 +175,8 @@ TEST(StreamingTrace, InOrderModelMatchesMaterialised)
 {
     const Materialised ref;
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
 
     core::MlpConfig cfg;
     cfg.mode = core::CoreMode::InOrderStallOnMiss;
@@ -187,7 +192,8 @@ TEST(StreamingTrace, CycleSimMatchesMaterialised)
 {
     const Materialised ref;
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
 
     cyclesim::CycleSimConfig cfg;
     cfg.warmupInsts = kWarmup;
@@ -206,7 +212,8 @@ TEST(StreamingTrace, BackToBackEngineRunsReuseTheSameSource)
     // Pass 2 opens one fresh stream per engine run; many runs over one
     // source must all see the identical trace.
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
     core::MlpConfig cfg = core::MlpConfig::defaultOoO();
     cfg.warmupInsts = kWarmup;
     const auto first = core::runMlp(cfg, streamed.context());
@@ -264,7 +271,8 @@ cellsFor(const std::vector<core::MlpConfig> &configs,
 TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
 {
     const auto source = makeStream(4096);
-    const core::StreamingTrace streamed(source, annotationOptions());
+    const auto streamed =
+        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
     const auto configs = sampleConfigs();
 
     std::vector<core::MlpResult> independent;

@@ -354,7 +354,8 @@ class ReferencePipeline
   public:
     ReferencePipeline(const CycleSimConfig &config,
                       const core::WorkloadContext &workload)
-        : cfg(config), wl(workload)
+        : cfg(config), wl(workload),
+          buffer(*workload.source->materialized())
     {
     }
 
@@ -460,7 +461,7 @@ class ReferencePipeline
     RobEntry
     makeEntry(uint64_t idx)
     {
-        const trace::Instruction &inst = wl.buffer->at(idx);
+        const trace::Instruction &inst = buffer.at(idx);
         RobEntry entry;
         entry.seq = idx + 1;
 
@@ -527,7 +528,7 @@ class ReferencePipeline
             const RobEntry &head = rob.front();
             if (!head.issued || head.completeCycle > now)
                 break;
-            const trace::Instruction &inst = wl.buffer->at(head.seq - 1);
+            const trace::Instruction &inst = buffer.at(head.seq - 1);
             if (inst.hasDst() && regProducer[inst.dst] == head.seq)
                 regProducer[inst.dst] = 0;
             if (head.isStore ||
@@ -632,7 +633,7 @@ class ReferencePipeline
                 break;
             }
             const trace::Instruction &inst =
-                wl.buffer->at(nextDispatchIdx);
+                buffer.at(nextDispatchIdx);
             if (inst.isSerializing()) {
                 if (!rob.empty())
                     break;
@@ -680,7 +681,7 @@ class ReferencePipeline
             ++nextFetchIdx;
             any = true;
 
-            const trace::Instruction &inst = wl.buffer->at(idx);
+            const trace::Instruction &inst = buffer.at(idx);
             if (inst.isBranch() && wl.branches->isMispredict(idx)) {
                 mispredBlockSeq = idx + 1;
                 break;
@@ -723,6 +724,9 @@ class ReferencePipeline
 
     const CycleSimConfig cfg;
     const core::WorkloadContext &wl;
+    /** The legacy scheduler indexes the trace directly, so it only
+     *  runs over materialised traces. */
+    const trace::TraceBuffer &buffer;
 
     uint64_t now = 0;
     std::deque<RobEntry> rob;

@@ -35,7 +35,8 @@ annotated(const std::string &name)
         auto generator = workloads::makeWorkload(name);
         buffer->fill(*generator, traceInsts);
         auto ann = std::make_unique<core::AnnotatedTrace>(
-            *buffer, core::AnnotationOptions{});
+            core::AnnotatedTrace::make(*buffer, core::AnnotationOptions{})
+                .orFatal());
         it = cache.emplace(name, std::make_pair(std::move(buffer),
                                                 std::move(ann)))
                  .first;

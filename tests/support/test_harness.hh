@@ -50,7 +50,7 @@ class ScriptedTrace
     {
         build();
         core::WorkloadContext ctx;
-        ctx.buffer = &buffer;
+        ctx.source = &buffer;
         ctx.misses = &missAnn;
         ctx.branches = &brAnn;
         ctx.values = &valAnn;

@@ -1,12 +1,12 @@
 /**
  * @file
  * Byte-level trace-file manipulation for the fault-injection harness
- * and the v1-compatibility tests.
+ * and the trace I/O tests.
  *
- * The on-disk layout is duplicated here *deliberately* rather than
- * shared with trace_io.cc: if the production layout ever drifts, the
- * compatibility tests fail instead of silently testing the new layout
- * against itself.
+ * The on-disk layout (trace/trace_io.hh) is duplicated here
+ * *deliberately* rather than shared with trace_io.cc: if the
+ * production layout ever drifts, these tests fail instead of silently
+ * testing the new layout against itself.
  */
 #pragma once
 
@@ -16,18 +16,12 @@
 #include <string>
 #include <vector>
 
-#include "trace/instruction.hh"
-#include "trace/trace_buffer.hh"
 #include "util/crc32.hh"
 
 namespace mlpsim::test {
 
-/** v1 header: magic, version, count, name — no checksums. */
-constexpr size_t v1HeaderSize = 80;
-/** v2 header: v1 fields + payload CRC + header CRC. */
-constexpr size_t v2HeaderSize = 88;
-/** Fixed-width record, identical in both versions. */
-constexpr size_t recordSize = 40;
+/** Header: magic, version, count, name, payload CRC, header CRC. */
+constexpr size_t headerSize = 88;
 
 constexpr size_t payloadCrcOffset = 80;
 constexpr size_t headerCrcOffset = 84;
@@ -64,50 +58,6 @@ writeFileBytes(const std::string &path, const std::vector<uint8_t> &bytes)
     std::fclose(f);
 }
 
-/** Serialise one instruction into the 40-byte on-disk record form. */
-inline std::vector<uint8_t>
-packRawRecord(const trace::Instruction &inst)
-{
-    std::vector<uint8_t> rec(recordSize, 0);
-    auto put64 = [&](size_t off, uint64_t v) {
-        std::memcpy(rec.data() + off, &v, sizeof(v));
-    };
-    put64(0, inst.pc);
-    put64(8, inst.effAddr);
-    put64(16, inst.value());
-    put64(24, inst.target());
-    rec[32] = static_cast<uint8_t>(inst.cls());
-    rec[33] = inst.dst;
-    for (unsigned s = 0; s < trace::maxSrcRegs; ++s)
-        rec[34 + s] = inst.src[s];
-    rec[37] = inst.taken() ? 1 : 0;
-    rec[38] = static_cast<uint8_t>(inst.brKind());
-    return rec;
-}
-
-/**
- * Write @p buffer in the *original* (seed) v1 format: 80-byte header,
- * no checksums, records immediately after the name field.
- */
-inline void
-writeV1TraceFile(const std::string &path,
-                 const trace::TraceBuffer &buffer)
-{
-    std::vector<uint8_t> bytes(v1HeaderSize, 0);
-    std::memcpy(bytes.data(), "MLPT", 4);
-    const uint32_t version = 1;
-    std::memcpy(bytes.data() + versionOffset, &version, sizeof(version));
-    const uint64_t count = buffer.size();
-    std::memcpy(bytes.data() + countOffset, &count, sizeof(count));
-    std::strncpy(reinterpret_cast<char *>(bytes.data() + nameOffset),
-                 buffer.name().c_str(), 63);
-    for (size_t i = 0; i < buffer.size(); ++i) {
-        const auto rec = packRawRecord(buffer.at(i));
-        bytes.insert(bytes.end(), rec.begin(), rec.end());
-    }
-    writeFileBytes(path, bytes);
-}
-
 /** Flip one bit of an in-memory file image. */
 inline void
 flipBit(std::vector<uint8_t> &bytes, size_t byte_index, unsigned bit)
@@ -116,7 +66,7 @@ flipBit(std::vector<uint8_t> &bytes, size_t byte_index, unsigned bit)
 }
 
 /**
- * Recompute and store the v2 header CRC after editing header bytes,
+ * Recompute and store the header CRC after editing header bytes,
  * so a test can target a *later* check (version, name, count…)
  * without tripping the checksum first.
  */
@@ -127,19 +77,6 @@ fixHeaderCrc(std::vector<uint8_t> &bytes)
     std::memcpy(bytes.data() + headerCrcOffset, &crc, sizeof(crc));
 }
 
-/** Likewise for the payload CRC after editing record bytes. */
-inline void
-fixPayloadCrc(std::vector<uint8_t> &bytes)
-{
-    const uint32_t crc = Crc32::compute(bytes.data() + v2HeaderSize,
-                                        bytes.size() - v2HeaderSize);
-    std::memcpy(bytes.data() + payloadCrcOffset, &crc, sizeof(crc));
-    fixHeaderCrc(bytes);
-}
-
-// ---- v3 (chunked structure-of-arrays) layout, duplicated from
-// trace_io.hh for the same drift-detection reason as above. ----
-
 /** v3 payload prologue: u64 chunkCapacity + u64 numChunks. */
 constexpr size_t v3PrologueSize = 16;
 /** Per-chunk section header: u32 count + u32 chunkCrc. */
@@ -147,15 +84,8 @@ constexpr size_t v3ChunkHeaderSize = 8;
 /** Column bytes per instruction: pc/effAddr/payload + 5 byte columns. */
 constexpr size_t v3BytesPerInst = 3 * 8 + 5;
 
-/** Offset of chunk section @p ci in a file whose chunks are full
- *  except possibly the last; only useful for single-chunk images when
- *  ci > 0 is never needed. */
-inline size_t
-v3ChunkOffset(size_t ci)
-{
-    (void)ci; // test images are single-chunk
-    return v2HeaderSize + v3PrologueSize;
-}
+/** Offset of the first chunk section (test images are single-chunk). */
+constexpr size_t v3ChunkOffset = headerSize + v3PrologueSize;
 
 /** Total bytes of a chunk section holding @p count instructions. */
 inline size_t
@@ -168,7 +98,7 @@ v3ChunkSectionSize(size_t count)
 inline size_t
 v3MetaOffset(size_t count)
 {
-    return v3ChunkOffset(0) + v3ChunkHeaderSize + 3 * 8 * count;
+    return v3ChunkOffset + v3ChunkHeaderSize + 3 * 8 * count;
 }
 
 /**
@@ -179,13 +109,13 @@ v3MetaOffset(size_t count)
 inline void
 fixV3Crcs(std::vector<uint8_t> &bytes, size_t count)
 {
-    const size_t columns_off = v3ChunkOffset(0) + v3ChunkHeaderSize;
+    const size_t columns_off = v3ChunkOffset + v3ChunkHeaderSize;
     const uint32_t chunk_crc = Crc32::compute(
         bytes.data() + columns_off, count * v3BytesPerInst);
-    std::memcpy(bytes.data() + v3ChunkOffset(0) + 4, &chunk_crc,
+    std::memcpy(bytes.data() + v3ChunkOffset + 4, &chunk_crc,
                 sizeof(chunk_crc));
     const uint32_t payload_crc = Crc32::compute(
-        bytes.data() + v2HeaderSize, bytes.size() - v2HeaderSize);
+        bytes.data() + headerSize, bytes.size() - headerSize);
     std::memcpy(bytes.data() + payloadCrcOffset, &payload_crc,
                 sizeof(payload_crc));
     fixHeaderCrc(bytes);

@@ -1,8 +1,7 @@
 /**
  * @file
  * Streaming trace-layer tests: SoA chunk round-trips, the bounded
- * SPMC chunk ring, replayable generated chunk sources, and the
- * LimitedSource window-reset contract the replay path depends on.
+ * SPMC chunk ring and replayable generated chunk sources.
  */
 #include <gtest/gtest.h>
 
@@ -403,34 +402,6 @@ TEST(GeneratedChunkSource, SequentialOpensReuseOneGenerator)
         expectSameInst(second[i], first[i]);
         expectSameInst(third[i], first[i]);
     }
-}
-
-TEST(LimitedSource, ResetRestoresTheProducedWindow)
-{
-    SyntheticSource inner(99);
-    LimitedSource limited(inner, 7);
-
-    auto drain_limited = [&limited] {
-        std::vector<Instruction> insts;
-        Instruction inst;
-        while (limited.next(inst))
-            insts.push_back(inst);
-        return insts;
-    };
-
-    const auto first = drain_limited();
-    ASSERT_EQ(first.size(), 7u);
-    Instruction probe;
-    EXPECT_FALSE(limited.next(probe)); // window stays exhausted
-
-    // reset() must rewind the inner source AND re-open the window:
-    // the second pass yields the same seven instructions, not zero
-    // (a stale produced-count) and not a continuation.
-    limited.reset();
-    const auto second = drain_limited();
-    ASSERT_EQ(second.size(), 7u);
-    for (size_t i = 0; i < first.size(); ++i)
-        expectSameInst(first[i], second[i]);
 }
 
 } // namespace mlpsim::test

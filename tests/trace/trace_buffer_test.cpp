@@ -1,4 +1,4 @@
-/** @file TraceBuffer, Cursor and LimitedSource semantics. */
+/** @file TraceBuffer and Cursor semantics. */
 #include <gtest/gtest.h>
 
 #include "trace/trace_buffer.hh"
@@ -52,23 +52,6 @@ TEST(TraceBuffer, FillStopsAtSourceEnd)
     TraceBuffer target;
     target.fill(cur, 100);
     EXPECT_EQ(target.size(), 1u);
-}
-
-TEST(LimitedSource, TruncatesAndResets)
-{
-    workloads::PointerChaseWorkload w;
-    LimitedSource limited(w, 10);
-    Instruction inst;
-    int n = 0;
-    while (limited.next(inst))
-        ++n;
-    EXPECT_EQ(n, 10);
-    limited.reset();
-    n = 0;
-    while (limited.next(inst))
-        ++n;
-    EXPECT_EQ(n, 10);
-    EXPECT_EQ(limited.name(), "pointer-chase");
 }
 
 } // namespace mlpsim::test

@@ -40,8 +40,8 @@ prepared(const std::string &name)
         p.buffer->fill(*generator, warmupInsts + measureInsts);
         core::AnnotationOptions opts;
         opts.warmupInsts = warmupInsts;
-        p.annotated =
-            std::make_unique<core::AnnotatedTrace>(*p.buffer, opts);
+        p.annotated = std::make_unique<core::AnnotatedTrace>(
+            core::AnnotatedTrace::make(*p.buffer, opts).orFatal());
         auto cursor = p.buffer->cursor();
         p.mix = trace::measureMix(cursor, p.buffer->size());
         it = cache.emplace(name, std::move(p)).first;

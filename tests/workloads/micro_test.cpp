@@ -21,7 +21,8 @@ runOn(trace::TraceSource &source, const MlpConfig &cfg)
 {
     trace::TraceBuffer buf(source.name());
     buf.fill(source, microInsts);
-    core::AnnotatedTrace annotated(buf, core::AnnotationOptions{});
+    const auto annotated =
+        core::AnnotatedTrace::make(buf, core::AnnotationOptions{}).orFatal();
     return core::runMlp(cfg, annotated.context());
 }
 
@@ -94,7 +95,8 @@ TEST(MicroWorkloads, PrefetchedStreamPrefetchesAreUseful)
     PrefetchedStreamWorkload w;
     trace::TraceBuffer buf("p");
     buf.fill(w, microInsts);
-    core::AnnotatedTrace annotated(buf, core::AnnotationOptions{});
+    const auto annotated =
+        core::AnnotatedTrace::make(buf, core::AnnotationOptions{}).orFatal();
     const auto &m = annotated.misses();
     EXPECT_GT(m.usefulPrefetches, 1000u);
     // Nearly every prefetch is useful; the demand loads behind them

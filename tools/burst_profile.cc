@@ -104,7 +104,9 @@ main(int argc, char **argv)
                 buffer.fill(*generator, warmup + measure);
                 core::AnnotationOptions annotation;
                 annotation.warmupInsts = warmup;
-                core::AnnotatedTrace annotated(buffer, annotation);
+                const auto annotated =
+                    core::AnnotatedTrace::make(buffer, annotation)
+                        .orFatal();
 
                 core::MlpConfig cfg = machineByName(machine);
                 cfg.warmupInsts = warmup;

@@ -104,7 +104,8 @@ main(int argc, char **argv)
                 aopts.warmupInsts = warmup;
                 aopts.hierarchy.l2.sizeBytes = l2mb * 1024 * 1024;
                 prep.ann = std::make_unique<core::AnnotatedTrace>(
-                    *prep.buf, aopts);
+                    core::AnnotatedTrace::make(*prep.buf, aopts)
+                        .orFatal());
                 return prep;
             }));
     }

@@ -124,7 +124,8 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
         auto generator = workloads::makeWorkload(name);
         trace::TraceBuffer buffer(name);
         buffer.fill(*generator, goldenInsts);
-        const core::AnnotatedTrace annotated(buffer, ann);
+        const auto annotated =
+            core::AnnotatedTrace::make(buffer, ann).orFatal();
         for (const GoldenConfig &gc : goldenConfigs()) {
             const std::string cell_key = core::ResultJournal::key(
                 name, gc.key, workloads::workloadSeed(name));
@@ -178,7 +179,8 @@ runCycleSimSweep()
         auto generator = workloads::makeWorkload(name);
         trace::TraceBuffer buffer(name);
         buffer.fill(*generator, goldenInsts);
-        const core::AnnotatedTrace annotated(buffer, ann);
+        const auto annotated =
+            core::AnnotatedTrace::make(buffer, ann).orFatal();
         auto cell = [&](const cyclesim::CycleSimConfig &cfg) {
             results.set(name + "/" + cfg.metricLabel(),
                         cycleSimResultToJson(
