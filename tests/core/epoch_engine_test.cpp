@@ -3,6 +3,11 @@
  *  dependences, the epoch horizon. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "tests/support/test_harness.hh"
 
 namespace mlpsim::test {
@@ -36,6 +41,75 @@ independentMisses(unsigned n, unsigned pad = 0)
     }
     return s;
 }
+
+/** @p n on-chip instructions with no off-chip access: a short ALU
+ *  dependence chain plus independent ops, as a quiet stretch. */
+void
+addQuiet(ScriptedTrace &s, unsigned n, uint64_t pc = 0x1000)
+{
+    for (unsigned i = 0; i < n; ++i) {
+        const uint64_t at = pc + 4 * i;
+        if (i % 3 == 0)
+            s.add(makeAlu(at, r6, r6));
+        else
+            s.add(makeAlu(at, uint8_t(20 + i % 8)));
+    }
+}
+
+/**
+ * Re-chunks a materialised trace into tiny chunks and streams them,
+ * recording the most chunks any one stream had alive at once (the
+ * engine's chunk window plus its cursors' cached chunks).
+ */
+class SmallChunkSource : public trace::ChunkSource
+{
+  public:
+    SmallChunkSource(const trace::TraceBuffer &buffer, uint32_t cap)
+        : buf(buffer), cap(cap)
+    {
+    }
+
+    uint64_t size() const override { return buf.size(); }
+    std::string name() const override { return "small-chunks"; }
+
+    std::unique_ptr<trace::ChunkStream>
+    open() const override
+    {
+        return std::make_unique<Stream>(*this);
+    }
+
+    size_t maxLiveChunks() const { return maxLive; }
+
+  private:
+    class Stream : public trace::ChunkStream
+    {
+      public:
+        explicit Stream(const SmallChunkSource &source) : src(source) {}
+
+        trace::ChunkPtr
+        next() override
+        {
+            if (pos >= src.buf.size())
+                return nullptr;
+            auto chunk = std::make_shared<trace::TraceChunk>(pos, src.cap);
+            while (!chunk->full() && pos < src.buf.size())
+                chunk->append(src.buf.at(size_t(pos++)));
+            std::erase_if(issued, [](const auto &w) { return w.expired(); });
+            issued.push_back(chunk);
+            src.maxLive = std::max(src.maxLive, issued.size());
+            return chunk;
+        }
+
+      private:
+        const SmallChunkSource &src;
+        uint64_t pos = 0;
+        std::vector<std::weak_ptr<const trace::TraceChunk>> issued;
+    };
+
+    const trace::TraceBuffer &buf;
+    uint32_t cap;
+    mutable size_t maxLive = 0;
+};
 
 } // namespace
 
@@ -342,6 +416,244 @@ TEST(EpochEngine, DeterministicAcrossRuns)
     EXPECT_EQ(a.epochs, b.epochs);
     EXPECT_EQ(a.usefulAccesses, b.usefulAccesses);
     EXPECT_DOUBLE_EQ(a.mlp(), b.mlp());
+}
+
+// ---------------------------------------------------------------------
+// Quiet-stretch boundaries: between off-chip events the engine runs
+// as a conveyor (each loop iteration retires the previous batch,
+// dispatches min(buffered, ROB, window) and refills the fetch
+// buffer). These scripts put an event on each edge of that conveyor.
+
+TEST(EpochEngine, MissThatStartsADispatchBatch)
+{
+    // ROB/window 4: after 8 quiet instructions the batches are
+    // [0,4), [4,8), [8,12), so the load at 8 heads its batch and the
+    // load at 10 joins it in the same epoch.
+    ScriptedTrace s;
+    addQuiet(s, 8);
+    s.add(makeLoad(0x200, r2, 0xA000, noReg), Miss::Data);
+    s.add(makeAlu(0x204, r3, r3));
+    s.add(makeLoad(0x208, r4, 0xB000, noReg), Miss::Data);
+    s.add(makeAlu(0x20c, r5, r5));
+    addQuiet(s, 4, 0x300);
+    for (unsigned fb : {4u, 8u}) {
+        MlpConfig cfg = MlpConfig::sized(4, IssueConfig::C);
+        cfg.fetchBufferSize = fb;
+        const auto r = s.run(cfg);
+        EXPECT_EQ(r.epochs, 1u) << "fb " << fb;
+        EXPECT_EQ(r.usefulAccesses, 2u) << "fb " << fb;
+        // The full ROB ends the epoch with the last four buffered.
+        EXPECT_EQ(r.inhibitors[Inhibitor::Maxwin], 1u) << "fb " << fb;
+        EXPECT_EQ(r.accessesPerEpoch.buckets().at(2), 1u) << "fb " << fb;
+    }
+
+    // One-entry machine: every instruction is its own batch, so each
+    // load is alone in its epoch.
+    MlpConfig tiny = MlpConfig::sized(1, IssueConfig::C);
+    tiny.fetchBufferSize = 1;
+    const auto r = s.run(tiny);
+    EXPECT_EQ(r.epochs, 2u);
+    EXPECT_EQ(r.usefulAccesses, 2u);
+    EXPECT_EQ(r.inhibitors[Inhibitor::Maxwin], 2u);
+}
+
+TEST(EpochEngine, MispredictedBranchEndsAQuietFetchGroup)
+{
+    // Fetch stops after the mispredicted branch at 2; it resolves in
+    // the quiet stretch, so the two loads behind it still overlap.
+    ScriptedTrace s;
+    s.add(makeAlu(0x100, r1));
+    s.add(makeAlu(0x104, r2));
+    s.add(makeBranch(0x108, 0x200, true, r1), Miss::None, true);
+    s.add(makeLoad(0x200, r3, 0xA000, noReg), Miss::Data);
+    s.add(makeLoad(0x204, r4, 0xB000, noReg), Miss::Data);
+    s.add(makeAlu(0x208, r5));
+    for (auto ic : {IssueConfig::C, IssueConfig::D}) {
+        MlpConfig cfg = MlpConfig::sized(4, ic);
+        cfg.fetchBufferSize = 4;
+        const auto r = s.run(cfg);
+        EXPECT_EQ(r.epochs, 1u);
+        EXPECT_EQ(r.usefulAccesses, 2u);
+        EXPECT_EQ(r.inhibitors[Inhibitor::MispredBr], 0u);
+        EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u);
+    }
+
+    // The same stop after quiet work, but the branch depends on a
+    // miss: it cannot resolve, so the first epoch ends on it and the
+    // load behind it gets an epoch of its own.
+    ScriptedTrace u;
+    u.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    addQuiet(u, 3);
+    u.add(makeBranch(0x110, 0x200, true, r1), Miss::None, true);
+    u.add(makeLoad(0x200, r5, 0xB000, noReg), Miss::Data);
+    const auto r = u.run(MlpConfig::sized(64, IssueConfig::C));
+    EXPECT_EQ(r.epochs, 2u);
+    EXPECT_EQ(r.inhibitors[Inhibitor::MispredBr], 1u);
+    EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u);
+}
+
+TEST(EpochEngine, SerializerEndsAQuietFetchGroup)
+{
+    // A serializer fetched last in a quiet group drains for free.
+    ScriptedTrace s;
+    s.add(makeAlu(0x100, r1));
+    s.add(makeAlu(0x104, r2, r1));
+    s.add(makeSerializing(0x108));
+    s.add(makeLoad(0x10c, r3, 0xA000, noReg), Miss::Data);
+    s.add(makeLoad(0x110, r4, 0xB000, noReg), Miss::Data);
+    for (auto ic : {IssueConfig::A, IssueConfig::C, IssueConfig::E}) {
+        const auto r = s.run(MlpConfig::sized(64, ic));
+        EXPECT_EQ(r.epochs, 1u) << core::issueConfigName(ic);
+        EXPECT_EQ(r.usefulAccesses, 2u) << core::issueConfigName(ic);
+        EXPECT_EQ(r.inhibitors[Inhibitor::Serialize], 0u);
+        EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u);
+    }
+
+    // Behind an outstanding miss the serializer ends the epoch; the
+    // quiet stretch after the drain leads to two overlapping loads.
+    ScriptedTrace d;
+    d.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    d.add(makeSerializing(0x104));
+    addQuiet(d, 20);
+    d.add(makeLoad(0x200, r3, 0xB000, noReg), Miss::Data);
+    d.add(makeLoad(0x204, r4, 0xC000, noReg), Miss::Data);
+    const auto r = d.run(MlpConfig::sized(8, IssueConfig::C));
+    EXPECT_EQ(r.epochs, 2u);
+    EXPECT_EQ(r.inhibitors[Inhibitor::Serialize], 1u);
+    EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(1), 1u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(2), 1u);
+}
+
+TEST(EpochEngine, ImissEndsAQuietFetchGroup)
+{
+    // Fetch stops before the instruction miss at 3 and waits for the
+    // quiet back end to drain, so the miss starts an epoch alone; the
+    // load behind it then forms the second epoch.
+    ScriptedTrace s;
+    addQuiet(s, 3);
+    s.add(makeAlu(0x140, r2), Miss::Fetch);
+    s.add(makeLoad(0x144, r3, 0xA000, noReg), Miss::Data);
+    for (unsigned fb : {1u, 2u, 3u, 8u}) {
+        MlpConfig cfg = MlpConfig::sized(8, IssueConfig::C);
+        cfg.fetchBufferSize = fb;
+        const auto r = s.run(cfg);
+        EXPECT_EQ(r.epochs, 2u) << "fb " << fb;
+        EXPECT_EQ(r.imissAccesses, 1u) << "fb " << fb;
+        EXPECT_EQ(r.dmissAccesses, 1u) << "fb " << fb;
+        EXPECT_EQ(r.inhibitors[Inhibitor::ImissStart], 1u) << "fb " << fb;
+        EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u) << "fb " << fb;
+    }
+}
+
+TEST(EpochEngine, TraceEndsInsideAQuietStretch)
+{
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeLoad(0x104, r2, 0xB000, noReg), Miss::Data);
+    addQuiet(s, 100);
+    for (unsigned fb : {1u, 4u, 32u}) {
+        MlpConfig cfg = MlpConfig::sized(16, IssueConfig::C);
+        cfg.fetchBufferSize = fb;
+        const auto r = s.run(cfg);
+        EXPECT_EQ(r.epochs, 1u) << "fb " << fb;
+        EXPECT_EQ(r.usefulAccesses, 2u) << "fb " << fb;
+        EXPECT_EQ(r.inhibitors[Inhibitor::Maxwin], 1u) << "fb " << fb;
+        EXPECT_EQ(r.measuredInsts, 102u) << "fb " << fb;
+    }
+
+    // No event at all, and traces whose last instruction stops fetch.
+    ScriptedTrace quiet;
+    addQuiet(quiet, 50);
+    ScriptedTrace branch_last;
+    addQuiet(branch_last, 20);
+    branch_last.add(makeBranch(0x200, 0x100, true, r6), Miss::None, true);
+    ScriptedTrace serial_last;
+    addQuiet(serial_last, 20);
+    serial_last.add(makeSerializing(0x200));
+    for (ScriptedTrace *t : {&quiet, &branch_last, &serial_last}) {
+        for (unsigned w : {1u, 16u}) {
+            const auto r = t->run(MlpConfig::sized(w, IssueConfig::C));
+            EXPECT_EQ(r.epochs, 0u);
+            EXPECT_EQ(r.inhibitors.total(), 0u);
+            EXPECT_EQ(r.measuredInsts, t->trace().size());
+        }
+    }
+}
+
+TEST(EpochEngine, WarmupBoundaryInsideAQuietStretch)
+{
+    // Epoch triggers at 0 and 41 with 40 quiet instructions between.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    addQuiet(s, 40);
+    s.add(makeLoad(0x200, r2, 0xB000, noReg), Miss::Data);
+    addQuiet(s, 3, 0x300);
+    MlpConfig cfg = MlpConfig::sized(8, IssueConfig::C);
+
+    const auto all = s.run(cfg);
+    EXPECT_EQ(all.epochs, 2u);
+    EXPECT_EQ(all.inhibitors[Inhibitor::Maxwin], 1u);
+    EXPECT_EQ(all.inhibitors[Inhibitor::EndOfTrace], 1u);
+
+    for (uint64_t warmup : {20u, 41u}) {
+        cfg.warmupInsts = warmup;
+        const auto r = s.run(cfg);
+        EXPECT_EQ(r.epochs, 1u) << "warm-up " << warmup;
+        EXPECT_EQ(r.usefulAccesses, 1u) << "warm-up " << warmup;
+        EXPECT_EQ(r.inhibitors[Inhibitor::EndOfTrace], 1u)
+            << "warm-up " << warmup;
+        EXPECT_EQ(r.measuredInsts, 45u - warmup);
+    }
+
+    cfg.warmupInsts = 42; // the second trigger is warm-up too
+    const auto none = s.run(cfg);
+    EXPECT_EQ(none.epochs, 0u);
+    EXPECT_EQ(none.measuredInsts, 3u);
+}
+
+TEST(EpochEngine, StreamedQuietStretchMatchesMaterialised)
+{
+    // Four epochs of two overlapping loads, each followed by a quiet
+    // stretch longer than the ROB and than runahead's reach (2048
+    // instructions), streamed in 8-instruction
+    // chunks: the result must match the materialised run, and the
+    // engine must keep releasing chunks while it crosses a stretch.
+    ScriptedTrace s;
+    for (unsigned g = 0; g < 4; ++g) {
+        const uint64_t pc = 0x10000 * (g + 1);
+        s.add(makeLoad(pc, r1, 0xA000 + 0x1000ull * g, noReg), Miss::Data);
+        s.add(makeLoad(pc + 4, r2, 0xB000 + 0x1000ull * g, noReg),
+              Miss::Data);
+        addQuiet(s, 2500, pc + 8);
+    }
+    MlpConfig ra = MlpConfig::runahead();
+    ra.fetchBufferSize = 4;
+    for (MlpConfig cfg : {MlpConfig::sized(16, IssueConfig::C),
+                          MlpConfig::sized(64, IssueConfig::A), ra}) {
+        const auto materialised = s.run(cfg);
+        EXPECT_EQ(materialised.epochs, 4u) << cfg.label();
+        EXPECT_EQ(materialised.usefulAccesses, 8u) << cfg.label();
+        if (cfg.mode != core::CoreMode::Runahead) {
+            EXPECT_EQ(materialised.inhibitors[Inhibitor::Maxwin], 4u)
+                << cfg.label();
+        }
+
+        SmallChunkSource small(s.trace(), 8);
+        core::WorkloadContext ctx = s.context();
+        ctx.source = &small;
+        const auto streamed = core::runMlp(cfg, ctx);
+        EXPECT_EQ(streamed.epochs, materialised.epochs) << cfg.label();
+        EXPECT_EQ(streamed.usefulAccesses, materialised.usefulAccesses);
+        for (size_t i = 0; i < core::numInhibitors; ++i) {
+            EXPECT_EQ(streamed.inhibitors.count[i],
+                      materialised.inhibitors.count[i])
+                << cfg.label() << " inhibitor " << i;
+        }
+        // The live span is the fetch buffer plus the window: a handful
+        // of 8-instruction chunks, never the 1250 the trace spans.
+        EXPECT_LE(small.maxLiveChunks(), 16u) << cfg.label();
+    }
 }
 
 TEST(EpochEngineDeath, RejectsInOrderModes)

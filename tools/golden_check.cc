@@ -17,12 +17,26 @@
  *   golden_check --write FILE   # (re)generate FILE
  *   --suite cyclesim            # the cycle-accurate pipeline's sweep
  *                               # instead (data/golden_cyclesim.json)
+ *   --suite epoch-edges         # the epoch engine's window-corner
+ *                               # matrix (data/golden_epoch_edges.json)
  *
  * The cyclesim suite is the Table 3 cell set — every commercial
  * workload x windows 32/64/128 x issue configs A-C x off-chip
  * latencies 200/1000, plus one perfect-L2 cell — with all five
  * CycleSimResult fields per cell, so the timed pipeline's scheduler
  * can be rewritten under the same bit-identical gate.
+ *
+ * The epoch-edges suite pins the epoch engine at the corners of its
+ * window structures, where fetch, dispatch and retirement boundaries
+ * fall on every possible instruction: fetch buffers 1/7/32/300 x
+ * (ROB, issue window) (1,1)/(16,16)/(256,16)/(16,256)/(2048,2048) x
+ * issue configs A-E, each again with a 40-instruction epoch horizon,
+ * plus runahead (default and 64-instruction distance), the finite
+ * store buffer and value prediction at fetch buffers 1/32/300. Besides
+ * every MlpResult field, each cell records the engine's main-loop
+ * iteration count (the core/epoch_engine/loop_iterations counter), so
+ * a rewrite of the engine's loop must reproduce its step structure,
+ * not just its results.
  *
  * Checkpoint/resume (the golden_resume ctest):
  *   --journal FILE      persist each completed cell to FILE and skip
@@ -43,6 +57,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mlpsim.hh"
@@ -50,6 +65,7 @@
 #include "core/result_journal.hh"
 #include "cyclesim/cycle_sim.hh"
 #include "metrics/json.hh"
+#include "metrics/registry.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "workloads/factory.hh"
@@ -212,6 +228,101 @@ runCycleSimSweep()
     return goldenDocument("mlpsim-golden-cyclesim-v1", std::move(results));
 }
 
+/** One epoch-edges cell: every MlpResult field plus the engine's
+ *  main-loop iteration count, collected in a private registry. */
+JsonValue
+epochEdgeCell(const core::MlpConfig &config,
+              const core::WorkloadContext &context)
+{
+    metrics::MetricRegistry registry;
+    core::MlpResult r;
+    {
+        metrics::CollectorScope scope(&registry);
+        r = core::runMlp(config, context);
+    }
+    const auto snapshot = registry.snapshot();
+    const auto it = snapshot.find("core/epoch_engine/loop_iterations");
+    if (it == snapshot.end())
+        fatal("epoch-edges cell recorded no loop_iterations counter");
+    JsonValue out = resultToJson(r);
+    out.set("loop_iterations", it->second.counter);
+    return out;
+}
+
+JsonValue
+runEpochEdgesSweep()
+{
+    using core::IssueConfig;
+    using core::MlpConfig;
+
+    // loop_iterations is only recorded while collection is on.
+    metrics::setEnabled(true);
+
+    core::AnnotationOptions ann;
+    ann.warmupInsts = goldenWarmup;
+
+    const unsigned fetch_buffers[] = {1, 7, 32, 300};
+    const std::pair<unsigned, unsigned> windows[] = {
+        {1, 1}, {16, 16}, {256, 16}, {16, 256}, {2048, 2048}};
+    const IssueConfig issues[] = {IssueConfig::A, IssueConfig::B,
+                                  IssueConfig::C, IssueConfig::D,
+                                  IssueConfig::E};
+
+    JsonValue results = JsonValue::object();
+    for (const std::string &name : workloads::commercialWorkloadNames()) {
+        auto generator = workloads::makeWorkload(name);
+        trace::TraceBuffer buffer(name);
+        buffer.fill(*generator, goldenInsts);
+        const auto annotated =
+            core::AnnotatedTrace::make(buffer, ann).orFatal();
+        auto cell = [&](const std::string &key, MlpConfig cfg) {
+            cfg.warmupInsts = goldenWarmup;
+            results.set(name + "/" + key,
+                        epochEdgeCell(cfg, annotated.context()));
+        };
+        for (unsigned fb : fetch_buffers) {
+            const std::string fb_key = "fb" + std::to_string(fb);
+            for (const auto &[rob, iw] : windows) {
+                for (IssueConfig ic : issues) {
+                    MlpConfig cfg;
+                    cfg.issue = ic;
+                    cfg.fetchBufferSize = fb;
+                    cfg.robSize = rob;
+                    cfg.issueWindowSize = iw;
+                    const std::string key =
+                        fb_key + "/rob" + std::to_string(rob) + "-iw" +
+                        std::to_string(iw) + "/" +
+                        core::issueConfigName(ic);
+                    cell(key, cfg);
+                    cfg.epochInstHorizon = 40;
+                    cell(key + "/h40", cfg);
+                }
+            }
+        }
+        for (unsigned fb : {1u, 32u, 300u}) {
+            const std::string fb_key = "fb" + std::to_string(fb);
+            MlpConfig ra = MlpConfig::runahead();
+            ra.fetchBufferSize = fb;
+            cell(fb_key + "/RA", ra);
+            ra.maxRunaheadDistance = 64;
+            cell(fb_key + "/RA-d64", ra);
+
+            MlpConfig sb = MlpConfig::defaultOoO();
+            sb.fetchBufferSize = fb;
+            sb.finiteStoreBuffer = true;
+            cell(fb_key + "/64C+sb", sb);
+
+            MlpConfig vp = MlpConfig::defaultOoO();
+            vp.fetchBufferSize = fb;
+            vp.valuePrediction = true;
+            cell(fb_key + "/64C+vp", vp);
+        }
+    }
+
+    return goldenDocument("mlpsim-golden-epoch-edges-v1",
+                          std::move(results));
+}
+
 /** First path at which two documents differ, for an actionable diff. */
 std::string
 firstDifference(const JsonValue &a, const JsonValue &b,
@@ -252,14 +363,15 @@ main(int argc, char **argv)
         fatal("exactly one of --check FILE / --write FILE is required");
 
     const std::string suite = opts.getString("suite", "epoch");
-    if (suite != "epoch" && suite != "cyclesim")
-        fatal("--suite must be epoch or cyclesim, got '", suite, "'");
+    if (suite != "epoch" && suite != "cyclesim" && suite != "epoch-edges")
+        fatal("--suite must be epoch, cyclesim or epoch-edges, got '",
+              suite, "'");
 
     const std::string journal_path = opts.getString("journal", "");
     const uint64_t kill_after = opts.getU64("kill-after", 0);
     if (kill_after != 0 && journal_path.empty())
         fatal("--kill-after requires --journal (nothing would survive)");
-    if (suite == "cyclesim" && !journal_path.empty())
+    if (suite != "epoch" && !journal_path.empty())
         fatal("--journal applies to the epoch suite only");
 
     std::optional<core::ResultJournal> journal;
@@ -277,9 +389,10 @@ main(int argc, char **argv)
     }
 
     const JsonValue fresh =
-        suite == "cyclesim"
-            ? runCycleSimSweep()
-            : runGoldenSweep(journal ? &*journal : nullptr, kill_after);
+        suite == "cyclesim"      ? runCycleSimSweep()
+        : suite == "epoch-edges" ? runEpochEdgesSweep()
+                                 : runGoldenSweep(journal ? &*journal : nullptr,
+                                                  kill_after);
 
     if (!write.empty()) {
         metrics::writeJsonFile(write, fresh).orFatal();
@@ -294,7 +407,7 @@ main(int argc, char **argv)
               firstDifference(fresh, golden, ""),
               "; if the change is intended, regenerate with "
               "golden_check --write ", check,
-              suite == "cyclesim" ? " --suite cyclesim" : "");
+              suite == "epoch" ? "" : " --suite " + suite);
     }
     std::printf("%s: matches (%zu cells, %llu insts each)\n",
                 check.c_str(),
