@@ -69,6 +69,10 @@ class ChunkWindow
             trace::ChunkPtr c = src->next();
             MLPSIM_ASSERT(c, "chunk stream ended before index ", idx);
             window.push_back(std::move(c));
+            // A reader that skipped ahead (the epoch engine's quiet
+            // fast-forward) may pull chunks already released: drop
+            // them on arrival so the window stays a few chunks wide.
+            dropReleased();
         }
         const uint64_t front_base = window.front()->base;
         MLPSIM_ASSERT(idx >= front_base,
@@ -86,15 +90,23 @@ class ChunkWindow
     void
     releaseBefore(uint64_t idx)
     {
-        while (window.size() > 1 && window.front()->end() <= idx)
-            window.pop_front();
+        released = idx;
+        dropReleased();
     }
 
   private:
+    void
+    dropReleased()
+    {
+        while (window.size() > 1 && window.front()->end() <= released)
+            window.pop_front();
+    }
+
     const trace::TraceBuffer *buf = nullptr; //!< set: index it directly
     std::unique_ptr<trace::ChunkStream> owned;
     trace::ChunkStream *src = nullptr; //!< owned.get() or wl.attached
     std::deque<trace::ChunkPtr> window;
+    uint64_t released = 0; //!< indices below are dead (releaseBefore)
 };
 
 /** Per-consumer cached chunk cursor: one range check per access. */

@@ -77,6 +77,15 @@ class MissAnnotations
 
     size_t size() const { return fetchMissV.size(); }
 
+    // Whole planes, for word-at-a-time scans (BitVector::word).
+    const util::BitVector &fetchMissBits() const { return fetchMissV; }
+    const util::BitVector &dataMissBits() const { return dataMissV; }
+    const util::BitVector &usefulPrefetchBits() const
+    {
+        return usefulPrefetchV;
+    }
+    const util::BitVector &storeMissBits() const { return storeMissV; }
+
     // --- direct construction (tests and external trace frontends) ---
 
     /** Start a hand-built annotation set of @p n instructions. */

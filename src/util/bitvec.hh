@@ -79,6 +79,13 @@ class BitVector
     void set(size_t i) { words[i >> 6] |= uint64_t(1) << (i & 63); }
     void reset(size_t i) { words[i >> 6] &= ~(uint64_t(1) << (i & 63)); }
 
+    /**
+     * Raw storage word @p w: bits [64w, 64w + 64), element 64w in bit
+     * 0. Bits at or past size() are unspecified (assign(n, true) sets
+     * them), so word-at-a-time scans must bound their own range.
+     */
+    uint64_t word(size_t w) const { return words[w]; }
+
     bool operator[](size_t i) const { return test(i); }
     Ref operator[](size_t i)
     {
