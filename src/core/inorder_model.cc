@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/chunk_window.hh"
+#include "util/cancellation.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::core {
@@ -109,6 +110,9 @@ void
 InOrderRun::closeEpoch(Inhibitor cause)
 {
     MLPSIM_ASSERT(epochOpen, "closing a closed epoch");
+    // Epoch boundaries are the cancellation poll points, as in the
+    // epoch engine.
+    pollCancellation();
     if (triggerIdx >= cfg.warmupInsts) {
         ++result.epochs;
         result.usefulAccesses += epochAccesses;

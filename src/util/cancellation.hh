@@ -8,9 +8,9 @@
  * thread is not an option in C++ (leaked locks, torn state), so
  * cancellation here is *cooperative*: the code that owns a job
  * (SweepRunner, a future mlpsimd front end) flags a CancelToken, and
- * the simulation kernels — epoch engine, cyclesim, trace generation —
- * poll that flag at their natural epoch/chunk boundaries and unwind
- * with a CancelledError when it is set.
+ * the simulation kernels — epoch engine, in-order model, cyclesim,
+ * trace generation — poll that flag at their natural epoch/chunk
+ * boundaries and unwind with a CancelledError when it is set.
  *
  * Threading the token through every engine signature would churn the
  * whole API for a concern most callers never use, so the active token

@@ -1,11 +1,12 @@
 /**
  * @file
  * Cancellation through the real simulation kernels: the epoch engine,
- * the cycle-accurate reference pipeline and the workload generators
- * all poll the ambient CancelToken at their natural epoch/chunk
- * boundaries, so a deadline fires *mid-simulation* — not just between
- * jobs. These tests run genuine (if small) simulations and assert the
- * deadline lands while they are inside the kernel loops.
+ * the in-order model, the cycle-accurate reference pipeline and the
+ * workload generators all poll the ambient CancelToken at their
+ * natural epoch/chunk boundaries, so a deadline fires
+ * *mid-simulation* — not just between jobs. These tests run genuine
+ * (if small) simulations and assert the deadline lands while they are
+ * inside the kernel loops.
  */
 #include <gtest/gtest.h>
 
@@ -80,6 +81,26 @@ TEST(EngineCancelTest, EpochEngineHonoursADeadlineMidRun)
 
     EXPECT_FALSE(job.succeeded());
     EXPECT_EQ(job.status().code(), ErrorCode::DeadlineExceeded);
+}
+
+TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
+{
+    // Run the kernel directly rather than through SweepRunner: the
+    // runner polls once before a job starts, which would hide a kernel
+    // that never polls. The trace is built before the scope, whose
+    // token would otherwise stop its generation.
+    const core::WorkloadContext context = bigTrace().annotated->context();
+    CancelToken token;
+    token.cancel("in-order cancellation test");
+    CancelScope scope(&token);
+    for (auto mode : {core::CoreMode::InOrderStallOnMiss,
+                      core::CoreMode::InOrderStallOnUse}) {
+        core::MlpConfig config = core::MlpConfig::defaultOoO();
+        config.mode = mode;
+        config.warmupInsts = kWarmup;
+        EXPECT_THROW(core::runMlp(config, context), CancelledError)
+            << core::coreModeName(mode);
+    }
 }
 
 TEST(EngineCancelTest, CycleSimHonoursADeadlineMidRun)
