@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -50,22 +51,25 @@ using namespace mlpsim;
 constexpr uint64_t traceInsts = 200'000;
 
 const core::AnnotatedTrace &
-annotatedWorkload(const std::string &name)
+annotatedWorkload(const std::string &name, uint64_t insts = traceInsts,
+                  uint64_t warmup = 0)
 {
-    static std::map<std::string,
+    static std::map<std::tuple<std::string, uint64_t, uint64_t>,
                     std::pair<std::unique_ptr<trace::TraceBuffer>,
                               std::unique_ptr<core::AnnotatedTrace>>>
         cache;
-    auto it = cache.find(name);
+    const auto key = std::make_tuple(name, insts, warmup);
+    auto it = cache.find(key);
     if (it == cache.end()) {
         auto buffer = std::make_unique<trace::TraceBuffer>(name);
         auto generator = workloads::makeWorkload(name);
-        buffer->fill(*generator, traceInsts);
+        buffer->fill(*generator, insts);
+        core::AnnotationOptions opts;
+        opts.warmupInsts = warmup;
         auto annotated = std::make_unique<core::AnnotatedTrace>(
-            core::AnnotatedTrace::make(*buffer, core::AnnotationOptions{})
-                .orFatal());
-        it = cache.emplace(name, std::make_pair(std::move(buffer),
-                                                std::move(annotated)))
+            core::AnnotatedTrace::make(*buffer, opts).orFatal());
+        it = cache.emplace(key, std::make_pair(std::move(buffer),
+                                               std::move(annotated)))
                  .first;
     }
     return *it->second.second;
@@ -95,6 +99,30 @@ BM_EpochEngine(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * traceInsts);
 }
 BENCHMARK(BM_EpochEngine)->Arg(64)->Arg(256)->Arg(2048);
+
+/**
+ * The Figure 4 sweep's trace shape (500k warm-up + 1.5M measured
+ * instructions). BM_EpochEngine's short cold trace is dense with
+ * off-chip events; past the warm-up most instructions fall in quiet
+ * stretches between them, which is what the engine's fast-forward
+ * skips, so only this shape shows that path's speed.
+ */
+constexpr uint64_t warmWarmupInsts = 500'000;
+constexpr uint64_t warmTraceInsts = 2'000'000;
+
+void
+BM_EpochEngineWarm(benchmark::State &state)
+{
+    const auto &annotated =
+        annotatedWorkload("database", warmTraceInsts, warmWarmupInsts);
+    core::MlpConfig cfg = core::MlpConfig::sized(
+        unsigned(state.range(0)), core::IssueConfig::C);
+    cfg.warmupInsts = warmWarmupInsts;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core::runMlp(cfg, annotated.context()));
+    state.SetItemsProcessed(int64_t(state.iterations()) * warmTraceInsts);
+}
+BENCHMARK(BM_EpochEngineWarm)->Arg(64)->Arg(256);
 
 /**
  * Streaming-mode counterpart of annotatedWorkload(): annotations come
@@ -310,7 +338,8 @@ class PerfJsonReporter : public benchmark::ConsoleReporter
             const double per_iter =
                 name == "EpochEngineStream"
                     ? double(traceInsts) * double(streamFanout)
-                    : double(traceInsts);
+                : name == "EpochEngineWarm" ? double(warmTraceInsts)
+                                            : double(traceInsts);
             const double instrs = double(run.iterations) * per_iter;
             row.set("instr_per_s",
                     run.real_accumulated_time > 0.0
