@@ -10,7 +10,6 @@
 namespace mlpsim::core {
 
 using trace::InstClass;
-using trace::noReg;
 
 namespace {
 
@@ -37,13 +36,6 @@ firstSetBit(uint64_t from, uint64_t limit, WordFn &&word)
 
 } // namespace
 
-// ---------------------------------------------------------------------
-// EpochEngine
-//
-// SeqFifo and StoreMap moved to util/seq_containers.hh so the
-// cycle-accurate pipeline's scheduler can share them (DESIGN.md
-// sections 12 and 14).
-
 EpochEngine::EpochEngine(const MlpConfig &config,
                          const WorkloadContext &workload)
     : cfg(config), wl(workload),
@@ -52,7 +44,8 @@ EpochEngine::EpochEngine(const MlpConfig &config,
                       config.issue == IssueConfig::C),
       serializingBlocks(config.issue != IssueConfig::E &&
                         config.mode != CoreMode::Runahead),
-      window(workload), dispatchCur(window), fetchCur(window)
+      window(workload), dispatchCur(window), fetchCur(window),
+      df(workload.size(), config.robSize, config.issue == IssueConfig::B)
 {
     MLPSIM_ASSERT(wl.hasTrace() && wl.misses && wl.branches,
                   "workload context incomplete");
@@ -64,23 +57,9 @@ EpochEngine::EpochEngine(const MlpConfig &config,
     MLPSIM_ASSERT(cfg.robSize >= 1 && cfg.issueWindowSize >= 1 &&
                       cfg.fetchBufferSize >= 1,
                   "window structures must be non-empty");
-    // Consumer links pack a sequence number into 30 bits (DESIGN.md
-    // section 12); a single epoch-model trace is far smaller in
-    // practice, so this is a hard input limit rather than a mode.
-    MLPSIM_ASSERT(wl.size() < (uint64_t(1) << 30),
-                  "trace too large for packed sequence links");
 
-    // The ring only needs to cover the architectural ROB (plus
-    // runahead's overshoot, which growRing() picks up on demand); cap
-    // the up-front allocation so huge configured windows start small.
-    const uint64_t init_cap = std::bit_ceil(
-        std::min<uint64_t>(std::max<uint64_t>(cfg.robSize, 16), 8192));
-    ring.assign(size_t(init_cap), RobEntry{});
-    ringMask = uint32_t(init_cap - 1);
-    storeProducer.reset(size_t(std::min<uint64_t>(2 * cfg.robSize, 16384)));
     memFifo.reset(256);
     branchFifo.reset(256);
-    ready.reserve(256, 64);
 
     nextEvent = scanEvents(0);
     nextImiss = scanPlane(wl.misses->fetchMissBits(), 0);
@@ -104,26 +83,8 @@ EpochEngine::canDispatchMore() const
         const uint64_t next_seq = nextDispatchIdx + 1;
         return next_seq - triggerSeq <= cfg.maxRunaheadDistance;
     }
-    return robOccupancy() < cfg.robSize && iwOccupancy < cfg.issueWindowSize;
-}
-
-const EpochEngine::RobEntry *
-EpochEngine::entryBySeq(uint64_t seq) const
-{
-    if (seq < headSeq || seq >= tailSeq)
-        return nullptr;
-    return &ring[size_t(seq) & ringMask];
-}
-
-void
-EpochEngine::growRing()
-{
-    std::vector<RobEntry> next(ring.size() * 2);
-    const uint32_t new_mask = uint32_t(next.size() - 1);
-    for (uint64_t s = headSeq; s < tailSeq; ++s)
-        next[size_t(s) & new_mask] = ring[size_t(s) & ringMask];
-    ring.swap(next);
-    ringMask = new_mask;
+    return df.occupancy() < cfg.robSize &&
+           iwOccupancy < cfg.issueWindowSize;
 }
 
 void
@@ -133,7 +94,7 @@ EpochEngine::linkWaitingTail(RobEntry &entry)
     entry.waitPrev = waitingTail;
     entry.waitNext = 0;
     if (waitingTail != 0)
-        entryRef(waitingTail).waitNext = seq;
+        df.entryRef(waitingTail).waitNext = seq;
     else
         waitingHead = seq;
     waitingTail = seq;
@@ -144,11 +105,11 @@ void
 EpochEngine::unlinkWaiting(RobEntry &entry)
 {
     if (entry.waitPrev != 0)
-        entryRef(entry.waitPrev).waitNext = entry.waitNext;
+        df.entryRef(entry.waitPrev).waitNext = entry.waitNext;
     else
         waitingHead = entry.waitNext;
     if (entry.waitNext != 0)
-        entryRef(entry.waitNext).waitPrev = entry.waitPrev;
+        df.entryRef(entry.waitNext).waitPrev = entry.waitPrev;
     else
         waitingTail = entry.waitPrev;
     entry.waitPrev = entry.waitNext = 0;
@@ -157,137 +118,31 @@ EpochEngine::unlinkWaiting(RobEntry &entry)
 }
 
 void
-EpochEngine::linkUnresolvedStoreTail(RobEntry &entry)
-{
-    const Seq seq = entry.seq;
-    entry.usPrev = usTail;
-    entry.usNext = 0;
-    if (usTail != 0)
-        entryRef(usTail).usNext = seq;
-    else
-        usHead = seq;
-    usTail = seq;
-}
-
-void
 EpochEngine::makeEntry(uint64_t idx)
 {
-    // Field reads straight from the chunk columns: dispatch never
-    // needs pc or payload, and skipping get()'s full reassembly keeps
-    // two dead u64 streams out of a loop that already contends for
-    // cache with the entry pool.
+    // The window renames and links the entry; the engine adds its
+    // annotation bits and its Table 2 queues.
     const trace::TraceChunk &ck = dispatchCur.at(idx);
-    const uint32_t ci = uint32_t(idx - ck.base);
-    const uint8_t dstReg = ck.dst[ci];
-    const uint8_t src0 = ck.src0[ci];
-    const uint8_t src1 = ck.src1[ci];
-    const uint8_t src2 = ck.src2[ci];
-    const uint64_t effAddr = ck.effAddr[ci];
-    const Seq seq = Seq(idx + 1);
-    RobEntry &entry = entryRef(seq);
-    entry = RobEntry{};
-    entry.seq = seq;
-
-    // Class-determined flag bits come from a table; only the atomic
-    // memory case (Serializing with an effective address, an isMem()
-    // instruction per trace/instruction.hh) needs a data-dependent
-    // adjustment.
-    static constexpr uint16_t classFlags[8] = {
-        /* Alu         */ 0,
-        /* Load        */ kMemOp | kLoadLike,
-        /* Store       */ kMemOp | kStore,
-        /* Branch      */ kBranch,
-        /* Prefetch    */ kMemOp | kPrefetch | kLoadLike,
-        /* Serializing */ kSerializing,
-        0, 0,
-    };
-    const InstClass cls = ck.cls(ci);
-    const bool atomic_mem =
-        cls == InstClass::Serializing && effAddr != 0;
-    const bool is_prefetch = cls == InstClass::Prefetch;
-    uint16_t flags = classFlags[size_t(cls) & 7];
-    if (atomic_mem)
-        flags |= kMemOp | kLoadLike;
+    RobEntry &entry = df.dispatch(
+        ck, uint32_t(idx - ck.base), [this](const RobEntry &producer) {
+            return producer.is(kDone) &&
+                   producer.valueReadyEpoch <= currentEpoch;
+        });
     if (wl.misses->dataMiss(idx))
-        flags |= kDMiss;
+        entry.flags |= kDMiss;
     if (cfg.finiteStoreBuffer && wl.misses->storeMiss(idx))
-        flags |= kSMiss;
+        entry.flags |= kSMiss;
     if (wl.misses->usefulPrefetch(idx))
-        flags |= kUsefulPmiss;
+        entry.flags |= kUsefulPmiss;
     if (cfg.valuePrediction && wl.values && wl.values->isCorrect(idx))
-        flags |= kVpCorrect;
-    entry.flags = flags;
-    entry.dstReg = dstReg;
-
-    // Register renaming: capture the current in-flight producer of each
-    // source. For stores, src[0]/src[2] compute the address and src[1]
-    // is the data; address producers are recorded first so the
-    // config-B "wait for earlier store addresses" check can test them
-    // separately.
-    Seq prods[maxProds];
-    unsigned num_prods = 0;
-    auto capture = [&](uint8_t reg) {
-        if (reg == noReg)
-            return;
-        const Seq prod = regProducer[reg];
-        if (prod != 0)
-            prods[num_prods++] = prod;
-    };
-    if (entry.is(kStore)) {
-        capture(src0);
-        capture(src2);
-        entry.numAddrProds = uint8_t(num_prods);
-        capture(src1);
-    } else {
-        capture(src0);
-        capture(src1);
-        capture(src2);
-        entry.numAddrProds = uint8_t(num_prods);
-    }
-
-    // Memory dependence: a load (or atomic read) whose address was
-    // written by an in-flight store forwards from that store, so the
-    // store's execution is an additional producer.
-    const uint64_t mem_key = effAddr >> 3;
-    if (entry.is(kLoadLike) && !is_prefetch) {
-        const Seq forward = storeProducer.find(mem_key);
-        if (forward != 0 && num_prods < maxProds)
-            prods[num_prods++] = forward;
-    }
-    if (entry.is(kStore) || atomic_mem) {
-        storeProducer.put(mem_key, seq);
-        entry.storeKey = mem_key + 1;
-    }
-
-    if (dstReg != noReg)
-        regProducer[dstReg] = seq;
-
-    // Producer registration: a producer whose value is already
-    // available contributes nothing; every other producer gets this
-    // entry on its consumer list and bumps the pending counters that
-    // stand in for the old ready-scan.
-    for (unsigned p = 0; p < num_prods; ++p) {
-        RobEntry &producer = entryRef(prods[p]);
-        if (producer.is(kExecuted) &&
-            producer.valueReadyEpoch <= currentEpoch)
-            continue;
-        entry.nextConsumer[p] = producer.consumerHead;
-        producer.consumerHead = (Link(seq) << 2) | Link(p);
-        ++entry.pendingProds;
-        if (p < entry.numAddrProds)
-            ++entry.pendingAddrProds;
-    }
+        entry.flags |= kVpCorrect;
 
     linkWaitingTail(entry);
-    if (cfg.issue == IssueConfig::A && entry.is(kMemOp) && !is_prefetch)
-        memFifo.push(seq);
+    if (cfg.issue == IssueConfig::A && entry.is(kMemOp) &&
+        !entry.is(kPrefetch))
+        memFifo.push(entry.seq);
     if (branchesInOrder && entry.is(kBranch))
-        branchFifo.push(seq);
-    if (cfg.issue == IssueConfig::B && entry.is(kStore) &&
-        entry.pendingAddrProds != 0)
-        linkUnresolvedStoreTail(entry);
-    if (entry.pendingProds == 0)
-        pushCandidate(entry);
+        branchFifo.push(entry.seq);
 }
 
 void
@@ -309,7 +164,7 @@ EpochEngine::openEpochIfNeeded(uint64_t idx, bool imiss_trigger,
 void
 EpochEngine::executeEntry(RobEntry &entry)
 {
-    entry.flags |= kExecuted;
+    entry.flags |= kDone;
     MLPSIM_ASSERT(iwOccupancy > 0, "issue window underflow");
     --iwOccupancy;
     entry.valueReadyEpoch = currentEpoch;
@@ -345,58 +200,6 @@ EpochEngine::executeEntry(RobEntry &entry)
 }
 
 void
-EpochEngine::notifyConsumers(RobEntry &producer)
-{
-    Link link = producer.consumerHead;
-    producer.consumerHead = 0;
-    while (link != 0) {
-        RobEntry &consumer = entryRef(Seq(link >> 2));
-        const unsigned slot = link & 3;
-        link = consumer.nextConsumer[slot];
-        consumer.nextConsumer[slot] = 0;
-        --consumer.pendingProds;
-        if (slot < consumer.numAddrProds &&
-            --consumer.pendingAddrProds == 0 && consumer.is(kStore) &&
-            cfg.issue == IssueConfig::B)
-            resolveStore(consumer);
-        if (consumer.pendingProds == 0)
-            pushCandidate(consumer);
-    }
-}
-
-void
-EpochEngine::resolveStore(RobEntry &store)
-{
-    const bool was_head = (usHead == store.seq);
-    if (store.usPrev != 0)
-        entryRef(store.usPrev).usNext = store.usNext;
-    else
-        usHead = store.usNext;
-    if (store.usNext != 0)
-        entryRef(store.usNext).usPrev = store.usPrev;
-    else
-        usTail = store.usPrev;
-    store.usPrev = store.usNext = 0;
-    // Only the oldest unresolved store gates config-B issue, so only
-    // its resolution can unblock anyone.
-    if (was_head)
-        wakeBlockedOnStore();
-}
-
-void
-EpochEngine::wakeBlockedOnStore()
-{
-    for (const Seq seq : blockedOnStore) {
-        RobEntry &entry = entryRef(seq);
-        if (entry.seq != seq)
-            continue; // retired, slot since reused
-        entry.flags &= ~kBlockedStore;
-        pushCandidate(entry);
-    }
-    blockedOnStore.clear();
-}
-
-void
 EpochEngine::executeAt(RobEntry &entry)
 {
     const Seq seq = entry.seq;
@@ -409,23 +212,23 @@ EpochEngine::executeAt(RobEntry &entry)
         !entry.is(kPrefetch)) {
         memFifo.pop();
         if (!memFifo.empty())
-            pushCandidate(entryRef(memFifo.front()));
+            df.pushCandidate(df.entryRef(memFifo.front()));
     }
     if (branchesInOrder && entry.is(kBranch)) {
         branchFifo.pop();
         if (!branchFifo.empty())
-            pushCandidate(entryRef(branchFifo.front()));
+            df.pushCandidate(df.entryRef(branchFifo.front()));
     }
     if (was_waiting_head && serializingBlocks && waitingHead != 0) {
-        RobEntry &head = entryRef(waitingHead);
+        RobEntry &head = df.entryRef(waitingHead);
         if (head.is(kSerializing))
-            pushCandidate(head);
+            df.pushCandidate(head);
     }
 
     executeEntry(entry);
 
     if (entry.valueReadyEpoch <= currentEpoch)
-        notifyConsumers(entry);
+        df.notifyConsumers(entry);
     else
         pendingValueWake.push_back(seq);
 }
@@ -439,10 +242,9 @@ EpochEngine::executePasses()
     // the instruction that caused it, so this min-heap order replays
     // the old scan-to-closure loop's execution order exactly.
     bool any = false;
-    while (!ready.empty()) {
-        RobEntry &entry = entryRef(ready.pop());
-        entry.flags &= ~kInCand;
-        if (entry.is(kExecuted))
+    while (df.hasCandidates()) {
+        RobEntry &entry = df.popCandidate();
+        if (entry.is(kDone))
             continue;
         // Prefetches are non-binding hints: they neither wait for the
         // memory-ordering constraints of configs A/B nor block other
@@ -451,12 +253,8 @@ EpochEngine::executePasses()
             !entry.is(kPrefetch) && memFifo.front() != entry.seq) {
             continue; // re-woken when the memory queue advances
         }
-        if (cfg.issue == IssueConfig::B && entry.is(kLoadLike) &&
-            !entry.is(kPrefetch) && usHead != 0 && usHead < entry.seq) {
-            if (!entry.is(kBlockedStore)) {
-                entry.flags |= kBlockedStore;
-                blockedOnStore.push_back(entry.seq);
-            }
+        if (entry.is(kLoadLike) && !entry.is(kPrefetch) &&
+            df.parkBehindUnresolvedStore(entry)) {
             continue; // re-woken when the oldest store address resolves
         }
         if (branchesInOrder && entry.is(kBranch) &&
@@ -482,15 +280,11 @@ bool
 EpochEngine::retire()
 {
     bool any = false;
-    while (headSeq != tailSeq) {
-        RobEntry &head = entryRef(Seq(headSeq));
-        if (!head.is(kExecuted) || head.completeEpoch > currentEpoch)
+    while (!df.empty()) {
+        const RobEntry &head = df.oldest();
+        if (!head.is(kDone) || head.completeEpoch > currentEpoch)
             break;
-        if (head.dstReg != noReg && regProducer[head.dstReg] == head.seq)
-            regProducer[head.dstReg] = 0;
-        if (head.storeKey != 0)
-            storeProducer.eraseMatching(head.storeKey - 1, head.seq);
-        ++headSeq;
+        df.retireOldest();
         any = true;
     }
     return any;
@@ -501,10 +295,7 @@ EpochEngine::dispatch()
 {
     bool any = false;
     while (nextDispatchIdx < nextFetchIdx && canDispatchMore()) {
-        if (robOccupancy() == ring.size())
-            growRing();
         makeEntry(nextDispatchIdx);
-        ++tailSeq;
         ++iwOccupancy;
         ++nextDispatchIdx;
         any = true;
@@ -581,19 +372,19 @@ EpochEngine::checkUnblocks()
       case FetchBlock::Serialize:
         // The drain completes when the serializing instruction has
         // retired (everything older committed).
-        if (fetchBlockSeq < headSeq) {
+        if (fetchBlockSeq < df.oldestSeq()) {
             fetchBlock = FetchBlock::None;
             return true;
         }
         return false;
       case FetchBlock::Mispred:
       {
-        if (fetchBlockSeq < headSeq) {
+        if (fetchBlockSeq < df.oldestSeq()) {
             fetchBlock = FetchBlock::None;
             return true;
         }
-        const RobEntry *branch = entryBySeq(fetchBlockSeq);
-        if (branch && branch->is(kExecuted)) {
+        const RobEntry *branch = df.find(fetchBlockSeq);
+        if (branch && branch->is(kDone)) {
             fetchBlock = FetchBlock::None;
             return true;
         }
@@ -618,8 +409,8 @@ EpochEngine::classifyMaxwinFamily() const
         bool first_unexec_mem_is_store = false;
         bool seen_unresolved_store = false;
         for (Seq seq = waitingHead; seq != 0;
-             seq = entryRef(seq).waitNext) {
-            const RobEntry &entry = entryRef(seq);
+             seq = df.entryRef(seq).waitNext) {
+            const RobEntry &entry = df.entryRef(seq);
             const bool ready = entry.pendingProds == 0;
             if (entry.is(kLoadLike) && !entry.is(kPrefetch) && ready) {
                 if (cfg.issue == IssueConfig::A && seen_unexec_mem) {
@@ -697,7 +488,7 @@ EpochEngine::closeEpoch()
     // their consumers. None of those consumers can have retired —
     // retirement needs completeEpoch <= the epoch we just left.
     for (const Seq seq : pendingValueWake)
-        notifyConsumers(entryRef(seq));
+        df.notifyConsumers(df.entryRef(seq));
     pendingValueWake.clear();
 
     if (fetchBlock == FetchBlock::Imiss) {
@@ -781,9 +572,8 @@ EpochEngine::skipQuietSteps(uint64_t &guard, bool &progress)
     // structure below is empty, and a batch free of off-chip events
     // executes and retires whole in the next iteration (no value is
     // deferred past the current epoch), leaving them empty again.
-    MLPSIM_ASSERT(ready.empty() && memFifo.empty() && branchFifo.empty() &&
-                      waitingCount == 0 && usHead == 0 &&
-                      blockedOnStore.empty() && pendingValueWake.empty() &&
+    MLPSIM_ASSERT(df.quiet() && memFifo.empty() && branchFifo.empty() &&
+                      waitingCount == 0 && pendingValueWake.empty() &&
                       iwOccupancy == 0 && fetchBlock != FetchBlock::Imiss,
                   "quiet fast-forward entered with work in flight");
 
@@ -853,7 +643,7 @@ EpochEngine::skipQuietSteps(uint64_t &guard, bool &progress)
 
     nextDispatchIdx = d;
     nextFetchIdx = f;
-    headSeq = tailSeq = d + 1;
+    df.restartAt(d + 1);
     fetchBlock = block;
     fetchBlockSeq = block_seq;
     // The iteration we stop in has just executed and retired the last
@@ -881,7 +671,7 @@ EpochEngine::run()
         bool progress = false;
         progress |= executePasses();
         progress |= retire();
-        if (!epochOpen && headSeq == tailSeq && !imissHandled)
+        if (!epochOpen && df.empty() && !imissHandled)
             skipQuietSteps(guard, progress);
         progress |= checkUnblocks();
         progress |= dispatch();
@@ -898,11 +688,11 @@ EpochEngine::run()
             continue;
         }
         if (nextFetchIdx >= trace_size &&
-            nextDispatchIdx == nextFetchIdx && headSeq == tailSeq) {
+            nextDispatchIdx == nextFetchIdx && df.empty()) {
             break;
         }
         panic("epoch engine deadlock at trace index ", nextFetchIdx,
-              " (rob=", robOccupancy(), " waiting=", waitingCount, ")");
+              " (rob=", df.occupancy(), " waiting=", waitingCount, ")");
     }
 
     if (metrics::enabled()) {

@@ -10,8 +10,6 @@
 namespace mlpsim::cyclesim {
 
 using core::IssueConfig;
-using trace::InstClass;
-using trace::noReg;
 
 Status
 CycleSimConfig::validate() const
@@ -69,28 +67,15 @@ CycleSimConfig::metricLabel() const
 CycleSim::CycleSim(const CycleSimConfig &config,
                    const core::WorkloadContext &workload)
     : cfg(config), wl(workload), window(wl), dispatchCur(window),
-      fetchCur(window)
+      fetchCur(window),
+      df(wl.size(), config.robSize, config.issue == IssueConfig::B)
 {
     MLPSIM_ASSERT(wl.hasTrace() && wl.misses && wl.branches,
                   "workload context incomplete");
     const Status valid = cfg.validate();
     MLPSIM_ASSERT(valid.ok(), valid.message());
-    // Consumer links pack a sequence number into 30 bits (DESIGN.md
-    // section 14); same hard input limit as the epoch engine.
-    MLPSIM_ASSERT(wl.size() < (uint64_t(1) << 30),
-                  "trace too large for packed sequence links");
-
-    // The ring only needs to cover the architectural ROB; cap the
-    // up-front allocation so huge configured windows start small and
-    // growRing() picks the rest up on demand.
-    const uint64_t init_cap = std::bit_ceil(
-        std::min<uint64_t>(std::max<uint64_t>(cfg.robSize, 16), 8192));
-    ring.assign(size_t(init_cap), RobEntry{});
-    ringMask = uint32_t(init_cap - 1);
-    storeProducer.reset(size_t(std::min<uint64_t>(2 * cfg.robSize, 16384)));
     memFifo.reset(256);
     branchFifo.reset(256);
-    ready.reserve(256, 64);
 
     // Calendar ring: more buckets than the longest latency, so no two
     // pending events share one; at least one bitmap word.
@@ -113,30 +98,6 @@ CycleSim::bucketFor(uint64_t cycle)
     return wheel[b];
 }
 
-void
-CycleSim::growRing()
-{
-    std::vector<RobEntry> next(ring.size() * 2);
-    const uint32_t new_mask = uint32_t(next.size() - 1);
-    for (uint64_t s = headSeq; s < tailSeq; ++s)
-        next[size_t(s) & new_mask] = ring[size_t(s) & ringMask];
-    ring.swap(next);
-    ringMask = new_mask;
-}
-
-void
-CycleSim::linkUnresolvedStoreTail(RobEntry &entry)
-{
-    const Seq seq = entry.seq;
-    entry.usPrev = usTail;
-    entry.usNext = 0;
-    if (usTail != 0)
-        entryRef(usTail).usNext = seq;
-    else
-        usHead = seq;
-    usTail = seq;
-}
-
 unsigned
 CycleSim::dataLatency(const RobEntry &entry) const
 {
@@ -150,143 +111,27 @@ CycleSim::dataLatency(const RobEntry &entry) const
 void
 CycleSim::makeEntry(uint64_t idx)
 {
-    // Field reads straight from the chunk columns: dispatch never
-    // needs pc or payload, so skip get()'s full record reassembly.
+    // The window renames and links the entry; the pipeline adds its
+    // annotation bits and its Table 2 queues.
     const trace::TraceChunk &ck = dispatchCur.at(idx);
-    const uint32_t ci = uint32_t(idx - ck.base);
-    const uint8_t dstReg = ck.dst[ci];
-    const uint8_t src0 = ck.src0[ci];
-    const uint8_t src1 = ck.src1[ci];
-    const uint8_t src2 = ck.src2[ci];
-    const uint64_t effAddr = ck.effAddr[ci];
-    const Seq seq = Seq(idx + 1);
-    RobEntry &entry = entryRef(seq);
-    entry = RobEntry{};
-    entry.seq = seq;
-
-    // Class-determined flag bits come from a table; only the atomic
-    // memory case (Serializing with an effective address, an isMem()
-    // instruction per trace/instruction.hh) needs a data-dependent
-    // adjustment.
-    static constexpr uint16_t classFlags[8] = {
-        /* Alu         */ 0,
-        /* Load        */ kMemOp | kLoadLike,
-        /* Store       */ kMemOp | kStore,
-        /* Branch      */ kBranch,
-        /* Prefetch    */ kMemOp | kPrefetch | kLoadLike,
-        /* Serializing */ kSerializing,
-        0, 0,
-    };
-    const InstClass cls = ck.cls(ci);
-    const bool atomic_mem =
-        cls == InstClass::Serializing && effAddr != 0;
-    const bool is_prefetch = cls == InstClass::Prefetch;
-    uint16_t flags = classFlags[size_t(cls) & 7];
-    if (atomic_mem)
-        flags |= kMemOp | kLoadLike;
+    RobEntry &entry = df.dispatch(
+        ck, uint32_t(idx - ck.base), [this](const RobEntry &producer) {
+            return producer.is(kDone) && producer.completeCycle <= now;
+        });
     if (wl.misses->dataMiss(idx))
-        flags |= kDMiss;
+        entry.flags |= kDMiss;
     if (wl.misses->usefulPrefetch(idx))
-        flags |= kUsefulPmiss;
+        entry.flags |= kUsefulPmiss;
     if (wl.misses->dataL2Hit(idx))
-        flags |= kDL2;
-    entry.flags = flags;
-    entry.dstReg = dstReg;
+        entry.flags |= kDL2;
 
-    // Register renaming: capture the current in-flight producer of each
-    // source, deduplicated (a producer feeding two sources still
-    // completes once). For stores, src[0]/src[2] compute the address
-    // and src[1] is the data; address producers are recorded first so
-    // the config-B "wait for earlier store addresses" check can test
-    // them separately. Loads and atomic reads keep one slot in reserve
-    // for the memory dependence below, so a tracked store-to-load
-    // forwarding edge is never discarded.
-    const bool wants_forward = (flags & kLoadLike) != 0 && !is_prefetch;
-    const unsigned reg_limit = wants_forward ? maxProds - 1 : maxProds;
-    Seq prods[maxProds];
-    unsigned num_prods = 0;
-    auto capture = [&](uint8_t reg) {
-        if (reg == noReg)
-            return;
-        const Seq prod = regProducer[reg];
-        if (prod == 0)
-            return;
-        for (unsigned p = 0; p < num_prods; ++p) {
-            if (prods[p] == prod)
-                return;
-        }
-        MLPSIM_ASSERT(num_prods < reg_limit,
-                      "register producer capture overflow");
-        prods[num_prods++] = prod;
-    };
-    if (entry.is(kStore)) {
-        capture(src0);
-        capture(src2);
-        entry.numAddrProds = uint8_t(num_prods);
-        capture(src1);
-    } else {
-        capture(src0);
-        capture(src1);
-        capture(src2);
-        entry.numAddrProds = uint8_t(num_prods);
-    }
-
-    // Memory dependence: a load (or atomic read) whose address was
-    // written by an in-flight store forwards from that store, so the
-    // store's execution is an additional producer.
-    const uint64_t mem_key = effAddr >> 3;
-    if (wants_forward) {
-        const Seq forward = storeProducer.find(mem_key);
-        if (forward != 0) {
-            bool dup = false;
-            for (unsigned p = 0; p < num_prods; ++p)
-                dup |= prods[p] == forward;
-            if (!dup) {
-                MLPSIM_ASSERT(num_prods < maxProds,
-                              "no producer slot left for the memory "
-                              "dependence");
-                prods[num_prods++] = forward;
-            }
-        }
-    }
-    if (entry.is(kStore) || atomic_mem) {
-        storeProducer.put(mem_key, seq);
-        entry.storeKey = mem_key + 1;
-    }
-
-    if (dstReg != noReg)
-        regProducer[dstReg] = seq;
-
-    // Producer registration: a producer whose value is already
-    // available contributes nothing; every other producer gets this
-    // entry on its consumer list and bumps the pending counters that
-    // stand in for the old per-cycle ready-scan.
-    for (unsigned p = 0; p < num_prods; ++p) {
-        if (uint64_t(prods[p]) < headSeq)
-            continue; // retired, value long since available
-        RobEntry &producer = entryRef(prods[p]);
-        if (producer.is(kIssued) && producer.completeCycle <= now)
-            continue;
-        entry.nextConsumer[p] = producer.consumerHead;
-        producer.consumerHead = (Link(seq) << 2) | Link(p);
-        ++entry.pendingProds;
-        if (p < entry.numAddrProds)
-            ++entry.pendingAddrProds;
-    }
-
-    // Issue-constraint bookkeeping (Table 2): config A keeps *all*
-    // memory operations in order — prefetches included, unlike the
-    // epoch engine's idealised treatment — and branches issue in order
-    // for every supported config.
+    // Config A keeps *all* memory operations in order — prefetches
+    // included, unlike the epoch engine's idealised treatment — and
+    // branches issue in order for every supported config.
     if (cfg.issue == IssueConfig::A && entry.is(kMemOp))
-        memFifo.push(seq);
+        memFifo.push(entry.seq);
     if (entry.is(kBranch))
-        branchFifo.push(seq);
-    if (cfg.issue == IssueConfig::B && entry.is(kStore) &&
-        entry.pendingAddrProds != 0)
-        linkUnresolvedStoreTail(entry);
-    if (entry.pendingProds == 0)
-        pushCandidate(entry);
+        branchFifo.push(entry.seq);
 }
 
 void
@@ -317,82 +162,26 @@ CycleSim::drainDue()
     // ready pool, which pops in seq order) depends only on the set of
     // producers completing this cycle.
     while (seq != 0) {
-        RobEntry &entry = entryRef(seq);
+        RobEntry &entry = df.entryRef(seq);
         // A completion always fires no later than the cycle its entry
         // could first retire, so the slot cannot have been recycled.
         MLPSIM_ASSERT(entry.seq == seq, "completion for a recycled slot");
         seq = entry.nextDue;
-        notifyConsumers(entry);
+        df.notifyConsumers(entry);
     }
-}
-
-void
-CycleSim::notifyConsumers(RobEntry &producer)
-{
-    Link link = producer.consumerHead;
-    producer.consumerHead = 0;
-    while (link != 0) {
-        RobEntry &consumer = entryRef(Seq(link >> 2));
-        const unsigned slot = link & 3;
-        link = consumer.nextConsumer[slot];
-        consumer.nextConsumer[slot] = 0;
-        --consumer.pendingProds;
-        if (slot < consumer.numAddrProds &&
-            --consumer.pendingAddrProds == 0 && consumer.is(kStore) &&
-            cfg.issue == IssueConfig::B)
-            resolveStore(consumer);
-        if (consumer.pendingProds == 0)
-            pushCandidate(consumer);
-    }
-}
-
-void
-CycleSim::resolveStore(RobEntry &store)
-{
-    const bool was_head = (usHead == store.seq);
-    if (store.usPrev != 0)
-        entryRef(store.usPrev).usNext = store.usNext;
-    else
-        usHead = store.usNext;
-    if (store.usNext != 0)
-        entryRef(store.usNext).usPrev = store.usPrev;
-    else
-        usTail = store.usPrev;
-    store.usPrev = store.usNext = 0;
-    // Only the oldest unresolved store gates config-B issue, so only
-    // its resolution can unblock anyone.
-    if (was_head)
-        wakeBlockedOnStore();
-}
-
-void
-CycleSim::wakeBlockedOnStore()
-{
-    for (const Seq seq : blockedOnStore) {
-        RobEntry &entry = entryRef(seq);
-        if (entry.seq != seq)
-            continue; // retired, slot since reused
-        entry.flags &= ~kBlockedStore;
-        pushCandidate(entry);
-    }
-    blockedOnStore.clear();
 }
 
 bool
 CycleSim::commitStage()
 {
     bool any = false;
-    for (unsigned n = 0; n < cfg.commitWidth && headSeq != tailSeq; ++n) {
-        RobEntry &head = entryRef(Seq(headSeq));
-        if (!head.is(kIssued) || head.completeCycle > now)
+    for (unsigned n = 0; n < cfg.commitWidth && !df.empty(); ++n) {
+        const RobEntry &head = df.oldest();
+        if (!head.is(kDone) || head.completeCycle > now)
             break;
-        if (head.dstReg != noReg && regProducer[head.dstReg] == head.seq)
-            regProducer[head.dstReg] = 0;
-        if (head.storeKey != 0)
-            storeProducer.eraseMatching(head.storeKey - 1, head.seq);
         if (serializeBlockSeq == head.seq)
             serializeBlockSeq = 0;
-        ++headSeq;
+        df.retireOldest();
         ++committed;
         any = true;
         if (!measuring && committed >= cfg.warmupInsts) {
@@ -406,7 +195,7 @@ CycleSim::commitStage()
 void
 CycleSim::issueEntry(RobEntry &entry)
 {
-    entry.flags |= kIssued;
+    entry.flags |= kDone;
     MLPSIM_ASSERT(iwOccupancy > 0, "issue window underflow");
     --iwOccupancy;
 
@@ -439,12 +228,12 @@ CycleSim::issueEntry(RobEntry &entry)
     if (cfg.issue == IssueConfig::A && entry.is(kMemOp)) {
         memFifo.pop();
         if (!memFifo.empty())
-            pushCandidate(entryRef(memFifo.front()));
+            df.pushCandidate(df.entryRef(memFifo.front()));
     }
     if (entry.is(kBranch)) {
         branchFifo.pop();
         if (!branchFifo.empty())
-            pushCandidate(entryRef(branchFifo.front()));
+            df.pushCandidate(df.entryRef(branchFifo.front()));
     }
 }
 
@@ -462,10 +251,9 @@ CycleSim::issueStage()
     // older entry of the guarded class had not issued by this cycle.
     bool any = false;
     unsigned issued_now = 0;
-    while (issued_now < cfg.issueWidth && !ready.empty()) {
-        RobEntry &entry = entryRef(ready.pop());
-        entry.flags &= ~kInCand;
-        if (entry.is(kIssued))
+    while (issued_now < cfg.issueWidth && df.hasCandidates()) {
+        RobEntry &entry = df.popCandidate();
+        if (entry.is(kDone))
             continue;
         if (entry.pendingProds != 0)
             continue; // woken by a queue advance ahead of its operands
@@ -474,12 +262,8 @@ CycleSim::issueStage()
             continue; // an older memory op has not issued
         if (entry.is(kBranch) && branchFifo.front() != entry.seq)
             continue; // an older branch has not issued
-        if (cfg.issue == IssueConfig::B && entry.is(kLoadLike) &&
-            usHead != 0 && uint64_t(usHead) < entry.seq) {
-            entry.flags |= kBlockedStore;
-            blockedOnStore.push_back(entry.seq);
+        if (entry.is(kLoadLike) && df.parkBehindUnresolvedStore(entry))
             continue; // an older store's address is unresolved
-        }
         issueEntry(entry);
         ++issued_now;
         any = true;
@@ -496,7 +280,7 @@ CycleSim::dispatchStage()
             break;
         if (serializeBlockSeq != 0)
             break; // draining behind a serializing instruction
-        if (robOccupancy() >= cfg.robSize ||
+        if (df.occupancy() >= cfg.robSize ||
             iwOccupancy >= cfg.issueWindowSize) {
             break;
         }
@@ -504,22 +288,16 @@ CycleSim::dispatchStage()
         if (ck.isSerializing(uint32_t(nextDispatchIdx - ck.base))) {
             // Straightforward drain: dispatch only into an empty ROB
             // and block younger dispatch until it commits.
-            if (robOccupancy() != 0)
+            if (!df.empty())
                 break;
-            if (robOccupancy() == ring.size())
-                growRing();
             makeEntry(nextDispatchIdx);
-            serializeBlockSeq = tailSeq;
-            ++tailSeq;
+            serializeBlockSeq = nextDispatchIdx + 1;
             ++iwOccupancy;
             ++nextDispatchIdx;
             any = true;
             break;
         }
-        if (robOccupancy() == ring.size())
-            growRing();
         makeEntry(nextDispatchIdx);
-        ++tailSeq;
         ++iwOccupancy;
         ++nextDispatchIdx;
         any = true;

@@ -20,29 +20,30 @@
  * its mean over the cycles where it is non-zero (paper Section 2.1).
  *
  * Implementation notes (DESIGN.md section 14). The scheduler is
- * event-driven, mirroring the epoch engine's PR 4 overhaul: in-flight
- * instructions live in a power-of-two ring buffer indexed by sequence
- * number, each entry carries an intrusive consumer list so it is
- * re-examined only when one of its at most four producers completes
- * (O(dependence edges) instead of an O(window) rescan every cycle),
- * completions and off-chip returns sit in a calendar ring of per-cycle
- * buckets (every event lies at most the largest configured latency
- * ahead, so the bucket index cycle & mask is unique) whose busy bitmap
- * also finds the next event when an idle stretch is skipped, and the
- * Table 2 issue constraints are tracked incrementally — in-order
- * FIFOs for config-A memory ops and for branches, an intrusive
- * unresolved-store list for config B — whose head advances wake
- * exactly the instructions those policies were blocking. Ready instructions drain
- * in ascending sequence order, which reproduces the old oldest-first
- * scan's issue order, and therefore every CycleSimResult bit, exactly.
+ * event-driven and shares its dependence tracking with the epoch
+ * engine: the dataflow window (core/dataflow_window.hh) holds the
+ * ring of in-flight instructions, renaming and store forwarding, the
+ * consumer lists that re-examine an instruction only when one of its
+ * producers completes (O(dependence edges) instead of an O(window)
+ * rescan every cycle), config B's unresolved-store list and the
+ * ready pool. This pipeline adds cycle timing: completions and
+ * off-chip returns sit in a calendar ring of per-cycle buckets (every
+ * event lies at most the largest configured latency ahead, so the
+ * bucket index cycle & mask is unique) whose busy bitmap also finds
+ * the next event when an idle stretch is skipped. Its Table 2 rules
+ * for config-A memory ops and for branches are in-order FIFOs whose
+ * head advances wake exactly the instructions they were blocking.
+ * Ready instructions drain in ascending sequence order, which
+ * reproduces the old oldest-first scan's issue order, and therefore
+ * every CycleSimResult bit, exactly.
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/chunk_window.hh"
+#include "core/dataflow_window.hh"
 #include "core/mlp_config.hh"
 #include "core/workload_context.hh"
 #include "util/seq_containers.hh"
@@ -137,52 +138,20 @@ class CycleSim
     CycleSimResult run();
 
   private:
-    /** Maximum producers per instruction: 3 registers + 1 memory. */
-    static constexpr unsigned maxProds = 4;
-
-    /** Sequence number: trace index + 1 (0 = null link). The 30-bit
-     *  budget comes from the packed consumer links below. */
     using Seq = util::Seq;
 
-    /** Consumer link: (consumer seq << 2) | producer slot; 0 = none. */
-    using Link = uint32_t;
+    // --- RobEntry::flags bits: the window's, then the pipeline's ---
+    using enum core::DataflowEntry::Flag;
+    static constexpr uint16_t kDMiss = kFirstEngineFlag << 0; //!< off-chip
+    static constexpr uint16_t kDL2 = kFirstEngineFlag << 1;   //!< L2 hit
+    static constexpr uint16_t kUsefulPmiss = kFirstEngineFlag << 2;
 
-    // --- RobEntry::flags bits ---
-    static constexpr uint16_t kIssued = 1 << 0;
-    static constexpr uint16_t kMemOp = 1 << 1;    //!< memory ordering
-    static constexpr uint16_t kPrefetch = 1 << 2; //!< non-binding hint
-    static constexpr uint16_t kLoadLike = 1 << 3; //!< load/prefetch/atomic
-    static constexpr uint16_t kStore = 1 << 4;
-    static constexpr uint16_t kBranch = 1 << 5;
-    static constexpr uint16_t kSerializing = 1 << 6;
-    static constexpr uint16_t kDMiss = 1 << 7;    //!< data goes off-chip
-    static constexpr uint16_t kDL2 = 1 << 8;      //!< data hits in L2
-    static constexpr uint16_t kUsefulPmiss = 1 << 9;
-    static constexpr uint16_t kInCand = 1 << 10;  //!< in the ready pool
-    static constexpr uint16_t kBlockedStore = 1 << 11; //!< config-B wait
-
-    /**
-     * One in-flight instruction: exactly one cache line. Producer seqs
-     * are not stored — registration converts them into consumer-list
-     * membership and the two pending counters; dstReg is cached so
-     * commit never touches the trace.
-     */
-    struct alignas(64) RobEntry
+    /** One in-flight instruction, exactly one cache line; kDone means
+     *  issued. */
+    struct alignas(64) RobEntry : core::DataflowEntry
     {
-        Seq seq = 0;
-        Link consumerHead = 0;         //!< newest-first waiter chain
         uint64_t completeCycle = 0;    //!< valid once issued
-        Link nextConsumer[maxProds] = {}; //!< chain tail per input slot
-        Seq usPrev = 0, usNext = 0;    //!< unresolved-store list (B)
-        uint64_t storeKey = 0;         //!< store-map key + 1 (stores)
-        uint8_t pendingProds = 0;      //!< producers not yet complete
-        uint8_t pendingAddrProds = 0;  //!< ... among the address inputs
-        uint8_t numAddrProds = 0;      //!< inputs 0..n) form the address
-        uint8_t dstReg = 0;            //!< destination (noReg if none)
-        uint16_t flags = 0;
         Seq nextDue = 0;               //!< next completion, same bucket
-
-        bool is(uint16_t f) const { return (flags & f) != 0; }
     };
 
     static_assert(sizeof(RobEntry) == 64,
@@ -212,24 +181,6 @@ class CycleSim
     void makeEntry(uint64_t idx);
     void issueEntry(RobEntry &entry);
     void drainDue();
-    void notifyConsumers(RobEntry &producer);
-    void resolveStore(RobEntry &store);
-    void wakeBlockedOnStore();
-    void growRing();
-    void linkUnresolvedStoreTail(RobEntry &entry);
-
-    /** Pool @p entry unless it is already pooled or issued. */
-    void
-    pushCandidate(RobEntry &entry)
-    {
-        if (entry.is(kInCand) || entry.is(kIssued))
-            return;
-        entry.flags |= kInCand;
-        ready.push(entry.seq);
-    }
-
-    uint64_t robOccupancy() const { return tailSeq - headSeq; }
-    RobEntry &entryRef(Seq seq) { return ring[seq & ringMask]; }
 
     unsigned dataLatency(const RobEntry &entry) const;
     void recordOffChip(uint64_t idx, uint64_t complete_cycle);
@@ -251,20 +202,10 @@ class CycleSim
 
     // --- machine state ---
     uint64_t now = 0;
-    std::vector<RobEntry> ring;        //!< power-of-two ring, seq & mask
-    uint32_t ringMask = 0;
-    uint64_t headSeq = 1;              //!< oldest in-flight seq
-    uint64_t tailSeq = 1;              //!< next seq to allocate
+    core::DataflowWindow<RobEntry> df; //!< ROB ring, renaming, wakeup
     unsigned iwOccupancy = 0;          //!< dispatched, not yet issued
-    std::array<Seq, trace::numArchRegs> regProducer{};
-    util::StoreMap storeProducer;      //!< newest in-flight store per line
     util::SeqFifo memFifo;             //!< config-A in-order memory ops
     util::SeqFifo branchFifo;          //!< in-order branches (A/B/C)
-    Seq usHead = 0;                    //!< unresolved stores (config B)
-    Seq usTail = 0;
-
-    util::ReadyPool ready;             //!< ready candidates, oldest first
-    std::vector<Seq> blockedOnStore;   //!< config-B entries to re-wake
 
     uint64_t nextFetchIdx = 0;
     uint64_t nextDispatchIdx = 0;

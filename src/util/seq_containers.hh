@@ -1,16 +1,15 @@
 /**
  * @file
- * Sequence-number containers shared by the event-driven simulators.
+ * Sequence-number containers for the event-driven simulators.
  *
  * Both the epoch engine (DESIGN.md section 12) and the cycle-accurate
- * reference pipeline (section 14) track in-flight instructions by a
- * 32-bit sequence number (trace index + 1, 0 = null) and need the same
- * two hot-path structures: an in-order FIFO of seqs for the Table 2
- * issue constraints (config-A memory ops, in-order branches) and a
- * map from store line key to the newest in-flight store writing it.
- * They were born inside EpochEngine during the PR 4 overhaul and are
- * hoisted here so CycleSim's scheduler can use the identical,
- * already-golden-tested code instead of a copy.
+ * pipeline (section 14) track in-flight instructions by a 32-bit
+ * sequence number (trace index + 1, 0 = null). Their shared dependence
+ * state, core/dataflow_window.hh, keeps the newest in-flight store per
+ * address key in a StoreMap and its ready candidates in a ReadyPool;
+ * each engine keeps SeqFifos for its Table 2 in-order issue rules
+ * (config-A memory ops, in-order branches). None of the three knows
+ * about entries or timing.
  */
 #pragma once
 
@@ -128,8 +127,7 @@ class ReadyPool
  * Open-addressing map from store line key to the seq of the newest
  * in-flight store to that line (replaces std::unordered_map on the
  * dispatch/retire hot path). Linear probing with backward-shift
- * deletion; clear() is O(1) by bumping the generation stamp, so a
- * stale slot reads as empty without touching memory.
+ * deletion; a slot with seq 0 is empty.
  */
 class StoreMap
 {
@@ -141,10 +139,7 @@ class StoreMap
         slots.assign(cap, Slot{});
         mask = cap - 1;
         live = 0;
-        gen = 1;
     }
-
-    void clear() { ++gen; live = 0; }
 
     /** Seq of the newest in-flight store to @p key (0 if none). */
     Seq
@@ -174,7 +169,7 @@ class StoreMap
             }
             i = (i + 1) & mask;
         }
-        slots[i] = Slot{key, seq, gen};
+        slots[i] = Slot{key, seq};
         ++live;
     }
 
@@ -215,13 +210,9 @@ class StoreMap
     {
         uint64_t key = 0;
         Seq seq = 0;   //!< 0 = empty
-        uint32_t gen = 0;
     };
 
-    bool occupied(const Slot &s) const
-    {
-        return s.seq != 0 && s.gen == gen;
-    }
+    static bool occupied(const Slot &s) { return s.seq != 0; }
 
     size_t probe(uint64_t key) const
     {
@@ -234,13 +225,11 @@ class StoreMap
     {
         std::vector<Slot> old;
         old.swap(slots);
-        const uint32_t old_gen = gen;
         slots.assign(std::max<size_t>(old.size() * 2, 64), Slot{});
         mask = slots.size() - 1;
         live = 0;
-        gen = 1;
         for (const Slot &s : old) {
-            if (s.seq != 0 && s.gen == old_gen)
+            if (occupied(s))
                 put(s.key, s.seq);
         }
     }
@@ -248,7 +237,6 @@ class StoreMap
     std::vector<Slot> slots;
     size_t mask = 0;
     size_t live = 0;
-    uint32_t gen = 1;
 };
 
 } // namespace mlpsim::util

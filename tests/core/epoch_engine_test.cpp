@@ -306,6 +306,88 @@ TEST(EpochEngine, StoreForwardingCreatesMemoryDependence)
     EXPECT_DOUBLE_EQ(r.mlp(), 1.0);
 }
 
+TEST(EpochEngine, SameRegisterInTwoSourceSlotsWakesOnce)
+{
+    // The ALU reads r1 in both source slots, so the missing load feeds
+    // it twice. Epoch 1: that load and the independent miss. Epoch 2:
+    // r1 arrives, the ALU executes, and the miss behind it issues.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeAlu(0x104, r2, r1, r1));
+    s.add(makeLoad(0x108, r3, 0xB000, r2), Miss::Data);
+    s.add(makeLoad(0x10c, r4, 0xC000, noReg), Miss::Data);
+    const auto r = s.run(MlpConfig::sized(64, IssueConfig::C));
+    EXPECT_EQ(r.epochs, 2u);
+    EXPECT_EQ(r.usefulAccesses, 3u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(1), 1u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(2), 1u);
+    EXPECT_DOUBLE_EQ(r.mlp(), 1.5);
+}
+
+TEST(EpochEngine, ConfigBStoreWithAddressAndDataFromOneMiss)
+{
+    // The store's address and data both come from the missing load.
+    // Under config B the younger independent miss waits for that
+    // address: epoch 1 holds the first miss (charged to Dep store),
+    // epoch 2 the second once r1 resolves the store.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeStore(0x104, 0xB000, /*data=*/r1, /*addr=*/r1));
+    s.add(makeLoad(0x108, r2, 0xC000, noReg), Miss::Data);
+    const auto rb = s.run(MlpConfig::sized(64, IssueConfig::B));
+    EXPECT_EQ(rb.epochs, 2u);
+    EXPECT_EQ(rb.inhibitors[Inhibitor::DepStore], 1u);
+    EXPECT_EQ(rb.inhibitors[Inhibitor::EndOfTrace], 1u);
+    EXPECT_DOUBLE_EQ(rb.mlp(), 1.0);
+
+    // Config C lets the two misses overlap.
+    const auto rc = s.run(MlpConfig::sized(64, IssueConfig::C));
+    EXPECT_EQ(rc.epochs, 1u);
+    EXPECT_DOUBLE_EQ(rc.mlp(), 2.0);
+}
+
+TEST(EpochEngine, ConfigBStoreDataArrivingFirstLeavesItsAddressOpen)
+{
+    // The store's data (r1) arrives at the end of epoch 1, its address
+    // (r3, two misses deep) at the end of epoch 2. Only the address
+    // may release the younger independent miss under config B, so
+    // that miss waits for epoch 3.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeLoad(0x104, r2, 0xB000, noReg), Miss::Data);
+    s.add(makeLoad(0x108, r3, 0xC000, r2), Miss::Data);
+    s.add(makeStore(0x10c, 0xD000, /*data=*/r1, /*addr=*/r3));
+    s.add(makeLoad(0x110, r4, 0xE000, noReg), Miss::Data);
+    const auto r = s.run(MlpConfig::sized(64, IssueConfig::B));
+    EXPECT_EQ(r.epochs, 3u);
+    EXPECT_EQ(r.usefulAccesses, 4u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(1), 2u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(2), 1u);
+}
+
+TEST(EpochEngine, LoadForwardsFromTheAtomicThatProducedItsAddress)
+{
+    // Under config E the atomic does not serialize, so the load behind
+    // it dispatches while it is in flight: the atomic is both the
+    // load's address producer (r1) and the store it forwards from
+    // (0xA000). Epoch 1: the atomic's miss and the independent one.
+    // Epoch 2: the load executes on-chip and the miss behind it
+    // issues.
+    ScriptedTrace s;
+    auto atomic = makeSerializing(0x100, 0xA000);
+    atomic.dst = r1;
+    s.add(atomic, Miss::Data);
+    s.add(makeLoad(0x104, r2, 0xA000, r1));
+    s.add(makeLoad(0x108, r3, 0xB000, r2), Miss::Data);
+    s.add(makeLoad(0x10c, r4, 0xC000, noReg), Miss::Data);
+    const auto r = s.run(MlpConfig::sized(64, IssueConfig::E));
+    EXPECT_EQ(r.epochs, 2u);
+    EXPECT_EQ(r.usefulAccesses, 3u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(1), 1u);
+    EXPECT_EQ(r.accessesPerEpoch.buckets().at(2), 1u);
+    EXPECT_DOUBLE_EQ(r.mlp(), 1.5);
+}
+
 TEST(EpochEngine, DepStoreClassification)
 {
     // Config B: a store with an unresolved (miss-dependent) address

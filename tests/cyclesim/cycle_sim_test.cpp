@@ -28,7 +28,7 @@ using trace::noReg;
 
 namespace {
 
-constexpr uint8_t r1 = 1, r2 = 2;
+constexpr uint8_t r1 = 1, r2 = 2, r3 = 3;
 
 cyclesim::CycleSimResult
 run(ScriptedTrace &s, const CycleSimConfig &cfg)
@@ -320,6 +320,93 @@ TEST(CycleSim, BackToBackFetchMissesEachStallOnce)
     EXPECT_EQ(r.offChipAccesses, 2u);
     EXPECT_GT(r.cycles, 500u);
     EXPECT_LT(r.cycles, 560u);
+}
+
+// --- dependence edge cases, cycles derived by hand for the default
+// config: fetch at cycle 0, dispatch at 1, first issue at 2, ALU and
+// store latency 1, L1 3, off-chip 200; a run ends the cycle after its
+// last commit ---
+
+TEST(CycleSim, SameRegisterInTwoSourceSlotsWakesOnce)
+{
+    // The ALU reads r1 in both source slots. The miss issues at 2 and
+    // returns at 202; the ALU issues then and completes at 203, when
+    // the dependent miss issues; it returns at 403.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeAlu(0x104, r2, r1, r1));
+    s.add(makeLoad(0x108, r3, 0xB000, r2), Miss::Data);
+    const auto r = run(s, CycleSimConfig{});
+    EXPECT_EQ(r.cycles, 404u);
+    EXPECT_EQ(r.offChipAccesses, 2u);
+    EXPECT_EQ(r.mlpCycles, 400u);
+    EXPECT_DOUBLE_EQ(r.mlp(), 1.0);
+}
+
+TEST(CycleSim, ConfigBStoreWithAddressAndDataFromOneMiss)
+{
+    // The store's address and data both come from the missing load.
+    // Under config B the younger independent miss is parked at 2 until
+    // that load returns at 202 and resolves the store; it then issues
+    // and returns at 402.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeStore(0x104, 0xB000, /*data=*/r1, /*addr=*/r1));
+    s.add(makeLoad(0x108, r2, 0xC000, noReg), Miss::Data);
+    CycleSimConfig cfg;
+    cfg.issue = IssueConfig::B;
+    const auto rb = run(s, cfg);
+    EXPECT_EQ(rb.cycles, 403u);
+    EXPECT_EQ(rb.mlpCycles, 400u);
+    EXPECT_DOUBLE_EQ(rb.mlp(), 1.0);
+
+    // Config C issues both misses at 2; both return at 202, the store
+    // completes at 203 and the last two commit then.
+    cfg.issue = IssueConfig::C;
+    const auto rc = run(s, cfg);
+    EXPECT_EQ(rc.cycles, 204u);
+    EXPECT_EQ(rc.mlpCycles, 200u);
+    EXPECT_DOUBLE_EQ(rc.mlp(), 2.0);
+}
+
+TEST(CycleSim, ConfigBStoreDataArrivingFirstLeavesItsAddressOpen)
+{
+    // The store's data (an ALU issued at 2) completes at 3; its
+    // address comes from the miss that returns at 202. Under config B
+    // the younger independent miss may only issue once the address is
+    // known: at 202, returning at 402.
+    ScriptedTrace s;
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::Data);
+    s.add(makeAlu(0x104, r2));
+    s.add(makeStore(0x108, 0xD000, /*data=*/r2, /*addr=*/r1));
+    s.add(makeLoad(0x10c, r3, 0xE000, noReg), Miss::Data);
+    CycleSimConfig cfg;
+    cfg.issue = IssueConfig::B;
+    const auto r = run(s, cfg);
+    EXPECT_EQ(r.cycles, 403u);
+    EXPECT_EQ(r.mlpCycles, 400u);
+    EXPECT_DOUBLE_EQ(r.mlp(), 1.0);
+}
+
+TEST(CycleSim, LoadBehindTheAtomicThatProducedItsAddress)
+{
+    // The load reads r1 from the atomic and forwards from its 0xA000
+    // write, but the atomic drains the pipeline: it dispatches alone,
+    // issues at 2 and commits at 202, and only then do the load and
+    // its dependent miss dispatch, with both edges already satisfied.
+    // The load issues at 203 (L1, done at 206); the miss issues at 206
+    // and returns at 406.
+    ScriptedTrace s;
+    auto atomic = makeSerializing(0x100, 0xA000);
+    atomic.dst = r1;
+    s.add(atomic, Miss::Data);
+    s.add(makeLoad(0x104, r2, 0xA000, r1));
+    s.add(makeLoad(0x108, r3, 0xB000, r2), Miss::Data);
+    const auto r = run(s, CycleSimConfig{});
+    EXPECT_EQ(r.cycles, 407u);
+    EXPECT_EQ(r.offChipAccesses, 2u);
+    EXPECT_EQ(r.mlpCycles, 400u);
+    EXPECT_DOUBLE_EQ(r.mlp(), 1.0);
 }
 
 TEST(CycleSim, PerfectL2ReportsNoMlp)
