@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <mutex>
-#include <optional>
 
 #include "metrics/export.hh"
 #include "metrics/registry.hh"
@@ -179,58 +178,24 @@ BenchSetup::fromOptions(const Options &opts,
     return tryFromOptions(opts, std::move(extra_flags)).orFatal();
 }
 
-PreparedWorkload
+core::PreparedTrace
 prepareWorkload(const std::string &name, const BenchSetup &setup)
 {
     metrics::ScopedLabel wl_label(name);
-    PreparedWorkload prepared;
-    prepared.name = name;
-    prepared.warmupInsts = setup.warmupInsts;
-
-    core::AnnotationOptions annotation = setup.annotation;
-    annotation.warmupInsts = setup.warmupInsts;
-    const uint64_t total = setup.warmupInsts + setup.measureInsts;
-
-    const trace::ChunkSource *trace = nullptr;
-    if (setup.streaming()) {
-        // Streamed mode: no trace buffer is ever materialised. The
-        // factory re-creates the generator — with the same
-        // name-derived seed — for every stream open, so the annotate
-        // pass and each engine run replay the identical instruction
-        // sequence.
-        prepared.source = std::make_unique<trace::GeneratedChunkSource>(
-            name, total,
-            [name] {
-                return workloads::makeWorkload(
-                    name, workloads::workloadSeed(name));
-            },
-            setup.streamChunk);
-        trace = prepared.source.get();
-    } else {
-        // The explicit workloadSeed(name) pins the trace to the
-        // workload's name: preparation order, thread assignment and
-        // --jobs value cannot change a single emitted instruction.
-        auto generator =
-            workloads::makeWorkload(name, workloads::workloadSeed(name));
-        prepared.buffer = std::make_unique<trace::TraceBuffer>(name);
-        metrics::ScopedTimer t("workloads/generate_s");
-        prepared.buffer->fill(*generator, total);
-        trace = prepared.buffer.get();
-    }
-    prepared.annotated = std::make_unique<core::AnnotatedTrace>(
-        core::AnnotatedTrace::make(*trace, annotation).orFatal());
-    if (metrics::enabled()) {
-        // Both modes count the instructions the annotate pass saw, so
-        // their metric snapshots stay byte-identical.
-        auto &reg = metrics::cur();
-        reg.add(metrics::scopedPath("workloads/traces"), 1);
-        reg.add(metrics::scopedPath("workloads/generated_insts"),
-                prepared.annotated->instructions());
-    }
-    return prepared;
+    core::TraceSpec spec;
+    spec.workload = name;
+    // The explicit workloadSeed(name) pins the trace to the workload's
+    // name: preparation order, thread assignment and --jobs value
+    // cannot change a single emitted instruction.
+    spec.seed = workloads::workloadSeed(name);
+    spec.totalInsts = setup.warmupInsts + setup.measureInsts;
+    spec.streamChunk = setup.streamChunk;
+    spec.annotation = setup.annotation;
+    spec.annotation.warmupInsts = setup.warmupInsts;
+    return core::PreparedTrace::make(spec).orFatal();
 }
 
-std::vector<PreparedWorkload>
+std::vector<core::PreparedTrace>
 prepareAll(const BenchSetup &setup, const Options &opts)
 {
     std::vector<std::string> names;
@@ -245,17 +210,17 @@ prepareAll(const BenchSetup &setup, const Options &opts)
     // Each generator owns a private Rng seeded from the workload name,
     // so concurrent materialisation yields bit-identical traces.
     SweepRunner runner(setup.jobs);
-    std::vector<Job<PreparedWorkload>> jobs;
+    std::vector<Job<core::PreparedTrace>> jobs;
     jobs.reserve(names.size());
     for (const auto &name : names) {
-        jobs.push_back(runner.defer<PreparedWorkload>(
+        jobs.push_back(runner.defer<core::PreparedTrace>(
             "prepare " + name,
             [name, &setup] { return prepareWorkload(name, setup); }));
     }
     runner.runAll();
     reportBatch("prepare", runner.jobs(), runner.lastBatch());
 
-    std::vector<PreparedWorkload> all;
+    std::vector<core::PreparedTrace> all;
     all.reserve(jobs.size());
     for (auto &job : jobs)
         all.push_back(job.take());
@@ -264,20 +229,10 @@ prepareAll(const BenchSetup &setup, const Options &opts)
 
 namespace {
 
-core::MlpResult
-mlpCell(core::MlpConfig config, const PreparedWorkload &workload,
-        const core::WorkloadContext &ctx)
-{
-    config.warmupInsts = workload.warmupInsts;
-    return core::runMlp(config, ctx);
-}
-
 cyclesim::CycleSimResult
-cycleSimCell(cyclesim::CycleSimConfig config,
-             const PreparedWorkload &workload,
+cycleSimCell(const cyclesim::CycleSimConfig &config,
              const core::WorkloadContext &ctx)
 {
-    config.warmupInsts = workload.warmupInsts;
     // Surface a malformed grid cell as a Status diagnostic up front
     // instead of an assertion from inside the simulator.
     config.validate().orFatal();
@@ -287,16 +242,10 @@ cycleSimCell(cyclesim::CycleSimConfig config,
 } // namespace
 
 core::MlpResult
-runMlp(core::MlpConfig config, const PreparedWorkload &workload)
+runMlp(core::MlpConfig config, const core::PreparedTrace &workload)
 {
-    return mlpCell(config, workload, workload.annotated->context());
-}
-
-cyclesim::CycleSimResult
-runCycleSim(cyclesim::CycleSimConfig config,
-            const PreparedWorkload &workload)
-{
-    return cycleSimCell(config, workload, workload.annotated->context());
+    config.warmupInsts = workload.warmupInsts();
+    return core::runMlp(config, workload.context());
 }
 
 Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
@@ -309,58 +258,29 @@ Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
 template <typename R, typename Config>
 Job<R>
 Sweep::cell(const char *kind, Config config,
-            const PreparedWorkload &workload,
-            R (*body)(Config, const PreparedWorkload &,
-                      const core::WorkloadContext &))
+            const core::PreparedTrace &workload,
+            R (*body)(const Config &, const core::WorkloadContext &))
 {
-    const PreparedWorkload *wl = &workload;
-    const std::string label = kind + (" " + workload.name);
-    auto labelled = [config, wl, body](const core::WorkloadContext &ctx) {
-        metrics::ScopedLabel wl_label(wl->name);
-        metrics::ScopedLabel cfg_label(config.metricLabel());
-        return body(config, *wl, ctx);
-    };
-    const core::WorkloadContext ctx = workload.annotated->context();
-    if (!core::sharesGeneration(ctx) || !runner.jobLimits().shareable())
-        return runner.defer<R>(label,
-                               [labelled, ctx] { return labelled(ctx); });
-
-    // Shared-generation path: the cell joins its workload's group and
-    // consumes a claimed fan-out slot; its job commits exactly this
-    // cell's result and metrics (see SharedCellGroup).
-    core::SharedCellGroup *group = groupFor(workload);
-    auto slot = std::make_shared<std::optional<R>>();
-    const size_t index = group->add(core::SharedCell{
-        label, [labelled, slot](const core::WorkloadContext &c) {
-            slot->emplace(labelled(c));
-        }});
-    return runner.defer<R>(label, [group, index, slot] {
-        group->runCell(index);
-        return std::move(**slot);
-    });
-}
-
-core::SharedCellGroup *
-Sweep::groupFor(const PreparedWorkload &workload)
-{
-    for (auto &entry : groups)
-        if (entry.first == &workload)
-            return entry.second.get();
-    groups.emplace_back(&workload,
-                        std::make_unique<core::SharedCellGroup>(
-                            workload.annotated->context()));
-    return groups.back().second.get();
+    config.warmupInsts = workload.warmupInsts();
+    const std::string name = workload.name();
+    return grid.defer<R>(
+        runner, workload, kind + (" " + name),
+        [config, name, body](const core::WorkloadContext &ctx) {
+            metrics::ScopedLabel wl_label(name);
+            metrics::ScopedLabel cfg_label(config.metricLabel());
+            return body(config, ctx);
+        });
 }
 
 Job<core::MlpResult>
-Sweep::mlp(core::MlpConfig config, const PreparedWorkload &workload)
+Sweep::mlp(core::MlpConfig config, const core::PreparedTrace &workload)
 {
-    return cell("mlp", config, workload, &mlpCell);
+    return cell("mlp", config, workload, &core::runMlp);
 }
 
 Job<cyclesim::CycleSimResult>
 Sweep::cycleSim(cyclesim::CycleSimConfig config,
-                const PreparedWorkload &workload)
+                const core::PreparedTrace &workload)
 {
     return cell("cyclesim", config, workload, &cycleSimCell);
 }
@@ -371,7 +291,7 @@ Sweep::run(const std::string &what)
     runner.runAll();
     // Groups are single-batch: a dependent second stage builds fresh
     // ones (the old groups' jobs have all committed by now).
-    groups.clear();
+    grid.clear();
     reportBatch(what, runner.jobs(), runner.lastBatch());
     recordBatch(runner.lastBatch(), runner.lastFailures());
 }

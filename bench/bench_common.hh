@@ -41,17 +41,6 @@
 
 namespace mlpsim::bench {
 
-/**
- * One prepared (annotated) workload: a core::PreparedTrace, materialised
- * by default or streamed under --stream-chunk, plus its name and
- * warm-up budget.
- */
-struct PreparedWorkload : core::PreparedTrace
-{
-    std::string name;
-    uint64_t warmupInsts = 0;
-};
-
 /** Instruction budgets and annotation knobs for a bench run. */
 struct BenchSetup
 {
@@ -70,8 +59,6 @@ struct BenchSetup
      * ~5x+ lower peak RSS on long traces.
      */
     uint32_t streamChunk = 0;
-
-    bool streaming() const { return streamChunk != 0; }
 
     /**
      * Destination for the deterministic metrics snapshot ("" = metric
@@ -128,29 +115,26 @@ struct BenchSetup
 };
 
 /**
- * Build one workload under @p setup. @p name must be one of
- * workloads::commercialWorkloadNames(). The trace seed is
+ * Build one workload under @p setup (core::PreparedTrace::make),
+ * materialised or streamed per setup.streamChunk. @p name must be one
+ * of workloads::commercialWorkloadNames(). The trace seed is
  * workloads::workloadSeed(name), so the result does not depend on
  * which thread (or in which order) the preparation runs.
  */
-PreparedWorkload prepareWorkload(const std::string &name,
-                                 const BenchSetup &setup);
+core::PreparedTrace prepareWorkload(const std::string &name,
+                                    const BenchSetup &setup);
 
 /**
  * Build all three workloads (or only --workload=<name> if given),
  * concurrently on setup.jobs threads, returned in canonical
  * (paper) order.
  */
-std::vector<PreparedWorkload> prepareAll(const BenchSetup &setup,
-                                         const Options &opts);
+std::vector<core::PreparedTrace> prepareAll(const BenchSetup &setup,
+                                            const Options &opts);
 
 /** Run the epoch model with warm-up taken from @p workload. */
 core::MlpResult runMlp(core::MlpConfig config,
-                       const PreparedWorkload &workload);
-
-/** Run the timed reference simulator likewise. */
-cyclesim::CycleSimResult runCycleSim(cyclesim::CycleSimConfig config,
-                                     const PreparedWorkload &workload);
+                       const core::PreparedTrace &workload);
 
 /**
  * A bench's deferred job grid. Cells are enqueued with mlp() /
@@ -168,11 +152,12 @@ class Sweep
 
     /** Defer one epoch-model cell. @p workload must outlive run(). */
     Job<core::MlpResult> mlp(core::MlpConfig config,
-                             const PreparedWorkload &workload);
+                             const core::PreparedTrace &workload);
 
     /** Defer one timed-pipeline cell. */
-    Job<cyclesim::CycleSimResult> cycleSim(cyclesim::CycleSimConfig config,
-                                           const PreparedWorkload &workload);
+    Job<cyclesim::CycleSimResult>
+    cycleSim(cyclesim::CycleSimConfig config,
+             const core::PreparedTrace &workload);
 
     /** Defer an arbitrary cell (e.g. prepare-variant-then-run). */
     template <typename T, typename Fn>
@@ -194,27 +179,16 @@ class Sweep
   private:
     /**
      * Defer one simulator cell, labelled "<kind> <workload>", that
-     * runs @p body. A streamed workload's cell joins its
-     * shared-generation group when the job limits allow sharing
-     * (JobLimits::shareable()); any other cell is a plain job.
+     * runs @p body at the workload's warm-up. The grid decides whether
+     * it rides its workload's shared generation (core::CellGrid).
      */
     template <typename R, typename Config>
     Job<R> cell(const char *kind, Config config,
-                const PreparedWorkload &workload,
-                R (*body)(Config, const PreparedWorkload &,
-                          const core::WorkloadContext &));
-
-    /** The shared-generation group for @p workload (created on first
-     *  use; one per workload per batch). */
-    core::SharedCellGroup *groupFor(const PreparedWorkload &workload);
+                const core::PreparedTrace &workload,
+                R (*body)(const Config &, const core::WorkloadContext &));
 
     SweepRunner runner;
-    /** Streamed cells of one batch, grouped by workload so each group
-     *  rides shared stream generations (results and metric snapshots
-     *  are byte-identical to running every cell on its own). */
-    std::vector<std::pair<const PreparedWorkload *,
-                          std::unique_ptr<core::SharedCellGroup>>>
-        groups;
+    core::CellGrid grid;
 };
 
 /** Print the standard bench banner (what/how much was simulated). */

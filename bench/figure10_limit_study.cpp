@@ -20,7 +20,7 @@ using namespace mlpsim::bench;
 namespace {
 
 /** Re-annotate a workload with perfect-feature substrates. */
-PreparedWorkload
+core::PreparedTrace
 prepareVariant(const std::string &name, const BenchSetup &base,
                bool perf_i, bool perf_bp, bool perf_vp)
 {

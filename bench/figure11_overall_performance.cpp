@@ -85,7 +85,7 @@ main(int argc, char **argv)
             if (m.perfBp || m.perfVp) {
                 // The perfect-substrate machine re-annotates its own
                 // private copy of the workload inside the cell.
-                const std::string name = wl.name;
+                const std::string name = wl.name();
                 const bool perf_bp = m.perfBp;
                 const bool perf_vp = m.perfVp;
                 const core::MlpConfig cfg = m.cfg;
@@ -129,7 +129,7 @@ main(int argc, char **argv)
         for (size_t mi = 0; mi < numMachines; ++mi) {
             const auto &r = cells.machine[mi].get();
             const double cpi = estimate(r);
-            table.addRow({wl.name, machines[mi].label,
+            table.addRow({wl.name(), machines[mi].label,
                           TextTable::num(r.mlp()), TextTable::num(cpi),
                           TextTable::num(core::speedupPercent(base_cpi,
                                                               cpi),

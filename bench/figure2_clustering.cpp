@@ -29,10 +29,10 @@ main(int argc, char **argv)
     TextTable table({"workload", "mean-dist", "N", "observed CDF",
                      "uniform CDF"});
     for (const auto &wl : prepareAll(setup, opts)) {
-        const auto &hist = wl.annotated->misses().interMissDistance;
+        const auto &hist = wl.annotated().misses().interMissDistance;
         const double mean = hist.mean();
         for (unsigned n : distances) {
-            table.addRow({wl.name, TextTable::num(mean, 0),
+            table.addRow({wl.name(), TextTable::num(mean, 0),
                           std::to_string(n),
                           TextTable::num(hist.cdfAt(n), 3),
                           TextTable::num(uniformInterMissCdf(mean, n),

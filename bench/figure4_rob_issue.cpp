@@ -44,7 +44,7 @@ main(int argc, char **argv)
 
     size_t cell = 0;
     for (const auto &wl : wls) {
-        std::printf("-- %s --\n", wl.name.c_str());
+        std::printf("-- %s --\n", wl.name().c_str());
         TextTable table({"window/ROB", "A", "B", "C", "D", "E"});
         for (unsigned window : {16u, 32u, 64u, 128u, 256u}) {
             std::vector<std::string> row{std::to_string(window)};

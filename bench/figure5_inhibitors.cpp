@@ -41,7 +41,7 @@ main(int argc, char **argv)
 
     size_t cell = 0;
     for (const auto &wl : wls) {
-        std::printf("-- %s --\n", wl.name.c_str());
+        std::printf("-- %s --\n", wl.name().c_str());
         std::vector<std::string> header{"config"};
         for (size_t i = 0; i < core::numInhibitors; ++i)
             header.push_back(

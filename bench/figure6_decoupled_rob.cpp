@@ -70,7 +70,7 @@ main(int argc, char **argv)
 
     for (size_t w = 0; w < wls.size(); ++w) {
         const Cells &cells = perWl[w];
-        std::printf("-- %s --\n", wls[w].name.c_str());
+        std::printf("-- %s --\n", wls[w].name().c_str());
         TextTable table({"window+cfg", "1X", "2X", "4X", "8X", "2048"});
         size_t cell = 0;
         for (unsigned window : {16u, 32u, 64u, 128u}) {
@@ -102,7 +102,7 @@ main(int argc, char **argv)
         std::printf("  %-12s 64D rob 64->256: %+.0f%% (paper db/jbb/web "
                     "+16/+12/+2)   64E rob 64->1024: %+.0f%% (paper "
                     "+51/+49/+22)\n",
-                    wls[w].name.c_str(), g1, g2);
+                    wls[w].name().c_str(), g1, g2);
     }
     writeBenchOutputs(setup, "figure6_decoupled_rob");
     return 0;

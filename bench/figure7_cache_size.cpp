@@ -22,7 +22,7 @@ main(int argc, char **argv)
                 setup);
 
     // Each cell re-annotates its workload with a different L2, so the
-    // whole PreparedWorkload is private to (and owned by) the cell.
+    // whole prepared trace is private to (and owned by) the cell.
     struct CellResult
     {
         double missPer100;
@@ -52,7 +52,7 @@ main(int argc, char **argv)
                     const auto r =
                         runMlp(core::MlpConfig::defaultOoO(), wl);
                     return CellResult{
-                        wl.annotated->misses().missRatePer100(),
+                        wl.annotated().misses().missRatePer100(),
                         r.mlp()};
                 });
             cells.push_back(CellRef{name, kb, std::move(job)});

@@ -48,7 +48,7 @@ main(int argc, char **argv)
         const double rae = cells[cell++].get().mlp();
         const double inf = cells[cell++].get().mlp();
 
-        table.addRow({wl.name, TextTable::num(m64),
+        table.addRow({wl.name(), TextTable::num(m64),
                       TextTable::num(m256), TextTable::num(rae),
                       TextTable::num(inf),
                       TextTable::num(100.0 * (rae / m64 - 1.0), 0) + "%",

@@ -60,8 +60,8 @@ main(int argc, char **argv)
     int wi = 0;
     size_t cell = 0;
     for (const auto &wl : wls) {
-        const auto &v = wl.annotated->values();
-        t6.addRow({wl.name, TextTable::num(100 * v.fracCorrect(), 0) + "%",
+        const auto &v = wl.annotated().values();
+        t6.addRow({wl.name(), TextTable::num(100 * v.fracCorrect(), 0) + "%",
                    TextTable::num(100 * v.fracWrong(), 0) + "%",
                    TextTable::num(100 * v.fracNoPredict(), 0) + "%", "|",
                    "", paper6[wi][0], paper6[wi][1], paper6[wi][2]});
@@ -70,7 +70,7 @@ main(int argc, char **argv)
         for (const auto &m : machines) {
             const double base = cells[cell++].get().mlp();
             const double vp = cells[cell++].get().mlp();
-            t9.addRow({wl.name, m.label, TextTable::num(base),
+            t9.addRow({wl.name(), m.label, TextTable::num(base),
                        TextTable::num(vp),
                        TextTable::num(100.0 * (vp / base - 1.0), 1) +
                            "%"});

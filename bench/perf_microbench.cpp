@@ -22,8 +22,6 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -41,6 +39,7 @@
 #include "metrics/json.hh"
 #include "trace/stream_source.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "workloads/factory.hh"
 #include "workloads/micro.hh"
 
@@ -50,29 +49,37 @@ using namespace mlpsim;
 
 constexpr uint64_t traceInsts = 200'000;
 
-const core::AnnotatedTrace &
+/** A trace built once per process (core::PreparedTrace::make) and
+ *  cached by its spec. */
+const core::PreparedTrace &
+prepared(const std::string &name, uint64_t seed, uint64_t insts,
+         uint64_t warmup, uint32_t stream_chunk)
+{
+    static std::map<std::tuple<std::string, uint64_t, uint64_t, uint64_t,
+                               uint32_t>,
+                    core::PreparedTrace>
+        cache;
+    const auto key = std::make_tuple(name, seed, insts, warmup, stream_chunk);
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+        core::TraceSpec spec;
+        spec.workload = name;
+        spec.seed = seed;
+        spec.totalInsts = insts;
+        spec.streamChunk = stream_chunk;
+        spec.annotation.warmupInsts = warmup;
+        it = cache.emplace(key, core::PreparedTrace::make(spec).orFatal())
+                 .first;
+    }
+    return it->second;
+}
+
+/** A materialised preset trace, annotated with @p warmup excluded. */
+const core::PreparedTrace &
 annotatedWorkload(const std::string &name, uint64_t insts = traceInsts,
                   uint64_t warmup = 0)
 {
-    static std::map<std::tuple<std::string, uint64_t, uint64_t>,
-                    std::pair<std::unique_ptr<trace::TraceBuffer>,
-                              std::unique_ptr<core::AnnotatedTrace>>>
-        cache;
-    const auto key = std::make_tuple(name, insts, warmup);
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-        auto buffer = std::make_unique<trace::TraceBuffer>(name);
-        auto generator = workloads::makeWorkload(name);
-        buffer->fill(*generator, insts);
-        core::AnnotationOptions opts;
-        opts.warmupInsts = warmup;
-        auto annotated = std::make_unique<core::AnnotatedTrace>(
-            core::AnnotatedTrace::make(*buffer, opts).orFatal());
-        it = cache.emplace(key, std::make_pair(std::move(buffer),
-                                               std::move(annotated)))
-                 .first;
-    }
-    return *it->second.second;
+    return prepared(name, workloads::presetSeed(name), insts, warmup, 0);
 }
 
 void
@@ -130,29 +137,11 @@ BENCHMARK(BM_EpochEngineWarm)->Arg(64)->Arg(256);
  * re-streams the trace from the replayable source instead of reading
  * a materialised buffer.
  */
-const core::AnnotatedTrace &
+const core::PreparedTrace &
 streamedWorkload(const std::string &name)
 {
-    static std::map<
-        std::string,
-        std::pair<std::unique_ptr<trace::GeneratedChunkSource>,
-                  std::unique_ptr<core::AnnotatedTrace>>>
-        cache;
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        auto source = std::make_unique<trace::GeneratedChunkSource>(
-            name, traceInsts, [name] {
-                return workloads::makeWorkload(
-                    name, workloads::workloadSeed(name));
-            });
-        auto streamed = std::make_unique<core::AnnotatedTrace>(
-            core::AnnotatedTrace::make(*source, core::AnnotationOptions{})
-                .orFatal());
-        it = cache.emplace(name, std::make_pair(std::move(source),
-                                                std::move(streamed)))
-                 .first;
-    }
-    return *it->second.second;
+    return prepared(name, workloads::workloadSeed(name), traceInsts, 0,
+                    trace::defaultChunkCapacity);
 }
 
 /** Consumers sharing one broadcast generation per BM_EpochEngineStream
@@ -165,37 +154,42 @@ streamedWorkload(const std::string &name)
 constexpr size_t streamFanout = 16;
 
 /** Same config grid as BM_EpochEngine, consuming re-generated chunk
- *  streams instead of a materialised buffer, in the fan-out shape the
- *  sweep layers use: each iteration runs `streamFanout` engine cells
- *  as concurrent consumers of ONE shared generation (runSharedCells),
- *  so the generation cost is amortised exactly as it is in a grouped
- *  sweep. Items processed counts every consumed instruction, making
- *  instr_per_s directly comparable to BM_EpochEngine's replay rate —
- *  the min-ratio CI gate in bench_perf_smoke holds the streamed rate
- *  to >= 0.85x materialised. Under --stream-only the row's peak RSS is
- *  also the whole streaming pipeline's footprint (no materialised
- *  trace exists in the process). */
+ *  streams instead of a materialised buffer, through the scheduler
+ *  the sweep layers use (core::CellGrid): each iteration defers
+ *  `streamFanout` engine cells, which run as concurrent consumers of
+ *  ONE shared generation, so the generation cost is amortised exactly
+ *  as it is in a grouped sweep. Items processed counts every consumed
+ *  instruction, making instr_per_s directly comparable to
+ *  BM_EpochEngine's replay rate — the min-ratio CI gate in
+ *  bench_perf_smoke holds the streamed rate to >= 0.85x materialised.
+ *  Under --stream-only the row's peak RSS is also the whole streaming
+ *  pipeline's footprint (no materialised trace exists in the
+ *  process). */
 void
 BM_EpochEngineStream(benchmark::State &state)
 {
     const auto &streamed = streamedWorkload("database");
     const core::MlpConfig cfg = core::MlpConfig::sized(
         unsigned(state.range(0)), core::IssueConfig::C);
+    // One runner thread: the first job leads the whole wave on its own
+    // engine threads, the other jobs only adopt their results.
+    SweepRunner runner(1);
+    core::SharedRunOptions shared;
+    shared.maxConcurrent = streamFanout;
+    core::CellGrid grid(shared);
     for (auto _ : state) {
-        std::vector<std::optional<core::MlpResult>> slots(streamFanout);
-        std::vector<core::SharedCell> cells;
+        std::vector<Job<core::MlpResult>> cells;
         cells.reserve(streamFanout);
         for (size_t f = 0; f < streamFanout; ++f) {
-            auto *slot = &slots[f];
-            cells.push_back({"fanout " + std::to_string(f),
-                             [cfg, slot](const core::WorkloadContext &ctx) {
-                                 slot->emplace(core::runMlp(cfg, ctx));
-                             }});
+            cells.push_back(grid.defer<core::MlpResult>(
+                runner, streamed, "fanout " + std::to_string(f),
+                [cfg](const core::WorkloadContext &ctx) {
+                    return core::runMlp(cfg, ctx);
+                }));
         }
-        core::SharedRunOptions shared;
-        shared.maxConcurrent = streamFanout;
-        core::runSharedCells(streamed.context(), cells, shared);
-        benchmark::DoNotOptimize(slots.front()->epochs);
+        runner.runAll();
+        grid.clear();
+        benchmark::DoNotOptimize(cells.front().get().epochs);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * traceInsts *
                             int64_t(streamFanout));

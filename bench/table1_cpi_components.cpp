@@ -105,8 +105,8 @@ main(int argc, char **argv)
                                         double(latency), r.mlp()};
 
             const PaperRow &p =
-                paperRows[paperIndex(wl.name)][latency == 1000];
-            table.addRow({wl.name, std::to_string(latency),
+                paperRows[paperIndex(wl.name())][latency == 1000];
+            table.addRow({wl.name(), std::to_string(latency),
                           TextTable::num(r.cpi()),
                           TextTable::num(core::cpiOnChip(params)),
                           TextTable::num(core::cpiOffChip(params)),

@@ -89,7 +89,7 @@ main(int argc, char **argv)
                     err = std::max(err, std::abs(c - model));
                 worst_err_1000 = std::max(
                     worst_err_1000, std::abs(cyc[2] - model));
-                table.addRow({wl.name, std::to_string(window),
+                table.addRow({wl.name(), std::to_string(window),
                               core::issueConfigName(ic),
                               TextTable::num(cyc[0]),
                               TextTable::num(cyc[1]),

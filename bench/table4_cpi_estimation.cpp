@@ -96,7 +96,7 @@ main(int argc, char **argv)
         for (int i = 0; i < 3; ++i) {
             const auto &model = perWl[w].model[i].get();
             std::vector<std::string> row{
-                wl.name, core::issueConfigName(configs[i])};
+                wl.name(), core::issueConfigName(configs[i])};
             double worst = 0.0;
             for (int j = 0; j < 3; ++j) {
                 core::CpiModelParams params{

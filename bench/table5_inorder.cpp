@@ -44,8 +44,8 @@ main(int argc, char **argv)
         const double m_som = cells[cell++].get().mlp();
         const double m_sou = cells[cell++].get().mlp();
         const double m_ooo = cells[cell++].get().mlp();
-        const auto p = workloads::paperTargets(wl.name);
-        table.addRow({wl.name, TextTable::num(m_som),
+        const auto p = workloads::paperTargets(wl.name());
+        table.addRow({wl.name(), TextTable::num(m_som),
                       TextTable::num(m_sou), TextTable::num(m_ooo),
                       TextTable::num(m_ooo / m_sou) + "x", "|",
                       TextTable::num(p.mlpSom), TextTable::num(p.mlpSou)});

@@ -2,18 +2,19 @@
  * @file
  * Top-level MLPsim API.
  *
- * Typical use:
+ * Typical use, with the trace built by core::PreparedTrace::make
+ * (core/trace_pipeline.hh):
  * @code
- *   workloads::DatabaseWorkload db(workloads::DatabaseParams{});
- *   trace::TraceBuffer buf("db");
- *   buf.fill(db, 5'000'000);
+ *   core::TraceSpec spec;
+ *   spec.workload = "database";
+ *   spec.seed = workloads::workloadSeed(spec.workload);
+ *   spec.totalInsts = 5'000'000;
+ *   spec.annotation.warmupInsts = 1'000'000;
+ *   const auto trace = core::PreparedTrace::make(spec).orFatal();
  *
- *   core::AnnotationOptions opts;
- *   opts.warmupInsts = 1'000'000;
- *   const auto annotated = core::AnnotatedTrace::make(buf, opts).orFatal();
- *
- *   core::MlpResult r =
- *       core::runMlp(core::MlpConfig::defaultOoO(), annotated.context());
+ *   core::MlpConfig cfg = core::MlpConfig::defaultOoO();
+ *   cfg.warmupInsts = trace.warmupInsts();
+ *   core::MlpResult r = core::runMlp(cfg, trace.context());
  *   std::cout << r.mlp() << '\n';
  * @endcode
  */

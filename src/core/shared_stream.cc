@@ -46,22 +46,10 @@ runCellIsolated(SharedCell &cell, const WorkloadContext &ctx,
     }
 }
 
-void
-mergeAndRethrow(std::vector<CellExec> &execs)
-{
-    if (metrics::enabled()) {
-        for (CellExec &exec : execs)
-            metrics::cur().merge(*exec.registry);
-    }
-    for (CellExec &exec : execs)
-        if (exec.error)
-            std::rethrow_exception(exec.error);
-}
-
 /**
- * The wave loop shared by runSharedCells and the group leader: run
- * every cell into its exec slot, `maxConcurrent` at a time, each wave
- * consuming one shared stream generation.
+ * The group leader's wave loop: run every cell into its exec slot,
+ * `maxConcurrent` at a time, each wave consuming one shared stream
+ * generation.
  */
 void
 executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
@@ -71,12 +59,10 @@ executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
     const size_t wave = std::max<size_t>(1, options.maxConcurrent);
     for (size_t begin = 0; begin < cells.size(); begin += wave) {
         const size_t n = std::min(wave, cells.size() - begin);
-        if (n == 1 || !sharesGeneration(base)) {
-            // Lone trailing cell (a one-consumer ring buys nothing) or
-            // materialised: run here, still isolated for ordering.
-            for (size_t i = 0; i < n; ++i)
-                runCellIsolated(cells[begin + i], base, execs[begin + i],
-                                token);
+        if (n == 1) {
+            // Lone trailing cell (a one-consumer ring buys nothing):
+            // run here, still isolated for ordering.
+            runCellIsolated(cells[begin], base, execs[begin], token);
             continue;
         }
         auto fanout = base.source->openFanout(n);
@@ -100,26 +86,6 @@ executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
 }
 
 } // namespace
-
-void
-runSharedCells(const WorkloadContext &base, std::vector<SharedCell> &cells,
-               const SharedRunOptions &options)
-{
-    if (cells.empty())
-        return;
-    if (!sharesGeneration(base) || cells.size() == 1) {
-        // Materialised (chunk access is free) or nothing to share:
-        // plain sequential execution on the caller's registry.
-        for (SharedCell &cell : cells)
-            cell.body(base);
-        return;
-    }
-
-    const CancelToken *token = activeCancelToken();
-    std::vector<CellExec> execs(cells.size());
-    executeCellWaves(base, cells, execs, options, token);
-    mergeAndRethrow(execs);
-}
 
 struct SharedCellGroup::Impl
 {
@@ -190,6 +156,32 @@ SharedCellGroup::runCell(size_t index)
         metrics::cur().merge(*g.execs[index].registry);
     if (g.execs[index].error)
         std::rethrow_exception(g.execs[index].error);
+}
+
+CellGrid::CellGrid(SharedRunOptions run_options) : options(run_options) {}
+
+CellGrid::~CellGrid() = default;
+
+std::shared_ptr<SharedCellGroup>
+CellGrid::groupFor(const PreparedTrace &trace, const JobLimits &limits)
+{
+    // The group leader's attempt governs every cell of the group, so
+    // a cell with its own deadline or retries runs as its own job; a
+    // materialised trace has no generation to share.
+    if (!sharesGeneration(trace.context()) || !limits.shareable())
+        return nullptr;
+    for (auto &entry : groups)
+        if (entry.first == &trace)
+            return entry.second;
+    groups.emplace_back(&trace, std::make_shared<SharedCellGroup>(
+                                    trace.context(), options));
+    return groups.back().second;
+}
+
+void
+CellGrid::clear()
+{
+    groups.clear();
 }
 
 } // namespace mlpsim::core

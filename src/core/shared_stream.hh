@@ -6,14 +6,15 @@
  * paper's theme of overlapping long-latency work instead of
  * serialising it.
  *
- * runSharedCells() runs engine cells over a context whose annotations
+ * SharedCellGroup runs engine cells over a context whose annotations
  * are already complete (the common sweep shape — one prepared trace,
- * many engine configs). Cells are grouped into waves of at most
- * `maxConcurrent`; each wave claims the slots of one StreamFanout and
- * runs its cells on threads, so a wave of N engines consumes one
- * generation. SharedCellGroup runs the same waves from inside a
- * SweepRunner job grid. Annotation is never shared this way: it is a
- * separate pass (core/trace_pipeline.hh) that completes first.
+ * many engine configs) from inside a SweepRunner job grid. Cells are
+ * grouped into waves of at most `maxConcurrent`; each wave claims the
+ * slots of one StreamFanout and runs its cells on threads, so a wave
+ * of N engines consumes one generation. CellGrid is the scheduler the
+ * sweep layers use: it decides which cells join a group. Annotation is
+ * never shared this way: it is a separate pass
+ * (core/trace_pipeline.hh) that completes first.
  *
  * Determinism: each cell runs under a private metric registry
  * (CollectorScope); registries are merged into the caller's registry
@@ -27,10 +28,14 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/trace_pipeline.hh"
 #include "core/workload_context.hh"
+#include "util/parallel.hh"
 
 namespace mlpsim::core {
 
@@ -47,7 +52,7 @@ struct SharedCell
     std::function<void(const WorkloadContext &)> body;
 };
 
-/** Knobs for the shared runners. */
+/** Knobs for a shared-generation group. */
 struct SharedRunOptions
 {
     /** Cells run concurrently per generation (wave size). */
@@ -64,18 +69,6 @@ sharesGeneration(const WorkloadContext &ctx)
 {
     return ctx.source->materialized() == nullptr;
 }
-
-/**
- * Run @p cells over @p base, sharing one stream generation per wave
- * of `maxConcurrent` cells. Annotations in @p base must be complete.
- * Falls back to plain sequential execution when the trace is
- * materialised (!sharesGeneration) or there is only one cell.
- * Exceptions are captured per cell; the first (in submission order)
- * is rethrown after all cells finish and metrics are merged.
- */
-void runSharedCells(const WorkloadContext &base,
-                    std::vector<SharedCell> &cells,
-                    const SharedRunOptions &options = {});
 
 /**
  * Leader/follower execution of one fan-out group inside a job grid
@@ -97,7 +90,8 @@ void runSharedCells(const WorkloadContext &base,
  * (JobLimits::shareable()) may join a group; the rest run on their own.
  *
  * Build the group fully (add() every cell) before submitting any of
- * its jobs.
+ * its jobs. The group assumes a re-streamed trace; CellGrid never
+ * builds one over a materialised trace.
  */
 class SharedCellGroup
 {
@@ -120,6 +114,68 @@ class SharedCellGroup
   private:
     struct Impl;
     std::unique_ptr<Impl> impl;
+};
+
+/**
+ * The cell scheduler of the sweep layers (bench::Sweep and the
+ * daemon): defers each simulator cell of a batch on a SweepRunner and
+ * decides whether it rides a shared generation. A cell joins its
+ * trace's SharedCellGroup (one per trace per batch) when the trace is
+ * re-streamed (sharesGeneration) and the runner's current job limits
+ * allow sharing (JobLimits::shareable()); any other cell is a plain
+ * job over the trace's context. Either way the job returns exactly its
+ * own cell's result and commits its own metrics, so results and
+ * snapshots are byte-identical to running every cell on its own.
+ *
+ * Groups are single-batch: defer every cell, run the runner, then
+ * clear() before deferring the next batch. Each job holds its group,
+ * so a job left queued when the grid is cleared or destroyed still
+ * runs safely. Traces must outlive the batch.
+ */
+class CellGrid
+{
+  public:
+    explicit CellGrid(SharedRunOptions run_options = {});
+    ~CellGrid();
+
+    /** Defer one cell that runs @p body over @p trace's context (or
+     *  over its claimed fan-out slot when grouped). */
+    template <typename R>
+    Job<R>
+    defer(SweepRunner &runner, const PreparedTrace &trace, std::string label,
+          std::function<R(const WorkloadContext &)> body)
+    {
+        std::shared_ptr<SharedCellGroup> group =
+            groupFor(trace, runner.jobLimits());
+        if (!group)
+            return runner.defer<R>(std::move(label),
+                                   [body, ctx = trace.context()] {
+                                       return body(ctx);
+                                   });
+        auto slot = std::make_shared<std::optional<R>>();
+        const size_t index = group->add(SharedCell{
+            label, [body, slot](const WorkloadContext &ctx) {
+                slot->emplace(body(ctx));
+            }});
+        return runner.defer<R>(std::move(label), [group, index, slot] {
+            group->runCell(index);
+            return std::move(**slot);
+        });
+    }
+
+    /** Drop the batch's groups (after the runner ran them). */
+    void clear();
+
+  private:
+    /** The group a cell over @p trace deferred under @p limits joins;
+     *  null when it must run on its own. */
+    std::shared_ptr<SharedCellGroup> groupFor(const PreparedTrace &trace,
+                                              const JobLimits &limits);
+
+    SharedRunOptions options;
+    std::vector<std::pair<const PreparedTrace *,
+                          std::shared_ptr<SharedCellGroup>>>
+        groups;
 };
 
 } // namespace mlpsim::core

@@ -4,6 +4,7 @@
 
 #include "metrics/registry.hh"
 #include "util/cancellation.hh"
+#include "workloads/factory.hh"
 
 namespace mlpsim::core {
 
@@ -92,6 +93,63 @@ AnnotatedTrace::context() const
     ctx.branches = &brAnn;
     ctx.values = opts.buildValues ? &valAnn : nullptr;
     return ctx;
+}
+
+Expected<PreparedTrace>
+PreparedTrace::make(const TraceSpec &spec)
+{
+    // Both modes build a generator here, so an unknown workload is a
+    // Status in both rather than a fatal() on whichever thread first
+    // opens a streamed source.
+    MLPSIM_ASSIGN_OR_RETURN(
+        auto generator, workloads::tryMakeWorkload(spec.workload, spec.seed));
+    PreparedTrace prepared(spec.workload);
+    if (spec.streamChunk == 0) {
+        prepared.buf = std::make_unique<trace::TraceBuffer>(spec.workload);
+        metrics::ScopedTimer t("workloads/generate_s");
+        prepared.buf->fill(*generator, spec.totalInsts);
+    } else {
+        // Streamed: no instruction is stored. The factory re-creates
+        // the generator, at the same seed, for every stream open, so
+        // the annotate pass and every simulator run replay the
+        // identical instruction sequence.
+        prepared.source = std::make_unique<trace::GeneratedChunkSource>(
+            spec.workload, spec.totalInsts,
+            [name = spec.workload, seed = spec.seed] {
+                return workloads::makeWorkload(name, seed);
+            },
+            spec.streamChunk);
+    }
+    return annotate(std::move(prepared), spec.annotation);
+}
+
+Expected<PreparedTrace>
+PreparedTrace::make(const TraceSpec &spec, trace::TraceBuffer trace)
+{
+    PreparedTrace prepared(spec.workload);
+    prepared.buf = std::make_unique<trace::TraceBuffer>(std::move(trace));
+    return annotate(std::move(prepared), spec.annotation);
+}
+
+Expected<PreparedTrace>
+PreparedTrace::annotate(PreparedTrace prepared,
+                        const AnnotationOptions &options)
+{
+    const trace::ChunkSource &trace =
+        prepared.buf ? static_cast<const trace::ChunkSource &>(*prepared.buf)
+                     : *prepared.source;
+    MLPSIM_ASSIGN_OR_RETURN(AnnotatedTrace annotated,
+                            AnnotatedTrace::make(trace, options));
+    prepared.ann = std::make_unique<AnnotatedTrace>(std::move(annotated));
+    if (metrics::enabled()) {
+        // Both modes count the instructions the annotate pass saw, so
+        // their metric snapshots stay byte-identical.
+        auto &reg = metrics::cur();
+        reg.add(metrics::scopedPath("workloads/traces"), 1);
+        reg.add(metrics::scopedPath("workloads/generated_insts"),
+                prepared.ann->instructions());
+    }
+    return prepared;
 }
 
 } // namespace mlpsim::core

@@ -2,6 +2,10 @@
  * @file
  * The annotate pass, and the prepared trace it produces.
  *
+ * PreparedTrace::make(TraceSpec) is the one way the benches, tools and
+ * daemon turn a workload into an annotated trace: it builds the
+ * generator, materialises or streams the trace, and annotates it.
+ *
  * A trace is annotated once and then replayed by many simulator runs.
  * AnnotatedTrace::make (core/mlpsim.hh) opens one stream over the
  * trace's ChunkSource and feeds each chunk, in program order, to the
@@ -29,7 +33,9 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/mlpsim.hh"
 #include "trace/stream_source.hh"
@@ -41,21 +47,86 @@ namespace mlpsim::core {
 using StreamingTrace = AnnotatedTrace;
 
 /**
+ * What PreparedTrace::make builds: one workload trace and how to
+ * annotate it.
+ */
+struct TraceSpec
+{
+    /** One of workloads::commercialWorkloadNames(). */
+    std::string workload;
+    /** The generator's Rng seed (workloads::workloadSeed(workload)
+     *  for the benches, workloads::presetSeed(workload) for the
+     *  preset traces the goldens pin). */
+    uint64_t seed = 0;
+    /** Trace length in instructions, warm-up included. */
+    uint64_t totalInsts = 0;
+    /**
+     * 0 materialises the trace in a TraceBuffer. N > 0 stores no
+     * instruction: every simulator run regenerates the trace in
+     * N-instruction chunks (trace::defaultChunkCapacity is the
+     * sensible choice). Results are bit-identical either way.
+     */
+    uint32_t streamChunk = 0;
+    /** Annotation substrates; annotation.warmupInsts is the trace's
+     *  warm-up, the one value every simulator run must also use. */
+    AnnotationOptions annotation;
+};
+
+/**
  * One prepared (annotated) trace, shared read-only by the simulator
- * runs over it. It owns its trace in one of two forms — `buffer`
- * holds the whole materialised trace, or `source` regenerates it on
- * demand and no instruction is ever stored — and `annotated` holds the
- * annotations of whichever is set; annotated->context() is what the
- * simulators read.
+ * runs over it. It owns its trace in one of two forms — a
+ * materialised TraceBuffer, or a generator source that regenerates it
+ * on demand — and the annotations of whichever it holds.
  *
  * Everything lives on the heap so the annotations' back-pointers stay
- * valid when the struct itself is moved.
+ * valid when the object itself is moved.
  */
-struct PreparedTrace
+class PreparedTrace
 {
-    std::unique_ptr<trace::TraceBuffer> buffer;
+  public:
+    /**
+     * Generate (or, streamed, set up to regenerate) the trace
+     * @p spec names and run the annotate pass over it. An unknown
+     * workload or invalid annotation options return a Status in both
+     * modes. Under metric collection this records the generate time
+     * (materialised) and the workloads/traces and
+     * workloads/generated_insts counters.
+     */
+    static Expected<PreparedTrace> make(const TraceSpec &spec);
+
+    /**
+     * make() over @p trace, which already holds the spec's
+     * instructions (e.g. a trace file read back from disk): annotates
+     * without generating.
+     */
+    static Expected<PreparedTrace> make(const TraceSpec &spec,
+                                        trace::TraceBuffer trace);
+
+    /** The workload name. */
+    const std::string &name() const { return traceName; }
+    /** Warm-up instructions the annotations excluded; simulator runs
+     *  over this trace pass the same value in their configs. */
+    uint64_t warmupInsts() const { return ann->options().warmupInsts; }
+    /** Borrowing view passed to the simulators. */
+    WorkloadContext context() const { return ann->context(); }
+    const AnnotatedTrace &annotated() const { return *ann; }
+    /** The materialised trace; null when streamed. */
+    const trace::TraceBuffer *buffer() const { return buf.get(); }
+
+  private:
+    explicit PreparedTrace(std::string name) : traceName(std::move(name))
+    {
+    }
+
+    /** The annotate step both make() overloads end in: annotate
+     *  whichever trace @p prepared holds. */
+    static Expected<PreparedTrace> annotate(PreparedTrace prepared,
+                                            const AnnotationOptions &options);
+
+    std::string traceName;
+    std::unique_ptr<trace::TraceBuffer> buf;
     std::unique_ptr<trace::GeneratedChunkSource> source;
-    std::unique_ptr<AnnotatedTrace> annotated;
+    std::unique_ptr<AnnotatedTrace> ann;
 };
 
 } // namespace mlpsim::core

@@ -46,8 +46,7 @@ Daemon::Daemon(DaemonConfig daemon_config)
       traces(daemon_config.cacheDir.empty()
                  ? std::string()
                  : daemon_config.cacheDir + "/traces",
-             daemon_config.traceCacheCapacity,
-             daemon_config.streamChunk)
+             daemon_config.traceCacheCapacity)
 {
     runner.setFailureMode(FailureMode::CollectAll);
     installHooks();
@@ -187,23 +186,9 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
 
     // Streamed mode: a batch's computed cells, grouped by prepared
     // trace, consume shared stream generations instead of each cell
-    // regenerating the trace (leader/follower — see SharedCellGroup).
-    // Groups outlive runAll() below; each group is fully built before
-    // the batch executes because defer only queues jobs.
-    std::vector<std::pair<const core::PreparedTrace *,
-                          std::unique_ptr<core::SharedCellGroup>>>
-        stream_groups;
-    const auto group_for =
-        [&stream_groups](
-            const std::shared_ptr<const core::PreparedTrace> &prepared) {
-            for (auto &entry : stream_groups)
-                if (entry.first == prepared.get())
-                    return entry.second.get();
-            stream_groups.emplace_back(
-                prepared.get(), std::make_unique<core::SharedCellGroup>(
-                                    prepared->annotated->context()));
-            return stream_groups.back().second.get();
-        };
+    // regenerating the trace (see core::CellGrid). The grid outlives
+    // runAll() below.
+    core::CellGrid grid;
 
     for (size_t i = 0; i < frames.size(); ++i) {
         Outcome &outcome = outcomes[i];
@@ -281,9 +266,13 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
             }
 
             if (!prepared && trace_error.ok()) {
-                auto trace = traces.get({request.workload,
-                                         request.seed, request.warmup,
-                                         request.insts});
+                core::TraceSpec spec;
+                spec.workload = request.workload;
+                spec.seed = request.seed;
+                spec.totalInsts = request.warmup + request.insts;
+                spec.streamChunk = config.streamChunk;
+                spec.annotation.warmupInsts = request.warmup;
+                auto trace = traces.get(spec);
                 if (trace.ok())
                     prepared = *trace;
                 else
@@ -300,44 +289,19 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
             PlannedCell cell;
             const core::MlpConfig job_config = rc.config;
             const std::string workload = request.workload;
-            const std::string label = workload + "/" + rc.name;
-            const core::WorkloadContext ctx =
-                prepared->annotated->context();
-            if (core::sharesGeneration(ctx) && limits.shareable()) {
-                // The group leader's attempt governs every cell of the
-                // group, so a cell with its own deadline or retries
-                // runs as its own job (the branch below).
-                core::SharedCellGroup *group = group_for(prepared);
-                auto slot = std::make_shared<
-                    std::optional<core::MlpResult>>();
-                const size_t index = group->add(core::SharedCell{
-                    label,
-                    [prepared, job_config, workload,
-                     slot](const core::WorkloadContext &ctx) {
-                        metrics::ScopedLabel wl(workload);
-                        metrics::ScopedLabel cfg(
-                            job_config.metricLabel());
-                        auto r = core::tryRunMlp(job_config, ctx);
-                        if (!r.ok())
-                            throw StatusError(r.status());
-                        slot->emplace(*std::move(r));
-                    }});
-                cell.job = runner.defer<core::MlpResult>(
-                    label, [group, index, slot]() {
-                        group->runCell(index);
-                        return std::move(**slot);
-                    });
-            } else {
-                cell.job = runner.defer<core::MlpResult>(
-                    label, [prepared, ctx, job_config, workload]() {
-                        metrics::ScopedLabel wl(workload);
-                        metrics::ScopedLabel cfg(job_config.metricLabel());
-                        auto r = core::tryRunMlp(job_config, ctx);
-                        if (!r.ok())
-                            throw StatusError(r.status());
-                        return *std::move(r);
-                    });
-            }
+            // The body holds the trace, so a cache eviction cannot
+            // free it under a queued cell.
+            cell.job = grid.defer<core::MlpResult>(
+                runner, *prepared, workload + "/" + rc.name,
+                [prepared, job_config,
+                 workload](const core::WorkloadContext &ctx) {
+                    metrics::ScopedLabel wl(workload);
+                    metrics::ScopedLabel cfg(job_config.metricLabel());
+                    auto r = core::tryRunMlp(job_config, ctx);
+                    if (!r.ok())
+                        throw StatusError(r.status());
+                    return *std::move(r);
+                });
             plan.emplace(key, std::move(cell));
             defer_order.push_back(key);
             ++outcome.computed;

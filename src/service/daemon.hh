@@ -70,7 +70,7 @@ struct DaemonConfig
      * this chunk capacity (memory stops scaling with the instruction
      * budget) and groups a batch's computed cells by trace so each
      * group's engines consume shared stream generations
-     * (core::SharedCellGroup). Cells of requests with a deadline or
+     * (core::CellGrid). Cells of requests with a deadline or
      * retries run on their own, under their own limits. Responses are
      * byte-identical to materialised mode.
      */

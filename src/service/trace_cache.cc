@@ -9,7 +9,6 @@
 #include "service/wire.hh"
 #include "trace/trace_io.hh"
 #include "util/logging.hh"
-#include "workloads/factory.hh"
 
 namespace mlpsim::service {
 
@@ -26,25 +25,24 @@ ensureDirectory(const std::string &path)
     return false;
 }
 
-} // namespace
-
+/** Canonical JSON form of @p spec's trace identity: the map key,
+ *  and the hash input that names spill files. */
 std::string
-TraceCache::Key::canonical() const
+traceKey(const core::TraceSpec &spec)
 {
     metrics::JsonValue doc = metrics::JsonValue::object();
     doc.set("schema", "mlpsim-trace-key-v1");
-    doc.set("workload", workload);
-    doc.set("seed", seed);
-    doc.set("warmup", warmup);
-    doc.set("insts", insts);
+    doc.set("workload", spec.workload);
+    doc.set("seed", spec.seed);
+    doc.set("warmup", spec.annotation.warmupInsts);
+    doc.set("insts", spec.totalInsts - spec.annotation.warmupInsts);
     return doc.dump(0);
 }
 
-TraceCache::TraceCache(std::string spill_dir, size_t capacity,
-                       uint32_t stream_chunk)
-    : dir(std::move(spill_dir)),
-      capacityLimit(capacity == 0 ? 1 : capacity),
-      streamChunk(stream_chunk)
+} // namespace
+
+TraceCache::TraceCache(std::string spill_dir, size_t capacity)
+    : dir(std::move(spill_dir)), capacityLimit(capacity == 0 ? 1 : capacity)
 {
     if (!dir.empty() && !ensureDirectory(dir))
         dir.clear();
@@ -57,9 +55,9 @@ TraceCache::spillPath(const std::string &canonical) const
 }
 
 Expected<std::shared_ptr<const core::PreparedTrace>>
-TraceCache::get(const Key &key)
+TraceCache::get(const core::TraceSpec &spec)
 {
-    const std::string canonical = key.canonical();
+    const std::string canonical = traceKey(spec);
     {
         std::lock_guard<std::mutex> lock(mutex);
         const auto it = index.find(canonical);
@@ -75,64 +73,29 @@ TraceCache::get(const Key &key)
     // concurrent double-build of the same key costs time only — both
     // products are bit-identical, and the second insert wins the LRU
     // slot.
-    const uint64_t total = key.warmup + key.insts;
-    auto prepared = std::make_shared<core::PreparedTrace>();
+    const bool spill = !dir.empty() && spec.streamChunk == 0;
     bool from_disk = false;
-    const trace::ChunkSource *trace = nullptr;
-
-    if (streamChunk != 0) {
-        // Streamed mode: validate the workload up front (the source's
-        // factory uses the fatal() maker and runs on sweep threads);
-        // the trace is regenerated on demand — no buffer, no spill.
-        if (auto probe = workloads::tryMakeWorkload(key.workload, key.seed);
-            !probe.ok()) {
-            Status bad = probe.status();
-            return std::move(bad).withContext("preparing streamed trace");
-        }
-        const std::string workload = key.workload;
-        const uint64_t seed = key.seed;
-        prepared->source = std::make_unique<trace::GeneratedChunkSource>(
-            workload, total,
-            [workload, seed] {
-                return workloads::makeWorkload(workload, seed);
-            },
-            streamChunk);
-        trace = prepared->source.get();
-    } else {
-        if (!dir.empty()) {
+    auto built = [&]() -> Expected<core::PreparedTrace> {
+        if (spill) {
             auto loaded = trace::readTrace(spillPath(canonical));
-            if (loaded.ok() && loaded->name() == key.workload &&
-                loaded->size() == total) {
-                prepared->buffer = std::make_unique<trace::TraceBuffer>(
-                    *std::move(loaded));
+            if (loaded.ok() && loaded->name() == spec.workload &&
+                loaded->size() == spec.totalInsts) {
                 from_disk = true;
+                return core::PreparedTrace::make(spec, *std::move(loaded));
             }
         }
-        if (!from_disk) {
-            MLPSIM_ASSIGN_OR_RETURN(
-                auto generator,
-                workloads::tryMakeWorkload(key.workload, key.seed));
-            prepared->buffer =
-                std::make_unique<trace::TraceBuffer>(key.workload);
-            prepared->buffer->fill(*generator, total);
-            if (!dir.empty()) {
-                const Status spilled =
-                    trace::writeTrace(spillPath(canonical),
-                                      *prepared->buffer);
-                if (!spilled.ok())
-                    warn("trace cache: spill failed: ",
-                         spilled.toString());
-            }
-        }
-        trace = prepared->buffer.get();
+        return core::PreparedTrace::make(spec);
+    }();
+    if (!built.ok())
+        return built.status();
+    auto prepared =
+        std::make_shared<const core::PreparedTrace>(*std::move(built));
+    if (spill && !from_disk) {
+        const Status spilled =
+            trace::writeTrace(spillPath(canonical), *prepared->buffer());
+        if (!spilled.ok())
+            warn("trace cache: spill failed: ", spilled.toString());
     }
-
-    core::AnnotationOptions options;
-    options.warmupInsts = key.warmup;
-    MLPSIM_ASSIGN_OR_RETURN(auto annotated,
-                            core::AnnotatedTrace::make(*trace, options));
-    prepared->annotated =
-        std::make_unique<core::AnnotatedTrace>(std::move(annotated));
 
     std::lock_guard<std::mutex> lock(mutex);
     if (from_disk)
@@ -148,7 +111,7 @@ TraceCache::get(const Key &key)
         index.erase(entries.back().first);
         entries.pop_back();
     }
-    return std::shared_ptr<const core::PreparedTrace>(prepared);
+    return prepared;
 }
 
 TraceCache::Stats

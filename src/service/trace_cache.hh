@@ -49,34 +49,22 @@ class TraceCache
      * @param spill_dir directory for on-disk trace spill (created if
      *        missing); empty = memory-only.
      * @param capacity  in-memory LRU entry cap (≥ 1).
-     * @param stream_chunk non-zero: prepare traces in streamed mode
-     *        with this chunk capacity instead of materialising them.
-     *        Streamed traces never spill (regeneration replaces
-     *        storage — the generator IS the persistent form).
      */
-    explicit TraceCache(std::string spill_dir = "",
-                        size_t capacity = 4, uint32_t stream_chunk = 0);
-
-    /** The preparation identity (what the cache is keyed on). */
-    struct Key
-    {
-        std::string workload;
-        uint64_t seed = 0;
-        uint64_t warmup = 0;
-        uint64_t insts = 0; //!< measured instructions (total = +warmup)
-
-        /** Canonical JSON string form (map key; hash input). */
-        std::string canonical() const;
-    };
+    explicit TraceCache(std::string spill_dir = "", size_t capacity = 4);
 
     /**
-     * Return the prepared trace for @p key, preparing (or loading and
-     * re-annotating a spilled buffer) on miss. Fails only when the
-     * workload cannot be generated or annotated — never because of
-     * spill-directory trouble.
+     * Return the prepared trace for @p spec, preparing it
+     * (core::PreparedTrace::make, or the same annotate step over a
+     * spilled buffer) on miss. The cache key is the spec's workload,
+     * seed, warm-up and budget: a daemon prepares every trace in one
+     * mode and with default annotation substrates. Streamed specs
+     * (streamChunk > 0) never spill — the generator IS their
+     * persistent form. Fails only when the workload cannot be
+     * generated or annotated — never because of spill-directory
+     * trouble.
      */
     Expected<std::shared_ptr<const core::PreparedTrace>>
-    get(const Key &key);
+    get(const core::TraceSpec &spec);
 
     struct Stats
     {
@@ -91,9 +79,8 @@ class TraceCache
     std::string spillPath(const std::string &canonical) const;
 
     mutable std::mutex mutex;
-    std::string dir;      //!< empty = no spill tier
+    std::string dir; //!< empty = no spill tier
     size_t capacityLimit;
-    uint32_t streamChunk; //!< 0 = materialise
 
     /** LRU: most recently used at the front. */
     std::list<std::pair<std::string,

@@ -8,53 +8,78 @@
 
 namespace mlpsim::workloads {
 
+namespace {
+
+template <typename Workload, typename Params>
+std::unique_ptr<WorkloadBase>
+makeSeeded(uint64_t seed)
+{
+    Params params;
+    params.seed = seed;
+    return std::make_unique<Workload>(params);
+}
+
+/** The commercial workload presets, in paper order; each preset's
+ *  seed is its parameter struct's default. */
+constexpr struct Preset
+{
+    const char *name;
+    uint64_t seed;
+    std::unique_ptr<WorkloadBase> (*make)(uint64_t seed);
+} presets[] = {
+    {"database", DatabaseParams{}.seed,
+     &makeSeeded<DatabaseWorkload, DatabaseParams>},
+    {"specjbb2000", SpecJbbParams{}.seed,
+     &makeSeeded<SpecJbbWorkload, SpecJbbParams>},
+    {"specweb99", SpecWebParams{}.seed,
+     &makeSeeded<SpecWebWorkload, SpecWebParams>},
+};
+
+const Preset *
+findPreset(const std::string &name)
+{
+    for (const Preset &preset : presets)
+        if (name == preset.name)
+            return &preset;
+    return nullptr;
+}
+
+} // namespace
+
 const std::vector<std::string> &
 commercialWorkloadNames()
 {
-    static const std::vector<std::string> names{
-        "database", "specjbb2000", "specweb99"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Preset &preset : presets)
+            out.emplace_back(preset.name);
+        return out;
+    }();
     return names;
 }
 
-Expected<std::unique_ptr<WorkloadBase>>
-tryMakeWorkload(const std::string &name)
+uint64_t
+presetSeed(const std::string &name)
 {
-    if (name == "database")
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<DatabaseWorkload>());
-    if (name == "specjbb2000")
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<SpecJbbWorkload>());
-    if (name == "specweb99")
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<SpecWebWorkload>());
-    return Status::notFound("unknown workload '", name,
-                            "' (expected database|specjbb2000|specweb99)");
+    const Preset *preset = findPreset(name);
+    return preset ? preset->seed : 0;
 }
 
 Expected<std::unique_ptr<WorkloadBase>>
 tryMakeWorkload(const std::string &name, uint64_t seed)
 {
-    if (name == "database") {
-        DatabaseParams params;
-        params.seed = seed;
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<DatabaseWorkload>(params));
-    }
-    if (name == "specjbb2000") {
-        SpecJbbParams params;
-        params.seed = seed;
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<SpecJbbWorkload>(params));
-    }
-    if (name == "specweb99") {
-        SpecWebParams params;
-        params.seed = seed;
-        return std::unique_ptr<WorkloadBase>(
-            std::make_unique<SpecWebWorkload>(params));
-    }
-    return Status::notFound("unknown workload '", name,
-                            "' (expected database|specjbb2000|specweb99)");
+    const Preset *preset = findPreset(name);
+    if (!preset)
+        return Status::notFound(
+            "unknown workload '", name,
+            "' (expected database|specjbb2000|specweb99)");
+    return preset->make(seed);
+}
+
+Expected<std::unique_ptr<WorkloadBase>>
+tryMakeWorkload(const std::string &name)
+{
+    return tryMakeWorkload(name, presetSeed(name));
 }
 
 std::unique_ptr<WorkloadBase>

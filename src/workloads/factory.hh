@@ -19,16 +19,16 @@ const std::vector<std::string> &commercialWorkloadNames();
 
 /**
  * Construct a workload by name ("database", "specjbb2000",
- * "specweb99"). An unknown name is a NotFound error listing the
- * accepted names, so a sweep over many workloads can skip and report
- * rather than die.
+ * "specweb99") whose generator Rng starts from @p seed. An unknown
+ * name is a NotFound error listing the accepted names, so a sweep
+ * over many workloads can skip and report rather than die.
  */
 Expected<std::unique_ptr<WorkloadBase>>
-tryMakeWorkload(const std::string &name);
-
-/** tryMakeWorkload() with the generator's Rng seed overridden. */
-Expected<std::unique_ptr<WorkloadBase>>
 tryMakeWorkload(const std::string &name, uint64_t seed);
+
+/** tryMakeWorkload() at the preset's own seed, presetSeed(name). */
+Expected<std::unique_ptr<WorkloadBase>>
+tryMakeWorkload(const std::string &name);
 
 /** fatal()-on-error wrapper around tryMakeWorkload(). */
 std::unique_ptr<WorkloadBase> makeWorkload(const std::string &name);
@@ -36,6 +36,15 @@ std::unique_ptr<WorkloadBase> makeWorkload(const std::string &name);
 /** fatal()-on-error wrapper around the seeded tryMakeWorkload(). */
 std::unique_ptr<WorkloadBase> makeWorkload(const std::string &name,
                                            uint64_t seed);
+
+/**
+ * The seed a workload preset's parameter struct defaults to
+ * (DatabaseParams::seed and its siblings); 0 for an unknown name.
+ * Callers that build a trace at the preset's seed pass this value
+ * explicitly, so the seed that made the trace is also the one they
+ * record (e.g. in a ResultJournal cell key).
+ */
+uint64_t presetSeed(const std::string &name);
 
 /**
  * The canonical per-workload trace seed: splitMix64 of an FNV-1a hash

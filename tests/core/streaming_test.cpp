@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "core/trace_pipeline.hh"
 #include "cyclesim/cycle_sim.hh"
 #include "trace/stream_source.hh"
+#include "util/parallel.hh"
 #include "workloads/factory.hh"
 
 namespace mlpsim::test {
@@ -249,30 +249,81 @@ expectSameResult(const core::MlpResult &a, const core::MlpResult &b)
     EXPECT_EQ(a.measuredInsts, b.measuredInsts);
 }
 
-std::vector<core::SharedCell>
-cellsFor(const std::vector<core::MlpConfig> &configs,
-         std::vector<std::optional<core::MlpResult>> &slots)
+/** A prepared streamed (@p chunk_cap > 0) or materialised trace of
+ *  the test workload at the test budget. */
+core::PreparedTrace
+prepareTrace(uint32_t chunk_cap)
 {
-    slots.assign(configs.size(), std::nullopt);
-    std::vector<core::SharedCell> cells;
+    core::TraceSpec spec;
+    spec.workload = workloadName();
+    spec.seed = workloads::workloadSeed(spec.workload);
+    spec.totalInsts = kInsts;
+    spec.streamChunk = chunk_cap;
+    spec.annotation = annotationOptions();
+    return core::PreparedTrace::make(spec).orFatal();
+}
+
+const trace::GeneratedChunkSource &
+generatorOf(const core::PreparedTrace &streamed)
+{
+    const auto *source = dynamic_cast<const trace::GeneratedChunkSource *>(
+        streamed.context().source);
+    EXPECT_NE(source, nullptr);
+    return *source;
+}
+
+/** Defer one engine cell per config through @p grid. */
+std::vector<Job<core::MlpResult>>
+deferAll(core::CellGrid &grid, SweepRunner &runner,
+         const core::PreparedTrace &trace,
+         const std::vector<core::MlpConfig> &configs)
+{
+    std::vector<Job<core::MlpResult>> jobs;
     for (size_t i = 0; i < configs.size(); ++i) {
         const core::MlpConfig cfg = configs[i];
-        auto *slot = &slots[i];
-        cells.push_back({"cell " + std::to_string(i),
-                         [cfg, slot](const core::WorkloadContext &ctx) {
-                             slot->emplace(core::runMlp(cfg, ctx));
-                         }});
+        jobs.push_back(grid.defer<core::MlpResult>(
+            runner, trace, "cell " + std::to_string(i),
+            [cfg](const core::WorkloadContext &ctx) {
+                return core::runMlp(cfg, ctx);
+            }));
     }
-    return cells;
+    return jobs;
+}
+
+/** Whether each of three cells deferred through a fresh grid under
+ *  @p limits rode a fan-out slot (was grouped). */
+std::vector<bool>
+groupedCells(const core::PreparedTrace &trace, const JobLimits &limits)
+{
+    SweepRunner runner(2);
+    runner.setJobLimits(limits);
+    core::CellGrid grid;
+    std::vector<Job<bool>> jobs;
+    for (int i = 0; i < 3; ++i) {
+        jobs.push_back(grid.defer<bool>(
+            runner, trace, "probe " + std::to_string(i),
+            [](const core::WorkloadContext &ctx) {
+                // An attached fan-out slot must be consumed, so each
+                // probe runs a real engine cell.
+                core::MlpConfig cfg = core::MlpConfig::defaultOoO();
+                cfg.warmupInsts = kWarmup;
+                core::runMlp(cfg, ctx);
+                return ctx.attached != nullptr;
+            }));
+    }
+    runner.runAll();
+    std::vector<bool> grouped;
+    for (auto &job : jobs)
+        grouped.push_back(job.get());
+    return grouped;
 }
 
 } // namespace
 
 TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
 {
-    const auto source = makeStream(4096);
-    const auto streamed =
-        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
+    const auto streamed = prepareTrace(4096);
+    const auto &source = generatorOf(streamed);
     const auto configs = sampleConfigs();
 
     std::vector<core::MlpResult> independent;
@@ -284,21 +335,84 @@ TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
     // trailing cell that runs on its own stream.
     for (const size_t wave : {size_t(8), size_t(2)}) {
         SCOPED_TRACE("maxConcurrent " + std::to_string(wave));
-        std::vector<std::optional<core::MlpResult>> slots;
-        auto cells = cellsFor(configs, slots);
         core::SharedRunOptions options;
         options.maxConcurrent = wave;
-        core::runSharedCells(streamed.context(), cells, options);
+        core::CellGrid grid(options);
+        SweepRunner runner(2);
+        auto jobs = deferAll(grid, runner, streamed, configs);
+        runner.runAll();
 
         for (size_t i = 0; i < configs.size(); ++i) {
-            ASSERT_TRUE(slots[i].has_value()) << "cell " << i;
-            expectSameResult(*slots[i], independent[i]);
+            ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
+            expectSameResult(jobs[i].get(), independent[i]);
         }
         // The shared waves rode broadcast generations, so they cannot
         // have constructed more generators than the sequential runs
         // already did.
         EXPECT_EQ(source.generatorsBuilt(), built_before_shared);
     }
+}
+
+TEST(CellGrid, StreamedGridBuildsNoExtraGenerator)
+{
+    const auto streamed = prepareTrace(4096);
+    const auto &source = generatorOf(streamed);
+    const size_t built_after_annotate = source.generatorsBuilt();
+
+    // Four concurrent ungrouped runs would each need a generator; one
+    // group needs only the one the annotate pass left idle.
+    core::CellGrid grid;
+    SweepRunner runner(4);
+    std::vector<core::MlpConfig> configs = sampleConfigs();
+    configs.push_back(configs.front());
+    auto jobs = deferAll(grid, runner, streamed, configs);
+    runner.runAll();
+    for (auto &job : jobs)
+        EXPECT_TRUE(job.succeeded());
+    EXPECT_EQ(source.generatorsBuilt(), built_after_annotate);
+}
+
+TEST(CellGrid, QueuedJobsOutliveTheGrid)
+{
+    // A caller that abandons a batch (the daemon on a broken
+    // connection) can drop its grid while jobs stay queued on the
+    // runner; each job holds its group, so they still run correctly.
+    const auto streamed = prepareTrace(4096);
+    const auto configs = sampleConfigs();
+    SweepRunner runner(2);
+    std::vector<Job<core::MlpResult>> jobs;
+    {
+        core::CellGrid grid;
+        jobs = deferAll(grid, runner, streamed, configs);
+    }
+    runner.runAll();
+    for (size_t i = 0; i < configs.size(); ++i) {
+        ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
+        expectSameResult(jobs[i].get(),
+                         core::runMlp(configs[i], streamed.context()));
+    }
+}
+
+TEST(CellGrid, LimitedCellsAndMaterialisedTracesRunUngrouped)
+{
+    const auto streamed = prepareTrace(4096);
+    const auto materialised = prepareTrace(0);
+    const std::vector<bool> all(3, true);
+    const std::vector<bool> none(3, false);
+
+    EXPECT_EQ(groupedCells(streamed, JobLimits{}), all);
+
+    // The group leader's attempt would govern every cell, so a cell
+    // with its own deadline or retries must run on its own.
+    JobLimits deadline;
+    deadline.deadlineMillis = 600'000;
+    EXPECT_EQ(groupedCells(streamed, deadline), none);
+    JobLimits retries;
+    retries.retry.maxAttempts = 2;
+    EXPECT_EQ(groupedCells(streamed, retries), none);
+
+    // A materialised trace has no generation to share.
+    EXPECT_EQ(groupedCells(materialised, JobLimits{}), none);
 }
 
 } // namespace mlpsim::test

@@ -20,7 +20,6 @@ namespace mlpsim {
 namespace {
 
 using bench::BenchSetup;
-using bench::PreparedWorkload;
 using bench::Sweep;
 
 TEST(MetricsConcurrency, ConcurrentUpdatesAreRaceFree)

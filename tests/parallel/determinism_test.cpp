@@ -22,7 +22,7 @@ namespace mlpsim {
 namespace {
 
 using bench::BenchSetup;
-using bench::PreparedWorkload;
+using core::PreparedTrace;
 using bench::Sweep;
 
 /** Small-but-nontrivial budgets to keep the grid fast under TSan. */
@@ -37,7 +37,7 @@ smallSetup(unsigned jobs)
     return setup;
 }
 
-std::vector<PreparedWorkload>
+std::vector<PreparedTrace>
 prepare(unsigned jobs)
 {
     char arg0[] = "determinism_test";
@@ -84,17 +84,17 @@ TEST(SweepDeterminism, ParallelPreparationYieldsBitIdenticalTraces)
     ASSERT_EQ(serial.size(), 3u);
 
     for (size_t w = 0; w < serial.size(); ++w) {
-        EXPECT_EQ(serial[w].name, parallel[w].name);
-        const auto &a = *serial[w].buffer;
-        const auto &b = *parallel[w].buffer;
-        ASSERT_EQ(a.size(), b.size()) << serial[w].name;
+        EXPECT_EQ(serial[w].name(), parallel[w].name());
+        const auto &a = *serial[w].buffer();
+        const auto &b = *parallel[w].buffer();
+        ASSERT_EQ(a.size(), b.size()) << serial[w].name();
         for (size_t i = 0; i < a.size(); ++i) {
             const auto &x = a.at(i);
             const auto &y = b.at(i);
             const bool same = x.pc == y.pc && x.effAddr == y.effAddr &&
                               x.value() == y.value() && x.target() == y.target() &&
                               x.cls() == y.cls() && x.taken() == y.taken();
-            ASSERT_TRUE(same) << serial[w].name << " instruction " << i;
+            ASSERT_TRUE(same) << serial[w].name() << " instruction " << i;
         }
     }
 }
@@ -107,12 +107,12 @@ TEST(SweepDeterminism, SeedsDependOnNameNotPreparationOrder)
     bench::prepareWorkload("database", smallSetup(1));
     bench::prepareWorkload("specjbb2000", smallSetup(1));
     const auto after = bench::prepareWorkload("specweb99", smallSetup(1));
-    ASSERT_EQ(alone.buffer->size(), after.buffer->size());
-    for (size_t i = 0; i < alone.buffer->size(); ++i) {
-        ASSERT_EQ(alone.buffer->at(i).pc, after.buffer->at(i).pc)
+    ASSERT_EQ(alone.buffer()->size(), after.buffer()->size());
+    for (size_t i = 0; i < alone.buffer()->size(); ++i) {
+        ASSERT_EQ(alone.buffer()->at(i).pc, after.buffer()->at(i).pc)
             << "instruction " << i;
-        ASSERT_EQ(alone.buffer->at(i).effAddr,
-                  after.buffer->at(i).effAddr)
+        ASSERT_EQ(alone.buffer()->at(i).effAddr,
+                  after.buffer()->at(i).effAddr)
             << "instruction " << i;
     }
     EXPECT_EQ(workloads::workloadSeed("specweb99"),
@@ -127,7 +127,7 @@ TEST(SweepDeterminism, MlpGridBitIdenticalAcrossJobCounts)
     const auto wlsParallel = prepare(8);
     const auto grid = machineGrid();
 
-    auto sweepAll = [&grid](const std::vector<PreparedWorkload> &wls,
+    auto sweepAll = [&grid](const std::vector<PreparedTrace> &wls,
                             unsigned jobs) {
         Sweep sweep(smallSetup(jobs));
         std::vector<Job<core::MlpResult>> cells;
@@ -152,7 +152,7 @@ TEST(SweepDeterminism, CycleSimGridBitIdenticalAcrossJobCounts)
     const auto wlsSerial = prepare(1);
     const auto wlsParallel = prepare(8);
 
-    auto sweepAll = [](const std::vector<PreparedWorkload> &wls,
+    auto sweepAll = [](const std::vector<PreparedTrace> &wls,
                        unsigned jobs) {
         Sweep sweep(smallSetup(jobs));
         std::vector<Job<cyclesim::CycleSimResult>> cells;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/mlpsim.hh"
+#include "core/trace_pipeline.hh"
 #include "metrics/export.hh"
 #include "metrics/registry.hh"
 #include "util/logging.hh"
@@ -98,19 +99,16 @@ main(int argc, char **argv)
                 metrics::ScopedLabel wl_label(name);
                 metrics::ScopedLabel cfg_label(
                     machineByName(machine).metricLabel());
-                auto generator = workloads::makeWorkload(
-                    name, workloads::workloadSeed(name));
-                trace::TraceBuffer buffer(name);
-                buffer.fill(*generator, warmup + measure);
-                core::AnnotationOptions annotation;
-                annotation.warmupInsts = warmup;
-                const auto annotated =
-                    core::AnnotatedTrace::make(buffer, annotation)
-                        .orFatal();
+                core::TraceSpec spec;
+                spec.workload = name;
+                spec.seed = workloads::workloadSeed(name);
+                spec.totalInsts = warmup + measure;
+                spec.annotation.warmupInsts = warmup;
+                const auto trace = core::PreparedTrace::make(spec).orFatal();
 
                 core::MlpConfig cfg = machineByName(machine);
                 cfg.warmupInsts = warmup;
-                return core::runMlp(cfg, annotated.context());
+                return core::runMlp(cfg, trace.context());
             }));
     }
     runner.runAll();

@@ -17,11 +17,11 @@
  */
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mlpsim.hh"
+#include "core/trace_pipeline.hh"
 #include "metrics/export.hh"
 #include "metrics/registry.hh"
 #include "trace/trace_stats.hh"
@@ -33,14 +33,6 @@
 using namespace mlpsim;
 
 namespace {
-
-/** One materialised workload (buffer heap-allocated so moves are safe). */
-struct Prep
-{
-    std::string name;
-    std::unique_ptr<trace::TraceBuffer> buf;
-    std::unique_ptr<core::AnnotatedTrace> ann;
-};
 
 /** The epoch-model cells calibrate reports for one workload. */
 struct Cells
@@ -88,44 +80,36 @@ main(int argc, char **argv)
     SweepRunner runner(unsigned(opts.getU64("jobs", 0)));
 
     // Stage 1: materialise + annotate every workload concurrently.
-    std::vector<Job<Prep>> prepJobs;
+    std::vector<Job<core::PreparedTrace>> prepJobs;
     for (const auto &name : names) {
-        prepJobs.push_back(runner.defer<Prep>(
+        prepJobs.push_back(runner.defer<core::PreparedTrace>(
             "prepare " + name, [name, total, warmup, l2mb] {
                 metrics::ScopedLabel wl_label(name);
-                Prep prep;
-                prep.name = name;
-                auto wl = workloads::makeWorkload(
-                    name, workloads::workloadSeed(name));
-                prep.buf = std::make_unique<trace::TraceBuffer>(name);
-                prep.buf->fill(*wl, total);
-
-                core::AnnotationOptions aopts;
-                aopts.warmupInsts = warmup;
-                aopts.hierarchy.l2.sizeBytes = l2mb * 1024 * 1024;
-                prep.ann = std::make_unique<core::AnnotatedTrace>(
-                    core::AnnotatedTrace::make(*prep.buf, aopts)
-                        .orFatal());
-                return prep;
+                core::TraceSpec spec;
+                spec.workload = name;
+                spec.seed = workloads::workloadSeed(name);
+                spec.totalInsts = total;
+                spec.annotation.warmupInsts = warmup;
+                spec.annotation.hierarchy.l2.sizeBytes = l2mb * 1024 * 1024;
+                return core::PreparedTrace::make(spec).orFatal();
             }));
     }
     runner.runAll();
 
-    std::vector<Prep> preps;
+    std::vector<core::PreparedTrace> preps;
     for (auto &job : prepJobs)
         preps.push_back(job.take());
 
     // Stage 2: every epoch-model cell of every workload concurrently.
     using core::IssueConfig;
-    auto defer = [&](const Prep &prep, core::MlpConfig cfg) {
+    auto defer = [&](const core::PreparedTrace &prep, core::MlpConfig cfg) {
         cfg.warmupInsts = warmup;
-        const core::AnnotatedTrace *ann = prep.ann.get();
-        const std::string name = prep.name;
+        const core::PreparedTrace *trace = &prep;
         return runner.defer<core::MlpResult>(
-            "mlp " + prep.name, [cfg, ann, name] {
-                metrics::ScopedLabel wl_label(name);
+            "mlp " + prep.name(), [cfg, trace] {
+                metrics::ScopedLabel wl_label(trace->name());
                 metrics::ScopedLabel cfg_label(cfg.metricLabel());
-                return core::runMlp(cfg, ann->context());
+                return core::runMlp(cfg, trace->context());
             });
     };
 
@@ -153,9 +137,9 @@ main(int argc, char **argv)
     runner.runAll();
 
     for (size_t w = 0; w < preps.size(); ++w) {
-        const std::string &name = preps[w].name;
-        const trace::TraceBuffer &buf = *preps[w].buf;
-        const core::AnnotatedTrace &ann = *preps[w].ann;
+        const std::string &name = preps[w].name();
+        const trace::TraceBuffer &buf = *preps[w].buffer();
+        const core::AnnotatedTrace &ann = preps[w].annotated();
         const auto &m = ann.misses();
         const auto t =
             workloads::targetsFromSnapshot(targets_doc, name).orFatal();

@@ -49,7 +49,8 @@
  * exact MlpResult records the first run journalled.
  *
  * The sweep is deterministic end to end: workload generators use
- * their fixed default seeds, annotation substrates are replayed in
+ * their presets' seeds (workloads::presetSeed), which also key the
+ * journal's cells, annotation substrates are replayed in
  * program order, and MLP (the only double) is a single IEEE division
  * of two integers, so the document compares exactly.
  */
@@ -63,6 +64,7 @@
 #include "core/mlpsim.hh"
 #include "core/result_json.hh"
 #include "core/result_journal.hh"
+#include "core/trace_pipeline.hh"
 #include "cyclesim/cycle_sim.hh"
 #include "metrics/json.hh"
 #include "metrics/registry.hh"
@@ -114,6 +116,19 @@ goldenConfigs()
     return configs;
 }
 
+/** The golden trace of workload @p name: its preset seed, the golden
+ *  budget, materialised. */
+core::TraceSpec
+goldenSpec(const std::string &name)
+{
+    core::TraceSpec spec;
+    spec.workload = name;
+    spec.seed = workloads::presetSeed(name);
+    spec.totalInsts = goldenInsts;
+    spec.annotation.warmupInsts = goldenWarmup;
+    return spec;
+}
+
 /** The committed document: schema, golden budget and per-cell results. */
 JsonValue
 goldenDocument(const char *schema, JsonValue results)
@@ -131,20 +146,14 @@ goldenDocument(const char *schema, JsonValue results)
 JsonValue
 runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
 {
-    core::AnnotationOptions ann;
-    ann.warmupInsts = goldenWarmup;
-
     uint64_t computed = 0;
     JsonValue results = JsonValue::object();
     for (const std::string &name : workloads::commercialWorkloadNames()) {
-        auto generator = workloads::makeWorkload(name);
-        trace::TraceBuffer buffer(name);
-        buffer.fill(*generator, goldenInsts);
-        const auto annotated =
-            core::AnnotatedTrace::make(buffer, ann).orFatal();
+        const core::TraceSpec spec = goldenSpec(name);
+        const auto trace = core::PreparedTrace::make(spec).orFatal();
         for (const GoldenConfig &gc : goldenConfigs()) {
-            const std::string cell_key = core::ResultJournal::key(
-                name, gc.key, workloads::workloadSeed(name));
+            const std::string cell_key =
+                core::ResultJournal::key(name, gc.key, spec.seed);
             core::MlpResult r;
             if (journal && journal->lookup(cell_key, &r)) {
                 // Completed by a previous (possibly killed) run;
@@ -152,7 +161,7 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
                 results.set(name + "/" + gc.key, resultToJson(r));
                 continue;
             }
-            r = core::runMlp(gc.config, annotated.context());
+            r = core::runMlp(gc.config, trace.context());
             if (journal)
                 journal->record(cell_key, r).orFatal();
             results.set(name + "/" + gc.key, resultToJson(r));
@@ -187,21 +196,15 @@ cycleSimResultToJson(const cyclesim::CycleSimResult &r)
 JsonValue
 runCycleSimSweep()
 {
-    core::AnnotationOptions ann;
-    ann.warmupInsts = goldenWarmup;
-
     JsonValue results = JsonValue::object();
     for (const std::string &name : workloads::commercialWorkloadNames()) {
-        auto generator = workloads::makeWorkload(name);
-        trace::TraceBuffer buffer(name);
-        buffer.fill(*generator, goldenInsts);
-        const auto annotated =
-            core::AnnotatedTrace::make(buffer, ann).orFatal();
+        const auto trace =
+            core::PreparedTrace::make(goldenSpec(name)).orFatal();
         auto cell = [&](const cyclesim::CycleSimConfig &cfg) {
-            results.set(name + "/" + cfg.metricLabel(),
-                        cycleSimResultToJson(
-                            cyclesim::CycleSim(cfg, annotated.context())
-                                .run()));
+            results.set(
+                name + "/" + cfg.metricLabel(),
+                cycleSimResultToJson(
+                    cyclesim::CycleSim(cfg, trace.context()).run()));
         };
         for (unsigned window : {32u, 64u, 128u}) {
             for (auto ic : {core::IssueConfig::A, core::IssueConfig::B,
@@ -258,9 +261,6 @@ runEpochEdgesSweep()
     // loop_iterations is only recorded while collection is on.
     metrics::setEnabled(true);
 
-    core::AnnotationOptions ann;
-    ann.warmupInsts = goldenWarmup;
-
     const unsigned fetch_buffers[] = {1, 7, 32, 300};
     const std::pair<unsigned, unsigned> windows[] = {
         {1, 1}, {16, 16}, {256, 16}, {16, 256}, {2048, 2048}};
@@ -270,15 +270,12 @@ runEpochEdgesSweep()
 
     JsonValue results = JsonValue::object();
     for (const std::string &name : workloads::commercialWorkloadNames()) {
-        auto generator = workloads::makeWorkload(name);
-        trace::TraceBuffer buffer(name);
-        buffer.fill(*generator, goldenInsts);
-        const auto annotated =
-            core::AnnotatedTrace::make(buffer, ann).orFatal();
+        const auto trace =
+            core::PreparedTrace::make(goldenSpec(name)).orFatal();
         auto cell = [&](const std::string &key, MlpConfig cfg) {
             cfg.warmupInsts = goldenWarmup;
             results.set(name + "/" + key,
-                        epochEdgeCell(cfg, annotated.context()));
+                        epochEdgeCell(cfg, trace.context()));
         };
         for (unsigned fb : fetch_buffers) {
             const std::string fb_key = "fb" + std::to_string(fb);

@@ -36,6 +36,7 @@
 
 #include "core/mlpsim.hh"
 #include "core/result_journal.hh"
+#include "core/trace_pipeline.hh"
 #include "metrics/export.hh"
 #include "util/cancellation.hh"
 #include "util/options.hh"
@@ -50,7 +51,9 @@ struct GridCell
 {
     std::string label;
     core::MlpConfig config;
-    const core::AnnotatedTrace *trace;
+    const core::PreparedTrace *trace;
+    /** ResultJournal key, on the seed the trace was built with. */
+    std::string journalKey;
 };
 
 /** Spin until cancelled: the "stuck job" the watchdog exists for. */
@@ -131,31 +134,31 @@ main(int argc, char **argv)
     }
 
     // ----- build the real grid ------------------------------------
-    core::AnnotationOptions ann;
-    ann.warmupInsts = warmup;
-
-    std::vector<std::unique_ptr<trace::TraceBuffer>> buffers;
-    std::vector<std::unique_ptr<core::AnnotatedTrace>> traces;
+    const auto &names = workloads::commercialWorkloadNames();
+    std::vector<core::PreparedTrace> traces;
+    traces.reserve(names.size()); // cells point into it
     std::vector<GridCell> cells;
     const std::pair<const char *, core::MlpConfig> configs[] = {
         {"64C", core::MlpConfig::defaultOoO()},
         {"64E", core::MlpConfig::sized(64, core::IssueConfig::E)},
     };
-    for (const std::string &name : workloads::commercialWorkloadNames()) {
-        auto generator = workloads::makeWorkload(name);
-        buffers.push_back(
-            std::make_unique<trace::TraceBuffer>(name));
-        buffers.back()->fill(*generator, insts);
-        auto annotated = core::AnnotatedTrace::make(*buffers.back(), ann);
-        if (!annotated.ok())
-            return flagError(annotated.status());
-        traces.push_back(std::make_unique<core::AnnotatedTrace>(
-            *std::move(annotated)));
+    for (const std::string &name : names) {
+        core::TraceSpec spec;
+        spec.workload = name;
+        spec.seed = workloads::presetSeed(name);
+        spec.totalInsts = insts;
+        spec.annotation.warmupInsts = warmup;
+        auto trace = core::PreparedTrace::make(spec);
+        if (!trace.ok())
+            return flagError(trace.status());
+        traces.push_back(*std::move(trace));
         for (const auto &[key, config] : configs) {
             core::MlpConfig cell_config = config;
             cell_config.warmupInsts = warmup;
-            cells.push_back(GridCell{name + "/" + key, cell_config,
-                                     traces.back().get()});
+            const std::string label = name + "/" + key;
+            cells.push_back(GridCell{
+                label, cell_config, &traces.back(),
+                core::ResultJournal::key(label, "faultinject", spec.seed)});
         }
     }
 
@@ -183,18 +186,11 @@ main(int argc, char **argv)
     std::vector<Job<core::MlpResult>> results(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const GridCell &cell = cells[i];
-        std::string cell_key;
         core::MlpResult replay;
-        if (journal) {
-            cell_key = core::ResultJournal::key(
-                cell.label, "faultinject",
-                workloads::workloadSeed(
-                    cell.label.substr(0, cell.label.find('/'))));
-            if (journal->lookup(cell_key, &replay)) {
-                std::printf("%-16s  mlp %.6f  (journal)\n",
-                            cell.label.c_str(), replay.mlp());
-                continue;
-            }
+        if (journal && journal->lookup(cell.journalKey, &replay)) {
+            std::printf("%-16s  mlp %.6f  (journal)\n", cell.label.c_str(),
+                        replay.mlp());
+            continue;
         }
         results[i] = runner.defer<core::MlpResult>(
             cell.label, [&cell]() -> core::MlpResult {
@@ -239,11 +235,7 @@ main(int argc, char **argv)
         std::printf("%-16s  mlp %.6f\n", cells[i].label.c_str(),
                     result.mlp());
         if (journal) {
-            const std::string cell_key = core::ResultJournal::key(
-                cells[i].label, "faultinject",
-                workloads::workloadSeed(cells[i].label.substr(
-                    0, cells[i].label.find('/'))));
-            const Status st = journal->record(cell_key, result);
+            const Status st = journal->record(cells[i].journalKey, result);
             if (!st.ok())
                 warn(st.toString());
         }
