@@ -17,10 +17,9 @@
  *    compact positional arrays keyed by a caller-chosen string. Every
  *    field round-trips exactly (integers only, no derived values), so
  *    a replayed record is indistinguishable from the original run.
- *    This is the payload format of the sweep checkpoint journal
- *    (core/result_journal.hh) and of the mlpsimd content-addressed
- *    result cache (service/result_cache.hh); the two files differ only
- *    in their recordio meta string.
+ *    This is the payload format of the mlpsimd content-addressed
+ *    result cache (service/result_cache.hh), which is also the sweep
+ *    checkpoint journal of golden_check and sweep_faultinject.
  */
 #pragma once
 

@@ -104,10 +104,12 @@ PreparedTrace::make(const TraceSpec &spec)
     MLPSIM_ASSIGN_OR_RETURN(
         auto generator, workloads::tryMakeWorkload(spec.workload, spec.seed));
     PreparedTrace prepared(spec.workload);
+    const trace::ChunkSource *chunks = nullptr;
     if (spec.streamChunk == 0) {
         prepared.buf = std::make_unique<trace::TraceBuffer>(spec.workload);
         metrics::ScopedTimer t("workloads/generate_s");
         prepared.buf->fill(*generator, spec.totalInsts);
+        chunks = prepared.buf.get();
     } else {
         // Streamed: no instruction is stored. The factory re-creates
         // the generator, at the same seed, for every stream open, so
@@ -119,27 +121,11 @@ PreparedTrace::make(const TraceSpec &spec)
                 return workloads::makeWorkload(name, seed);
             },
             spec.streamChunk);
+        chunks = prepared.source.get();
     }
-    return annotate(std::move(prepared), spec.annotation);
-}
 
-Expected<PreparedTrace>
-PreparedTrace::make(const TraceSpec &spec, trace::TraceBuffer trace)
-{
-    PreparedTrace prepared(spec.workload);
-    prepared.buf = std::make_unique<trace::TraceBuffer>(std::move(trace));
-    return annotate(std::move(prepared), spec.annotation);
-}
-
-Expected<PreparedTrace>
-PreparedTrace::annotate(PreparedTrace prepared,
-                        const AnnotationOptions &options)
-{
-    const trace::ChunkSource &trace =
-        prepared.buf ? static_cast<const trace::ChunkSource &>(*prepared.buf)
-                     : *prepared.source;
     MLPSIM_ASSIGN_OR_RETURN(AnnotatedTrace annotated,
-                            AnnotatedTrace::make(trace, options));
+                            AnnotatedTrace::make(*chunks, spec.annotation));
     prepared.ann = std::make_unique<AnnotatedTrace>(std::move(annotated));
     if (metrics::enabled()) {
         // Both modes count the instructions the annotate pass saw, so

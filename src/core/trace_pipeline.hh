@@ -94,14 +94,6 @@ class PreparedTrace
      */
     static Expected<PreparedTrace> make(const TraceSpec &spec);
 
-    /**
-     * make() over @p trace, which already holds the spec's
-     * instructions (e.g. a trace file read back from disk): annotates
-     * without generating.
-     */
-    static Expected<PreparedTrace> make(const TraceSpec &spec,
-                                        trace::TraceBuffer trace);
-
     /** The workload name. */
     const std::string &name() const { return traceName; }
     /** Warm-up instructions the annotations excluded; simulator runs
@@ -117,11 +109,6 @@ class PreparedTrace
     explicit PreparedTrace(std::string name) : traceName(std::move(name))
     {
     }
-
-    /** The annotate step both make() overloads end in: annotate
-     *  whichever trace @p prepared holds. */
-    static Expected<PreparedTrace> annotate(PreparedTrace prepared,
-                                            const AnnotationOptions &options);
 
     std::string traceName;
     std::unique_ptr<trace::TraceBuffer> buf;

@@ -43,10 +43,7 @@ struct CellToken
 
 Daemon::Daemon(DaemonConfig daemon_config)
     : config(daemon_config), runner(daemon_config.jobs),
-      traces(daemon_config.cacheDir.empty()
-                 ? std::string()
-                 : daemon_config.cacheDir + "/traces",
-             daemon_config.traceCacheCapacity)
+      traces(daemon_config.traceCacheCapacity)
 {
     runner.setFailureMode(FailureMode::CollectAll);
     installHooks();
@@ -190,7 +187,12 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
     // runAll() below.
     core::CellGrid grid;
 
-    for (size_t i = 0; i < frames.size(); ++i) {
+    // A failed pong write ends planning, but not before the cells
+    // already deferred have run and been recorded: a job left queued
+    // would run inside the next connection's batch.
+    Status stream_error;
+
+    for (size_t i = 0; i < frames.size() && stream_error.ok(); ++i) {
         Outcome &outcome = outcomes[i];
 
         auto doc = JsonValue::parse(frames[i]);
@@ -212,8 +214,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
             if (command == "shutdown") {
                 shuttingDown = true;
             } else if (command == "ping") {
-                MLPSIM_RETURN_IF_ERROR(
-                    writer.write(makeEvent("pong").dump(0)));
+                stream_error = writer.write(makeEvent("pong").dump(0));
             } else {
                 outcome.earlyResponse = makeErrorResponse(
                     "", "",
@@ -320,7 +321,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
     }
 
     // Progress preamble (frame order), then the one shared batch.
-    if (config.emitEvents) {
+    if (config.emitEvents && stream_error.ok()) {
         for (const Outcome &outcome : outcomes) {
             if (outcome.request && !outcome.earlyResponse) {
                 emitFrame(makePlannedEvent(
@@ -340,6 +341,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
         if (cell.job.succeeded())
             recordComputedCell(key, cell.job.get());
     }
+    MLPSIM_RETURN_IF_ERROR(stream_error);
 
     // Responses, strictly in frame order.
     for (const Outcome &outcome : outcomes) {

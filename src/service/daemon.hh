@@ -63,7 +63,7 @@ class FrameWriter;
 struct DaemonConfig
 {
     unsigned jobs = 0;        //!< SweepRunner threads (0 = hardware)
-    std::string cacheDir;     //!< persistence root; "" = memory-only
+    std::string cacheDir;     //!< holds results.rec; "" = memory-only
     size_t traceCacheCapacity = 4;
     /**
      * --stream-chunk: non-zero prepares traces in streamed mode with

@@ -5,11 +5,15 @@
  *
  * The daemon's result tier: a cell that was ever computed — by this
  * process or by a daemon that crashed yesterday — is served from here
- * without simulating. Keys are the canonical cell-key JSON strings of
- * service/wire.hh (the full string, so hash collisions are
- * impossible); values are exact MlpResult records in the storage form
- * of core/result_json.hh, so a replayed result is bit-identical to
- * the original computation.
+ * without simulating. It is also the checkpoint/resume journal of
+ * golden_check and sweep_faultinject (--journal): a killed sweep
+ * rerun against the same file recomputes only the missing cells.
+ * Keys are the canonical cell-key JSON strings of service/wire.hh
+ * (the full string, so hash collisions are impossible), which carry
+ * the warm-up and measured budget, so one file may hold cells of any
+ * budget; values are exact MlpResult records in the storage form of
+ * core/result_json.hh, so a replayed result is bit-identical to the
+ * original computation.
  *
  * Persistence reuses the CRC32-framed RecordLog (util/recordio.hh):
  * every record() appends one flushed frame, and open() replays the

@@ -10,23 +10,16 @@
  * immutable core::PreparedTrace that concurrent sweep jobs read
  * without locking.
  *
- * Two tiers:
+ * One tier: an in-memory LRU of fully prepared traces, bounded by a
+ * trace count (traces are the daemon's dominant memory consumer; the
+ * default of 4 covers the three commercial workloads plus one odd
+ * seed). Traces are never persisted: regenerating one is several
+ * times faster than reading it back from a trace file (EXPERIMENTS.md,
+ * "Persist results, not traces"), so a restarted daemon rebuilds its
+ * traces and keeps only its results on disk (service/result_cache.hh).
  *
- *  - an in-memory LRU of fully prepared traces (buffer + annotations),
- *    bounded by a trace count (traces are the daemon's dominant memory
- *    consumer; the default of 4 covers the three commercial workloads
- *    plus one odd seed);
- *  - an optional on-disk spill directory of *raw* trace buffers in the
- *    CRC-checked trace-file format (trace/trace_io.hh), keyed by
- *    content hash. A disk hit skips generation (the deterministic
- *    part worth persisting) and re-annotates; annotations are cheap
- *    relative to generation and depend on substrate options, so they
- *    are not spilled.
- *
- * Everything is keyed by the canonical trace-key JSON (full string,
- * collision-proof); contentHash() of it names spill files. Disk I/O
- * failures degrade to generation — a broken cache directory costs
- * time, never correctness.
+ * Entries are keyed by the canonical trace-key JSON of the spec (the
+ * full string, so collisions are impossible).
  */
 #pragma once
 
@@ -45,23 +38,16 @@ namespace mlpsim::service {
 class TraceCache
 {
   public:
-    /**
-     * @param spill_dir directory for on-disk trace spill (created if
-     *        missing); empty = memory-only.
-     * @param capacity  in-memory LRU entry cap (≥ 1).
-     */
-    explicit TraceCache(std::string spill_dir = "", size_t capacity = 4);
+    /** @param capacity LRU entry cap; 0 is treated as 1. */
+    explicit TraceCache(size_t capacity = 4);
 
     /**
-     * Return the prepared trace for @p spec, preparing it
-     * (core::PreparedTrace::make, or the same annotate step over a
-     * spilled buffer) on miss. The cache key is the spec's workload,
-     * seed, warm-up and budget: a daemon prepares every trace in one
-     * mode and with default annotation substrates. Streamed specs
-     * (streamChunk > 0) never spill — the generator IS their
-     * persistent form. Fails only when the workload cannot be
-     * generated or annotated — never because of spill-directory
-     * trouble.
+     * Return the prepared trace for @p spec, preparing it with
+     * core::PreparedTrace::make on miss. The cache key is the spec's
+     * workload, seed, warm-up and budget: a daemon prepares every
+     * trace in one mode and with default annotation substrates. Fails
+     * only when the workload cannot be generated or annotated; a
+     * failure caches nothing.
      */
     Expected<std::shared_ptr<const core::PreparedTrace>>
     get(const core::TraceSpec &spec);
@@ -69,17 +55,16 @@ class TraceCache
     struct Stats
     {
         uint64_t memoryHits = 0;
-        uint64_t diskHits = 0; //!< spilled buffer reloaded + annotated
-        uint64_t builds = 0;   //!< generated from the workload model
+        /** Always 0 (traces are never persisted); kept because
+         *  perfbench/mlpbench.cc reads it. */
+        uint64_t diskHits = 0;
+        uint64_t builds = 0; //!< prepared by PreparedTrace::make
     };
 
     Stats stats() const;
 
   private:
-    std::string spillPath(const std::string &canonical) const;
-
     mutable std::mutex mutex;
-    std::string dir; //!< empty = no spill tier
     size_t capacityLimit;
 
     /** LRU: most recently used at the front. */

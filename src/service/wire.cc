@@ -62,6 +62,22 @@ getUint(const JsonValue &doc, const char *name, bool required,
     return Status::okStatus();
 }
 
+/** The one cell-key builder both public overloads share. */
+std::string
+canonicalCellKey(const std::string &workload, uint64_t seed,
+                 uint64_t warmup, uint64_t insts,
+                 const core::MlpConfig &config)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("schema", "mlpsim-sweep-cell-v1");
+    doc.set("workload", workload);
+    doc.set("seed", seed);
+    doc.set("warmup", warmup);
+    doc.set("insts", insts);
+    doc.set("config", configToJson(config));
+    return doc.dump(0);
+}
+
 } // namespace
 
 JsonValue
@@ -242,14 +258,16 @@ parseSweepRequest(const JsonValue &doc, uint64_t max_insts)
 std::string
 cellKey(const SweepRequest &request, const core::MlpConfig &config)
 {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", "mlpsim-sweep-cell-v1");
-    doc.set("workload", request.workload);
-    doc.set("seed", request.seed);
-    doc.set("warmup", request.warmup);
-    doc.set("insts", request.insts);
-    doc.set("config", configToJson(config));
-    return doc.dump(0);
+    return canonicalCellKey(request.workload, request.seed,
+                            request.warmup, request.insts, config);
+}
+
+std::string
+cellKey(const core::TraceSpec &trace, const core::MlpConfig &config)
+{
+    const uint64_t warmup = trace.annotation.warmupInsts;
+    return canonicalCellKey(trace.workload, trace.seed, warmup,
+                            trace.totalInsts - warmup, config);
 }
 
 std::string

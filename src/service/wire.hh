@@ -27,10 +27,9 @@
  * Content addressing: a *cell* is one (workload, seed, warmup, insts,
  * config) simulation. Its identity is the canonical cell-key JSON —
  * fixed member order, compact dump — produced by cellKey(). Cache maps
- * are keyed by this full string (collision-proof); contentHash() of it
- * (16 hex chars of splitMix64 ∘ FNV-1a) names derived artifacts where
- * a short stable token is needed: spilled trace filenames and the
- * request_hash echoed in responses. Presentation-only fields (the
+ * are keyed by this full string (collision-proof); contentHash() (16
+ * hex chars of splitMix64 ∘ FNV-1a) is the short stable token of the
+ * canonical request JSON, echoed as request_hash in responses. Presentation-only fields (the
  * config's display name, the request id, deadlines/retries) are
  * excluded from keys, so renaming a config or retuning limits still
  * hits the cache.
@@ -43,6 +42,7 @@
 
 #include "core/mlp_config.hh"
 #include "core/mlp_result.hh"
+#include "core/trace_pipeline.hh"
 #include "metrics/json.hh"
 #include "util/status.hh"
 
@@ -102,6 +102,16 @@ Expected<core::MlpConfig> configFromJson(const metrics::JsonValue &doc);
 
 /** Canonical cell-key JSON for one (request, config) simulation. */
 std::string cellKey(const SweepRequest &request,
+                    const core::MlpConfig &config);
+
+/**
+ * The same key for @p config simulated over the trace @p trace names
+ * (its workload, seed, warm-up and measured budget): how the tools
+ * that resume a sweep from a ResultCache key their cells. A cell
+ * keyed here and the daemon cell of the matching request have equal
+ * keys.
+ */
+std::string cellKey(const core::TraceSpec &trace,
                     const core::MlpConfig &config);
 
 /** 16-hex-char content fingerprint (splitMix64 ∘ FNV-1a) of @p text. */

@@ -2,10 +2,6 @@
 
 namespace mlpsim {
 
-namespace detail {
-thread_local const CancelToken *t_activeCancelToken = nullptr;
-} // namespace detail
-
 int64_t
 CancelToken::nowNs()
 {

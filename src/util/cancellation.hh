@@ -151,8 +151,15 @@ class CancelledError : public std::exception
 };
 
 namespace detail {
-/** The executing thread's active token; null outside CancelScope. */
-extern thread_local const CancelToken *t_activeCancelToken;
+/**
+ * The executing thread's active token; null outside CancelScope.
+ * Keep it defined inline, where every user sees its constant
+ * initialiser: declared extern and defined in one source file, each
+ * access goes through a thread_local wrapper call, and GCC's UBSan
+ * reports the CancelScope stores and the loads below as stores and
+ * loads of a null pointer.
+ */
+inline thread_local const CancelToken *t_activeCancelToken = nullptr;
 } // namespace detail
 
 /** Install @p token as the calling thread's active token (RAII). */

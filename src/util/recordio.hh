@@ -1,8 +1,8 @@
 /**
  * @file
  * Append-only, CRC32-framed record files: the storage layer of the
- * sweep checkpoint/resume journal (core/result_journal.hh) and, per
- * ROADMAP.md, the seed of the mlpsimd content-addressed result cache.
+ * mlpsimd content-addressed result cache (service/result_cache.hh),
+ * which is also the tools' sweep checkpoint/resume journal.
  *
  * The format is deliberately dumb so a half-written file is always
  * recoverable:
@@ -18,9 +18,9 @@
  * CRC-corrupt frame at the tail. open() *salvages* such a file: the
  * valid prefix is kept, rewritten through the atomic temp-file+rename
  * idiom (so a second crash cannot make things worse), and appending
- * resumes after it. A file whose meta string does not match — a
- * journal written under different sweep parameters — is discarded and
- * restarted rather than half-trusted.
+ * resumes after it. A file whose meta string does not match — a log
+ * written in another format — is discarded and restarted rather than
+ * half-trusted.
  */
 #pragma once
 

@@ -42,7 +42,7 @@ std::unique_ptr<WorkloadBase> makeWorkload(const std::string &name,
  * (DatabaseParams::seed and its siblings); 0 for an unknown name.
  * Callers that build a trace at the preset's seed pass this value
  * explicitly, so the seed that made the trace is also the one they
- * record (e.g. in a ResultJournal cell key).
+ * record (e.g. in a result-cache cell key).
  */
 uint64_t presetSeed(const std::string &name);
 

@@ -74,7 +74,7 @@ runGrid(const core::PreparedTrace &trace)
 
 } // namespace
 
-TEST(PreparedTrace, StreamedAndLoadedMatchMaterialised)
+TEST(PreparedTrace, StreamedMatchesMaterialised)
 {
     const auto materialised = core::PreparedTrace::make(spec(0)).orFatal();
     ASSERT_NE(materialised.buffer(), nullptr);
@@ -90,17 +90,6 @@ TEST(PreparedTrace, StreamedAndLoadedMatchMaterialised)
             SCOPED_TRACE("config " + std::to_string(i));
             expectSameResult(results[i], reference[i]);
         }
-    }
-
-    // The spill-hit path: a buffer that already holds the trace goes
-    // through the same annotate step.
-    const auto loaded =
-        core::PreparedTrace::make(spec(0), *materialised.buffer())
-            .orFatal();
-    const auto results = runGrid(loaded);
-    for (size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE("loaded, config " + std::to_string(i));
-        expectSameResult(results[i], reference[i]);
     }
 }
 

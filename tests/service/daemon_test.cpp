@@ -9,9 +9,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -281,6 +284,69 @@ TEST(DaemonTest, NoEventsModeEmitsOnlyResponses)
     EXPECT_EQ(session.responses.size(), 1u);
     EXPECT_TRUE(session.events.empty());
     EXPECT_EQ(session.frames.size(), session.responses.size());
+}
+
+TEST(DaemonTest, FailedPongWriteStillRunsTheBatchsDeferredCells)
+{
+    // A pong written into a closed pipe fails the stream. The request
+    // frame before it had already deferred its cell; that cell must
+    // run (and be recorded) in its own batch, not leak into the next
+    // connection's.
+    auto daemon = memoryDaemon();
+    const auto old_handler = std::signal(SIGPIPE, SIG_IGN);
+    int in[2], out[2];
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    {
+        FrameWriter writer(in[1]);
+        ASSERT_TRUE(
+            writer.write(requestPayload("lost", "database", "{}")).ok());
+        ASSERT_TRUE(writer
+                        .write("{\"schema\":\"mlpsim-sweep-control-v1\","
+                               "\"command\":\"ping\"}")
+                        .ok());
+    }
+    ::close(in[1]);
+    ::close(out[0]); // nobody reads: every write is EPIPE
+    const Status broken = daemon->serve(in[0], out[1]);
+    ::close(in[0]);
+    ::close(out[1]);
+    std::signal(SIGPIPE, old_handler);
+    EXPECT_FALSE(broken.ok());
+    EXPECT_EQ(daemon->stats().cellsComputed, 1u);
+    EXPECT_EQ(daemon->resultCache().size(), 1u);
+
+    const Session next = runSession(
+        *daemon, {requestPayload("next", "database", "{\"window\":32}")});
+    ASSERT_TRUE(next.served.ok()) << next.served.toString();
+    ASSERT_EQ(next.responses.size(), 1u);
+    size_t cell_done = 0;
+    for (const JsonValue &event : next.events)
+        cell_done += event.find("event")->string() == "cell-done";
+    EXPECT_EQ(cell_done, 1u);
+    EXPECT_EQ(daemon->stats().cellsComputed, 2u);
+}
+
+TEST(DaemonTest, CacheDirHoldsOnlyTheResultLog)
+{
+    const std::string dir = ::testing::TempDir() + "mlpsim_daemon_cache";
+    std::remove((dir + "/results.rec").c_str());
+    DaemonConfig config;
+    config.jobs = 2;
+    config.cacheDir = dir;
+    auto daemon = Daemon::create(config);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().toString();
+
+    const Session session = runSession(
+        **daemon, {requestPayload("cold", "database", "{}")});
+    ASSERT_TRUE(session.served.ok()) << session.served.toString();
+    ASSERT_EQ(session.responses.size(), 1u);
+
+    struct stat st = {};
+    EXPECT_EQ(::stat((dir + "/results.rec").c_str(), &st), 0);
+    EXPECT_NE(::stat((dir + "/traces").c_str(), &st), 0);
+    EXPECT_EQ((*daemon)->traceStats().builds, 1u);
+    std::remove((dir + "/results.rec").c_str());
 }
 
 } // namespace

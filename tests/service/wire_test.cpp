@@ -167,6 +167,27 @@ TEST(CellKeyTest, SimulationKnobsAllReachTheKey)
     EXPECT_NE(cellKey(*base, config), key);
 }
 
+TEST(CellKeyTest, TraceSpecKeyMatchesTheRequestKey)
+{
+    // The tools key their resume journals by the trace they built; a
+    // cell keyed that way is the daemon's cell of the same request.
+    auto request = parseSweepRequest(parseJson(kMinimalRequest));
+    ASSERT_TRUE(request.ok());
+    const core::MlpConfig &config = request->configs[0].config;
+
+    core::TraceSpec spec;
+    spec.workload = request->workload;
+    spec.seed = request->seed;
+    spec.totalInsts = request->warmup + request->insts;
+    spec.annotation.warmupInsts = request->warmup;
+    EXPECT_EQ(cellKey(spec, config), cellKey(*request, config));
+
+    // The budget is part of the key: the same total split differently
+    // is another cell.
+    spec.annotation.warmupInsts += 1;
+    EXPECT_NE(cellKey(spec, config), cellKey(*request, config));
+}
+
 TEST(ContentHashTest, StableAndSixteenHexChars)
 {
     const std::string hash = contentHash("hello");

@@ -40,7 +40,8 @@
  *
  * Checkpoint/resume (the golden_resume ctest):
  *   --journal FILE      persist each completed cell to FILE and skip
- *                       cells FILE already has (core/result_journal.hh)
+ *                       cells FILE already has (a service::ResultCache
+ *                       log, keyed like the daemon's cells)
  *   --kill-after N      simulate a crash: _Exit(42) after N cells have
  *                       been *computed* this run (replays don't count)
  *
@@ -56,18 +57,18 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/mlpsim.hh"
 #include "core/result_json.hh"
-#include "core/result_journal.hh"
 #include "core/trace_pipeline.hh"
 #include "cyclesim/cycle_sim.hh"
 #include "metrics/json.hh"
 #include "metrics/registry.hh"
+#include "service/result_cache.hh"
+#include "service/wire.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "workloads/factory.hh"
@@ -144,7 +145,7 @@ goldenDocument(const char *schema, JsonValue results)
 }
 
 JsonValue
-runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
+runGoldenSweep(service::ResultCache &journal, uint64_t kill_after)
 {
     uint64_t computed = 0;
     JsonValue results = JsonValue::object();
@@ -152,18 +153,16 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
         const core::TraceSpec spec = goldenSpec(name);
         const auto trace = core::PreparedTrace::make(spec).orFatal();
         for (const GoldenConfig &gc : goldenConfigs()) {
-            const std::string cell_key =
-                core::ResultJournal::key(name, gc.key, spec.seed);
+            const std::string cell_key = service::cellKey(spec, gc.config);
             core::MlpResult r;
-            if (journal && journal->lookup(cell_key, &r)) {
+            if (journal.lookup(cell_key, &r)) {
                 // Completed by a previous (possibly killed) run;
                 // replay the journalled result instead of recomputing.
                 results.set(name + "/" + gc.key, resultToJson(r));
                 continue;
             }
             r = core::runMlp(gc.config, trace.context());
-            if (journal)
-                journal->record(cell_key, r).orFatal();
+            journal.record(cell_key, r).orFatal();
             results.set(name + "/" + gc.key, resultToJson(r));
             if (kill_after != 0 && ++computed >= kill_after) {
                 // Simulated crash for the golden_resume ctest: the
@@ -371,25 +370,20 @@ main(int argc, char **argv)
     if (suite != "epoch" && !journal_path.empty())
         fatal("--journal applies to the epoch suite only");
 
-    std::optional<core::ResultJournal> journal;
-    if (!journal_path.empty()) {
-        journal = core::ResultJournal::open(journal_path, goldenWarmup,
-                                            goldenInsts)
-                      .orFatal();
-        if (journal->size() != 0) {
-            std::fprintf(stderr,
-                         "golden_check: resuming, %zu cells on record%s\n",
-                         journal->size(),
-                         journal->salvaged() ? " (salvaged corrupt tail)"
-                                             : "");
-        }
+    // Without --journal the cache is memory-only: every lookup misses.
+    service::ResultCache journal =
+        service::ResultCache::open(journal_path).orFatal();
+    if (journal.size() != 0) {
+        std::fprintf(stderr,
+                     "golden_check: resuming, %zu cells on record%s\n",
+                     journal.size(),
+                     journal.salvaged() ? " (salvaged corrupt tail)" : "");
     }
 
     const JsonValue fresh =
         suite == "cyclesim"      ? runCycleSimSweep()
         : suite == "epoch-edges" ? runEpochEdgesSweep()
-                                 : runGoldenSweep(journal ? &*journal : nullptr,
-                                                  kill_after);
+                                 : runGoldenSweep(journal, kill_after);
 
     if (!write.empty()) {
         metrics::writeJsonFile(write, fresh).orFatal();

@@ -7,15 +7,16 @@
  * --spawn uses) or an AF_UNIX stream socket (--socket PATH), batches
  * compatible requests onto one shared SweepRunner, and serves
  * duplicate work from two content-addressed caches: prepared traces
- * (in-memory LRU + on-disk spill) and finished cell results (a
- * persistent CRC-framed recordio log that survives crashes and warms
- * the next daemon). See service/daemon.hh for the full lifecycle.
+ * (an in-memory LRU; traces are regenerated, never persisted) and
+ * finished cell results (a persistent CRC-framed recordio log that
+ * survives crashes and warms the next daemon). See service/daemon.hh
+ * for the full lifecycle.
  *
  * Flags:
  *   --stdio             serve stdin/stdout (default)
  *   --socket PATH       serve an AF_UNIX socket instead
- *   --cache-dir DIR     persistence root (results.rec + traces/);
- *                       absent = memory-only caches
+ *   --cache-dir DIR     persistence root (results.rec);
+ *                       absent = memory-only result cache
  *   --jobs N            sweep worker threads (0 = hardware)
  *   --trace-cache N     in-memory prepared-trace LRU capacity
  *   --max-insts N       reject requests above this warmup+insts
@@ -72,12 +73,6 @@ main(int argc, char **argv)
     if (stream_chunk > (uint64_t(1) << 24))
         fatal("--stream-chunk must be <= 2^24");
     config.streamChunk = static_cast<uint32_t>(stream_chunk);
-    if (config.streamChunk != 0 && !config.cacheDir.empty()) {
-        // Streamed traces never spill; the result cache still
-        // persists, so the combination is legal — just note it.
-        std::fprintf(stderr, "mlpsimd: streamed traces do not use the "
-                             "trace spill tier\n");
-    }
     if (config.maxBatch == 0)
         fatal("--batch-max must be >= 1");
     if (config.killAfter != 0 && config.cacheDir.empty())
@@ -116,14 +111,13 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "mlpsimd: served %llu requests (%llu cells: %llu "
                  "hits, %llu computed; traces: %llu built, %llu "
-                 "memory hits, %llu disk hits; %llu errors)\n",
+                 "memory hits; %llu errors)\n",
                  static_cast<unsigned long long>(stats.requests),
                  static_cast<unsigned long long>(stats.cells),
                  static_cast<unsigned long long>(stats.cellHits),
                  static_cast<unsigned long long>(stats.cellsComputed),
                  static_cast<unsigned long long>(traces.builds),
                  static_cast<unsigned long long>(traces.memoryHits),
-                 static_cast<unsigned long long>(traces.diskHits),
                  static_cast<unsigned long long>(
                      stats.responsesError));
 

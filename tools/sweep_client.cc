@@ -44,7 +44,9 @@
  *   --min-hit-ratio X [0]   fail if cell hit ratio < X
  *   --min-cell-hits N [0]   fail if total cell hits < N
  *   --daemon-jobs N         forwarded to a spawned daemon (--jobs)
- *   --cache-dir DIR         forwarded to a spawned daemon
+ *   --cache-dir DIR         forwarded to a spawned daemon (where it
+ *                           keeps results.rec; traces are never
+ *                           written)
  *   --daemon-kill-after N   forwarded (--kill-after, crash tests)
  *   --daemon-stream-chunk N forwarded (--stream-chunk, streamed
  *                           traces + shared-generation batches)

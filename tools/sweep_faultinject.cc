@@ -29,15 +29,15 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/mlpsim.hh"
-#include "core/result_journal.hh"
 #include "core/trace_pipeline.hh"
 #include "metrics/export.hh"
+#include "service/result_cache.hh"
+#include "service/wire.hh"
 #include "util/cancellation.hh"
 #include "util/options.hh"
 #include "util/parallel.hh"
@@ -52,7 +52,7 @@ struct GridCell
     std::string label;
     core::MlpConfig config;
     const core::PreparedTrace *trace;
-    /** ResultJournal key, on the seed the trace was built with. */
+    /** Journal key (service::cellKey of the cell's trace and config). */
     std::string journalKey;
 };
 
@@ -156,21 +156,15 @@ main(int argc, char **argv)
             core::MlpConfig cell_config = config;
             cell_config.warmupInsts = warmup;
             const std::string label = name + "/" + key;
-            cells.push_back(GridCell{
-                label, cell_config, &traces.back(),
-                core::ResultJournal::key(label, "faultinject", spec.seed)});
+            cells.push_back(GridCell{label, cell_config, &traces.back(),
+                                     service::cellKey(spec, cell_config)});
         }
     }
 
-    std::optional<core::ResultJournal> journal;
-    const std::string journal_path = opts.getString("journal", "");
-    if (!journal_path.empty()) {
-        auto opened =
-            core::ResultJournal::open(journal_path, warmup, insts);
-        if (!opened.ok())
-            return flagError(opened.status());
-        journal = *std::move(opened);
-    }
+    // Without --journal the cache is memory-only: every lookup misses.
+    auto journal = service::ResultCache::open(opts.getString("journal", ""));
+    if (!journal.ok())
+        return flagError(journal.status());
 
     // ----- defer everything ---------------------------------------
     SweepRunner runner{unsigned(jobs)};
@@ -187,7 +181,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const GridCell &cell = cells[i];
         core::MlpResult replay;
-        if (journal && journal->lookup(cell.journalKey, &replay)) {
+        if (journal->lookup(cell.journalKey, &replay)) {
             std::printf("%-16s  mlp %.6f  (journal)\n", cell.label.c_str(),
                         replay.mlp());
             continue;
@@ -234,11 +228,9 @@ main(int argc, char **argv)
         const core::MlpResult &result = results[i].get();
         std::printf("%-16s  mlp %.6f\n", cells[i].label.c_str(),
                     result.mlp());
-        if (journal) {
-            const Status st = journal->record(cells[i].journalKey, result);
-            if (!st.ok())
-                warn(st.toString());
-        }
+        const Status st = journal->record(cells[i].journalKey, result);
+        if (!st.ok())
+            warn(st.toString());
     }
 
     const auto &batch = runner.lastBatch();
