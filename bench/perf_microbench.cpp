@@ -147,10 +147,7 @@ streamedWorkload(const std::string &name)
 /** Consumers sharing one broadcast generation per BM_EpochEngineStream
  *  iteration — the shape every streamed sweep runs in production.
  *  Sized so generation (~1/8 of one engine run) is amortised well past
- *  the 0.85 CI floor even on a loaded single-core runner. The run
- *  options raise maxConcurrent to match: the default wave size would
- *  silently split the fan-out into two waves, paying generation twice
- *  and halving the amortisation this benchmark exists to measure. */
+ *  the 0.85 CI floor even on a loaded single-core runner. */
 constexpr size_t streamFanout = 16;
 
 /** Same config grid as BM_EpochEngine, consuming re-generated chunk
@@ -171,12 +168,10 @@ BM_EpochEngineStream(benchmark::State &state)
     const auto &streamed = streamedWorkload("database");
     const core::MlpConfig cfg = core::MlpConfig::sized(
         unsigned(state.range(0)), core::IssueConfig::C);
-    // One runner thread: the first job leads the whole wave on its own
-    // engine threads, the other jobs only adopt their results.
+    // One runner thread: the first job leads the whole group on its
+    // own engine threads, the other jobs only adopt their results.
     SweepRunner runner(1);
-    core::SharedRunOptions shared;
-    shared.maxConcurrent = streamFanout;
-    core::CellGrid grid(shared);
+    core::CellGrid grid;
     for (auto _ : state) {
         std::vector<Job<core::MlpResult>> cells;
         cells.reserve(streamFanout);

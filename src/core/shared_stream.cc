@@ -1,6 +1,5 @@
 #include "shared_stream.hh"
 
-#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -47,41 +46,59 @@ runCellIsolated(SharedCell &cell, const WorkloadContext &ctx,
 }
 
 /**
- * The group leader's wave loop: run every cell into its exec slot,
- * `maxConcurrent` at a time, each wave consuming one shared stream
- * generation.
+ * Run cells [begin, begin + n) of the group as the @p n consumers of
+ * one shared generation, each on its own thread.
  */
 void
-executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
-                 std::vector<CellExec> &execs,
-                 const SharedRunOptions &options, const CancelToken *token)
+executeGeneration(const WorkloadContext &base,
+                  std::vector<SharedCell> &cells,
+                  std::vector<CellExec> &execs, size_t begin, size_t n,
+                  const CancelToken *token)
 {
-    const size_t wave = std::max<size_t>(1, options.maxConcurrent);
-    for (size_t begin = 0; begin < cells.size(); begin += wave) {
-        const size_t n = std::min(wave, cells.size() - begin);
-        if (n == 1) {
-            // Lone trailing cell (a one-consumer ring buys nothing):
-            // run here, still isolated for ordering.
-            runCellIsolated(cells[begin], base, execs[begin], token);
-            continue;
-        }
-        auto fanout = base.source->openFanout(n);
-        std::vector<std::unique_ptr<trace::ChunkStream>> slots(n);
-        for (size_t i = 0; i < n; ++i)
-            slots[i] = fanout->stream(i);
-        std::vector<std::thread> threads;
-        threads.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-            WorkloadContext ctx = base;
-            ctx.attached = slots[i].get();
-            threads.emplace_back([&cells, &execs, ctx, token,
-                                  cell_index = begin + i]() {
+    auto fanout = base.source->openFanout(n);
+    std::vector<std::unique_ptr<trace::ChunkStream>> slots(n);
+    for (size_t i = 0; i < n; ++i)
+        slots[i] = fanout->stream(i);
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        WorkloadContext ctx = base;
+        ctx.attached = slots[i].get();
+        threads.emplace_back(
+            [&cells, &execs, ctx, token, cell_index = begin + i]() {
                 runCellIsolated(cells[cell_index], ctx, execs[cell_index],
                                 token);
             });
-        }
-        for (std::thread &t : threads)
-            t.join();
+    }
+    for (std::thread &t : threads)
+        t.join();
+}
+
+/**
+ * The group leader's run: every cell into its exec slot, over one
+ * generation per maxConsumersPerGeneration cells.
+ */
+void
+executeCells(const WorkloadContext &base, std::vector<SharedCell> &cells,
+             std::vector<CellExec> &execs, const CancelToken *token)
+{
+    const size_t n = cells.size();
+    if (n == 1) {
+        // A one-consumer ring buys nothing: run here, still isolated
+        // for ordering.
+        runCellIsolated(cells[0], base, execs[0], token);
+        return;
+    }
+    // Near-equal generations: the first n % generations take one more
+    // cell, so no generation is left a lone straggler.
+    const size_t generations =
+        (n + maxConsumersPerGeneration - 1) / maxConsumersPerGeneration;
+    size_t begin = 0;
+    for (size_t g = 0; g < generations; ++g) {
+        const size_t width =
+            n / generations + (g < n % generations ? 1 : 0);
+        executeGeneration(base, cells, execs, begin, width, token);
+        begin += width;
     }
 }
 
@@ -90,7 +107,6 @@ executeCellWaves(const WorkloadContext &base, std::vector<SharedCell> &cells,
 struct SharedCellGroup::Impl
 {
     WorkloadContext base;
-    SharedRunOptions options;
     std::vector<SharedCell> cells;
 
     std::mutex mutex;
@@ -104,11 +120,10 @@ struct SharedCellGroup::Impl
 };
 
 SharedCellGroup::SharedCellGroup(WorkloadContext base_context,
-                                 SharedRunOptions run_options)
+                                 SharedRunOptions /* run_options */)
     : impl(std::make_unique<Impl>())
 {
     impl->base = base_context;
-    impl->options = run_options;
 }
 
 SharedCellGroup::~SharedCellGroup() = default;
@@ -134,8 +149,7 @@ SharedCellGroup::runCell(size_t index)
         g.execs.resize(g.cells.size());
         lock.unlock();
         try {
-            executeCellWaves(g.base, g.cells, g.execs, g.options,
-                            activeCancelToken());
+            executeCells(g.base, g.cells, g.execs, activeCancelToken());
         } catch (...) {
             std::lock_guard<std::mutex> relock(g.mutex);
             g.setupError = std::current_exception();
@@ -158,8 +172,6 @@ SharedCellGroup::runCell(size_t index)
         std::rethrow_exception(g.execs[index].error);
 }
 
-CellGrid::CellGrid(SharedRunOptions run_options) : options(run_options) {}
-
 CellGrid::~CellGrid() = default;
 
 std::shared_ptr<SharedCellGroup>
@@ -173,8 +185,8 @@ CellGrid::groupFor(const PreparedTrace &trace, const JobLimits &limits)
     for (auto &entry : groups)
         if (entry.first == &trace)
             return entry.second;
-    groups.emplace_back(&trace, std::make_shared<SharedCellGroup>(
-                                    trace.context(), options));
+    groups.emplace_back(&trace,
+                        std::make_shared<SharedCellGroup>(trace.context()));
     return groups.back().second;
 }
 

@@ -8,13 +8,16 @@
  *
  * SharedCellGroup runs engine cells over a context whose annotations
  * are already complete (the common sweep shape — one prepared trace,
- * many engine configs) from inside a SweepRunner job grid. Cells are
- * grouped into waves of at most `maxConcurrent`; each wave claims the
- * slots of one StreamFanout and runs its cells on threads, so a wave
- * of N engines consumes one generation. CellGrid is the scheduler the
- * sweep layers use: it decides which cells join a group. Annotation is
- * never shared this way: it is a separate pass
- * (core/trace_pipeline.hh) that completes first.
+ * many engine configs) from inside a SweepRunner job grid. Every cell
+ * of the group rides one StreamFanout and runs on its own thread, so
+ * the whole group consumes one generation: generating the trace costs
+ * more than an average engine cell, so it is paid once per group, not
+ * once per few cells. Only a group wider than
+ * maxConsumersPerGeneration splits, into near-equal generations run
+ * one after another. CellGrid is the scheduler the sweep layers use:
+ * it decides which cells join a group. Annotation is never shared
+ * this way: it is a separate pass (core/trace_pipeline.hh) that
+ * completes first.
  *
  * Determinism: each cell runs under a private metric registry
  * (CollectorScope); registries are merged into the caller's registry
@@ -52,10 +55,21 @@ struct SharedCell
     std::function<void(const WorkloadContext &)> body;
 };
 
-/** Knobs for a shared-generation group. */
+/**
+ * Most cells that consume one generation, one thread each. A safety
+ * bound on threads, not a tuning knob: a larger group splits into
+ * ⌈n / maxConsumersPerGeneration⌉ near-equal generations.
+ */
+constexpr size_t maxConsumersPerGeneration = 32;
+
+/**
+ * Retired knobs of a shared-generation group, kept only so existing
+ * callers still compile. Nothing reads them.
+ */
 struct SharedRunOptions
 {
-    /** Cells run concurrently per generation (wave size). */
+    /** Ignored: a group shares one generation per
+     *  maxConsumersPerGeneration cells. */
     size_t maxConcurrent = 8;
 };
 
@@ -82,7 +96,8 @@ sharesGeneration(const WorkloadContext &ctx)
  * own cell's exception, so the global commit order is the submission
  * order regardless of which job led — snapshots are byte-identical to
  * ungrouped execution. Deadlock-free because the leader never waits
- * on another job.
+ * on another job. A one-cell group runs its cell inline on the
+ * leader's thread, over a stream of its own.
  *
  * The leader's attempt context (cancel token, deadline) governs every
  * cell of the group, and a retried job only re-reads its cell's first
@@ -96,6 +111,7 @@ sharesGeneration(const WorkloadContext &ctx)
 class SharedCellGroup
 {
   public:
+    /** @p run_options is ignored (see SharedRunOptions). */
     SharedCellGroup(WorkloadContext base_context,
                     SharedRunOptions run_options = {});
     ~SharedCellGroup();
@@ -135,7 +151,6 @@ class SharedCellGroup
 class CellGrid
 {
   public:
-    explicit CellGrid(SharedRunOptions run_options = {});
     ~CellGrid();
 
     /** Defer one cell that runs @p body over @p trace's context (or
@@ -172,7 +187,6 @@ class CellGrid
     std::shared_ptr<SharedCellGroup> groupFor(const PreparedTrace &trace,
                                               const JobLimits &limits);
 
-    SharedRunOptions options;
     std::vector<std::pair<const PreparedTrace *,
                           std::shared_ptr<SharedCellGroup>>>
         groups;

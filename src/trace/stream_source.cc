@@ -62,6 +62,76 @@ GeneratorPool::built() const
 
 namespace {
 
+/** The free list behind recycledChunk(). */
+struct ChunkFreeList
+{
+    std::mutex mutex;
+    std::vector<std::unique_ptr<TraceChunk>> idle; //!< oldest first
+};
+
+ChunkFreeList &
+freeList()
+{
+    // Never destroyed: a chunk released during static destruction
+    // still finds its list.
+    static ChunkFreeList *const list = new ChunkFreeList;
+    return *list;
+}
+
+/** The deleter of every recycledChunk(): back to the list. A full
+ *  list drops its oldest chunk, so a process that changes chunk
+ *  capacity soon recycles the new one. */
+void
+recycle(TraceChunk *chunk)
+{
+    std::unique_ptr<TraceChunk> returned(chunk);
+    std::unique_ptr<TraceChunk> evicted; // freed outside the lock
+    ChunkFreeList &list = freeList();
+    std::lock_guard<std::mutex> lock(list.mutex);
+    if (list.idle.size() >= maxRecycledChunks) {
+        evicted = std::move(list.idle.front());
+        list.idle.erase(list.idle.begin());
+    }
+    list.idle.push_back(std::move(returned));
+}
+
+} // namespace
+
+std::shared_ptr<TraceChunk>
+recycledChunk(uint64_t base, uint32_t cap)
+{
+    std::unique_ptr<TraceChunk> chunk;
+    {
+        ChunkFreeList &list = freeList();
+        std::lock_guard<std::mutex> lock(list.mutex);
+        // Newest first: its columns are the likeliest to be cached.
+        for (size_t i = list.idle.size(); i-- > 0;) {
+            if (list.idle[i]->cap == cap) {
+                chunk = std::move(list.idle[i]);
+                list.idle.erase(list.idle.begin() + ptrdiff_t(i));
+                break;
+            }
+        }
+    }
+    if (chunk) {
+        chunk->base = base;
+        chunk->count = 0;
+    } else {
+        chunk = std::make_unique<TraceChunk>(base, cap);
+    }
+    return std::shared_ptr<TraceChunk>(chunk.release(), recycle);
+}
+
+size_t
+recycledChunksIdle()
+{
+    ChunkFreeList &list = freeList();
+    std::lock_guard<std::mutex> lock(list.mutex);
+    return list.idle.size();
+}
+
+namespace {
+
 /**
  * The producer loop shared by single streams and fan-outs: run the
  * generator to @p limit instructions, pushing fixed-size chunks.
@@ -75,7 +145,7 @@ produceAll(ChunkRing &ring, TraceSource &src, uint64_t limit,
     Instruction inst;
     bool more = true;
     while (produced < limit && more) {
-        auto chunk = std::make_shared<TraceChunk>(produced, chunk_cap);
+        auto chunk = recycledChunk(produced, chunk_cap);
         ChunkFiller fill(*chunk);
         while (!fill.full() && produced < limit && (more = src.next(inst))) {
             fill.append(inst);

@@ -18,6 +18,11 @@
  * times. Streams and fan-outs must not outlive the source (they
  * return their generator to its pool on destruction).
  *
+ * Chunk storage is recycled: produceAll() takes its chunks from a
+ * process-wide, bounded free list (recycledChunk()), and a chunk goes
+ * back to the list when its last reader drops it. A reused chunk keeps
+ * its old column bytes past `count`, so readers stop at `count`.
+ *
  * Generators are pooled: construction (and with it any config
  * validation the workload does) happens once, at source construction;
  * subsequent open()s reuse an idle generator via reset(), whose
@@ -74,6 +79,27 @@ class GeneratorPool
     std::vector<std::unique_ptr<TraceSource>> idle;
     size_t builtCount = 0;
 };
+
+/** Most idle chunks the process-wide free list keeps for reuse. */
+constexpr size_t maxRecycledChunks = 16;
+
+/**
+ * A generator chunk of capacity @p cap with `base` @p base and
+ * `count` 0, taken from the process-wide free list when it holds one
+ * of that capacity and freshly allocated otherwise. Reused columns are
+ * not cleared. The last shared_ptr to the chunk returns it to the list;
+ * a list already holding maxRecycledChunks frees its oldest entry.
+ *
+ * Every chunk that leaves the list has no reader left, so a chunk a
+ * consumer still holds is never handed out again. Recycling keeps a
+ * generation's storage in the few chunks the list already owns, so
+ * short-lived producer threads stop scattering freed columns over
+ * malloc arenas.
+ */
+std::shared_ptr<TraceChunk> recycledChunk(uint64_t base, uint32_t cap);
+
+/** Chunks idle in the free list now. */
+size_t recycledChunksIdle();
 
 /** Chunk-source over a replayable generator factory. */
 class GeneratedChunkSource : public ChunkSource

@@ -17,6 +17,12 @@
  * shared_ptr<const TraceChunk>); `base` records the global index of
  * the chunk's first instruction so consumers can address annotation
  * planes and inter-chunk state by absolute instruction index.
+ *
+ * `count` is the only valid-index authority. Generator chunks are
+ * reused (trace/stream_source.hh, recycledChunk()) once their last
+ * reader drops them, and a reused chunk keeps its previous columns
+ * past `count`; column `.size()` is the capacity or, for chunks read
+ * from a file, `count`. Read local indices [0, count) only.
  */
 #pragma once
 
@@ -57,7 +63,8 @@ class TraceChunk
     // The columns. u64 columns are 8 instructions per cache line; u8
     // columns are 64. Allocated to `cap` at construction; `count` is
     // the fill level and the only valid-index authority (the file
-    // reader shrinks them to `count`, so .size() is not meaningful).
+    // reader shrinks them to `count`, and a recycled chunk holds stale
+    // bytes past `count`, so .size() is not meaningful).
     std::vector<uint64_t> pc;
     std::vector<uint64_t> effAddr;
     std::vector<uint64_t> payload; //!< branch target or load/store value

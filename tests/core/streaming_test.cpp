@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -331,25 +332,161 @@ TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
         independent.push_back(core::runMlp(cfg, streamed.context()));
     const size_t built_before_shared = source.generatorsBuilt();
 
-    // 8: all three cells in one wave. 2: a two-cell wave, then a lone
-    // trailing cell that runs on its own stream.
-    for (const size_t wave : {size_t(8), size_t(2)}) {
-        SCOPED_TRACE("maxConcurrent " + std::to_string(wave));
-        core::SharedRunOptions options;
-        options.maxConcurrent = wave;
-        core::CellGrid grid(options);
-        SweepRunner runner(2);
-        auto jobs = deferAll(grid, runner, streamed, configs);
-        runner.runAll();
+    core::CellGrid grid;
+    SweepRunner runner(2);
+    auto jobs = deferAll(grid, runner, streamed, configs);
+    runner.runAll();
 
-        for (size_t i = 0; i < configs.size(); ++i) {
-            ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
-            expectSameResult(jobs[i].get(), independent[i]);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
+        expectSameResult(jobs[i].get(), independent[i]);
+    }
+    // The group rode one broadcast generation, so it cannot have
+    // constructed more generators than the sequential runs already did.
+    EXPECT_EQ(source.generatorsBuilt(), built_before_shared);
+}
+
+namespace {
+
+/**
+ * A streamed source that forwards to a generator and records the
+ * width of every fan-out opened over it (and counts plain opens).
+ */
+class CountingSource : public trace::ChunkSource
+{
+  public:
+    explicit CountingSource(const trace::ChunkSource &source)
+        : inner(source)
+    {
+    }
+
+    uint64_t size() const override { return inner.size(); }
+    std::string name() const override { return inner.name(); }
+
+    std::unique_ptr<trace::ChunkStream>
+    open() const override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++opens;
+        return inner.open();
+    }
+
+    std::unique_ptr<trace::StreamFanout>
+    openFanout(size_t consumers, size_t ring_chunks) const override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        fanouts.push_back(consumers);
+        return inner.openFanout(consumers, ring_chunks);
+    }
+
+    mutable std::mutex mutex;
+    mutable size_t opens = 0;
+    mutable std::vector<size_t> fanouts; //!< consumers per fan-out
+
+  private:
+    const trace::ChunkSource &inner;
+};
+
+/** @p n distinct engine configs (window and issue config vary). */
+std::vector<core::MlpConfig>
+distinctConfigs(size_t n)
+{
+    std::vector<core::MlpConfig> configs;
+    for (size_t i = 0; i < n; ++i) {
+        core::MlpConfig cfg = core::MlpConfig::sized(
+            unsigned(16 + 4 * i), core::IssueConfig(i % 5));
+        cfg.warmupInsts = kWarmup;
+        configs.push_back(cfg);
+    }
+    return configs;
+}
+
+/**
+ * Run one SharedCellGroup of @p configs over @p streamed with its
+ * source wrapped in @p counting, each cell as its own job; return the
+ * cells' results in submission order.
+ */
+std::vector<core::MlpResult>
+runCountedGroup(const core::PreparedTrace &streamed,
+                const CountingSource &counting,
+                const std::vector<core::MlpConfig> &configs)
+{
+    core::WorkloadContext ctx = streamed.context();
+    ctx.source = &counting;
+    core::SharedCellGroup group(ctx);
+    std::vector<core::MlpResult> results(configs.size());
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const core::MlpConfig cfg = configs[i];
+        core::MlpResult *out = &results[i];
+        group.add(core::SharedCell{
+            "cell " + std::to_string(i),
+            [cfg, out](const core::WorkloadContext &cell_ctx) {
+                *out = core::runMlp(cfg, cell_ctx);
+            }});
+    }
+    SweepRunner runner(2);
+    std::vector<Job<bool>> jobs;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        jobs.push_back(runner.defer<bool>("cell " + std::to_string(i),
+                                          [&group, i] {
+                                              group.runCell(i);
+                                              return true;
+                                          }));
+    }
+    runner.runAll();
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_TRUE(jobs[i].succeeded()) << "cell " << i;
+    return results;
+}
+
+} // namespace
+
+TEST(SharedStream, GroupUpToTheBoundOpensOneStream)
+{
+    const auto streamed = prepareTrace(4096);
+    const auto materialised = prepareTrace(0);
+    const auto configs = distinctConfigs(core::maxConsumersPerGeneration);
+    std::vector<core::MlpResult> reference;
+    for (const core::MlpConfig &cfg : configs)
+        reference.push_back(core::runMlp(cfg, materialised.context()));
+
+    for (const size_t n : {size_t(1), size_t(2), size_t(3),
+                           core::maxConsumersPerGeneration}) {
+        SCOPED_TRACE(std::to_string(n) + " cells");
+        const CountingSource counting(*streamed.context().source);
+        const std::vector<core::MlpConfig> group(configs.begin(),
+                                                 configs.begin() + n);
+        const auto results = runCountedGroup(streamed, counting, group);
+        if (n == 1) {
+            // A lone cell runs inline over a plain stream of its own.
+            EXPECT_EQ(counting.opens, 1u);
+            EXPECT_TRUE(counting.fanouts.empty());
+        } else {
+            EXPECT_EQ(counting.opens, 0u);
+            EXPECT_EQ(counting.fanouts, std::vector<size_t>{n});
         }
-        // The shared waves rode broadcast generations, so they cannot
-        // have constructed more generators than the sequential runs
-        // already did.
-        EXPECT_EQ(source.generatorsBuilt(), built_before_shared);
+        for (size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE("cell " + std::to_string(i));
+            expectSameResult(results[i], reference[i]);
+        }
+    }
+}
+
+TEST(SharedStream, WiderGroupSplitsIntoNearEqualGenerations)
+{
+    const auto streamed = prepareTrace(4096);
+    const auto materialised = prepareTrace(0);
+    const size_t n = core::maxConsumersPerGeneration + 1;
+    const auto configs = distinctConfigs(n);
+
+    const CountingSource counting(*streamed.context().source);
+    const auto results = runCountedGroup(streamed, counting, configs);
+    EXPECT_EQ(counting.opens, 0u);
+    EXPECT_EQ(counting.fanouts, (std::vector<size_t>{17, 16}));
+    for (size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        expectSameResult(results[i],
+                         core::runMlp(configs[i], materialised.context()));
     }
 }
 

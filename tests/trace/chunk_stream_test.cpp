@@ -404,4 +404,84 @@ TEST(GeneratedChunkSource, SequentialOpensReuseOneGenerator)
     }
 }
 
+TEST(ChunkRecycling, HeldChunkIsNeverHandedOutAgain)
+{
+    const auto source = syntheticSource(20000, 512);
+    ChunkPtr held;
+    {
+        auto stream = source.open();
+        ASSERT_NE(stream->next(), nullptr);
+        held = stream->next(); // the second chunk, mid-trace
+        ASSERT_NE(held, nullptr);
+    }
+    const uint64_t base = held->base;
+    const uint32_t count = held->count;
+    std::vector<Instruction> before;
+    for (uint32_t i = 0; i < count; ++i)
+        before.push_back(held->get(i));
+
+    // Two more full streams recycle every other chunk many times over;
+    // none of them may be the held one.
+    for (int round = 0; round < 2; ++round) {
+        auto stream = source.open();
+        while (ChunkPtr c = stream->next())
+            EXPECT_NE(c.get(), held.get()) << "round " << round;
+    }
+    EXPECT_EQ(held->base, base);
+    ASSERT_EQ(held->count, count);
+    for (uint32_t i = 0; i < count; ++i)
+        expectSameInst(held->get(i), before[i]);
+}
+
+TEST(ChunkRecycling, FreeListNeverExceedsItsBound)
+{
+    // Hold more chunks than the list may keep, then drop them one by
+    // one: every return past the bound evicts, so the list ends full
+    // and never above it.
+    const auto source = syntheticSource(64 * 256, 256);
+    std::vector<ChunkPtr> chunks;
+    {
+        auto stream = source.open();
+        while (ChunkPtr c = stream->next()) {
+            chunks.push_back(std::move(c));
+            EXPECT_LE(recycledChunksIdle(), maxRecycledChunks);
+        }
+    }
+    ASSERT_GT(chunks.size(), maxRecycledChunks);
+    while (!chunks.empty()) {
+        chunks.pop_back();
+        EXPECT_LE(recycledChunksIdle(), maxRecycledChunks);
+    }
+    EXPECT_EQ(recycledChunksIdle(), maxRecycledChunks);
+}
+
+TEST(ChunkRecycling, MixedCapacitiesStayBitIdenticalToMaterialised)
+{
+    // Interleaved capacities share one free list: a reused chunk must
+    // come back at its own capacity, with `count` reset, and the stale
+    // columns past `count` must never reach a reader.
+    constexpr uint64_t kInsts = 30000;
+    SyntheticSource generator(42);
+    TraceBuffer buffer("synthetic");
+    buffer.fill(generator, kInsts);
+    for (int round = 0; round < 2; ++round) {
+        for (const uint32_t cap : {7u, 4096u, defaultChunkCapacity}) {
+            SCOPED_TRACE("capacity " + std::to_string(cap) + ", round " +
+                         std::to_string(round));
+            const auto source = syntheticSource(kInsts, cap);
+            auto stream = source.open();
+            uint64_t seen = 0;
+            while (ChunkPtr c = stream->next()) {
+                ASSERT_EQ(c->cap, cap);
+                ASSERT_EQ(c->base, seen);
+                ASSERT_LE(c->count, cap);
+                for (uint32_t i = 0; i < c->count; ++i)
+                    expectSameInst(c->get(i), buffer.at(size_t(seen + i)));
+                seen += c->count;
+            }
+            EXPECT_EQ(seen, kInsts);
+        }
+    }
+}
+
 } // namespace mlpsim::test
