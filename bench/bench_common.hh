@@ -2,11 +2,12 @@
  * @file
  * Shared infrastructure for the per-table / per-figure bench binaries.
  *
- * Every bench materialises each commercial workload once (default:
+ * Every bench prepares each commercial workload once (default:
  * 1M warm-up + 3M measured instructions, scalable with --warmup/
- * --insts or the MLPSIM_SCALE environment variable), annotates it, and
- * prints the paper's rows or series next to this reproduction's
- * measurements. Absolute values are not expected to match the paper's
+ * --insts or the MLPSIM_SCALE environment variable): it materialises
+ * the trace, or with --stream-chunk regenerates it for each group of
+ * cells, annotates it, and prints the paper's rows or series next to
+ * this reproduction's measurements. Absolute values are not expected to match the paper's
  * proprietary traces; orderings, approximate ratios and crossovers
  * are.
  *

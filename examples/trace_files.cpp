@@ -52,8 +52,7 @@ main(int argc, char **argv)
                 reloaded.size());
 
     // Analyse the reloaded trace like any other source.
-    auto cursor = reloaded.cursor();
-    const auto mix = trace::measureMix(cursor, reloaded.size());
+    const auto mix = trace::measureMix(reloaded, reloaded.size());
     std::printf("mix: %.1f%% loads, %.1f%% stores, %.1f%% branches, "
                 "%.2f%% prefetches\n",
                 100 * mix.fracLoads(), 100 * mix.fracStores(),

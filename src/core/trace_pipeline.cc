@@ -98,28 +98,35 @@ AnnotatedTrace::context() const
 Expected<PreparedTrace>
 PreparedTrace::make(const TraceSpec &spec)
 {
-    // Both modes build a generator here, so an unknown workload is a
-    // Status in both rather than a fatal() on whichever thread first
-    // opens a streamed source.
-    MLPSIM_ASSIGN_OR_RETURN(
-        auto generator, workloads::tryMakeWorkload(spec.workload, spec.seed));
+    // Build one generator here to check the name, so an unknown
+    // workload is a Status in both modes rather than a fatal() on
+    // whichever thread first opens a streamed source.
+    MLPSIM_RETURN_IF_ERROR(
+        workloads::tryMakeWorkload(spec.workload, spec.seed).status());
+    return make(spec, [name = spec.workload, seed = spec.seed] {
+        return workloads::makeWorkload(name, seed);
+    });
+}
+
+Expected<PreparedTrace>
+PreparedTrace::make(const TraceSpec &spec,
+                    trace::GeneratedChunkSource::SourceFactory generator)
+{
     PreparedTrace prepared(spec.workload);
     const trace::ChunkSource *chunks = nullptr;
     if (spec.streamChunk == 0) {
         prepared.buf = std::make_unique<trace::TraceBuffer>(spec.workload);
+        const auto source = generator();
         metrics::ScopedTimer t("workloads/generate_s");
-        prepared.buf->fill(*generator, spec.totalInsts);
+        prepared.buf->fill(*source, spec.totalInsts);
         chunks = prepared.buf.get();
     } else {
-        // Streamed: no instruction is stored. The factory re-creates
-        // the generator, at the same seed, for every stream open, so
-        // the annotate pass and every simulator run replay the
-        // identical instruction sequence.
+        // Streamed: no instruction is stored. Every stream open builds
+        // a fresh generator, at the same seed, so the annotate pass and
+        // every simulator run replay the identical instruction
+        // sequence.
         prepared.source = std::make_unique<trace::GeneratedChunkSource>(
-            spec.workload, spec.totalInsts,
-            [name = spec.workload, seed = spec.seed] {
-                return workloads::makeWorkload(name, seed);
-            },
+            spec.workload, spec.totalInsts, std::move(generator),
             spec.streamChunk);
         chunks = prepared.source.get();
     }

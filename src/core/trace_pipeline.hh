@@ -94,6 +94,16 @@ class PreparedTrace
      */
     static Expected<PreparedTrace> make(const TraceSpec &spec);
 
+    /**
+     * make() over @p generator instead of the named workload's own
+     * generator: called once to materialise, or once per generation
+     * when streamed, it must yield the same stream on every call.
+     * spec.workload only names the trace; spec.seed is unused.
+     */
+    static Expected<PreparedTrace>
+    make(const TraceSpec &spec,
+         trace::GeneratedChunkSource::SourceFactory generator);
+
     /** The workload name. */
     const std::string &name() const { return traceName; }
     /** Warm-up instructions the annotations excluded; simulator runs

@@ -70,14 +70,6 @@ class ChunkRing
         return int(cursors.size()) - 1;
     }
 
-    /** Registered consumers (live or detached). */
-    size_t
-    consumers() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return cursors.size();
-    }
-
     /**
      * Publish one chunk. Blocks while the slowest live consumer is
      * `capacity` chunks behind. Returns false once no live consumers

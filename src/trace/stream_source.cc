@@ -1,64 +1,14 @@
 #include "stream_source.hh"
 
-#include <algorithm>
-#include <cassert>
+#include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "trace/chunk_ring.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::trace {
-
-GeneratorPool::GeneratorPool(SourceFactory source_factory, size_t max_idle)
-    : factory(std::move(source_factory)), maxIdle(max_idle ? max_idle : 1)
-{
-    MLPSIM_ASSERT(factory != nullptr, "generator pool needs a factory");
-    // Build the first generator now: workload construction and config
-    // validation happen once, here, not on every stream reopen.
-    idle.push_back(factory());
-    builtCount = 1;
-}
-
-std::unique_ptr<TraceSource>
-GeneratorPool::acquire()
-{
-    std::unique_ptr<TraceSource> gen;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!idle.empty()) {
-            gen = std::move(idle.back());
-            idle.pop_back();
-        } else {
-            ++builtCount;
-        }
-    }
-    if (gen) {
-        // Rewind outside the lock: reset() reseeds and clears pending
-        // state, which is the replay-determinism contract — the reused
-        // generator yields the exact stream a fresh one would.
-        gen->reset();
-        return gen;
-    }
-    return factory();
-}
-
-void
-GeneratorPool::release(std::unique_ptr<TraceSource> gen)
-{
-    if (!gen)
-        return;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (idle.size() < maxIdle)
-        idle.push_back(std::move(gen));
-}
-
-size_t
-GeneratorPool::built() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return builtCount;
-}
 
 namespace {
 
@@ -132,9 +82,13 @@ recycledChunksIdle()
 
 namespace {
 
+/** Backpressure bound, in chunks, of a generation's ring (unless
+ *  openFanout() is given one). */
+constexpr size_t generationRingChunks = 4;
+
 /**
- * The producer loop shared by single streams and fan-outs: run the
- * generator to @p limit instructions, pushing fixed-size chunks.
+ * The producer loop of every generation: run the generator to
+ * @p limit instructions, pushing fixed-size chunks.
  * Returns (without close()) if every consumer detached mid-stream.
  */
 void
@@ -164,56 +118,16 @@ produceAll(ChunkRing &ring, TraceSource &src, uint64_t limit,
 }
 
 /**
- * One live single-consumer stream: a ring plus the producer thread
- * feeding it. next() blocks on the ring; the destructor detaches the
- * consumer (unblocking a producer stalled on backpressure), joins,
- * and returns the generator to the pool for the next pass.
- */
-class GeneratedStream : public ChunkStream
-{
-  public:
-    GeneratedStream(GeneratorPool &generator_pool,
-                    std::unique_ptr<TraceSource> source, uint64_t limit,
-                    uint32_t chunk_cap, size_t ring_chunks)
-        : pool(generator_pool), src(std::move(source)), ring(ring_chunks)
-    {
-        consumer = ring.addConsumer();
-        producer = std::thread([this, limit, chunk_cap]() {
-            produceAll(ring, *src, limit, chunk_cap);
-        });
-    }
-
-    ~GeneratedStream() override
-    {
-        ring.detach(consumer);
-        if (producer.joinable())
-            producer.join();
-        pool.release(std::move(src));
-    }
-
-    ChunkPtr next() override { return ring.pop(consumer); }
-
-  private:
-    GeneratorPool &pool;
-    std::unique_ptr<TraceSource> src;
-    ChunkRing ring;
-    int consumer = -1;
-    std::thread producer;
-};
-
-/**
- * The shared spine of one fan-out group: the ring, the generator, and
- * the single producer thread. Held by shared_ptr from the fan-out
- * handle and every claimed stream; the last owner's destructor joins
- * the producer (all cursors are detached by then, so it exits
- * promptly) and returns the generator.
+ * One generation: a fresh generator, the ring it fills and the single
+ * producer thread. Held by shared_ptr from the fan-out handle (if any)
+ * and every claimed stream; the last owner's destructor joins the
+ * producer (all cursors are detached by then, so it exits promptly).
  */
 struct FanoutState
 {
-    FanoutState(GeneratorPool &generator_pool,
-                std::unique_ptr<TraceSource> source, uint64_t limit,
+    FanoutState(std::unique_ptr<TraceSource> source, uint64_t limit,
                 uint32_t chunk_cap, size_t ring_chunks, size_t consumers)
-        : pool(generator_pool), src(std::move(source)), ring(ring_chunks)
+        : src(std::move(source)), ring(ring_chunks)
     {
         // Register every cursor before the first push so no consumer
         // can miss a chunk.
@@ -224,14 +138,15 @@ struct FanoutState
         });
     }
 
+    FanoutState(const FanoutState &) = delete;
+    FanoutState &operator=(const FanoutState &) = delete;
+
     ~FanoutState()
     {
         if (producer.joinable())
             producer.join();
-        pool.release(std::move(src));
     }
 
-    GeneratorPool &pool;
     std::unique_ptr<TraceSource> src;
     ChunkRing ring;
     std::thread producer;
@@ -298,30 +213,29 @@ class GeneratedFanout : public StreamFanout
 GeneratedChunkSource::GeneratedChunkSource(std::string stream_name,
                                            uint64_t limit_insts,
                                            SourceFactory source_factory,
-                                           uint32_t chunk_capacity,
-                                           size_t ring_chunks)
+                                           uint32_t chunk_capacity)
     : label(std::move(stream_name)), limit(limit_insts),
-      chunkCap(chunk_capacity), ringChunks(ring_chunks),
-      pool(std::move(source_factory))
+      chunkCap(chunk_capacity), factory(std::move(source_factory))
 {
     MLPSIM_ASSERT(chunkCap > 0, "chunk capacity must be positive");
+    MLPSIM_ASSERT(factory != nullptr, "generated source needs a factory");
 }
 
 std::unique_ptr<ChunkStream>
 GeneratedChunkSource::open() const
 {
-    return std::make_unique<GeneratedStream>(pool, pool.acquire(), limit,
-                                             chunkCap, ringChunks);
+    auto state = std::make_shared<FanoutState>(
+        factory(), limit, chunkCap, generationRingChunks, 1);
+    return std::make_unique<FanoutStream>(std::move(state), 0);
 }
 
 std::unique_ptr<StreamFanout>
 GeneratedChunkSource::openFanout(size_t consumers, size_t ring_chunks) const
 {
     MLPSIM_ASSERT(consumers > 0, "fan-out needs at least one consumer");
-    const size_t cap =
-        ring_chunks ? ring_chunks : std::max<size_t>(ringChunks, 4);
-    auto state = std::make_shared<FanoutState>(pool, pool.acquire(), limit,
-                                               chunkCap, cap, consumers);
+    auto state = std::make_shared<FanoutState>(
+        factory(), limit, chunkCap,
+        ring_chunks ? ring_chunks : generationRingChunks, consumers);
     return std::make_unique<GeneratedFanout>(std::move(state), consumers);
 }
 

@@ -91,31 +91,6 @@ class TraceBuffer : public ChunkSource
     std::string name() const override { return label; }
     void setName(std::string n_) { label = std::move(n_); }
 
-    /** A replayable streaming view over this buffer. */
-    class Cursor : public TraceSource
-    {
-      public:
-        explicit Cursor(const TraceBuffer &b) : buffer(b) {}
-
-        bool
-        next(Instruction &inst) override
-        {
-            if (pos >= buffer.size())
-                return false;
-            inst = buffer.at(pos++);
-            return true;
-        }
-
-        void reset() override { pos = 0; }
-        std::string name() const override { return buffer.name(); }
-
-      private:
-        const TraceBuffer &buffer;
-        size_t pos = 0;
-    };
-
-    Cursor cursor() const { return Cursor(*this); }
-
     /** A replayable chunk-level view (zero-copy: shares the chunks). */
     std::unique_ptr<ChunkStream> open() const override;
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * Streaming interface every trace producer implements.
+ * The generator interface: every workload generator is a TraceSource.
  *
- * Simulators pull instructions one at a time; reset() restarts the
- * stream from the beginning so one workload object can be replayed
- * across many processor configurations deterministically.
+ * A generator emits its instruction stream one instruction at a time
+ * and cannot rewind. Replay is by seed: two generators built with the
+ * same seed emit the same stream, and every trace consumer reads chunks
+ * through a ChunkSource (trace_chunk.hh) — a TraceBuffer filled from a
+ * generator, or a GeneratedChunkSource that builds a fresh generator
+ * per stream (stream_source.hh).
  */
 #pragma once
 
@@ -14,7 +17,7 @@
 
 namespace mlpsim::trace {
 
-/** Abstract producer of a dynamic instruction stream. */
+/** Abstract generator of a dynamic instruction stream. */
 class TraceSource
 {
   public:
@@ -27,9 +30,6 @@ class TraceSource
      * @retval false the stream is exhausted.
      */
     virtual bool next(Instruction &inst) = 0;
-
-    /** Restart the stream from its first instruction. */
-    virtual void reset() = 0;
 
     /** Human-readable name for reports. */
     virtual std::string name() const = 0;

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "trace/trace_source.hh"
+#include "trace/trace_chunk.hh"
 
 namespace mlpsim::trace {
 
@@ -39,7 +39,8 @@ struct TraceMix
     }
 };
 
-/** Consume (and rewind) @p source, returning its composition. */
-TraceMix measureMix(TraceSource &source, uint64_t max_insts);
+/** The composition of @p source's first @p max_insts instructions
+ *  (read from one stream of its chunk columns). */
+TraceMix measureMix(const ChunkSource &source, uint64_t max_insts);
 
 } // namespace mlpsim::trace

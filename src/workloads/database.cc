@@ -71,13 +71,6 @@ DatabaseWorkload::nodeAddr(unsigned level, uint64_t index) const
 }
 
 void
-DatabaseWorkload::initialize()
-{
-    logCursor = 0;
-    txnCounter = 0;
-}
-
-void
 DatabaseWorkload::emitHelperCall()
 {
     // Zipf-popular helper function: hot helpers stay L2 resident, the

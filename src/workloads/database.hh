@@ -68,7 +68,6 @@ class DatabaseWorkload : public WorkloadBase
     explicit DatabaseWorkload(const DatabaseParams &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:

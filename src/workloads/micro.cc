@@ -26,12 +26,6 @@ PointerChaseWorkload::PointerChaseWorkload(const Params &params)
 }
 
 void
-PointerChaseWorkload::initialize()
-{
-    cursor = 0;
-}
-
-void
 PointerChaseWorkload::generate()
 {
     constexpr Reg ptr = 10;
@@ -49,16 +43,11 @@ PointerChaseWorkload::generate()
 
 IndependentStreamsWorkload::IndependentStreamsWorkload(
     const Params &params)
-    : WorkloadBase("independent-streams", params.seed), prm(params)
+    : WorkloadBase("independent-streams", params.seed), prm(params),
+      cursors(params.streams, 0)
 {
     MLPSIM_ASSERT(prm.streams >= 1 && prm.streams <= 16,
                   "supported stream counts: 1..16");
-}
-
-void
-IndependentStreamsWorkload::initialize()
-{
-    cursors.assign(prm.streams, 0);
 }
 
 void
@@ -93,12 +82,6 @@ SerializingStormWorkload::SerializingStormWorkload(const Params &params)
 }
 
 void
-SerializingStormWorkload::initialize()
-{
-    cursor = 0;
-}
-
-void
 SerializingStormWorkload::generate()
 {
     constexpr Reg streamRegBase = 20;
@@ -125,12 +108,6 @@ SerializingStormWorkload::generate()
 PrefetchedStreamWorkload::PrefetchedStreamWorkload(const Params &params)
     : WorkloadBase("prefetched-stream", params.seed), prm(params)
 {
-}
-
-void
-PrefetchedStreamWorkload::initialize()
-{
-    cursor = 0;
 }
 
 void

@@ -29,7 +29,6 @@ class PointerChaseWorkload : public WorkloadBase
     explicit PointerChaseWorkload(const Params &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:
@@ -57,7 +56,6 @@ class IndependentStreamsWorkload : public WorkloadBase
     explicit IndependentStreamsWorkload(const Params &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:
@@ -85,7 +83,6 @@ class SerializingStormWorkload : public WorkloadBase
     explicit SerializingStormWorkload(const Params &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:
@@ -111,7 +108,6 @@ class PrefetchedStreamWorkload : public WorkloadBase
     explicit PrefetchedStreamWorkload(const Params &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:

@@ -36,13 +36,6 @@ SpecJbbWorkload::SpecJbbWorkload(const SpecJbbParams &params)
 }
 
 void
-SpecJbbWorkload::initialize()
-{
-    allocCursor = 0;
-    opCounter = 0;
-}
-
-void
 SpecJbbWorkload::emitHotCall()
 {
     const uint32_t fid =

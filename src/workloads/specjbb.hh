@@ -52,7 +52,6 @@ class SpecJbbWorkload : public WorkloadBase
     explicit SpecJbbWorkload(const SpecJbbParams &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:

@@ -36,12 +36,6 @@ SpecWebWorkload::SpecWebWorkload(const SpecWebParams &params)
                   "bad file size range");
 }
 
-void
-SpecWebWorkload::initialize()
-{
-    requestCounter = 0;
-}
-
 uint64_t
 SpecWebWorkload::fileBase(uint64_t file_id) const
 {

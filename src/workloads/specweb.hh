@@ -51,7 +51,6 @@ class SpecWebWorkload : public WorkloadBase
     explicit SpecWebWorkload(const SpecWebParams &params);
 
   protected:
-    void initialize() override;
     void generate() override;
 
   private:

@@ -6,8 +6,8 @@ using trace::BranchKind;
 using trace::Instruction;
 using trace::noReg;
 
-WorkloadBase::WorkloadBase(std::string workload_name, uint64_t seed_value)
-    : label(std::move(workload_name)), seed(seed_value), rng(seed_value)
+WorkloadBase::WorkloadBase(std::string workload_name, uint64_t seed)
+    : label(std::move(workload_name)), rng(seed)
 {
     callStack.push_back(Frame{0, 0});
 }
@@ -15,26 +15,11 @@ WorkloadBase::WorkloadBase(std::string workload_name, uint64_t seed_value)
 bool
 WorkloadBase::next(Instruction &inst)
 {
-    if (!initialized) {
-        initialized = true;
-        initialize();
-    }
     while (pending.empty())
         generate();
     inst = pending.front();
     pending.pop_front();
     return true;
-}
-
-void
-WorkloadBase::reset()
-{
-    rng.reseed(seed);
-    pending.clear();
-    callStack.clear();
-    callStack.push_back(Frame{0, 0});
-    emitted = 0;
-    initialized = false;
 }
 
 WorkloadBase::Frame &

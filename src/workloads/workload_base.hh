@@ -14,8 +14,9 @@
  * code rather than from sampling distributions instruction by
  * instruction.
  *
- * Generators are deterministic functions of their seed: reset()
- * reproduces the identical stream.
+ * Generators are deterministic functions of their seed: two generators
+ * built with the same seed emit the identical stream, which is how a
+ * streamed trace replays (trace/stream_source.hh).
  */
 #pragma once
 
@@ -36,8 +37,8 @@ using Reg = uint8_t;
 /**
  * Base class for generator-backed trace sources.
  *
- * Derived classes implement initialize() (build synthetic data
- * structures) and generate() (emit the next unit of work, e.g. one
+ * Derived classes build their synthetic state in the constructor and
+ * implement generate() (emit the next unit of work, e.g. one
  * transaction, via the emit*() helpers).
  */
 class WorkloadBase : public trace::TraceSource
@@ -46,13 +47,9 @@ class WorkloadBase : public trace::TraceSource
     WorkloadBase(std::string workload_name, uint64_t seed);
 
     bool next(trace::Instruction &inst) final;
-    void reset() final;
     std::string name() const final { return label; }
 
   protected:
-    /** Build (or rebuild) all synthetic state. Called by reset(). */
-    virtual void initialize() = 0;
-
     /** Emit at least one instruction (one unit of work). */
     virtual void generate() = 0;
 
@@ -149,12 +146,10 @@ class WorkloadBase : public trace::TraceSource
     void push(const trace::Instruction &inst);
 
     std::string label;
-    uint64_t seed;
     Rng rng;
     std::deque<trace::Instruction> pending;
     std::vector<Frame> callStack;
     uint64_t emitted = 0;
-    bool initialized = false;
 };
 
 } // namespace mlpsim::workloads

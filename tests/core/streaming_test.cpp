@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -250,10 +251,10 @@ expectSameResult(const core::MlpResult &a, const core::MlpResult &b)
     EXPECT_EQ(a.measuredInsts, b.measuredInsts);
 }
 
-/** A prepared streamed (@p chunk_cap > 0) or materialised trace of
- *  the test workload at the test budget. */
-core::PreparedTrace
-prepareTrace(uint32_t chunk_cap)
+/** The spec of a streamed (@p chunk_cap > 0) or materialised trace
+ *  of the test workload at the test budget. */
+core::TraceSpec
+traceSpec(uint32_t chunk_cap)
 {
     core::TraceSpec spec;
     spec.workload = workloadName();
@@ -261,16 +262,28 @@ prepareTrace(uint32_t chunk_cap)
     spec.totalInsts = kInsts;
     spec.streamChunk = chunk_cap;
     spec.annotation = annotationOptions();
-    return core::PreparedTrace::make(spec).orFatal();
+    return spec;
 }
 
-const trace::GeneratedChunkSource &
-generatorOf(const core::PreparedTrace &streamed)
+core::PreparedTrace
+prepareTrace(uint32_t chunk_cap)
 {
-    const auto *source = dynamic_cast<const trace::GeneratedChunkSource *>(
-        streamed.context().source);
-    EXPECT_NE(source, nullptr);
-    return *source;
+    return core::PreparedTrace::make(traceSpec(chunk_cap)).orFatal();
+}
+
+/** prepareTrace() over a generator factory that counts its calls —
+ *  one per generation — in @p factory_calls. */
+core::PreparedTrace
+prepareCountedTrace(uint32_t chunk_cap, std::atomic<size_t> &factory_calls)
+{
+    const core::TraceSpec spec = traceSpec(chunk_cap);
+    return core::PreparedTrace::make(
+               spec,
+               [&factory_calls, name = spec.workload, seed = spec.seed] {
+                   ++factory_calls;
+                   return workloads::makeWorkload(name, seed);
+               })
+        .orFatal();
 }
 
 /** Defer one engine cell per config through @p grid. */
@@ -323,14 +336,15 @@ groupedCells(const core::PreparedTrace &trace, const JobLimits &limits)
 
 TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
 {
-    const auto streamed = prepareTrace(4096);
-    const auto &source = generatorOf(streamed);
+    std::atomic<size_t> factory_calls{0};
+    const auto streamed = prepareCountedTrace(4096, factory_calls);
     const auto configs = sampleConfigs();
 
     std::vector<core::MlpResult> independent;
     for (const core::MlpConfig &cfg : configs)
         independent.push_back(core::runMlp(cfg, streamed.context()));
-    const size_t built_before_shared = source.generatorsBuilt();
+    // The annotate pass and each independent run: one generation each.
+    ASSERT_EQ(factory_calls.load(), 1 + configs.size());
 
     core::CellGrid grid;
     SweepRunner runner(2);
@@ -341,9 +355,8 @@ TEST(SharedStream, SharedCellsMatchIndependentEngineRuns)
         ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
         expectSameResult(jobs[i].get(), independent[i]);
     }
-    // The group rode one broadcast generation, so it cannot have
-    // constructed more generators than the sequential runs already did.
-    EXPECT_EQ(source.generatorsBuilt(), built_before_shared);
+    // The group rode one broadcast generation.
+    EXPECT_EQ(factory_calls.load(), 2 + configs.size());
 }
 
 namespace {
@@ -492,21 +505,24 @@ TEST(SharedStream, WiderGroupSplitsIntoNearEqualGenerations)
 
 TEST(CellGrid, StreamedGridBuildsNoExtraGenerator)
 {
-    const auto streamed = prepareTrace(4096);
-    const auto &source = generatorOf(streamed);
-    const size_t built_after_annotate = source.generatorsBuilt();
-
-    // Four concurrent ungrouped runs would each need a generator; one
-    // group needs only the one the annotate pass left idle.
-    core::CellGrid grid;
-    SweepRunner runner(4);
-    std::vector<core::MlpConfig> configs = sampleConfigs();
-    configs.push_back(configs.front());
-    auto jobs = deferAll(grid, runner, streamed, configs);
-    runner.runAll();
-    for (auto &job : jobs)
-        EXPECT_TRUE(job.succeeded());
-    EXPECT_EQ(source.generatorsBuilt(), built_after_annotate);
+    // A grouped batch builds one generator per generation: one for a
+    // group of up to maxConsumersPerGeneration cells, two for one more.
+    std::atomic<size_t> factory_calls{0};
+    const auto streamed = prepareCountedTrace(4096, factory_calls);
+    ASSERT_EQ(factory_calls.load(), 1u); // the annotate pass
+    for (const size_t n : {core::maxConsumersPerGeneration,
+                           core::maxConsumersPerGeneration + 1}) {
+        SCOPED_TRACE(std::to_string(n) + " cells");
+        const size_t before = factory_calls;
+        core::CellGrid grid;
+        SweepRunner runner(4);
+        auto jobs = deferAll(grid, runner, streamed, distinctConfigs(n));
+        runner.runAll();
+        for (auto &job : jobs)
+            EXPECT_TRUE(job.succeeded());
+        EXPECT_EQ(factory_calls - before,
+                  n <= core::maxConsumersPerGeneration ? 1u : 2u);
+    }
 }
 
 TEST(CellGrid, QueuedJobsOutliveTheGrid)

@@ -22,14 +22,12 @@ using namespace mlpsim::trace;
 
 namespace {
 
-/** Deterministic, infinite, replayable synthetic instruction mix. */
+/** Deterministic, infinite synthetic instruction mix: a function of
+ *  its seed. */
 class SyntheticSource : public TraceSource
 {
   public:
-    explicit SyntheticSource(uint64_t seed_value)
-        : seed(seed_value | 1), state(seed)
-    {
-    }
+    explicit SyntheticSource(uint64_t seed) : state(seed | 1) {}
 
     bool
     next(Instruction &inst) override
@@ -58,7 +56,6 @@ class SyntheticSource : public TraceSource
         return true;
     }
 
-    void reset() override { state = seed; }
     std::string name() const override { return "synthetic"; }
 
   private:
@@ -69,7 +66,6 @@ class SyntheticSource : public TraceSource
         return state >> 17;
     }
 
-    uint64_t seed;
     uint64_t state;
 };
 
@@ -85,12 +81,20 @@ expectSameInst(const Instruction &a, const Instruction &b)
         EXPECT_EQ(a.src[s], b.src[s]);
 }
 
+/** A synthetic generated source; each factory call (one per
+ *  generation) increments @p factory_calls when given. */
 GeneratedChunkSource
-syntheticSource(uint64_t limit, uint32_t chunk_cap)
+syntheticSource(uint64_t limit, uint32_t chunk_cap,
+                size_t *factory_calls = nullptr)
 {
     return GeneratedChunkSource(
         "synthetic", limit,
-        [] { return std::make_unique<SyntheticSource>(42); }, chunk_cap);
+        [factory_calls] {
+            if (factory_calls)
+                ++*factory_calls;
+            return std::make_unique<SyntheticSource>(42);
+        },
+        chunk_cap);
 }
 
 /** Drain one stream into a flat instruction vector. */
@@ -311,8 +315,10 @@ TEST(ChunkRing, PushFailsOnceEveryConsumerDetaches)
 TEST(StreamFanout, BroadcastSlotsReplayOneGenerationIdentically)
 {
     constexpr uint64_t kInsts = 20000;
-    const auto source = syntheticSource(kInsts, 512);
+    size_t factory_calls = 0;
+    const auto source = syntheticSource(kInsts, 512, &factory_calls);
     const auto reference = drain(source);
+    ASSERT_EQ(factory_calls, 1u);
 
     auto fanout = source.openFanout(3);
     ASSERT_EQ(fanout->consumers(), 3u);
@@ -334,8 +340,8 @@ TEST(StreamFanout, BroadcastSlotsReplayOneGenerationIdentically)
     for (std::thread &t : threads)
         t.join();
 
-    // All slots rode ONE producer: one generator construction total.
-    EXPECT_EQ(source.generatorsBuilt(), 1u);
+    // All slots rode ONE generation: one more factory call.
+    EXPECT_EQ(factory_calls, 2u);
     for (size_t i = 0; i < 3; ++i) {
         ASSERT_EQ(seen[i].size(), reference.size()) << "slot " << i;
         for (size_t j = 0; j < reference.size(); ++j)
@@ -387,20 +393,45 @@ TEST(StreamFanout, ZeroLengthTraceEndsEverySlotImmediately)
     EXPECT_EQ(s1->next(), nullptr);
 }
 
-TEST(GeneratedChunkSource, SequentialOpensReuseOneGenerator)
+TEST(GeneratedChunkSource, EveryGenerationCallsTheFactoryOnce)
 {
-    // The generator-pool regression handle: reopening a source for
-    // pass after pass (annotate, then each engine) must reset() the
-    // pooled generator, not construct a fresh one per open.
-    const auto source = syntheticSource(5000, 512);
+    // Replay is by seed: construction builds no generator, and each
+    // sequential open builds exactly one fresh one.
+    size_t factory_calls = 0;
+    const auto source = syntheticSource(5000, 512, &factory_calls);
+    EXPECT_EQ(factory_calls, 0u);
     const auto first = drain(source);
     const auto second = drain(source);
     const auto third = drain(source);
-    EXPECT_EQ(source.generatorsBuilt(), 1u);
+    EXPECT_EQ(factory_calls, 3u);
     ASSERT_EQ(third.size(), first.size());
     for (size_t i = 0; i < first.size(); ++i) {
         expectSameInst(second[i], first[i]);
         expectSameInst(third[i], first[i]);
+    }
+}
+
+TEST(GeneratedChunkSource, StreamsOutliveTheirSource)
+{
+    // A generation owns its generator, so a stream and a fan-out slot
+    // opened from a source keep working after the source is gone.
+    constexpr uint64_t kInsts = 5000;
+    auto source = std::make_unique<GeneratedChunkSource>(
+        syntheticSource(kInsts, 512));
+    const auto reference = drain(*source);
+    auto stream = source->open();
+    auto fanout = source->openFanout(1);
+    auto slot = fanout->stream(0);
+    source.reset();
+
+    for (ChunkStream *s : {stream.get(), slot.get()}) {
+        uint64_t seen = 0;
+        while (ChunkPtr c = s->next()) {
+            for (uint32_t i = 0; i < c->count; ++i)
+                expectSameInst(c->get(i), reference[size_t(seen + i)]);
+            seen += c->count;
+        }
+        EXPECT_EQ(seen, kInsts);
     }
 }
 

@@ -1,8 +1,12 @@
 /** @file Instruction-mix measurement. */
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "trace/stream_source.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_stats.hh"
+#include "workloads/micro.hh"
 
 namespace mlpsim::test {
 
@@ -20,8 +24,7 @@ TEST(TraceMix, CountsEveryClass)
     buf.append(makePrefetch(0x118, 0x3000));
     buf.append(makeSerializing(0x11c));
 
-    auto cur = buf.cursor();
-    const TraceMix mix = measureMix(cur, 1000);
+    const TraceMix mix = measureMix(buf, 1000);
     EXPECT_EQ(mix.total, 8u);
     EXPECT_EQ(mix.alu, 2u);
     EXPECT_EQ(mix.loads, 1u);
@@ -39,20 +42,39 @@ TEST(TraceMix, RespectsLimitAndRewinds)
     TraceBuffer buf;
     for (int i = 0; i < 20; ++i)
         buf.append(makeAlu(0x100 + 4u * unsigned(i), 1));
-    auto cur = buf.cursor();
-    const TraceMix mix = measureMix(cur, 5);
+    buf.append(makeLoad(0x200, 2, 0x1000));
+    const TraceMix mix = measureMix(buf, 5);
     EXPECT_EQ(mix.total, 5u);
-    // measureMix resets the source for the caller.
-    Instruction inst;
-    ASSERT_TRUE(cur.next(inst));
-    EXPECT_EQ(inst.pc, 0x100u);
+    EXPECT_EQ(mix.alu, 5u);
+    // Each call reads a fresh stream from the first instruction.
+    const TraceMix again = measureMix(buf, 21);
+    EXPECT_EQ(again.total, 21u);
+    EXPECT_EQ(again.alu, 20u);
+    EXPECT_EQ(again.loads, 1u);
+}
+
+TEST(TraceMix, StopsMidChunkOfAGeneratedSource)
+{
+    // A generated source streams chunks of 7; the limit falls inside
+    // the third, and counting stops there.
+    const GeneratedChunkSource source(
+        "chase", 100,
+        [] { return std::make_unique<workloads::PointerChaseWorkload>(); },
+        7);
+    TraceBuffer reference;
+    workloads::PointerChaseWorkload generator;
+    reference.fill(generator, 17);
+    const TraceMix mix = measureMix(source, 17);
+    const TraceMix expected = measureMix(reference, 100);
+    EXPECT_EQ(mix.total, 17u);
+    EXPECT_EQ(mix.loads, expected.loads);
+    EXPECT_EQ(mix.alu, expected.alu);
 }
 
 TEST(TraceMix, EmptyTrace)
 {
     TraceBuffer buf;
-    auto cur = buf.cursor();
-    const TraceMix mix = measureMix(cur, 10);
+    const TraceMix mix = measureMix(buf, 10);
     EXPECT_EQ(mix.total, 0u);
     EXPECT_DOUBLE_EQ(mix.fracLoads(), 0.0);
 }

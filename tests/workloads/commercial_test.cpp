@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "core/mlpsim.hh"
 #include "trace/trace_stats.hh"
@@ -42,8 +43,7 @@ prepared(const std::string &name)
         opts.warmupInsts = warmupInsts;
         p.annotated = std::make_unique<core::AnnotatedTrace>(
             core::AnnotatedTrace::make(*p.buffer, opts).orFatal());
-        auto cursor = p.buffer->cursor();
-        p.mix = trace::measureMix(cursor, p.buffer->size());
+        p.mix = trace::measureMix(*p.buffer, p.buffer->size());
         it = cache.emplace(name, std::move(p)).first;
     }
     return it->second;
@@ -255,6 +255,41 @@ TEST(CommercialWorkloads, GeneratorsAreDeterministic)
         }
     }
 }
+
+/** The replay contract streamed traces rest on: two fresh generators
+ *  at one seed emit the identical stream, field by field. */
+class SameSeedTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SameSeedTest, FreshGeneratorsEmitTheIdenticalStream)
+{
+    constexpr uint64_t kInsts = 50'000;
+    const std::string &name = GetParam();
+    for (const uint64_t seed :
+         {workloads::presetSeed(name), workloads::workloadSeed(name)}) {
+        auto a = workloads::makeWorkload(name, seed);
+        auto b = workloads::makeWorkload(name, seed);
+        trace::Instruction x, y;
+        for (uint64_t i = 0; i < kInsts; ++i) {
+            ASSERT_TRUE(a->next(x));
+            ASSERT_TRUE(b->next(y));
+            ASSERT_TRUE(x.pc == y.pc && x.effAddr == y.effAddr &&
+                        x.rawMeta() == y.rawMeta() &&
+                        x.rawPayload() == y.rawPayload() &&
+                        x.dst == y.dst && x.src[0] == y.src[0] &&
+                        x.src[1] == y.src[1] && x.src[2] == y.src[2])
+                << "seed " << seed << " @" << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, SameSeedTest,
+    ::testing::ValuesIn(workloads::commercialWorkloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(CommercialWorkloadsDeath, UnknownNameIsFatal)
 {

@@ -30,10 +30,9 @@ runOn(trace::TraceSource &source, const MlpConfig &cfg)
 
 TEST(MicroWorkloads, PointerChaseHasUnitMlpEverywhere)
 {
-    PointerChaseWorkload w;
     for (auto cfg : {MlpConfig::sized(64, IssueConfig::C),
                      MlpConfig::infinite(), MlpConfig::runahead()}) {
-        w.reset();
+        PointerChaseWorkload w;
         // Cold-start instruction misses overlap the very first data
         // misses; beyond that the chase is strictly serial.
         EXPECT_NEAR(runOn(w, cfg).mlp(), 1.0, 0.01) << cfg.label();
@@ -58,35 +57,32 @@ INSTANTIATE_TEST_SUITE_P(Counts, StreamCountTest,
 
 TEST(MicroWorkloads, StreamsStallOnUseVsStallOnMiss)
 {
-    IndependentStreamsWorkload w;
+    IndependentStreamsWorkload w_som, w_sou;
     MlpConfig som;
     som.mode = core::CoreMode::InOrderStallOnMiss;
     MlpConfig sou;
     sou.mode = core::CoreMode::InOrderStallOnUse;
-    EXPECT_NEAR(runOn(w, som).mlp(), 1.0, 0.01);
-    w.reset();
-    EXPECT_NEAR(runOn(w, sou).mlp(), 4.0, 0.05);
+    EXPECT_NEAR(runOn(w_som, som).mlp(), 1.0, 0.01);
+    EXPECT_NEAR(runOn(w_sou, sou).mlp(), 4.0, 0.05);
 }
 
 TEST(MicroWorkloads, SerializingStormCappedByAtomicsExceptConfigE)
 {
-    SerializingStormWorkload w;
+    SerializingStormWorkload w_c, w_e;
     const double c =
-        runOn(w, MlpConfig::sized(256, IssueConfig::C)).mlp();
-    w.reset();
+        runOn(w_c, MlpConfig::sized(256, IssueConfig::C)).mlp();
     const double e =
-        runOn(w, MlpConfig::sized(256, IssueConfig::E)).mlp();
+        runOn(w_e, MlpConfig::sized(256, IssueConfig::E)).mlp();
     EXPECT_NEAR(c, 4.0, 0.2); // group size
     EXPECT_GT(e, 3.0 * c);    // config E sails past the atomics
 }
 
 TEST(MicroWorkloads, SerializingStormRunaheadIgnoresAtomics)
 {
-    SerializingStormWorkload w;
+    SerializingStormWorkload w_d, w_rae;
     const double d =
-        runOn(w, MlpConfig::sized(64, IssueConfig::D)).mlp();
-    w.reset();
-    const double rae = runOn(w, MlpConfig::runahead()).mlp();
+        runOn(w_d, MlpConfig::sized(64, IssueConfig::D)).mlp();
+    const double rae = runOn(w_rae, MlpConfig::runahead()).mlp();
     EXPECT_GT(rae, 3.0 * d);
 }
 
@@ -121,14 +117,13 @@ TEST(MicroWorkloads, GeneratorsAreDeterministic)
     }
 }
 
-TEST(MicroWorkloads, ResetReproducesTheStream)
+TEST(MicroWorkloads, SameSeedReproducesTheStream)
 {
-    SerializingStormWorkload w;
+    SerializingStormWorkload a, b;
     trace::TraceBuffer first("f");
-    first.fill(w, 5000);
-    w.reset();
+    first.fill(a, 5000);
     trace::TraceBuffer second("s");
-    second.fill(w, 5000);
+    second.fill(b, 5000);
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i) {
         ASSERT_EQ(first.at(i).effAddr, second.at(i).effAddr) << i;
@@ -154,7 +149,9 @@ TEST(MicroWorkloads, DifferentSeedsDiffer)
 TEST(MicroWorkloads, SerializingMixContainsAtomics)
 {
     SerializingStormWorkload w;
-    const auto mix = trace::measureMix(w, 20000);
+    trace::TraceBuffer buf("storm");
+    buf.fill(w, 20000);
+    const auto mix = trace::measureMix(buf, buf.size());
     EXPECT_GT(mix.fracSerializing(), 0.01);
     EXPECT_GT(mix.fracLoads(), 0.1);
 }

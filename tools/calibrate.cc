@@ -144,10 +144,7 @@ main(int argc, char **argv)
         const auto t =
             workloads::targetsFromSnapshot(targets_doc, name).orFatal();
 
-        const auto mix = [&] {
-            auto cursor = buf.cursor();
-            return trace::measureMix(cursor, total);
-        }();
+        const auto mix = trace::measureMix(buf, total);
 
         std::printf("=== %s (%llu insts measured) ===\n", name.c_str(),
                     (unsigned long long)measure);
