@@ -88,14 +88,8 @@ BenchSetup::tryFromOptions(const Options &opts,
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     MLPSIM_RETURN_IF_ERROR(opts.checkKnown(known));
 
-    // A typo'd --workload value would otherwise filter every workload
-    // out and the bench would silently print nothing.
-    if (opts.has("workload")) {
-        auto probe =
-            workloads::tryMakeWorkload(opts.getString("workload", ""));
-        if (!probe.ok())
-            return probe.status();
-    }
+    MLPSIM_RETURN_IF_ERROR(
+        workloads::selectWorkloads(opts.find("workload")).status());
 
     BenchSetup setup;
     MLPSIM_ASSIGN_OR_RETURN(
@@ -116,7 +110,7 @@ BenchSetup::tryFromOptions(const Options &opts,
     if (retries == 0)
         return Status::invalidArgument("--retries must be at least 1 "
                                        "(it counts total attempts)");
-    setup.jobLimits.retry.maxAttempts = unsigned(retries);
+    setup.jobLimits.maxAttempts = unsigned(retries);
     setup.collectFailures = opts.has("collect-failures");
 
     MLPSIM_ASSIGN_OR_RETURN(uint64_t stream_chunk,
@@ -198,14 +192,8 @@ prepareWorkload(const std::string &name, const BenchSetup &setup)
 std::vector<core::PreparedTrace>
 prepareAll(const BenchSetup &setup, const Options &opts)
 {
-    std::vector<std::string> names;
-    for (const auto &name : workloads::commercialWorkloadNames()) {
-        if (opts.has("workload") &&
-            opts.getString("workload", "") != name) {
-            continue;
-        }
-        names.push_back(name);
-    }
+    const std::vector<std::string> names =
+        workloads::selectWorkloads(opts.find("workload")).orFatal();
 
     // Each generator owns a private Rng seeded from the workload name,
     // so concurrent materialisation yields bit-identical traces.

@@ -74,9 +74,12 @@ struct BenchSetup
 
     /**
      * Per-job execution limits for every Sweep batch: --deadline-ms
-     * arms a cooperative per-attempt deadline, --retries bounds the
-     * attempts for transient failures (both default off, preserving
-     * the historical all-or-nothing semantics byte for byte).
+     * sets JobLimits::deadlineMillis, a per-attempt deadline checked
+     * where the kernels poll for cancellation; --retries sets
+     * JobLimits::maxAttempts, the total attempts for a transient
+     * failure, retried on SweepRunner's fixed backoff schedule. Both
+     * default off, preserving the all-or-nothing semantics byte for
+     * byte.
      */
     JobLimits jobLimits;
 

@@ -63,14 +63,8 @@ main(int argc, char **argv)
                     {false, true, false},
                     {false, true, true}};
 
-    std::vector<std::string> names;
-    for (const auto &name : workloads::commercialWorkloadNames()) {
-        if (opts.has("workload") &&
-            opts.getString("workload", "") != name) {
-            continue;
-        }
-        names.push_back(name);
-    }
+    const std::vector<std::string> names =
+        workloads::selectWorkloads(opts.find("workload")).orFatal();
 
     // One cell per (workload x variant): it materialises the variant's
     // re-annotated trace once and runs *both* baselines over it (the

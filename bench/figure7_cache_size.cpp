@@ -37,11 +37,8 @@ main(int argc, char **argv)
         Job<CellResult> job;
     };
     std::vector<CellRef> cells;
-    for (const auto &name : workloads::commercialWorkloadNames()) {
-        if (opts.has("workload") &&
-            opts.getString("workload", "") != name) {
-            continue;
-        }
+    for (const auto &name :
+         workloads::selectWorkloads(opts.find("workload")).orFatal()) {
         for (uint64_t kb : {512u, 1024u, 2048u, 4096u, 8192u}) {
             BenchSetup sized = setup;
             sized.annotation.hierarchy.l2.sizeBytes = kb * 1024;

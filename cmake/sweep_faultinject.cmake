@@ -16,7 +16,7 @@
 
 set(budget --insts 8000 --warmup 1000)
 set(faults --stuck 1 --throw 1 --flaky 1 --flaky-failures 2
-    --retries 3 --deadline-ms 200 --backoff-ms 1 --jobs 4)
+    --retries 3 --deadline-ms 200 --jobs 4)
 
 file(MAKE_DIRECTORY ${WORKDIR})
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "util/file_io.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::metrics {
@@ -132,7 +133,7 @@ writeSnapshotFile(const std::string &path, JsonValue meta,
         return writeJsonFile(path,
                              toJson(snapshot, std::move(meta), options));
     }
-    return writeTextFile(path, toCsv(snapshot, options));
+    return writeFileAtomic(path, toCsv(snapshot, options));
 }
 
 JsonValue

@@ -6,12 +6,7 @@
 #include <cstdlib>
 #include <memory>
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
-
+#include "util/file_io.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::metrics {
@@ -667,33 +662,7 @@ readJsonFile(const std::string &path)
 Status
 writeJsonFile(const std::string &path, const JsonValue &value, int indent)
 {
-    return writeTextFile(path, value.dump(indent));
-}
-
-Status
-writeTextFile(const std::string &path, const std::string &text)
-{
-    // Temp-file-plus-rename keeps a crashed writer from leaving a
-    // half-document where a result file is expected.
-    const std::string tmp_path =
-        path + ".tmp." + std::to_string(::getpid());
-    FilePtr f(std::fopen(tmp_path.c_str(), "wb"));
-    if (!f)
-        return Status::ioError("cannot create '", tmp_path, "'");
-    if (std::fwrite(text.data(), 1, text.size(), f.get()) != text.size() ||
-        std::fflush(f.get()) != 0) {
-        f.reset();
-        std::remove(tmp_path.c_str());
-        return Status::ioError("error writing '", tmp_path, "'");
-    }
-    f.reset(); // close before rename
-    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-        Status st = Status::ioError("cannot rename '", tmp_path,
-                                    "' to '", path, "'");
-        std::remove(tmp_path.c_str());
-        return st;
-    }
-    return Status::okStatus();
+    return writeFileAtomic(path, value.dump(indent));
 }
 
 } // namespace mlpsim::metrics

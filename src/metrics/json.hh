@@ -129,13 +129,10 @@ class JsonValue
 Expected<JsonValue> readJsonFile(const std::string &path);
 
 /**
- * Serialise @p value to @p path atomically (temp file + rename, the
- * trace-writer idiom), so readers never observe a partial document.
+ * Serialise @p value to @p path atomically (util/file_io.hh's
+ * writeFileAtomic), so readers never observe a partial document.
  */
 Status writeJsonFile(const std::string &path, const JsonValue &value,
                      int indent = 2);
-
-/** The same atomic temp-file-plus-rename write for arbitrary text. */
-Status writeTextFile(const std::string &path, const std::string &text);
 
 } // namespace mlpsim::metrics

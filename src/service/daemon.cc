@@ -284,7 +284,7 @@ Daemon::handleBatch(const std::vector<std::string> &frames,
 
             JobLimits limits;
             limits.deadlineMillis = request.deadlineMillis;
-            limits.retry.maxAttempts = request.maxAttempts;
+            limits.maxAttempts = request.maxAttempts;
             runner.setJobLimits(limits);
 
             PlannedCell cell;

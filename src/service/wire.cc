@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "core/result_json.hh"
-#include "util/retry.hh"
 #include "util/rng.hh"
 #include "workloads/factory.hh"
 

@@ -13,10 +13,11 @@ CancelToken::nowNs()
 void
 CancelToken::stop(CancelKind k, std::string why)
 {
-    // First stop wins; later calls (watchdog racing the poller, a
-    // cancel() after expiry) keep the original kind and reason. The
-    // reason is written before the kind flag is released, so any
-    // thread that observes the flag also observes the reason.
+    // First stop wins; later calls (threads polling one expired
+    // token at once, a cancel() after expiry) keep the original kind
+    // and reason. The reason is written before the kind flag is
+    // released, so any thread that observes the flag also observes the
+    // reason.
     std::lock_guard<std::mutex> lock(reasonMutex);
     if (kind.load(std::memory_order_relaxed) != CancelKind::None)
         return;
@@ -47,22 +48,6 @@ void
 CancelToken::expireNow()
 {
     stop(CancelKind::DeadlineExceeded, "deadline exceeded");
-}
-
-bool
-CancelToken::expireIfPastDeadline()
-{
-    if (kind.load(std::memory_order_acquire) != CancelKind::None)
-        return false;
-    const int64_t dl = deadlineNs.load(std::memory_order_relaxed);
-    if (dl == kNoDeadline || nowNs() < dl)
-        return false;
-    std::lock_guard<std::mutex> lock(reasonMutex);
-    if (kind.load(std::memory_order_relaxed) != CancelKind::None)
-        return false;
-    reason = "deadline exceeded";
-    kind.store(CancelKind::DeadlineExceeded, std::memory_order_release);
-    return true;
 }
 
 CancelKind
@@ -103,7 +88,7 @@ pollCancellation()
         // returning to the simulation loop.
         st = Status::cancelled("cancel requested");
     }
-    throw CancelledError(std::move(st));
+    throw StatusError(std::move(st));
 }
 
 } // namespace mlpsim

@@ -10,7 +10,8 @@
  * (SweepRunner, a future mlpsimd front end) flags a CancelToken, and
  * the simulation kernels — epoch engine, in-order model, cyclesim,
  * trace generation — poll that flag at their natural epoch/chunk
- * boundaries and unwind with a CancelledError when it is set.
+ * boundaries and unwind with a StatusError carrying the Cancelled or
+ * DeadlineExceeded status when it is set.
  *
  * Threading the token through every engine signature would churn the
  * whole API for a concern most callers never use, so the active token
@@ -22,8 +23,9 @@
  * default path stays byte-identical *and* cycle-comparable.
  *
  * Deadlines are part of the token: setDeadlineAfterMillis() arms a
- * steady-clock expiry that both the polling job itself and the
- * SweepRunner watchdog thread check. A zero deadline is defined as
+ * steady-clock expiry that the job's own polls check — stopRequested()
+ * reads the clock whenever a deadline is armed — so the poll is the
+ * one place a deadline is enforced. A zero deadline is defined as
  * already expired (the job fails at its first poll, before doing real
  * work); a negative deadline means "none".
  *
@@ -98,13 +100,6 @@ class CancelToken
         return chain && chain->stopRequested();
     }
 
-    /**
-     * Watchdog entry point: latch DeadlineExceeded if the armed
-     * deadline has passed. Returns true if this call did the latching
-     * (so the watchdog can log each overdue job exactly once).
-     */
-    bool expireIfPastDeadline();
-
     /** OK while running; Cancelled/DeadlineExceeded once stopped. */
     Status status() const;
 
@@ -124,30 +119,6 @@ class CancelToken
 
     mutable std::mutex reasonMutex;
     std::string reason;
-};
-
-/**
- * The exception a cancelled job unwinds with. Deliberately *not* a
- * Status return: cancellation must cross the existing
- * fatal()-on-error convenience wrappers (runMlp etc.) without being
- * turned into process death, and an exception is the only channel
- * that threads through them untouched. SweepRunner catches it and
- * records the carried Status in the job's failure record.
- */
-class CancelledError : public std::exception
-{
-  public:
-    explicit CancelledError(Status status)
-        : st(std::move(status)), text(st.toString())
-    {
-    }
-
-    const Status &status() const { return st; }
-    const char *what() const noexcept override { return text.c_str(); }
-
-  private:
-    Status st;
-    std::string text;
 };
 
 namespace detail {
@@ -198,8 +169,12 @@ cancellationRequested()
 
 /**
  * The poll simulation kernels place at epoch/chunk boundaries: throws
- * CancelledError carrying the token's Cancelled/DeadlineExceeded
- * status when a stop was requested; no-op otherwise.
+ * a StatusError carrying the token's Cancelled/DeadlineExceeded status
+ * when a stop was requested; no-op otherwise. An exception rather than
+ * a Status return, because cancellation must cross the
+ * fatal()-on-error convenience wrappers (runMlp etc.) without being
+ * turned into process death; SweepRunner catches it and records the
+ * carried Status in the job's failure record.
  */
 void pollCancellation();
 

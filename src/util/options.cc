@@ -135,6 +135,15 @@ Options::getString(const std::string &name, const std::string &def) const
     return it == values.end() ? def : it->second;
 }
 
+std::optional<std::string>
+Options::find(const std::string &name) const
+{
+    auto it = values.find(name);
+    if (it == values.end())
+        return std::nullopt;
+    return it->second;
+}
+
 Expected<uint64_t>
 Options::tryGetU64(const std::string &name, uint64_t def) const
 {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,9 @@ class Options
     bool has(const std::string &name) const;
     std::string getString(const std::string &name,
                           const std::string &def) const;
+
+    /** The flag's value, or nullopt when it was not given. */
+    std::optional<std::string> find(const std::string &name) const;
 
     /** @p def if absent; error if present but not a full u64. */
     Expected<uint64_t> tryGetU64(const std::string &name,

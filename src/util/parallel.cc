@@ -113,18 +113,6 @@ SweepRunner::SweepRunner(unsigned job_count)
     processEpoch();
 }
 
-SweepRunner::~SweepRunner()
-{
-    if (watchdog.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(watchMutex);
-            watchdogStop = true;
-        }
-        watchCv.notify_all();
-        watchdog.join();
-    }
-}
-
 void
 SweepRunner::requestCancel(std::string reason)
 {
@@ -139,61 +127,24 @@ SweepRunner::enqueue(std::shared_ptr<detail::JobSlot> slot,
     pending.push_back(Pending{std::move(slot), std::move(body)});
 }
 
-// ----- watchdog ----------------------------------------------------
-
-void
-SweepRunner::watchToken(const std::shared_ptr<CancelToken> &token,
-                        const std::string &label)
-{
-    std::lock_guard<std::mutex> lock(watchMutex);
-    watched.emplace_back(token, label);
-    if (!watchdog.joinable())
-        watchdog = std::thread([this] { watchdogLoop(); });
-    watchCv.notify_all();
-}
-
-void
-SweepRunner::unwatchToken(const std::shared_ptr<CancelToken> &token)
-{
-    std::lock_guard<std::mutex> lock(watchMutex);
-    for (auto it = watched.begin(); it != watched.end(); ++it) {
-        if (it->first == token) {
-            watched.erase(it);
-            return;
-        }
-    }
-}
-
-void
-SweepRunner::watchdogLoop()
-{
-    // The watchdog cannot preempt a job — cancellation is cooperative
-    // — but it guarantees an overdue job is *flagged* even while stuck
-    // between polls, records the fact on stderr exactly once, and
-    // makes the deadline fire promptly for jobs that poll rarely
-    // relative to their deadline.
-    std::unique_lock<std::mutex> lock(watchMutex);
-    for (;;) {
-        if (watched.empty()) {
-            watchCv.wait(lock, [this] {
-                return watchdogStop || !watched.empty();
-            });
-        } else {
-            watchCv.wait_for(lock, std::chrono::milliseconds(2));
-        }
-        if (watchdogStop)
-            return;
-        for (const auto &[token, label] : watched) {
-            if (token->expireIfPastDeadline()) {
-                warn("sweep watchdog: job '", label,
-                     "' exceeded its deadline; flagged for ",
-                     "cooperative cancellation");
-            }
-        }
-    }
-}
-
 // ----- job execution -----------------------------------------------
+
+namespace {
+
+/**
+ * The sleep before retrying a job whose attempt @p failed_attempt
+ * (1-based) failed: 1 ms, doubling per further attempt, capped at 2 s.
+ * No jitter, so reruns of one sweep back off on the same schedule.
+ */
+std::chrono::milliseconds
+retryBackoff(unsigned failed_attempt)
+{
+    // 2^11 ms already passes the cap, so the shift cannot overflow.
+    const unsigned doublings = std::min(failed_attempt - 1, 11u);
+    return std::chrono::milliseconds(std::min(1LL << doublings, 2000LL));
+}
+
+} // namespace
 
 /**
  * Run one attempt of @p job under @p tok. Returns true on success;
@@ -201,11 +152,10 @@ SweepRunner::watchdogLoop()
  * with the exception for Propagate-mode rethrow fidelity.
  */
 bool
-SweepRunner::runAttempt(Pending &job,
-                        const std::shared_ptr<CancelToken> &tok,
+SweepRunner::runAttempt(Pending &job, const CancelToken &tok,
                         Status *failure, std::exception_ptr *raw)
 {
-    CancelScope scope(tok.get());
+    CancelScope scope(&tok);
     try {
         // Cancel-before-start: a cancelled runner (or a zero
         // deadline) fails the job without running a single
@@ -213,9 +163,6 @@ SweepRunner::runAttempt(Pending &job,
         pollCancellation();
         job.body();
         return true;
-    } catch (const CancelledError &e) {
-        *failure = e.status();
-        *raw = std::current_exception();
     } catch (const StatusError &e) {
         *failure = e.status();
         *raw = std::current_exception();
@@ -243,12 +190,8 @@ SweepRunner::execute(Pending &job)
         // Fresh token per attempt: a blown deadline on attempt N must
         // not instantly kill attempt N+1. The runner token is the
         // parent, so requestCancel() reaches every attempt.
-        auto token = std::make_shared<CancelToken>(runnerToken);
-        const bool deadline = lim.deadlineMillis >= 0.0;
-        if (deadline) {
-            token->setDeadlineAfterMillis(lim.deadlineMillis);
-            watchToken(token, job.slot->label);
-        }
+        CancelToken token(runnerToken);
+        token.setDeadlineAfterMillis(lim.deadlineMillis);
 
         // Per-attempt hook pair; a failed attempt's token is dropped
         // below so partial metrics never reach the snapshot merge.
@@ -263,8 +206,6 @@ SweepRunner::execute(Pending &job)
 
         if (hooks.end)
             hooks.end(job.slot->hookToken);
-        if (deadline)
-            unwatchToken(token);
 
         total_millis +=
             std::chrono::duration<double, std::milli>(end - start).count();
@@ -276,14 +217,9 @@ SweepRunner::execute(Pending &job)
         }
 
         job.slot->hookToken.reset();
-        if (lim.retry.shouldRetry(failure, attempt) &&
+        if (isRetryable(failure.code()) && attempt < lim.maxAttempts &&
             !runnerToken->stopRequested()) {
-            const double backoff =
-                lim.retry.backoffMillis(job.slot->label, attempt + 1);
-            if (backoff > 0.0) {
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(backoff));
-            }
+            std::this_thread::sleep_for(retryBackoff(attempt));
             continue;
         }
 

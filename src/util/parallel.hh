@@ -38,11 +38,12 @@
  *    readable, and the caller turns the record into a sweep report
  *    (metrics/export.hh). This is how a thousand-point sweep survives
  *    one poisoned cell.
- *  - JobLimits (setJobLimits) arm a per-job cooperative deadline
- *    (polled by the simulation kernels via util/cancellation.hh, and
- *    enforced in the background by a watchdog thread that flags
- *    overdue jobs) and a deterministic RetryPolicy for transient
- *    failures (util/retry.hh).
+ *  - JobLimits (setJobLimits) arm a per-job cooperative deadline,
+ *    enforced where the simulation kernels poll for cancellation
+ *    (util/cancellation.hh), and an attempt budget for transient
+ *    failures (status.hh FailureClass). A retried job sleeps on a
+ *    fixed schedule first — 1 ms, doubling, capped at 2 s — so two
+ *    runs of one sweep back off identically.
  *
  * On the all-success path none of this machinery observably runs:
  * results, stdout and --metrics-out files stay byte-identical to the
@@ -68,7 +69,6 @@
 
 #include "util/cancellation.hh"
 #include "util/logging.hh"
-#include "util/retry.hh"
 #include "util/status.hh"
 
 namespace mlpsim {
@@ -194,8 +194,12 @@ struct JobLimits
      */
     double deadlineMillis = -1.0;
 
-    /** Retry policy for transient failures (default: never retry). */
-    RetryPolicy retry;
+    /**
+     * Total attempts including the first; 1 = never retry. Only
+     * transient failures (Unavailable, IoError) are retried;
+     * cancellation, blown deadlines and permanent errors never are.
+     */
+    unsigned maxAttempts = 1;
 
     /**
      * No deadline and one attempt: a job under these limits may run
@@ -205,7 +209,7 @@ struct JobLimits
     bool
     shareable() const
     {
-        return deadlineMillis < 0.0 && retry.maxAttempts <= 1;
+        return deadlineMillis < 0.0 && maxAttempts <= 1;
     }
 };
 
@@ -355,7 +359,6 @@ class SweepRunner
      *        inline on the calling thread (exact serial semantics).
      */
     explicit SweepRunner(unsigned job_count = 0);
-    ~SweepRunner();
 
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
@@ -449,14 +452,8 @@ class SweepRunner
     void enqueue(std::shared_ptr<detail::JobSlot> slot,
                  std::function<void()> body);
     void execute(Pending &job);
-    bool runAttempt(Pending &job, const std::shared_ptr<CancelToken> &tok,
-                    Status *failure, std::exception_ptr *raw);
-
-    // --- watchdog (deadline enforcement from outside the job) ---
-    void watchToken(const std::shared_ptr<CancelToken> &token,
-                    const std::string &label);
-    void unwatchToken(const std::shared_ptr<CancelToken> &token);
-    void watchdogLoop();
+    bool runAttempt(Pending &job, const CancelToken &tok, Status *failure,
+                    std::exception_ptr *raw);
 
     unsigned jobCount;
     std::vector<Pending> pending;
@@ -469,13 +466,6 @@ class SweepRunner
     std::vector<JobFailure> failures;  //!< last batch, submission order
     std::shared_ptr<CancelToken> runnerToken =
         std::make_shared<CancelToken>();
-
-    std::mutex watchMutex;
-    std::condition_variable watchCv;
-    std::vector<std::pair<std::shared_ptr<CancelToken>, std::string>>
-        watched;
-    std::thread watchdog;              //!< started on first deadline
-    bool watchdogStop = false;
 };
 
 } // namespace mlpsim

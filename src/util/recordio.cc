@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/crc32.hh"
+#include "util/file_io.hh"
 
 namespace mlpsim {
 
@@ -83,33 +84,6 @@ readWholeFile(const std::string &path)
     return data;
 }
 
-Status
-writeWholeFileAtomic(const std::string &path, const std::string &data)
-{
-    // Temp-file + rename (the trace-writer / metrics-export idiom):
-    // the destination either keeps its old contents or atomically
-    // becomes the new ones; a crash mid-salvage cannot eat the valid
-    // prefix we just recovered.
-    const std::string tmp = path + ".tmp";
-    std::FILE *out = std::fopen(tmp.c_str(), "wb");
-    if (!out)
-        return Status::ioError("creating '", tmp,
-                               "': ", std::strerror(errno));
-    const bool wrote =
-        std::fwrite(data.data(), 1, data.size(), out) == data.size();
-    const bool closed = std::fclose(out) == 0;
-    if (!wrote || !closed) {
-        std::remove(tmp.c_str());
-        return Status::ioError("writing '", tmp, "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status::ioError("renaming '", tmp, "' to '", path,
-                               "': ", std::strerror(errno));
-    }
-    return Status::okStatus();
-}
-
 std::string
 serialize(const std::string &meta,
           const std::vector<std::string> &records)
@@ -181,7 +155,7 @@ RecordLog::open(const std::string &path, const std::string &meta)
             // Drop the corrupt tail for good before appending after it.
             log.didSalvage = true;
             MLPSIM_RETURN_IF_ERROR(
-                writeWholeFileAtomic(path, serialize(meta, log.loaded))
+                writeFileAtomic(path, serialize(meta, log.loaded))
                     .withContext("salvaging record log"));
         }
         log.out = std::fopen(path.c_str(), "ab");
@@ -219,7 +193,7 @@ RecordLog::rewrite(std::vector<std::string> records)
     std::fflush(out);
     closeFile();
     MLPSIM_RETURN_IF_ERROR(
-        writeWholeFileAtomic(logPath, serialize(logMeta, records))
+        writeFileAtomic(logPath, serialize(logMeta, records))
             .withContext("rewriting record log"));
     loaded = std::move(records);
     out = std::fopen(logPath.c_str(), "ab");

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
 namespace mlpsim {
 
@@ -22,6 +23,22 @@ splitMix64(uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
+}
+
+/**
+ * 64-bit FNV-1a: the stable string hash behind workload seeds and the
+ * service's content hashes (each feeds it through splitMix64 to spread
+ * its low entropy across all 64 bits).
+ */
+constexpr uint64_t
+fnv1a64(std::string_view text)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
 }
 
 /**

@@ -291,6 +291,7 @@ class [[nodiscard]] Expected
  * with a *classified* error — SweepRunner catches it, keeps the Status
  * for its failure records, and applies the retry taxonomy above —
  * where a plain std::exception would be recorded as Permanent/Internal.
+ * A cancelled or overdue job unwinds with one too (pollCancellation()).
  */
 class StatusError : public std::exception
 {

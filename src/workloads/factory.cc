@@ -44,6 +44,13 @@ findPreset(const std::string &name)
     return nullptr;
 }
 
+Status
+unknownWorkload(const std::string &name)
+{
+    return Status::notFound("unknown workload '", name,
+                            "' (expected database|specjbb2000|specweb99)");
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -58,6 +65,16 @@ commercialWorkloadNames()
     return names;
 }
 
+Expected<std::vector<std::string>>
+selectWorkloads(const std::optional<std::string> &only)
+{
+    if (!only)
+        return commercialWorkloadNames();
+    if (!findPreset(*only))
+        return unknownWorkload(*only);
+    return std::vector<std::string>{*only};
+}
+
 uint64_t
 presetSeed(const std::string &name)
 {
@@ -70,9 +87,7 @@ tryMakeWorkload(const std::string &name, uint64_t seed)
 {
     const Preset *preset = findPreset(name);
     if (!preset)
-        return Status::notFound(
-            "unknown workload '", name,
-            "' (expected database|specjbb2000|specweb99)");
+        return unknownWorkload(name);
     return preset->make(seed);
 }
 
@@ -97,14 +112,7 @@ makeWorkload(const std::string &name, uint64_t seed)
 uint64_t
 workloadSeed(const std::string &name)
 {
-    // FNV-1a, then splitMix64 to spread the hash's low entropy across
-    // all 64 bits before it seeds xoshiro256**.
-    uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : name) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return splitMix64(hash);
+    return splitMix64(fnv1a64(name));
 }
 
 } // namespace mlpsim::workloads

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,16 @@ namespace mlpsim::workloads {
 
 /** Names accepted by makeWorkload(), in paper order. */
 const std::vector<std::string> &commercialWorkloadNames();
+
+/**
+ * The workloads a --workload flag selects, in paper order: every
+ * commercial workload when @p only is nullopt (no flag), else just
+ * *@p only. An unknown name is tryMakeWorkload()'s NotFound, so a typo
+ * fails up front instead of filtering every workload out and printing
+ * nothing.
+ */
+Expected<std::vector<std::string>>
+selectWorkloads(const std::optional<std::string> &only);
 
 /**
  * Construct a workload by name ("database", "specjbb2000",

@@ -561,7 +561,7 @@ TEST(CellGrid, LimitedCellsAndMaterialisedTracesRunUngrouped)
     deadline.deadlineMillis = 600'000;
     EXPECT_EQ(groupedCells(streamed, deadline), none);
     JobLimits retries;
-    retries.retry.maxAttempts = 2;
+    retries.maxAttempts = 2;
     EXPECT_EQ(groupedCells(streamed, retries), none);
 
     // A materialised trace has no generation to share.

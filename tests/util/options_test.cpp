@@ -48,6 +48,13 @@ TEST(Options, SpaceForm)
     EXPECT_EQ(o.getString("workload", ""), "database");
 }
 
+TEST(Options, FindTellsAnEmptyValueFromAnAbsentFlag)
+{
+    auto o = parse({"--workload="});
+    EXPECT_EQ(o.find("workload"), std::optional<std::string>(""));
+    EXPECT_EQ(o.find("insts"), std::nullopt);
+}
+
 TEST(Options, FlagWithoutValueDefaultsToOne)
 {
     auto o = parse({"--verbose"});

@@ -1,4 +1,5 @@
-/** @file Deterministic RNG behaviour and distribution sanity. */
+/** @file Deterministic RNG behaviour, distribution sanity and the
+ *  FNV-1a string hash. */
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -21,6 +22,20 @@ TEST(SplitMix64, MixesNearbyInputs)
         total_flips += __builtin_popcountll(splitMix64(i) ^
                                             splitMix64(i + 1));
     EXPECT_GT(total_flips / 64, 20);
+}
+
+TEST(Fnv1a64Test, MatchesKnownVectors)
+{
+    // Standard FNV-1a test vectors.
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a64Test, DistinctLabelsHashDifferently)
+{
+    EXPECT_NE(fnv1a64("mlp cpmail/64C"), fnv1a64("mlp cpmail/64E"));
+    EXPECT_NE(fnv1a64("job"), fnv1a64("job2"));
 }
 
 TEST(Rng, SameSeedSameStream)

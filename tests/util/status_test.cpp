@@ -46,6 +46,27 @@ TEST(Status, EveryCodeHasAName)
     }
 }
 
+TEST(FailureClassTest, TaxonomyBucketsAreCorrect)
+{
+    EXPECT_EQ(failureClass(ErrorCode::Ok), FailureClass::None);
+    EXPECT_EQ(failureClass(ErrorCode::Unavailable),
+              FailureClass::Transient);
+    EXPECT_EQ(failureClass(ErrorCode::IoError), FailureClass::Transient);
+    EXPECT_EQ(failureClass(ErrorCode::Cancelled), FailureClass::Cancelled);
+    EXPECT_EQ(failureClass(ErrorCode::DeadlineExceeded),
+              FailureClass::Cancelled);
+    EXPECT_EQ(failureClass(ErrorCode::InvalidArgument),
+              FailureClass::Permanent);
+    EXPECT_EQ(failureClass(ErrorCode::DataLoss), FailureClass::Permanent);
+    EXPECT_EQ(failureClass(ErrorCode::Internal), FailureClass::Permanent);
+
+    EXPECT_TRUE(isRetryable(ErrorCode::Unavailable));
+    EXPECT_TRUE(isRetryable(ErrorCode::IoError));
+    EXPECT_FALSE(isRetryable(ErrorCode::Cancelled));
+    EXPECT_FALSE(isRetryable(ErrorCode::DataLoss));
+    EXPECT_FALSE(isRetryable(ErrorCode::Ok));
+}
+
 TEST(Expected, HoldsValueOrStatus)
 {
     Expected<int> good = 7;

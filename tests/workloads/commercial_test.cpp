@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/mlpsim.hh"
 #include "trace/trace_stats.hh"
@@ -290,6 +291,29 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+TEST(WorkloadSelection, NoFlagSelectsEveryWorkloadInPaperOrder)
+{
+    auto names = workloads::selectWorkloads(std::nullopt);
+    ASSERT_TRUE(names.ok()) << names.status().toString();
+    EXPECT_EQ(*names, workloads::commercialWorkloadNames());
+}
+
+TEST(WorkloadSelection, FlagSelectsOnlyTheNamedWorkload)
+{
+    auto names = workloads::selectWorkloads("specweb99");
+    ASSERT_TRUE(names.ok()) << names.status().toString();
+    EXPECT_EQ(*names, std::vector<std::string>{"specweb99"});
+}
+
+TEST(WorkloadSelection, TypoIsNotFoundNotAnEmptySelection)
+{
+    auto names = workloads::selectWorkloads("databse");
+    ASSERT_FALSE(names.ok());
+    EXPECT_EQ(names.status().code(), ErrorCode::NotFound);
+    EXPECT_NE(names.status().message().find("unknown workload 'databse'"),
+              std::string::npos);
+}
 
 TEST(CommercialWorkloadsDeath, UnknownNameIsFatal)
 {

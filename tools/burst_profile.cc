@@ -69,9 +69,8 @@ main(int argc, char **argv)
     Options opts(argc, argv);
     opts.rejectUnknown({"insts", "warmup", "machine", "workload", "jobs",
                         "metrics-out", "trace-events"});
-    if (opts.has("workload"))
-        workloads::tryMakeWorkload(opts.getString("workload", ""))
-            .orFatal();
+    const std::vector<std::string> names =
+        workloads::selectWorkloads(opts.find("workload")).orFatal();
     const uint64_t warmup = opts.scaledInsts("warmup", 1'000'000);
     const uint64_t measure = opts.scaledInsts("insts", 3'000'000);
     const std::string machine = opts.getString("machine", "64C");
@@ -86,14 +85,8 @@ main(int argc, char **argv)
     // One job per workload: prepare + annotate + simulate; results are
     // printed in canonical order regardless of completion order.
     SweepRunner runner(unsigned(opts.getU64("jobs", 0)));
-    std::vector<std::string> names;
     std::vector<Job<core::MlpResult>> cells;
-    for (const auto &name : workloads::commercialWorkloadNames()) {
-        if (opts.has("workload") &&
-            opts.getString("workload", "") != name) {
-            continue;
-        }
-        names.push_back(name);
+    for (const auto &name : names) {
         cells.push_back(runner.defer<core::MlpResult>(
             name, [name, warmup, measure, &machine] {
                 metrics::ScopedLabel wl_label(name);

@@ -68,14 +68,8 @@ main(int argc, char **argv)
         metrics::installSweepIsolation();
     }
 
-    std::vector<std::string> names;
-    for (const auto &name : workloads::commercialWorkloadNames()) {
-        if (opts.has("workload") &&
-            opts.getString("workload", "") != name) {
-            continue;
-        }
-        names.push_back(name);
-    }
+    const std::vector<std::string> names =
+        workloads::selectWorkloads(opts.find("workload")).orFatal();
 
     SweepRunner runner(unsigned(opts.getU64("jobs", 0)));
 

@@ -389,10 +389,10 @@ main(int argc, char **argv)
             }
 
             if (!responses_out.empty()) {
-                metrics::writeTextFile(
+                metrics::writeJsonFile(
                     responses_out + std::to_string(receivedCount) +
                         ".json",
-                    doc.dump(2))
+                    doc)
                     .orFatal();
             }
             ++receivedCount;
@@ -407,9 +407,9 @@ main(int argc, char **argv)
         const JsonValue request = templateRequest(
             tmpl, workloads, configs_per_request, warmup, insts);
         if (!requests_out.empty()) {
-            metrics::writeTextFile(requests_out + std::to_string(i) +
+            metrics::writeJsonFile(requests_out + std::to_string(i) +
                                        ".json",
-                                   request.dump(2))
+                                   request)
                 .orFatal();
         }
         inflight.push_back(

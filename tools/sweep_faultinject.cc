@@ -17,8 +17,8 @@
  * Usage:
  *   sweep_faultinject [--jobs N] [--insts N] [--warmup N]
  *       [--stuck N] [--throw N] [--flaky N] [--flaky-failures F]
- *       [--deadline-ms D] [--retries R] [--backoff-ms B] [--seed S]
- *       [--report FILE] [--journal FILE] [--propagate]
+ *       [--deadline-ms D] [--retries R] [--report FILE]
+ *       [--journal FILE] [--propagate]
  *
  * This binary is also the demonstration of the Status-returning
  * option path: it uses Options::parse / checkKnown / tryGetU64 /
@@ -56,7 +56,7 @@ struct GridCell
     std::string journalKey;
 };
 
-/** Spin until cancelled: the "stuck job" the watchdog exists for. */
+/** Spin until cancelled: the "stuck job" a deadline exists for. */
 void
 stuckBody()
 {
@@ -85,15 +85,15 @@ main(int argc, char **argv)
     const Options &opts = *parsed;
     const Status known = opts.checkKnown(
         {"jobs", "insts", "warmup", "stuck", "throw", "flaky",
-         "flaky-failures", "deadline-ms", "retries", "backoff-ms",
-         "seed", "report", "journal", "propagate"});
+         "flaky-failures", "deadline-ms", "retries", "report",
+         "journal", "propagate"});
     if (!known.ok())
         return flagError(known);
 
     uint64_t insts = 0, warmup = 0, jobs = 0;
     uint64_t stuck = 0, throwing = 0, flaky = 0, flaky_failures = 0;
-    uint64_t retries = 0, seed = 0;
-    double deadline_ms = 0.0, backoff_ms = 0.0;
+    uint64_t retries = 0;
+    double deadline_ms = 0.0;
     {
         // Every getter returns Expected; the first failure aborts the
         // run with a description instead of a fatal() stack.
@@ -111,7 +111,6 @@ main(int argc, char **argv)
             {&flaky, opts.tryGetU64("flaky", 0)},
             {&flaky_failures, opts.tryGetU64("flaky-failures", 2)},
             {&retries, opts.tryGetU64("retries", 1)},
-            {&seed, opts.tryGetU64("seed", 0)},
         };
         for (Binding &binding : bindings) {
             if (!binding.value.ok())
@@ -122,10 +121,6 @@ main(int argc, char **argv)
         if (!deadline.ok())
             return flagError(deadline.status());
         deadline_ms = *deadline;
-        auto backoff = opts.tryGetDouble("backoff-ms", 1.0);
-        if (!backoff.ok())
-            return flagError(backoff.status());
-        backoff_ms = *backoff;
     }
     if (stuck != 0 && deadline_ms < 0.0) {
         return flagError(Status::invalidArgument(
@@ -172,9 +167,7 @@ main(int argc, char **argv)
                                                 : FailureMode::CollectAll);
     JobLimits limits;
     limits.deadlineMillis = deadline_ms;
-    limits.retry.maxAttempts = unsigned(retries);
-    limits.retry.baseBackoffMillis = backoff_ms;
-    limits.retry.seed = seed;
+    limits.maxAttempts = unsigned(retries);
     runner.setJobLimits(limits);
 
     std::vector<Job<core::MlpResult>> results(cells.size());
