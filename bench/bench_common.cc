@@ -83,8 +83,8 @@ BenchSetup::tryFromOptions(const Options &opts,
     std::vector<std::string> known{
         "warmup",       "insts",        "workload",
         "jobs",         "metrics-out",  "trace-events",
-        "deadline-ms",  "retries",      "collect-failures",
-        "sweep-report", "stream-chunk", "materialize"};
+        "deadline-ms",  "retries",      "sweep-report",
+        "stream-chunk", "materialize"};
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     MLPSIM_RETURN_IF_ERROR(opts.checkKnown(known));
 
@@ -103,15 +103,7 @@ BenchSetup::tryFromOptions(const Options &opts,
     setup.traceEventsOut = opts.getString("trace-events", "");
     setup.sweepReportOut = opts.getString("sweep-report", "");
 
-    MLPSIM_ASSIGN_OR_RETURN(setup.jobLimits.deadlineMillis,
-                            opts.tryGetDouble("deadline-ms", -1.0));
-    MLPSIM_ASSIGN_OR_RETURN(uint64_t retries,
-                            opts.tryGetU64("retries", 1));
-    if (retries == 0)
-        return Status::invalidArgument("--retries must be at least 1 "
-                                       "(it counts total attempts)");
-    setup.jobLimits.maxAttempts = unsigned(retries);
-    setup.collectFailures = opts.has("collect-failures");
+    MLPSIM_ASSIGN_OR_RETURN(setup.jobLimits, parseJobLimits(opts));
 
     MLPSIM_ASSIGN_OR_RETURN(uint64_t stream_chunk,
                             opts.tryGetU64("stream-chunk", 0));
@@ -239,8 +231,6 @@ runMlp(core::MlpConfig config, const core::PreparedTrace &workload)
 Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
 {
     runner.setJobLimits(setup.jobLimits);
-    if (setup.collectFailures)
-        runner.setFailureMode(FailureMode::CollectAll);
 }
 
 template <typename R, typename Config>

@@ -5,11 +5,12 @@
  * Every bench prepares each commercial workload once (default:
  * 1M warm-up + 3M measured instructions, scalable with --warmup/
  * --insts or the MLPSIM_SCALE environment variable): it materialises
- * the trace, or with --stream-chunk regenerates it for each group of
- * cells, annotates it, and prints the paper's rows or series next to
- * this reproduction's measurements. Absolute values are not expected to match the paper's
- * proprietary traces; orderings, approximate ratios and crossovers
- * are.
+ * the trace, or with --stream-chunk regenerates it once per group of
+ * up to core::maxConsumersPerGeneration cells, cells with a deadline
+ * or retries included, annotates it, and prints the paper's rows or
+ * series next to this reproduction's measurements. Absolute values are
+ * not expected to match the paper's proprietary traces; orderings,
+ * approximate ratios and crossovers are.
  *
  * Execution model: every bench expresses its (configuration x
  * workload) grid as *deferred* cells on a Sweep, then calls
@@ -73,25 +74,19 @@ struct BenchSetup
     std::string traceEventsOut;
 
     /**
-     * Per-job execution limits for every Sweep batch: --deadline-ms
-     * sets JobLimits::deadlineMillis, a per-attempt deadline checked
-     * where the kernels poll for cancellation; --retries sets
-     * JobLimits::maxAttempts, the total attempts for a transient
-     * failure, retried on SweepRunner's fixed backoff schedule. Both
-     * default off, preserving the all-or-nothing semantics byte for
-     * byte.
+     * Per-job execution limits for every Sweep batch (parseJobLimits):
+     * --deadline-ms sets JobLimits::deadlineMillis, a per-attempt
+     * deadline checked where the kernels poll for cancellation — a
+     * streamed cell keeps its own deadline inside its shared
+     * generation; --retries sets JobLimits::maxAttempts, the total
+     * attempts for a transient failure, retried on SweepRunner's fixed
+     * backoff schedule. Both default off, and with them on the output
+     * of a run that meets its deadlines is unchanged byte for byte.
+     * A failed cell never stops its batch: every failure lands in the
+     * failure record (and the --sweep-report file), and the bench
+     * dies, via fatal(), only where it reads a failed cell's result.
      */
     JobLimits jobLimits;
-
-    /**
-     * --collect-failures: run sweeps in FailureMode::CollectAll, so
-     * failed cells degrade into the failure record (and the
-     * --sweep-report file) instead of aborting the bench at the first
-     * error. Benches read results through Job::get(), so a bench whose
-     * table *needs* a failed cell still dies — but only after the
-     * whole batch ran, with every failure recorded.
-     */
-    bool collectFailures = false;
 
     /** Destination for the sweep failure report ("" = off); written
      *  even when everything succeeded (0 failures documents a clean
@@ -100,7 +95,7 @@ struct BenchSetup
 
     /**
      * Parse --warmup/--insts/--jobs/--metrics-out/--trace-events/
-     * --deadline-ms/--retries/--collect-failures/--sweep-report (and
+     * --deadline-ms/--retries/--sweep-report (and
      * MLPSIM_SCALE) from @p opts, after rejecting any flag outside the
      * standard bench set plus @p extra_flags — a typo'd flag fails up
      * front instead of silently leaving a default in force for a
@@ -150,8 +145,7 @@ core::MlpResult runMlp(core::MlpConfig config,
 class Sweep
 {
   public:
-    /** Applies setup.jobLimits and setup.collectFailures to every
-     *  batch this sweep runs. */
+    /** Applies setup.jobLimits to every batch this sweep runs. */
     explicit Sweep(const BenchSetup &setup);
 
     /** Defer one epoch-model cell. @p workload must outlive run(). */

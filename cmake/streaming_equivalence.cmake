@@ -41,8 +41,14 @@ run_mode(stream --jobs 2 --stream-chunk=4096)
 # An odd, tiny chunk size at a different --jobs: chunk-boundary and
 # scheduling effects must not reach any output byte.
 run_mode(stream_odd --jobs 1 --stream-chunk=777)
+# Cells with a deadline and a retry budget ride their trace's shared
+# generation too, each under its own deadline.
+run_mode(stream_limits --jobs 2 --stream-chunk=4096 --deadline-ms 600000
+         --retries 2)
 
 expect_same(mat.txt stream.txt)
 expect_same(mat.json stream.json)
 expect_same(mat.txt stream_odd.txt)
 expect_same(mat.json stream_odd.json)
+expect_same(mat.txt stream_limits.txt)
+expect_same(mat.json stream_limits.json)

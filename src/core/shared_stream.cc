@@ -23,18 +23,22 @@ struct CellExec
     std::unique_ptr<metrics::MetricRegistry> registry =
         std::make_unique<metrics::MetricRegistry>();
     std::exception_ptr error;
+    bool adopted = false; //!< the cell's job has read this outcome
 };
 
 /**
  * Run one cell with the SweepRunner job environment reproduced on
- * this thread: the caller's cancel token installed and a private
- * metric registry collecting (merged later, in submission order).
+ * this thread: a token holding the cell's own deadline installed and
+ * a private metric registry collecting (merged later, in submission
+ * order).
  */
 void
 runCellIsolated(SharedCell &cell, const WorkloadContext &ctx,
-                CellExec &exec, const CancelToken *token)
+                CellExec &exec)
 {
-    CancelScope cancel(token);
+    CancelToken token;
+    token.setDeadlineAfterMillis(cell.deadlineMillis);
+    CancelScope cancel(&token);
     std::optional<metrics::CollectorScope> collect;
     if (metrics::enabled())
         collect.emplace(exec.registry.get());
@@ -47,28 +51,27 @@ runCellIsolated(SharedCell &cell, const WorkloadContext &ctx,
 
 /**
  * Run cells [begin, begin + n) of the group as the @p n consumers of
- * one shared generation, each on its own thread.
+ * one shared generation, each on its own thread. Each thread owns its
+ * fan-out slot and drops it as soon as its cell's body returns or
+ * throws: a slot left claimed would pin the ring, and so stall every
+ * other cell of the generation.
  */
 void
 executeGeneration(const WorkloadContext &base,
                   std::vector<SharedCell> &cells,
-                  std::vector<CellExec> &execs, size_t begin, size_t n,
-                  const CancelToken *token)
+                  std::vector<CellExec> &execs, size_t begin, size_t n)
 {
     auto fanout = base.source->openFanout(n);
-    std::vector<std::unique_ptr<trace::ChunkStream>> slots(n);
-    for (size_t i = 0; i < n; ++i)
-        slots[i] = fanout->stream(i);
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-        WorkloadContext ctx = base;
-        ctx.attached = slots[i].get();
-        threads.emplace_back(
-            [&cells, &execs, ctx, token, cell_index = begin + i]() {
-                runCellIsolated(cells[cell_index], ctx, execs[cell_index],
-                                token);
-            });
+        threads.emplace_back([&cells, &execs, base, cell_index = begin + i,
+                              slot = fanout->stream(i)]() mutable {
+            WorkloadContext ctx = base;
+            ctx.attached = slot.get();
+            runCellIsolated(cells[cell_index], ctx, execs[cell_index]);
+            slot.reset();
+        });
     }
     for (std::thread &t : threads)
         t.join();
@@ -80,13 +83,13 @@ executeGeneration(const WorkloadContext &base,
  */
 void
 executeCells(const WorkloadContext &base, std::vector<SharedCell> &cells,
-             std::vector<CellExec> &execs, const CancelToken *token)
+             std::vector<CellExec> &execs)
 {
     const size_t n = cells.size();
     if (n == 1) {
         // A one-consumer ring buys nothing: run here, still isolated
         // for ordering.
-        runCellIsolated(cells[0], base, execs[0], token);
+        runCellIsolated(cells[0], base, execs[0]);
         return;
     }
     // Near-equal generations: the first n % generations take one more
@@ -97,7 +100,7 @@ executeCells(const WorkloadContext &base, std::vector<SharedCell> &cells,
     for (size_t g = 0; g < generations; ++g) {
         const size_t width =
             n / generations + (g < n % generations ? 1 : 0);
-        executeGeneration(base, cells, execs, begin, width, token);
+        executeGeneration(base, cells, execs, begin, width);
         begin += width;
     }
 }
@@ -143,13 +146,12 @@ SharedCellGroup::runCell(size_t index)
     std::unique_lock<std::mutex> lock(g.mutex);
     if (!g.started) {
         // Leader: run every cell of the group (the followers' jobs
-        // only adopt). The leader's cancel token governs the whole
-        // group's engine threads.
+        // only adopt), each under its own deadline.
         g.started = true;
         g.execs.resize(g.cells.size());
         lock.unlock();
         try {
-            executeCells(g.base, g.cells, g.execs, activeCancelToken());
+            executeCells(g.base, g.cells, g.execs);
         } catch (...) {
             std::lock_guard<std::mutex> relock(g.mutex);
             g.setupError = std::current_exception();
@@ -160,7 +162,16 @@ SharedCellGroup::runCell(size_t index)
     } else {
         g.cv.wait(lock, [&] { return g.done; });
     }
+    const bool retry = std::exchange(g.execs[index].adopted, true);
     lock.unlock();
+
+    if (retry) {
+        // The job already read this cell's outcome, so the runner is
+        // retrying it: re-run the cell alone, on this thread under the
+        // job's own attempt, over a fresh stream of its own.
+        g.cells[index].body(g.base);
+        return;
+    }
 
     // Adopt exactly this cell's telemetry and outcome on the calling
     // job's thread — commit order stays the grid's submission order.
@@ -175,12 +186,10 @@ SharedCellGroup::runCell(size_t index)
 CellGrid::~CellGrid() = default;
 
 std::shared_ptr<SharedCellGroup>
-CellGrid::groupFor(const PreparedTrace &trace, const JobLimits &limits)
+CellGrid::groupFor(const PreparedTrace &trace)
 {
-    // The group leader's attempt governs every cell of the group, so
-    // a cell with its own deadline or retries runs as its own job; a
-    // materialised trace has no generation to share.
-    if (!sharesGeneration(trace.context()) || !limits.shareable())
+    // A materialised trace has no generation to share.
+    if (!sharesGeneration(trace.context()))
         return nullptr;
     for (auto &entry : groups)
         if (entry.first == &trace)

@@ -19,12 +19,17 @@
  * this way: it is a separate pass (core/trace_pipeline.hh) that
  * completes first.
  *
+ * One cell's stop neither governs nor blocks the cells that share
+ * its generation: each cell runs under a token holding its own
+ * deadline, and each cell thread owns its fan-out slot and drops it
+ * the moment its body returns or throws, so a cell that stops early
+ * never pins the ring the others still read.
+ *
  * Determinism: each cell runs under a private metric registry
- * (CollectorScope); registries are merged into the caller's registry
- * in cell submission order after every thread has joined, and the
- * first failing cell's exception (in submission order) is rethrown —
- * exactly the SweepRunner contract, so grouped and ungrouped sweeps
- * produce byte-identical snapshots.
+ * (CollectorScope); each cell's job merges its cell's registry into
+ * its own and rethrows its cell's failure, so commits follow the
+ * grid's submission order — exactly the SweepRunner contract, and
+ * grouped and ungrouped sweeps produce byte-identical snapshots.
  */
 #pragma once
 
@@ -45,14 +50,18 @@ namespace mlpsim::core {
 /**
  * One type-erased consumer of a shared stream: the body receives a
  * WorkloadContext whose `attached` stream is its claimed fan-out slot
- * and must drain or abandon it before returning. Bodies apply their
- * own metric labels (they run on a worker thread under a private
- * registry) and store their own results.
+ * (or, run alone, no attached stream) and must drain or abandon it
+ * before returning. Bodies apply their own metric labels (they run on
+ * a worker thread under a private registry) and store their own
+ * results.
  */
 struct SharedCell
 {
     std::string label; //!< diagnostics only
     std::function<void(const WorkloadContext &)> body;
+    /** The cell's own deadline (JobLimits::deadlineMillis of its
+     *  job), armed when its body starts; negative = none. */
+    double deadlineMillis = -1.0;
 };
 
 /**
@@ -99,10 +108,11 @@ sharesGeneration(const WorkloadContext &ctx)
  * on another job. A one-cell group runs its cell inline on the
  * leader's thread, over a stream of its own.
  *
- * The leader's attempt context (cancel token, deadline) governs every
- * cell of the group, and a retried job only re-reads its cell's first
- * outcome. So only jobs with no deadline and one attempt
- * (JobLimits::shareable()) may join a group; the rest run on their own.
+ * The leader's attempt governs none of the other cells: each cell
+ * runs under its own SharedCell::deadlineMillis, armed when its body
+ * starts. A job that calls runCell() again for its cell — the runner
+ * retrying a transient failure — re-runs only that cell, alone, on its
+ * own thread and under its own attempt, over a fresh stream.
  *
  * Build the group fully (add() every cell) before submitting any of
  * its jobs. The group assumes a re-streamed trace; CellGrid never
@@ -123,7 +133,8 @@ class SharedCellGroup
     /**
      * Execute from cell @p index's job: lead or follow (see class
      * comment), then commit cell @p index's metrics to the calling
-     * thread's registry and rethrow its error if it failed.
+     * thread's registry and rethrow its error if it failed. A second
+     * call for one index re-runs that cell alone (a retry).
      */
     void runCell(size_t index);
 
@@ -135,13 +146,14 @@ class SharedCellGroup
 /**
  * The cell scheduler of the sweep layers (bench::Sweep and the
  * daemon): defers each simulator cell of a batch on a SweepRunner and
- * decides whether it rides a shared generation. A cell joins its
- * trace's SharedCellGroup (one per trace per batch) when the trace is
- * re-streamed (sharesGeneration) and the runner's current job limits
- * allow sharing (JobLimits::shareable()); any other cell is a plain
- * job over the trace's context. Either way the job returns exactly its
- * own cell's result and commits its own metrics, so results and
- * snapshots are byte-identical to running every cell on its own.
+ * decides whether it rides a shared generation. Every cell over a
+ * re-streamed trace (sharesGeneration) joins its trace's
+ * SharedCellGroup (one per trace per batch), carrying the deadline of
+ * the runner's current job limits; a cell over a materialised trace is
+ * a plain job over the trace's context. Either way the job returns
+ * exactly its own cell's result and commits its own metrics, so
+ * results and snapshots are byte-identical to running every cell on
+ * its own.
  *
  * Groups are single-batch: defer every cell, run the runner, then
  * clear() before deferring the next batch. Each job holds its group,
@@ -160,8 +172,7 @@ class CellGrid
     defer(SweepRunner &runner, const PreparedTrace &trace, std::string label,
           std::function<R(const WorkloadContext &)> body)
     {
-        std::shared_ptr<SharedCellGroup> group =
-            groupFor(trace, runner.jobLimits());
+        std::shared_ptr<SharedCellGroup> group = groupFor(trace);
         if (!group)
             return runner.defer<R>(std::move(label),
                                    [body, ctx = trace.context()] {
@@ -169,9 +180,11 @@ class CellGrid
                                    });
         auto slot = std::make_shared<std::optional<R>>();
         const size_t index = group->add(SharedCell{
-            label, [body, slot](const WorkloadContext &ctx) {
+            label,
+            [body, slot](const WorkloadContext &ctx) {
                 slot->emplace(body(ctx));
-            }});
+            },
+            runner.jobLimits().deadlineMillis});
         return runner.defer<R>(std::move(label), [group, index, slot] {
             group->runCell(index);
             return std::move(**slot);
@@ -182,10 +195,9 @@ class CellGrid
     void clear();
 
   private:
-    /** The group a cell over @p trace deferred under @p limits joins;
-     *  null when it must run on its own. */
-    std::shared_ptr<SharedCellGroup> groupFor(const PreparedTrace &trace,
-                                              const JobLimits &limits);
+    /** The group a cell over @p trace joins; null when the trace is
+     *  materialised. */
+    std::shared_ptr<SharedCellGroup> groupFor(const PreparedTrace &trace);
 
     std::vector<std::pair<const PreparedTrace *,
                           std::shared_ptr<SharedCellGroup>>>

@@ -45,7 +45,6 @@ Daemon::Daemon(DaemonConfig daemon_config)
     : config(daemon_config), runner(daemon_config.jobs),
       traces(daemon_config.traceCacheCapacity)
 {
-    runner.setFailureMode(FailureMode::CollectAll);
     installHooks();
 }
 

@@ -22,9 +22,9 @@
  *      within the batch are deduplicated onto one job; the rest
  *      defer onto the SweepRunner with the request's deadline/retry
  *      limits, reading a shared immutable trace from the TraceCache.
- *   4. *Execute.* One runAll() per batch, CollectAll mode — one bad
- *      cell degrades its request to an error response, never the
- *      batch, never the process.
+ *   4. *Execute.* One runAll() per batch, which records every failure
+ *      and never throws — one bad cell degrades its request to an
+ *      error response, never the batch, never the process.
  *   5. *Record + respond.* Computed cells append to the persistent
  *      result cache (submission order, so the log is deterministic
  *      for a given request history); responses go out in frame
@@ -70,8 +70,9 @@ struct DaemonConfig
      * this chunk capacity (memory stops scaling with the instruction
      * budget) and groups a batch's computed cells by trace so each
      * group's engines consume shared stream generations
-     * (core::CellGrid). Cells of requests with a deadline or
-     * retries run on their own, under their own limits. Responses are
+     * (core::CellGrid). Cells of requests with a deadline or retries
+     * join their trace's group too: each cell keeps its request's
+     * deadline, and a retried cell re-runs alone. Responses are
      * byte-identical to materialised mode.
      */
     uint32_t streamChunk = 0;

@@ -1,5 +1,6 @@
 #include "wire.hh"
 
+#include <climits>
 #include <cstdio>
 
 #include "core/result_json.hh"
@@ -53,7 +54,10 @@ getUint(const JsonValue &doc, const char *name, bool required,
             return Status::invalidArgument("missing field '", name, "'");
         return Status::okStatus();
     }
-    if (!field->isNumber() || field->number() < 0.0)
+    // A fraction, or an integer too large for uint64, parses as a
+    // double; uinteger() would abort on it.
+    if (!field->isNumber() || field->kind() == JsonValue::Kind::Double ||
+        field->number() < 0.0)
         return Status::invalidArgument("field '", name,
                                        "' must be a non-negative "
                                        "integer");
@@ -155,8 +159,8 @@ configFromJson(const JsonValue &doc)
             return Status::invalidArgument("unknown config field '",
                                            key, "'");
 
-        if (!value.isNumber() || value.number() < 0.0 ||
-            value.number() > 4294967295.0) {
+        if (!value.isNumber() || value.kind() == JsonValue::Kind::Double ||
+            value.number() < 0.0 || value.number() > 4294967295.0) {
             return Status::invalidArgument("config field '", key,
                                            "' must be a u32");
         }
@@ -223,9 +227,14 @@ parseSweepRequest(const JsonValue &doc, uint64_t max_insts)
                 "field 'deadline_ms' must be a number");
         request.deadlineMillis = deadline->number();
     }
+    // "retries" counts extra attempts; the total must fit `unsigned`.
     uint64_t retries = 0;
     MLPSIM_RETURN_IF_ERROR(getUint(doc, "retries", false, &retries));
-    request.maxAttempts = static_cast<unsigned>(retries) + 1;
+    if (retries >= UINT_MAX) {
+        return Status::invalidArgument("field 'retries' must be at most ",
+                                       UINT_MAX - 1);
+    }
+    request.maxAttempts = unsigned(retries) + 1;
 
     const JsonValue *configs = doc.find("configs");
     if (!configs || !configs->isArray() || configs->size() == 0) {

@@ -1,5 +1,7 @@
 #include "cancellation.hh"
 
+#include <algorithm>
+
 namespace mlpsim {
 
 int64_t
@@ -11,84 +13,38 @@ CancelToken::nowNs()
 }
 
 void
-CancelToken::stop(CancelKind k, std::string why)
-{
-    // First stop wins; later calls (threads polling one expired
-    // token at once, a cancel() after expiry) keep the original kind
-    // and reason. The reason is written before the kind flag is
-    // released, so any thread that observes the flag also observes the
-    // reason.
-    std::lock_guard<std::mutex> lock(reasonMutex);
-    if (kind.load(std::memory_order_relaxed) != CancelKind::None)
-        return;
-    reason = std::move(why);
-    kind.store(k, std::memory_order_release);
-}
-
-void
-CancelToken::cancel(std::string why)
-{
-    stop(CancelKind::Cancelled, std::move(why));
-}
-
-void
 CancelToken::setDeadlineAfterMillis(double millis)
 {
-    if (millis < 0.0) {
+    const int64_t now = nowNs();
+    const double ns = millis * 1e6;
+    // Negative (or NaN) is no deadline, and so is one the clock
+    // cannot reach: converting it to int64 would overflow, and the
+    // wrapped value would lie in the past.
+    if (!(ns >= 0.0) || ns >= double(kNoDeadline - now)) {
         deadlineNs.store(kNoDeadline, std::memory_order_relaxed);
         return;
     }
     // millis == 0 arms a deadline that has already passed: the next
-    // poll fails the job before it does any real work.
-    const int64_t ns = nowNs() + int64_t(millis * 1e6);
-    deadlineNs.store(ns, std::memory_order_relaxed);
-}
-
-void
-CancelToken::expireNow()
-{
-    stop(CancelKind::DeadlineExceeded, "deadline exceeded");
-}
-
-CancelKind
-CancelToken::stopKind() const
-{
-    const CancelKind own = kind.load(std::memory_order_acquire);
-    if (own != CancelKind::None)
-        return own;
-    return chain ? chain->stopKind() : CancelKind::None;
+    // poll fails the job before it does any real work. The clamp only
+    // absorbs the rounding of the range check above.
+    const int64_t ahead = std::min(int64_t(ns), kNoDeadline - 1 - now);
+    deadlineNs.store(now + ahead, std::memory_order_relaxed);
 }
 
 Status
 CancelToken::status() const
 {
-    const CancelKind own = kind.load(std::memory_order_acquire);
-    if (own == CancelKind::None)
-        return chain ? chain->status() : Status::okStatus();
-    std::string why;
-    {
-        std::lock_guard<std::mutex> lock(reasonMutex);
-        why = reason;
-    }
-    if (own == CancelKind::DeadlineExceeded)
-        return Status::deadlineExceeded(why);
-    return Status::cancelled(why);
+    if (!expired.load())
+        return Status::okStatus();
+    return Status::deadlineExceeded("ran past its deadline");
 }
 
 void
 pollCancellation()
 {
     const CancelToken *token = detail::t_activeCancelToken;
-    if (!token || !token->stopRequested())
-        return;
-    Status st = token->status();
-    if (st.ok()) {
-        // stopRequested() raced a stop() that has set the kind but not
-        // yet published the reason; report generically rather than
-        // returning to the simulation loop.
-        st = Status::cancelled("cancel requested");
-    }
-    throw StatusError(std::move(st));
+    if (token && token->stopRequested())
+        throw StatusError(token->status());
 }
 
 } // namespace mlpsim

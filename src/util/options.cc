@@ -1,10 +1,12 @@
 #include "options.hh"
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 
 #include "logging.hh"
+#include "parallel.hh"
 
 namespace mlpsim {
 
@@ -186,6 +188,22 @@ uint64_t
 Options::scaledInsts(const std::string &name, uint64_t def) const
 {
     return tryScaledInsts(name, def).orFatal();
+}
+
+Expected<JobLimits>
+parseJobLimits(const Options &opts)
+{
+    JobLimits limits;
+    MLPSIM_ASSIGN_OR_RETURN(limits.deadlineMillis,
+                            opts.tryGetDouble("deadline-ms", -1.0));
+    MLPSIM_ASSIGN_OR_RETURN(uint64_t retries, opts.tryGetU64("retries", 1));
+    if (retries == 0 || retries > UINT_MAX) {
+        return Status::invalidArgument(
+            "--retries=", retries, " must be between 1 and ", UINT_MAX,
+            " (it counts total attempts)");
+    }
+    limits.maxAttempts = unsigned(retries);
+    return limits;
 }
 
 } // namespace mlpsim

@@ -26,6 +26,8 @@
 
 namespace mlpsim {
 
+struct JobLimits;
+
 /** Parsed command-line options with typed, defaulted accessors. */
 class Options
 {
@@ -83,5 +85,13 @@ class Options
     std::map<std::string, std::string> values;
     double scale = 1.0;
 };
+
+/**
+ * The sweep job limits (util/parallel.hh) given by --deadline-ms
+ * (default: none) and --retries (total attempts, default 1) — the one
+ * parser of these flags for every bench and tool. Rejects a malformed
+ * value, --retries 0 and a --retries that does not fit `unsigned`.
+ */
+Expected<JobLimits> parseJobLimits(const Options &opts);
 
 } // namespace mlpsim

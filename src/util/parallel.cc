@@ -99,6 +99,19 @@ ThreadPool::hardwareThreads()
 
 // ----- SweepRunner -------------------------------------------------
 
+void
+detail::JobSlot::requireResult(bool has_value) const
+{
+    MLPSIM_ASSERT(done, "reading job '", label,
+                  "' before SweepRunner::runAll()");
+    if (has_value)
+        return;
+    MLPSIM_ASSERT(!failStatus.ok(), "job '", label,
+                  "': result already taken");
+    fatal("job '", label, "' failed after ", attempts, " attempt",
+          attempts == 1 ? "" : "s", ": ", failStatus.toString());
+}
+
 double
 SweepRunner::BatchStats::concurrency() const
 {
@@ -111,12 +124,6 @@ SweepRunner::SweepRunner(unsigned job_count)
     // Pin the span origin no later than the first runner, so no job
     // can start before it and spans never go negative.
     processEpoch();
-}
-
-void
-SweepRunner::requestCancel(std::string reason)
-{
-    runnerToken->cancel(std::move(reason));
 }
 
 void
@@ -148,30 +155,25 @@ retryBackoff(unsigned failed_attempt)
 
 /**
  * Run one attempt of @p job under @p tok. Returns true on success;
- * otherwise fills @p failure with the classified Status and @p raw
- * with the exception for Propagate-mode rethrow fidelity.
+ * otherwise fills @p failure with the classified Status.
  */
 bool
 SweepRunner::runAttempt(Pending &job, const CancelToken &tok,
-                        Status *failure, std::exception_ptr *raw)
+                        Status *failure)
 {
     CancelScope scope(&tok);
     try {
-        // Cancel-before-start: a cancelled runner (or a zero
-        // deadline) fails the job without running a single
+        // A zero deadline fails the job without running a single
         // instruction of its body.
         pollCancellation();
         job.body();
         return true;
     } catch (const StatusError &e) {
         *failure = e.status();
-        *raw = std::current_exception();
     } catch (const std::exception &e) {
         *failure = Status::internal(e.what());
-        *raw = std::current_exception();
     } catch (...) {
         *failure = Status::internal("job threw a non-exception value");
-        *raw = std::current_exception();
     }
     return false;
 }
@@ -188,9 +190,8 @@ SweepRunner::execute(Pending &job)
 
     for (;; ++attempt) {
         // Fresh token per attempt: a blown deadline on attempt N must
-        // not instantly kill attempt N+1. The runner token is the
-        // parent, so requestCancel() reaches every attempt.
-        CancelToken token(runnerToken);
+        // not instantly kill attempt N+1.
+        CancelToken token;
         token.setDeadlineAfterMillis(lim.deadlineMillis);
 
         // Per-attempt hook pair; a failed attempt's token is dropped
@@ -199,9 +200,8 @@ SweepRunner::execute(Pending &job)
             job.slot->hookToken = hooks.begin(job.slot->label);
 
         Status failure;
-        std::exception_ptr raw;
         const auto start = std::chrono::steady_clock::now();
-        const bool ok = runAttempt(job, token, &failure, &raw);
+        const bool ok = runAttempt(job, token, &failure);
         const auto end = std::chrono::steady_clock::now();
 
         if (hooks.end)
@@ -212,19 +212,16 @@ SweepRunner::execute(Pending &job)
 
         if (ok) {
             job.slot->failStatus = Status::okStatus();
-            job.slot->error = nullptr;
             break;
         }
 
         job.slot->hookToken.reset();
-        if (isRetryable(failure.code()) && attempt < lim.maxAttempts &&
-            !runnerToken->stopRequested()) {
+        if (isRetryable(failure.code()) && attempt < lim.maxAttempts) {
             std::this_thread::sleep_for(retryBackoff(attempt));
             continue;
         }
 
         job.slot->failStatus = std::move(failure);
-        job.slot->error = raw;
         break;
     }
 
@@ -300,36 +297,14 @@ SweepRunner::runAll()
         job.slot->hookToken.reset();
     }
 
-    if (failures.empty())
-        return;
-
-    if (failMode == FailureMode::CollectAll) {
-        // Graceful degradation: the sweep outlives its failed cells.
-        // The record is on lastFailures(); callers surface it via the
-        // sweep report. One summary line so a quiet terminal still
-        // shows that something went wrong.
+    // Graceful degradation: the sweep outlives its failed cells. The
+    // record is on lastFailures(); callers surface it via the sweep
+    // report. One summary line so a quiet terminal still shows that
+    // something went wrong.
+    if (!failures.empty()) {
         warn("sweep: ", failures.size(), " of ", jobs.size(),
-             " jobs failed (collect-all mode); first: '",
-             failures.front().label, "': ",
+             " jobs failed; first: '", failures.front().label, "': ",
              failures.front().status.toString());
-        return;
-    }
-
-    // Deterministic failure propagation: completion order varies run
-    // to run, submission order does not, so the *first-submitted*
-    // failure is the one a Propagate-mode sweep dies with. Report the
-    // full count first — the other failures must not vanish into the
-    // single rethrown exception.
-    if (failures.size() > 1) {
-        warn("sweep: ", failures.size(), " of ", jobs.size(),
-             " jobs failed; propagating the first in submission order "
-             "('", failures.front().label, "')");
-    }
-    for (const auto &job : jobs) {
-        if (job.slot->error)
-            std::rethrow_exception(job.slot->error);
-        if (!job.slot->failStatus.ok())
-            throw StatusError(job.slot->failStatus);
     }
 }
 

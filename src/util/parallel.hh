@@ -21,23 +21,20 @@
  *
  * Failure semantics (DESIGN.md section 13):
  *
- *  - Every job failure — thrown exception, cancellation, blown
- *    deadline — is recorded as a JobFailure (submission index, label,
- *    classified Status, attempt count); nothing is silently dropped.
- *    The batch always runs to completion and lastFailures() exposes
- *    the full record either way.
- *  - In the default FailureMode::Propagate, runAll() then rethrows
- *    the *first* failure in submission order. Submission order — not
- *    completion order — is deliberate: completion order varies with
- *    thread scheduling run to run, so "which failure a sweep dies
- *    with" would be nondeterministic and unbisectable. When several
- *    jobs failed, the count is reported on stderr before the rethrow
- *    so the non-first failures are never invisible.
- *  - In FailureMode::CollectAll, runAll() does not throw: failed jobs
- *    degrade into their JobFailure records, successful slots stay
- *    readable, and the caller turns the record into a sweep report
- *    (metrics/export.hh). This is how a thousand-point sweep survives
- *    one poisoned cell.
+ *  - Every job failure — thrown exception, blown deadline — is
+ *    recorded as a JobFailure (submission index, label, classified
+ *    Status, attempt count); nothing is silently dropped. The batch
+ *    always runs to completion, runAll() never throws, and
+ *    lastFailures() lists the failures in submission order — not
+ *    completion order, which varies with thread scheduling, so "which
+ *    failure a sweep reports first" is deterministic and bisectable.
+ *    Successful slots stay readable, and the caller turns the record
+ *    into a sweep report (metrics/export.hh): this is how a
+ *    thousand-point sweep survives one poisoned cell.
+ *  - Reading a failed job's result (Job::get(), Job::take()) is the
+ *    point where a caller that needs it dies: fatal() names the job
+ *    and its Status, and runs the exit-flush hook, so requested
+ *    output files are still written.
  *  - JobLimits (setJobLimits) arm a per-job cooperative deadline,
  *    enforced where the simulation kernels poll for cancellation
  *    (util/cancellation.hh), and an attempt budget for transient
@@ -57,7 +54,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -122,8 +118,8 @@ class ThreadPool
  * recorded for every job of every runner into one process-wide log so
  * the metrics layer can export a Chrome trace_event timeline of a
  * whole binary's schedule (prepare batches and sweep batches alike).
- * Failed and cancelled jobs appear too — a stuck job is exactly what
- * the timeline exists to show.
+ * Failed jobs appear too — a job stuck until its deadline is exactly
+ * what the timeline exists to show.
  */
 struct JobSpan
 {
@@ -174,12 +170,6 @@ struct JobFailure
     }
 };
 
-/** What runAll() does once failures have been recorded. */
-enum class FailureMode : uint8_t {
-    Propagate, //!< rethrow the first failure in submission order
-    CollectAll //!< never throw; degrade failures into JobFailure records
-};
-
 /**
  * Per-job execution limits, applied to jobs deferred after
  * SweepRunner::setJobLimits(). The defaults (no deadline, one
@@ -196,21 +186,10 @@ struct JobLimits
 
     /**
      * Total attempts including the first; 1 = never retry. Only
-     * transient failures (Unavailable, IoError) are retried;
-     * cancellation, blown deadlines and permanent errors never are.
+     * transient failures (Unavailable, IoError) are retried; blown
+     * deadlines and permanent errors never are.
      */
     unsigned maxAttempts = 1;
-
-    /**
-     * No deadline and one attempt: a job under these limits may run
-     * its work inside another job's attempt (core::SharedCellGroup),
-     * because no per-attempt context of its own would be lost.
-     */
-    bool
-    shareable() const
-    {
-        return deadlineMillis < 0.0 && maxAttempts <= 1;
-    }
 };
 
 namespace detail {
@@ -221,7 +200,6 @@ struct JobSlot
     virtual ~JobSlot() = default;
 
     std::string label;                //!< for diagnostics/progress
-    std::exception_ptr error;         //!< set if the final attempt threw
     Status failStatus;                //!< classified final failure
     JobLimits limits;                 //!< limits in force at defer()
     std::shared_ptr<void> hookToken;  //!< JobHooks begin() result
@@ -230,6 +208,9 @@ struct JobSlot
     unsigned worker = 0;              //!< executing worker (0 = caller)
     unsigned attempts = 1;            //!< attempts actually executed
     bool done = false;                //!< ran (successfully or not)
+
+    /** fatal() unless the job ran and left a result (@p has_value). */
+    void requireResult(bool has_value) const;
 };
 
 template <typename T>
@@ -242,10 +223,9 @@ struct TypedJobSlot final : JobSlot
 
 /**
  * Handle to one deferred job's future result. Valid to read after the
- * owning SweepRunner::runAll() returned. In the default Propagate
- * mode that implies the job succeeded (a failure would have
- * propagated out of runAll()); in CollectAll mode check succeeded()
- * before get().
+ * owning SweepRunner::runAll() returned; reading a failed job's result
+ * is fatal, so a caller that can do without it checks succeeded()
+ * first.
  */
 template <typename T>
 class Job
@@ -253,16 +233,13 @@ class Job
   public:
     Job() = default;
 
-    /** The job's result. @pre the owning runAll() has returned and
-     *  the job succeeded. */
+    /** The job's result. @pre the owning runAll() has returned;
+     *  fatal() with the job's label and Status if it failed. */
     const T &
     get() const
     {
-        MLPSIM_ASSERT(slot && slot->done,
-                      "Job::get() before SweepRunner::runAll()");
-        MLPSIM_ASSERT(slot->value.has_value(),
-                      "Job::get() on a failed job: ",
-                      slot->failStatus.toString());
+        MLPSIM_ASSERT(slot, "Job::get() on an empty handle");
+        slot->requireResult(slot->value.has_value());
         return *slot->value;
     }
 
@@ -270,11 +247,8 @@ class Job
     T
     take()
     {
-        MLPSIM_ASSERT(slot && slot->done,
-                      "Job::take() before SweepRunner::runAll()");
-        MLPSIM_ASSERT(slot->value.has_value(),
-                      "Job::take() on a failed or already-taken job: ",
-                      slot->failStatus.toString());
+        MLPSIM_ASSERT(slot, "Job::take() on an empty handle");
+        slot->requireResult(slot->value.has_value());
         T out = std::move(*slot->value);
         slot->value.reset();
         return out;
@@ -390,29 +364,15 @@ class SweepRunner
 
     /**
      * Execute all jobs deferred since the last runAll(). Blocks until
-     * every one of them finished, recording every failure (see
-     * lastFailures()). In Propagate mode the first failure in
-     * submission order is then rethrown; in CollectAll mode runAll()
-     * returns normally and failed jobs are readable as JobFailure
-     * records. Successful slots remain readable through their Job<T>
-     * handles either way.
+     * every one of them finished and never throws: every failure is
+     * recorded (see lastFailures()), and successful slots are readable
+     * through their Job<T> handles.
      */
     void runAll();
-
-    /** Failure handling for subsequent runAll() calls. */
-    void setFailureMode(FailureMode mode) { failMode = mode; }
-    FailureMode failureMode() const { return failMode; }
 
     /** Limits applied to jobs deferred after this call. */
     void setJobLimits(JobLimits job_limits) { limits = job_limits; }
     const JobLimits &jobLimits() const { return limits; }
-
-    /**
-     * Cooperatively cancel this runner: jobs currently executing stop
-     * at their next cancellation poll, and jobs not yet started fail
-     * as Cancelled without running. Affects this and future batches.
-     */
-    void requestCancel(std::string reason = "sweep cancelled");
 
     /** Every failure of the most recent batch, in submission order. */
     const std::vector<JobFailure> &lastFailures() const
@@ -452,8 +412,8 @@ class SweepRunner
     void enqueue(std::shared_ptr<detail::JobSlot> slot,
                  std::function<void()> body);
     void execute(Pending &job);
-    bool runAttempt(Pending &job, const CancelToken &tok, Status *failure,
-                    std::exception_ptr *raw);
+    static bool runAttempt(Pending &job, const CancelToken &tok,
+                           Status *failure);
 
     unsigned jobCount;
     std::vector<Pending> pending;
@@ -461,11 +421,8 @@ class SweepRunner
     std::unique_ptr<ThreadPool> pool;  //!< lazily created, reused
     BatchStats batch;
 
-    FailureMode failMode = FailureMode::Propagate;
     JobLimits limits;
     std::vector<JobFailure> failures;  //!< last batch, submission order
-    std::shared_ptr<CancelToken> runnerToken =
-        std::make_shared<CancelToken>();
 };
 
 } // namespace mlpsim

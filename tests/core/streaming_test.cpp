@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mlpsim.hh"
@@ -20,6 +22,7 @@
 #include "core/trace_pipeline.hh"
 #include "cyclesim/cycle_sim.hh"
 #include "trace/stream_source.hh"
+#include "util/cancellation.hh"
 #include "util/parallel.hh"
 #include "workloads/factory.hh"
 
@@ -506,22 +509,129 @@ TEST(SharedStream, WiderGroupSplitsIntoNearEqualGenerations)
 TEST(CellGrid, StreamedGridBuildsNoExtraGenerator)
 {
     // A grouped batch builds one generator per generation: one for a
-    // group of up to maxConsumersPerGeneration cells, two for one more.
+    // group of up to maxConsumersPerGeneration cells, two for one more
+    // — whatever the cells' limits, since every streamed cell joins
+    // its trace's group under its own deadline.
     std::atomic<size_t> factory_calls{0};
     const auto streamed = prepareCountedTrace(4096, factory_calls);
+    const auto materialised = prepareTrace(0);
     ASSERT_EQ(factory_calls.load(), 1u); // the annotate pass
-    for (const size_t n : {core::maxConsumersPerGeneration,
-                           core::maxConsumersPerGeneration + 1}) {
-        SCOPED_TRACE(std::to_string(n) + " cells");
-        const size_t before = factory_calls;
-        core::CellGrid grid;
-        SweepRunner runner(4);
-        auto jobs = deferAll(grid, runner, streamed, distinctConfigs(n));
-        runner.runAll();
-        for (auto &job : jobs)
-            EXPECT_TRUE(job.succeeded());
-        EXPECT_EQ(factory_calls - before,
-                  n <= core::maxConsumersPerGeneration ? 1u : 2u);
+    JobLimits limited;
+    limited.deadlineMillis = 600'000;
+    limited.maxAttempts = 2;
+    for (const JobLimits &limits : {JobLimits{}, limited}) {
+        for (const size_t n : {core::maxConsumersPerGeneration,
+                               core::maxConsumersPerGeneration + 1}) {
+            SCOPED_TRACE(std::to_string(n) + " cells, deadline " +
+                         std::to_string(limits.deadlineMillis));
+            const auto configs = distinctConfigs(n);
+            const size_t before = factory_calls;
+            core::CellGrid grid;
+            SweepRunner runner(4);
+            runner.setJobLimits(limits);
+            auto jobs = deferAll(grid, runner, streamed, configs);
+            runner.runAll();
+            EXPECT_EQ(factory_calls - before,
+                      n <= core::maxConsumersPerGeneration ? 1u : 2u);
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_TRUE(jobs[i].succeeded()) << "cell " << i;
+                expectSameResult(
+                    jobs[i].get(),
+                    core::runMlp(configs[i], materialised.context()));
+            }
+        }
+    }
+}
+
+TEST(CellGrid, RetriedCellRerunsAloneOverAFreshStream)
+{
+    // A grouped cell that fails transiently once: its retry re-runs
+    // only that cell, over one more generation of its own, and the
+    // group's other cells are not re-run.
+    std::atomic<size_t> factory_calls{0};
+    const auto streamed = prepareCountedTrace(4096, factory_calls);
+    const auto materialised = prepareTrace(0);
+    const auto configs = sampleConfigs();
+    JobLimits limits;
+    limits.maxAttempts = 2;
+    SweepRunner runner(2);
+    runner.setJobLimits(limits);
+    core::CellGrid grid;
+    auto runs = std::make_shared<std::vector<std::atomic<int>>>(
+        configs.size());
+    std::vector<Job<core::MlpResult>> jobs;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const core::MlpConfig cfg = configs[i];
+        jobs.push_back(grid.defer<core::MlpResult>(
+            runner, streamed, "cell " + std::to_string(i),
+            [cfg, runs, i](const core::WorkloadContext &ctx) {
+                if ((*runs)[i].fetch_add(1) == 0 && i == 1)
+                    throw StatusError(Status::unavailable("blip"));
+                return core::runMlp(cfg, ctx);
+            }));
+    }
+    const size_t before = factory_calls;
+    runner.runAll();
+    EXPECT_EQ(factory_calls - before, 2u); // the group, then the retry
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        ASSERT_TRUE(jobs[i].succeeded());
+        EXPECT_EQ(jobs[i].attempts(), i == 1 ? 2u : 1u);
+        EXPECT_EQ((*runs)[i].load(), i == 1 ? 2 : 1);
+        expectSameResult(jobs[i].get(),
+                         core::runMlp(configs[i], materialised.context()));
+    }
+}
+
+TEST(SharedStream, CellThatStopsEarlyDoesNotStallItsGroup)
+{
+    // A tiny chunk makes the trace thousands of chunks long, so a
+    // stopped cell that kept its fan-out slot would pin the ring
+    // within a few chunks and stall the rest of the group for good.
+    // Cell 1 throws at once; cell 2 blows its own short deadline
+    // mid-trace while it holds a chunk; cells 0 and 3 must still
+    // finish, unaffected.
+    core::TraceSpec spec = traceSpec(7);
+    spec.totalInsts = 20000;
+    const auto streamed = core::PreparedTrace::make(spec).orFatal();
+    spec.streamChunk = 0;
+    const auto materialised = core::PreparedTrace::make(spec).orFatal();
+    const auto configs = distinctConfigs(4);
+
+    SweepRunner runner(2);
+    core::CellGrid grid;
+    std::vector<Job<core::MlpResult>> jobs;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        JobLimits limits;
+        if (i == 2)
+            limits.deadlineMillis = 5;
+        runner.setJobLimits(limits);
+        const core::MlpConfig cfg = configs[i];
+        jobs.push_back(grid.defer<core::MlpResult>(
+            runner, streamed, "cell " + std::to_string(i),
+            [cfg, i](const core::WorkloadContext &ctx) {
+                if (i == 1)
+                    throw StatusError(Status::dataLoss("stopped at once"));
+                if (i == 2) {
+                    const trace::ChunkPtr held = ctx.attached->next();
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    pollCancellation();
+                    ADD_FAILURE() << "cell 2 outlived its deadline";
+                    return core::MlpResult{};
+                }
+                return core::runMlp(cfg, ctx);
+            }));
+    }
+    runner.runAll();
+
+    EXPECT_EQ(jobs[1].status().code(), ErrorCode::DataLoss);
+    EXPECT_EQ(jobs[2].status().code(), ErrorCode::DeadlineExceeded);
+    for (const size_t i : {size_t(0), size_t(3)}) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        ASSERT_TRUE(jobs[i].succeeded());
+        expectSameResult(jobs[i].get(),
+                         core::runMlp(configs[i], materialised.context()));
     }
 }
 
@@ -555,14 +665,14 @@ TEST(CellGrid, LimitedCellsAndMaterialisedTracesRunUngrouped)
 
     EXPECT_EQ(groupedCells(streamed, JobLimits{}), all);
 
-    // The group leader's attempt would govern every cell, so a cell
-    // with its own deadline or retries must run on its own.
+    // Limits do not split a group: each cell keeps its own deadline,
+    // and a retry re-runs only its cell.
     JobLimits deadline;
     deadline.deadlineMillis = 600'000;
-    EXPECT_EQ(groupedCells(streamed, deadline), none);
+    EXPECT_EQ(groupedCells(streamed, deadline), all);
     JobLimits retries;
     retries.maxAttempts = 2;
-    EXPECT_EQ(groupedCells(streamed, retries), none);
+    EXPECT_EQ(groupedCells(streamed, retries), all);
 
     // A materialised trace has no generation to share.
     EXPECT_EQ(groupedCells(materialised, JobLimits{}), none);

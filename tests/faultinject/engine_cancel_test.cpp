@@ -65,7 +65,6 @@ withDeadline(double millis)
 TEST(EngineCancelTest, EpochEngineHonoursADeadlineMidRun)
 {
     SweepRunner runner(1);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(2.0));
     auto job = runner.defer<core::MlpResult>(
         "mlp under deadline", []() -> core::MlpResult {
@@ -91,7 +90,7 @@ TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
     // token would otherwise stop its generation.
     const core::WorkloadContext context = bigTrace().annotated->context();
     CancelToken token;
-    token.cancel("in-order cancellation test");
+    token.setDeadlineAfterMillis(0.0);
     CancelScope scope(&token);
     for (auto mode : {core::CoreMode::InOrderStallOnMiss,
                       core::CoreMode::InOrderStallOnUse}) {
@@ -103,7 +102,7 @@ TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
             ADD_FAILURE() << core::coreModeName(mode)
                           << " ran to completion under a cancelled scope";
         } catch (const StatusError &e) {
-            EXPECT_EQ(e.status().code(), ErrorCode::Cancelled)
+            EXPECT_EQ(e.status().code(), ErrorCode::DeadlineExceeded)
                 << core::coreModeName(mode);
         }
     }
@@ -112,7 +111,6 @@ TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
 TEST(EngineCancelTest, CycleSimHonoursADeadlineMidRun)
 {
     SweepRunner runner(1);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(2.0));
     auto job = runner.defer<cyclesim::CycleSimResult>(
         "cyclesim under deadline", [] {
@@ -134,7 +132,6 @@ TEST(EngineCancelTest, CycleSimConfigAHonoursADeadlineMidRun)
     // slowest and most stall-prone scheduler mode — the event-driven
     // fast-forward must still hit the 64K-cycle poll cadence there.
     SweepRunner runner(1);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(2.0));
     auto job = runner.defer<cyclesim::CycleSimResult>(
         "cyclesim config A under deadline", [] {
@@ -155,7 +152,6 @@ TEST(EngineCancelTest, CycleSimConfigAHonoursADeadlineMidRun)
 TEST(EngineCancelTest, TraceGenerationHonoursADeadlineMidFill)
 {
     SweepRunner runner(1);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(5.0));
     runner.deferVoid("generate under deadline", [] {
         const std::string name =

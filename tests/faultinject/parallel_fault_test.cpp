@@ -3,7 +3,7 @@
  * Fault injection against the resilient sweep layer itself: stuck jobs
  * versus deadlines, throwing jobs versus collect-all degradation,
  * transiently failing jobs versus the fixed retry schedule, and the
- * cancel-before-start / cancel-mid-run / zero-deadline edges. Pure
+ * zero-deadline edge. Pure
  * synthetic jobs only (no simulator dependencies), so the suite also
  * compiles stand-alone under ASan/UBSan (faultinject_parallel_san) and
  * rides the TSan target (parallel_tests_tsan).
@@ -25,7 +25,7 @@
 namespace mlpsim {
 namespace {
 
-/** Poll-loop "stuck" body: spins until cooperatively cancelled. */
+/** Poll-loop "stuck" body: spins until its deadline stops it. */
 void
 spinUntilCancelled()
 {
@@ -46,7 +46,6 @@ withDeadline(double millis)
 TEST(SweepFaultTest, StuckJobIsReapedByItsDeadline)
 {
     SweepRunner runner(4);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(50.0));
     auto good = runner.defer<int>("good", [] { return 7; });
     runner.deferVoid("stuck", spinUntilCancelled);
@@ -66,7 +65,6 @@ TEST(SweepFaultTest, StuckJobIsReapedByItsDeadline)
 TEST(SweepFaultTest, ZeroDeadlineFailsBeforeTheBodyRuns)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(0.0));
     auto body_ran = std::make_shared<std::atomic<bool>>(false);
     auto job = runner.defer<int>("skipped", [body_ran] {
@@ -86,7 +84,6 @@ TEST(SweepFaultTest, DeadlineIsPerAttemptNotPerJob)
     // A blown deadline is classified Cancelled, so it must never be
     // retried even under a generous attempt budget.
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits = withDeadline(0.0);
     limits.maxAttempts = 5;
     runner.setJobLimits(limits);
@@ -98,59 +95,9 @@ TEST(SweepFaultTest, DeadlineIsPerAttemptNotPerJob)
     EXPECT_EQ(runner.lastBatch().retries, 0u);
 }
 
-TEST(SweepFaultTest, CancelBeforeStartFailsEveryJobWithoutRunningIt)
-{
-    SweepRunner runner(4);
-    runner.setFailureMode(FailureMode::CollectAll);
-    auto ran = std::make_shared<std::atomic<int>>(0);
-    std::vector<Job<int>> jobs;
-    for (int i = 0; i < 8; ++i) {
-        jobs.push_back(runner.defer<int>(
-            "cell " + std::to_string(i), [ran, i] {
-                ran->fetch_add(1);
-                return i;
-            }));
-    }
-    runner.requestCancel("user aborted before start");
-    runner.runAll();
-
-    EXPECT_EQ(ran->load(), 0);
-    ASSERT_EQ(runner.lastFailures().size(), 8u);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_FALSE(jobs[i].succeeded());
-        EXPECT_EQ(jobs[i].status().code(), ErrorCode::Cancelled);
-        EXPECT_EQ(runner.lastFailures()[i].index, i);
-    }
-}
-
-TEST(SweepFaultTest, CancelMidRunStopsPollingJobsAndPendingJobs)
-{
-    SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
-    // One job cancels the whole batch; the poll-loop jobs unwind at
-    // their next poll and jobs not yet started never run.
-    runner.deferVoid("canceller", [&runner] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        runner.requestCancel("canceller job pulled the plug");
-    });
-    for (int i = 0; i < 6; ++i)
-        runner.deferVoid("victim " + std::to_string(i),
-                         spinUntilCancelled);
-    runner.runAll();
-
-    // The canceller itself succeeded; every victim was cancelled.
-    ASSERT_EQ(runner.lastFailures().size(), 6u);
-    for (const JobFailure &failure : runner.lastFailures()) {
-        EXPECT_EQ(failure.status.code(), ErrorCode::Cancelled);
-        EXPECT_EQ(failure.failureClass(), FailureClass::Cancelled);
-    }
-    EXPECT_EQ(runner.lastBatch().failed, 6u);
-}
-
 TEST(SweepFaultTest, TransientFailureRetriesUntilSuccess)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits;
     limits.maxAttempts = 4;
     runner.setJobLimits(limits);
@@ -174,7 +121,6 @@ TEST(SweepFaultTest, TransientFailureRetriesUntilSuccess)
 TEST(SweepFaultTest, TransientFailureExhaustsItsAttemptBudget)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits;
     limits.maxAttempts = 3;
     runner.setJobLimits(limits);
@@ -203,7 +149,6 @@ TEST(RetryPolicyTest, AttemptBudgetIsRespected)
     for (unsigned budget = 0; budget <= 4; ++budget) {
         const unsigned expected = budget == 0 ? 1u : budget;
         SweepRunner runner(2);
-        runner.setFailureMode(FailureMode::CollectAll);
         JobLimits limits;
         limits.maxAttempts = budget;
         runner.setJobLimits(limits);
@@ -236,7 +181,6 @@ TEST(RetryPolicyTest, AttemptBudgetIsRespected)
 TEST(SweepFaultTest, PermanentFailureIsNeverRetried)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits;
     limits.maxAttempts = 5;
     runner.setJobLimits(limits);
@@ -260,7 +204,6 @@ TEST(SweepFaultTest, PermanentFailureIsNeverRetried)
 TEST(SweepFaultTest, DefaultLimitsNeverRetry)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     auto calls = std::make_shared<std::atomic<unsigned>>(0);
     auto job = runner.defer<int>("down-once", [calls]() -> int {
         calls->fetch_add(1);
@@ -291,7 +234,6 @@ TEST(SweepFaultTest, OnlyTransientFailuresRetry)
         {Status::deadlineExceeded("too slow"), 1},
     };
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits;
     limits.maxAttempts = 3;
     runner.setJobLimits(limits);
@@ -324,7 +266,6 @@ TEST(SweepFaultTest, OnlyTransientFailuresRetry)
 TEST(SweepFaultTest, PlainExceptionsClassifyAsPermanentInternal)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.deferVoid("legacy-throw",
                      [] { throw std::runtime_error("unclassified"); });
     runner.runAll();
@@ -340,7 +281,6 @@ TEST(SweepFaultTest, PlainExceptionsClassifyAsPermanentInternal)
 TEST(SweepFaultTest, CollectAllKeepsEveryFailureInSubmissionOrder)
 {
     SweepRunner runner(8);
-    runner.setFailureMode(FailureMode::CollectAll);
     std::vector<Job<int>> jobs;
     for (int i = 0; i < 20; ++i) {
         jobs.push_back(runner.defer<int>(
@@ -368,35 +308,11 @@ TEST(SweepFaultTest, CollectAllKeepsEveryFailureInSubmissionOrder)
     EXPECT_EQ(runner.lastBatch().failed, 7u);
 }
 
-TEST(SweepFaultTest, PropagateModeStillRecordsEveryFailure)
-{
-    SweepRunner runner(4);
-    for (int i = 0; i < 8; ++i) {
-        runner.deferVoid("cell " + std::to_string(i), [i] {
-            if (i == 2 || i == 5)
-                throw StatusError(
-                    Status::dataLoss("cell ", i, " failed"));
-        });
-    }
-    try {
-        runner.runAll();
-        FAIL() << "runAll() should have thrown";
-    } catch (const StatusError &e) {
-        // First in submission order, regardless of completion order.
-        EXPECT_NE(std::string(e.what()).find("cell 2"),
-                  std::string::npos);
-    }
-    ASSERT_EQ(runner.lastFailures().size(), 2u);
-    EXPECT_EQ(runner.lastFailures()[0].index, 2u);
-    EXPECT_EQ(runner.lastFailures()[1].index, 5u);
-}
-
 TEST(SweepFaultTest, SerialRunnerHandlesFaultsIdentically)
 {
     // jobs == 1 executes inline on the calling thread; the failure
     // model must not depend on which path ran the job.
     SweepRunner runner(1);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(0.0));
     auto job = runner.defer<int>("inline-expired", [] { return 1; });
     runner.runAll();
@@ -404,7 +320,7 @@ TEST(SweepFaultTest, SerialRunnerHandlesFaultsIdentically)
     EXPECT_EQ(job.status().code(), ErrorCode::DeadlineExceeded);
 
     // The calling thread's ambient token must be restored: work on
-    // this thread after runAll() is not cancelled.
+    // this thread after runAll() is not stopped.
     EXPECT_EQ(activeCancelToken(), nullptr);
     EXPECT_NO_THROW(pollCancellation());
 }
@@ -412,7 +328,6 @@ TEST(SweepFaultTest, SerialRunnerHandlesFaultsIdentically)
 TEST(SweepFaultTest, RunnerRecoversAcrossBatchesAfterFailures)
 {
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     runner.setJobLimits(withDeadline(0.0));
     runner.deferVoid("doomed", [] {});
     runner.runAll();
@@ -432,7 +347,6 @@ TEST(SweepFaultTest, RetriedJobGetsAFreshDeadlinePerAttempt)
     // Each attempt of a transient failure gets its own token and its
     // own full deadline; earlier attempts' expiry must not leak in.
     SweepRunner runner(2);
-    runner.setFailureMode(FailureMode::CollectAll);
     JobLimits limits = withDeadline(200.0);
     limits.maxAttempts = 3;
     runner.setJobLimits(limits);

@@ -270,6 +270,32 @@ TEST(DaemonTest, StreamedDeadlineGovernsOnlyItsOwnRequest)
         << session.responses[1];
 }
 
+TEST(DaemonTest, DeadlineBeyondTheClocksRangeMeansNone)
+{
+    // 1e300 ms does not fit the steady clock: it must read as no
+    // deadline, not wrap into one already past — materialised, and
+    // streamed, where the cell runs under its group's per-cell token.
+    for (const uint32_t stream_chunk : {0u, 4096u}) {
+        SCOPED_TRACE("stream chunk " + std::to_string(stream_chunk));
+        DaemonConfig config;
+        config.jobs = 2;
+        config.streamChunk = stream_chunk;
+        auto daemon = Daemon::create(config);
+        ASSERT_TRUE(daemon.ok()) << daemon.status().toString();
+
+        const std::string far_deadline =
+            "{\"deadline_ms\":1e300," +
+            requestPayload("far", "database", "{}").substr(1);
+        const Session session = runSession(**daemon, {far_deadline});
+        ASSERT_TRUE(session.served.ok()) << session.served.toString();
+        ASSERT_EQ(session.responses.size(), 1u);
+        const JsonValue doc =
+            JsonValue::parse(session.responses[0]).orFatal();
+        EXPECT_EQ(doc.find("status")->string(), "ok")
+            << session.responses[0];
+    }
+}
+
 TEST(DaemonTest, NoEventsModeEmitsOnlyResponses)
 {
     DaemonConfig config;

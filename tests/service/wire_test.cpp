@@ -83,6 +83,47 @@ TEST(SweepRequestTest, ZeroInstsIsRejected)
     EXPECT_FALSE(parseSweepRequest(doc).ok());
 }
 
+TEST(SweepRequestTest, RetriesCountExtraAttemptsAndMustFit)
+{
+    JsonValue doc = parseJson(kMinimalRequest);
+    doc.set("retries", uint64_t(4294967294));
+    auto request = parseSweepRequest(doc);
+    ASSERT_TRUE(request.ok()) << request.status().toString();
+    EXPECT_EQ(request->maxAttempts, 4294967295u);
+
+    // One more would wrap the attempt count to 0.
+    doc.set("retries", uint64_t(4294967295));
+    request = parseSweepRequest(doc);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.status().code(), ErrorCode::InvalidArgument);
+}
+
+TEST(SweepRequestTest, NonIntegerCountsAreRejectedNotFatal)
+{
+    // A fraction or an integer beyond uint64 parses as a JSON double;
+    // each must come back as a classified rejection.
+    for (const char *field : {"retries", "seed", "warmup", "insts"}) {
+        for (const double value : {1.5, 1e20}) {
+            SCOPED_TRACE(std::string(field) + " = " +
+                         std::to_string(value));
+            JsonValue doc = parseJson(kMinimalRequest);
+            doc.set(field, value);
+            auto request = parseSweepRequest(doc);
+            ASSERT_FALSE(request.ok());
+            EXPECT_EQ(request.status().code(), ErrorCode::InvalidArgument);
+        }
+    }
+    JsonValue doc = parseJson(kMinimalRequest);
+    JsonValue config = JsonValue::object();
+    config.set("window", 32.5);
+    JsonValue configs = JsonValue::array();
+    configs.push(std::move(config));
+    doc.set("configs", std::move(configs));
+    auto request = parseSweepRequest(doc);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.status().code(), ErrorCode::InvalidArgument);
+}
+
 TEST(SweepRequestTest, BudgetCapIsOutOfRange)
 {
     auto request = parseSweepRequest(parseJson(kMinimalRequest),

@@ -1,16 +1,15 @@
 /**
  * @file
  * CancelToken / CancelScope / pollCancellation unit tests: deadline
- * edge semantics (zero = already expired, negative = none), parent
- * chaining, and the thread-local scope mechanics
- * the simulation kernels' poll points rely on. Compiled plain
+ * edge semantics (zero = already expired, negative or out of the
+ * clock's range = none, expiry latched), and the thread-local scope
+ * mechanics the simulation kernels' poll points rely on. Compiled plain
  * (util_tests) and under ThreadSanitizer (parallel_tests_tsan).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <memory>
+#include <cmath>
 #include <thread>
 
 #include "util/cancellation.hh"
@@ -24,22 +23,6 @@ TEST(CancelTokenTest, FreshTokenIsNotStopped)
     EXPECT_FALSE(token.stopRequested());
     EXPECT_FALSE(token.hasDeadline());
     EXPECT_TRUE(token.status().ok());
-    EXPECT_EQ(token.stopKind(), CancelKind::None);
-}
-
-TEST(CancelTokenTest, CancelIsStickyAndCarriesTheReason)
-{
-    CancelToken token;
-    token.cancel("operator hit ^C");
-    EXPECT_TRUE(token.stopRequested());
-    EXPECT_EQ(token.stopKind(), CancelKind::Cancelled);
-    const Status st = token.status();
-    EXPECT_EQ(st.code(), ErrorCode::Cancelled);
-    EXPECT_NE(st.message().find("operator hit ^C"), std::string::npos);
-    // Idempotent: a second cancel must not clobber the first reason.
-    token.cancel("second reason");
-    EXPECT_NE(token.status().message().find("operator hit ^C"),
-              std::string::npos);
 }
 
 TEST(CancelTokenTest, ZeroDeadlineIsAlreadyExpired)
@@ -48,7 +31,6 @@ TEST(CancelTokenTest, ZeroDeadlineIsAlreadyExpired)
     token.setDeadlineAfterMillis(0.0);
     EXPECT_TRUE(token.hasDeadline());
     EXPECT_TRUE(token.stopRequested());
-    EXPECT_EQ(token.stopKind(), CancelKind::DeadlineExceeded);
     EXPECT_EQ(token.status().code(), ErrorCode::DeadlineExceeded);
 }
 
@@ -68,24 +50,34 @@ TEST(CancelTokenTest, GenerousDeadlineDoesNotStopImmediately)
     EXPECT_FALSE(token.stopRequested());
 }
 
-TEST(CancelTokenTest, ChildStopsWhenParentIsCancelled)
+TEST(CancelTokenTest, DeadlineBeyondTheClocksRangeMeansNone)
 {
-    auto parent = std::make_shared<CancelToken>();
-    CancelToken child(parent);
-    EXPECT_FALSE(child.stopRequested());
-    parent->cancel("batch cancelled");
-    EXPECT_TRUE(child.stopRequested());
-    EXPECT_EQ(child.stopKind(), CancelKind::Cancelled);
-    EXPECT_EQ(child.status().code(), ErrorCode::Cancelled);
+    // 1e12 ms (~32 years) still fits the steady clock's int64 ns; the
+    // larger ones do not, and must not wrap into a past deadline.
+    CancelToken near;
+    near.setDeadlineAfterMillis(1e12);
+    EXPECT_TRUE(near.hasDeadline());
+    EXPECT_FALSE(near.stopRequested());
+    for (const double millis : {1e13, 1e300, HUGE_VAL}) {
+        SCOPED_TRACE(millis);
+        CancelToken token;
+        token.setDeadlineAfterMillis(millis);
+        EXPECT_FALSE(token.hasDeadline());
+        EXPECT_FALSE(token.stopRequested());
+        EXPECT_TRUE(token.status().ok());
+    }
 }
 
-TEST(CancelTokenTest, ChildCancellationDoesNotPropagateUpward)
+TEST(CancelTokenTest, ExpiryStaysLatchedAfterRearming)
 {
-    auto parent = std::make_shared<CancelToken>();
-    CancelToken child(parent);
-    child.cancel("just this job");
-    EXPECT_TRUE(child.stopRequested());
-    EXPECT_FALSE(parent->stopRequested());
+    CancelToken token;
+    token.setDeadlineAfterMillis(0.0);
+    ASSERT_TRUE(token.stopRequested());
+    token.setDeadlineAfterMillis(-1.0);
+    EXPECT_TRUE(token.stopRequested());
+    token.setDeadlineAfterMillis(60'000.0);
+    EXPECT_TRUE(token.stopRequested());
+    EXPECT_EQ(token.status().code(), ErrorCode::DeadlineExceeded);
 }
 
 TEST(CancelTokenTest, DeadlineCanBeRearmedBetweenAttempts)
@@ -95,32 +87,15 @@ TEST(CancelTokenTest, DeadlineCanBeRearmedBetweenAttempts)
     EXPECT_TRUE(token.hasDeadline());
     token.setDeadlineAfterMillis(-1.0);
     EXPECT_FALSE(token.hasDeadline());
-    // Disarming does not clear an already-latched stop: the failure
-    // was observed and must stay observable.
-    // (A *fresh* token per attempt is how SweepRunner gets a clean
-    // slate — re-arming only moves the expiry of a still-live token.)
+    // A *fresh* token per attempt is how SweepRunner gets a clean
+    // slate — re-arming only moves the expiry of a still-live token
+    // (ExpiryStaysLatchedAfterRearming).
 }
 
 TEST(CancelScopeTest, PollIsNoOpOutsideAnyScope)
 {
     EXPECT_EQ(activeCancelToken(), nullptr);
-    EXPECT_FALSE(cancellationRequested());
     EXPECT_NO_THROW(pollCancellation());
-}
-
-TEST(CancelScopeTest, PollThrowsCancelledErrorInsideACancelledScope)
-{
-    CancelToken token;
-    token.cancel("test cancel");
-    CancelScope scope(&token);
-    EXPECT_EQ(activeCancelToken(), &token);
-    EXPECT_TRUE(cancellationRequested());
-    try {
-        pollCancellation();
-        FAIL() << "pollCancellation() should have thrown";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), ErrorCode::Cancelled);
-    }
 }
 
 TEST(CancelScopeTest, PollCarriesDeadlineExceededForExpiredDeadline)
@@ -162,19 +137,6 @@ TEST(CancelScopeTest, ActiveTokenIsPerThread)
     other.join();
     EXPECT_TRUE(other_thread_saw_null.load());
     EXPECT_EQ(activeCancelToken(), &token);
-}
-
-TEST(CancelTokenTest, CancelFromAnotherThreadIsObserved)
-{
-    CancelToken token;
-    std::thread canceller([&token] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        token.cancel("from another thread");
-    });
-    while (!token.stopRequested())
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    canceller.join();
-    EXPECT_EQ(token.status().code(), ErrorCode::Cancelled);
 }
 
 } // namespace

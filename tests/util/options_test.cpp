@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/options.hh"
+#include "util/parallel.hh"
 
 namespace mlpsim::test {
 
@@ -146,6 +147,29 @@ TEST(Options, ParseStatusApiReportsErrors)
     ASSERT_FALSE(empty_name.ok());
     EXPECT_NE(empty_name.status().message().find("empty flag name"),
               std::string::npos);
+}
+
+TEST(Options, JobLimitsCountTotalAttemptsThatFitUnsigned)
+{
+    auto defaults = parseJobLimits(parse({}));
+    ASSERT_TRUE(defaults.ok()) << defaults.status().toString();
+    EXPECT_LT(defaults->deadlineMillis, 0.0);
+    EXPECT_EQ(defaults->maxAttempts, 1u);
+
+    auto set = parseJobLimits(
+        parse({"--deadline-ms=250", "--retries=4294967295"}));
+    ASSERT_TRUE(set.ok()) << set.status().toString();
+    EXPECT_EQ(set->deadlineMillis, 250.0);
+    EXPECT_EQ(set->maxAttempts, 4294967295u);
+
+    for (const char *bad :
+         {"--retries=0", "--retries=4294967296", "--retries=x",
+          "--deadline-ms=soon"}) {
+        SCOPED_TRACE(bad);
+        auto limits = parseJobLimits(parse({bad}));
+        ASSERT_FALSE(limits.ok());
+        EXPECT_EQ(limits.status().code(), ErrorCode::InvalidArgument);
+    }
 }
 
 TEST(OptionsDeath, PositionalArgumentIsFatal)

@@ -6,12 +6,13 @@
  * under issue configs 64C and 64E — and injects configurable faults
  * alongside it: jobs that hang until their deadline fires, jobs that
  * throw permanent errors, and flaky jobs that fail transiently a set
- * number of times before succeeding. In the default collect-all mode
- * the sweep runs to completion anyway: good cells print their results
- * (deterministically — the injected faults must not perturb them),
- * failed jobs degrade into the sweep report, and retried jobs show up
- * in the retry count. The faultinject_sweep ctest drives this binary
- * and validates the emitted report with
+ * number of times before succeeding. The sweep runs to completion
+ * anyway: good cells print their results (deterministically — the
+ * injected faults must not perturb them), failed jobs degrade into
+ * the sweep report, and retried jobs show up in the retry count. The
+ * tool then exits 0, or with --propagate exits 1 naming the first
+ * failure in submission order. The faultinject_sweep ctest drives this
+ * binary and validates the emitted report with
  * `metrics_check --kind sweep-report`.
  *
  * Usage:
@@ -56,7 +57,7 @@ struct GridCell
     std::string journalKey;
 };
 
-/** Spin until cancelled: the "stuck job" a deadline exists for. */
+/** Spin until the deadline: the "stuck job" a deadline exists for. */
 void
 stuckBody()
 {
@@ -92,8 +93,6 @@ main(int argc, char **argv)
 
     uint64_t insts = 0, warmup = 0, jobs = 0;
     uint64_t stuck = 0, throwing = 0, flaky = 0, flaky_failures = 0;
-    uint64_t retries = 0;
-    double deadline_ms = 0.0;
     {
         // Every getter returns Expected; the first failure aborts the
         // run with a description instead of a fatal() stack.
@@ -110,22 +109,22 @@ main(int argc, char **argv)
             {&throwing, opts.tryGetU64("throw", 0)},
             {&flaky, opts.tryGetU64("flaky", 0)},
             {&flaky_failures, opts.tryGetU64("flaky-failures", 2)},
-            {&retries, opts.tryGetU64("retries", 1)},
         };
         for (Binding &binding : bindings) {
             if (!binding.value.ok())
                 return flagError(binding.value.status());
             *binding.out = *binding.value;
         }
-        auto deadline = opts.tryGetDouble("deadline-ms", -1.0);
-        if (!deadline.ok())
-            return flagError(deadline.status());
-        deadline_ms = *deadline;
     }
-    if (stuck != 0 && deadline_ms < 0.0) {
+    const auto limits = parseJobLimits(opts);
+    if (!limits.ok())
+        return flagError(limits.status());
+    CancelToken probe;
+    probe.setDeadlineAfterMillis(limits->deadlineMillis);
+    if (stuck != 0 && !probe.hasDeadline()) {
         return flagError(Status::invalidArgument(
-            "--stuck requires --deadline-ms (a stuck job would hang "
-            "the sweep forever)"));
+            "--stuck requires a --deadline-ms the clock can reach (a "
+            "stuck job would hang the sweep forever)"));
     }
 
     // ----- build the real grid ------------------------------------
@@ -163,12 +162,7 @@ main(int argc, char **argv)
 
     // ----- defer everything ---------------------------------------
     SweepRunner runner{unsigned(jobs)};
-    runner.setFailureMode(opts.has("propagate") ? FailureMode::Propagate
-                                                : FailureMode::CollectAll);
-    JobLimits limits;
-    limits.deadlineMillis = deadline_ms;
-    limits.maxAttempts = unsigned(retries);
-    runner.setJobLimits(limits);
+    runner.setJobLimits(*limits);
 
     std::vector<Job<core::MlpResult>> results(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -248,6 +242,12 @@ main(int argc, char **argv)
                                       batch.retries, failures,
                                       std::move(meta))
             .orFatal();
+    }
+    if (opts.has("propagate") && !failures.empty()) {
+        const JobFailure &first = failures.front();
+        std::fprintf(stderr, "sweep_faultinject: job '%s' failed: %s\n",
+                     first.label.c_str(), first.status.toString().c_str());
+        return 1;
     }
     return 0;
 }
