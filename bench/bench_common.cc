@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
+#include <utility>
 
 #include "metrics/export.hh"
 #include "metrics/registry.hh"
@@ -77,16 +79,12 @@ writeSweepReport(const std::string &path)
 } // namespace
 
 Expected<BenchSetup>
-BenchSetup::tryFromOptions(const Options &opts,
-                           std::vector<std::string> extra_flags)
+BenchSetup::tryFromOptions(const Options &opts)
 {
-    std::vector<std::string> known{
-        "warmup",       "insts",        "workload",
-        "jobs",         "metrics-out",  "trace-events",
-        "deadline-ms",  "retries",      "sweep-report",
-        "stream-chunk", "materialize"};
-    known.insert(known.end(), extra_flags.begin(), extra_flags.end());
-    MLPSIM_RETURN_IF_ERROR(opts.checkKnown(known));
+    MLPSIM_RETURN_IF_ERROR(opts.checkKnown(
+        {"warmup", "insts", "workload", "jobs", "metrics-out",
+         "trace-events", "deadline-ms", "retries", "sweep-report",
+         "stream-chunk", "materialize"}));
 
     MLPSIM_RETURN_IF_ERROR(
         workloads::selectWorkloads(opts.find("workload")).status());
@@ -158,16 +156,17 @@ BenchSetup::tryFromOptions(const Options &opts,
 }
 
 BenchSetup
-BenchSetup::fromOptions(const Options &opts,
-                        std::vector<std::string> extra_flags)
+BenchSetup::fromOptions(const Options &opts)
 {
-    return tryFromOptions(opts, std::move(extra_flags)).orFatal();
+    return tryFromOptions(opts).orFatal();
 }
 
-core::PreparedTrace
-prepareWorkload(const std::string &name, const BenchSetup &setup)
+namespace {
+
+/** The spec of workload @p name under @p setup, plainly annotated. */
+core::TraceSpec
+traceSpec(const std::string &name, const BenchSetup &setup)
 {
-    metrics::ScopedLabel wl_label(name);
     core::TraceSpec spec;
     spec.workload = name;
     // The explicit workloadSeed(name) pins the trace to the workload's
@@ -178,32 +177,64 @@ prepareWorkload(const std::string &name, const BenchSetup &setup)
     spec.streamChunk = setup.streamChunk;
     spec.annotation = setup.annotation;
     spec.annotation.warmupInsts = setup.warmupInsts;
-    return core::PreparedTrace::make(spec).orFatal();
+    return spec;
+}
+
+} // namespace
+
+core::PreparedTrace
+prepareWorkload(const std::string &name, const BenchSetup &setup)
+{
+    metrics::ScopedLabel wl_label(name);
+    return core::PreparedTrace::make(traceSpec(name, setup)).orFatal();
 }
 
 std::vector<core::PreparedTrace>
-prepareAll(const BenchSetup &setup, const Options &opts)
+prepareAll(const BenchSetup &setup, const Options &opts,
+           std::vector<Variant> variants)
 {
     const std::vector<std::string> names =
         workloads::selectWorkloads(opts.find("workload")).orFatal();
+    if (variants.empty())
+        variants.push_back(Variant{"", setup.annotation});
 
-    // Each generator owns a private Rng seeded from the workload name,
-    // so concurrent materialisation yields bit-identical traces.
+    // Two batches: generate each workload under the first variant,
+    // then re-run only the annotate pass over that one generated trace
+    // for every further variant. Each generator owns a private Rng
+    // seeded from the workload name, so concurrent materialisation
+    // yields bit-identical traces.
     SweepRunner runner(setup.jobs);
-    std::vector<Job<core::PreparedTrace>> jobs;
-    jobs.reserve(names.size());
-    for (const auto &name : names) {
-        jobs.push_back(runner.defer<core::PreparedTrace>(
-            "prepare " + name,
-            [name, &setup] { return prepareWorkload(name, setup); }));
-    }
-    runner.runAll();
-    reportBatch("prepare", runner.jobs(), runner.lastBatch());
-
     std::vector<core::PreparedTrace> all;
-    all.reserve(jobs.size());
-    for (auto &job : jobs)
-        all.push_back(job.take());
+    all.reserve(names.size() * variants.size());
+    for (const auto &[first, last] :
+         {std::pair<size_t, size_t>{0, 1}, {1, variants.size()}}) {
+        std::vector<Job<core::PreparedTrace>> jobs;
+        for (size_t v = first; v < last; ++v) {
+            for (size_t w = 0; w < names.size(); ++w) {
+                jobs.push_back(runner.defer<core::PreparedTrace>(
+                    v == 0 ? "prepare " + names[w]
+                           : "annotate " + names[w] + "/" + variants[v].label,
+                    [&, v, w] {
+                        metrics::ScopedLabel wl_label(names[w]);
+                        core::TraceSpec spec = traceSpec(names[w], setup);
+                        spec.annotation = variants[v].annotation;
+                        spec.annotation.warmupInsts = setup.warmupInsts;
+                        spec.variant = variants[v].label;
+                        return (v == 0 ? core::PreparedTrace::make(spec)
+                                       : all[w].annotate(spec.variant,
+                                                         spec.annotation))
+                            .orFatal();
+                    }));
+            }
+        }
+        if (jobs.empty())
+            break;
+        runner.runAll();
+        reportBatch(first == 0 ? "prepare" : "annotate", runner.jobs(),
+                    runner.lastBatch());
+        for (auto &job : jobs)
+            all.push_back(job.take());
+    }
     return all;
 }
 
@@ -221,13 +252,6 @@ cycleSimCell(const cyclesim::CycleSimConfig &config,
 
 } // namespace
 
-core::MlpResult
-runMlp(core::MlpConfig config, const core::PreparedTrace &workload)
-{
-    config.warmupInsts = workload.warmupInsts();
-    return core::runMlp(config, workload.context());
-}
-
 Sweep::Sweep(const BenchSetup &setup) : runner(setup.jobs)
 {
     runner.setJobLimits(setup.jobLimits);
@@ -241,10 +265,15 @@ Sweep::cell(const char *kind, Config config,
 {
     config.warmupInsts = workload.warmupInsts();
     const std::string name = workload.name();
+    const std::string variant = workload.variant();
     return grid.defer<R>(
-        runner, workload, kind + (" " + name),
-        [config, name, body](const core::WorkloadContext &ctx) {
+        runner, workload,
+        kind + (" " + name) + (variant.empty() ? "" : "/" + variant),
+        [config, name, variant, body](const core::WorkloadContext &ctx) {
             metrics::ScopedLabel wl_label(name);
+            std::optional<metrics::ScopedLabel> variant_label;
+            if (!variant.empty())
+                variant_label.emplace(variant);
             metrics::ScopedLabel cfg_label(config.metricLabel());
             return body(config, ctx);
         });

@@ -12,6 +12,11 @@
  * not expected to match the paper's proprietary traces; orderings,
  * approximate ratios and crossovers are.
  *
+ * A bench that changes only the annotation substrates (Figure 7's L2
+ * sizes, Figures 10 and 11's perfect predictors) asks prepareAll for
+ * labelled annotation variants of the one generated trace; their
+ * cells are ordinary Sweep cells.
+ *
  * Execution model: every bench expresses its (configuration x
  * workload) grid as *deferred* cells on a Sweep, then calls
  * Sweep::run() and formats the collected results. Cells run
@@ -25,10 +30,8 @@
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/mlpsim.hh"
@@ -97,20 +100,17 @@ struct BenchSetup
      * Parse --warmup/--insts/--jobs/--metrics-out/--trace-events/
      * --deadline-ms/--retries/--sweep-report (and
      * MLPSIM_SCALE) from @p opts, after rejecting any flag outside the
-     * standard bench set plus @p extra_flags — a typo'd flag fails up
-     * front instead of silently leaving a default in force for a
-     * long run. Giving any output flag enables metric collection
-     * and installs the sweep-isolation hooks before any threads start,
+     * standard bench set — a typo'd flag fails up front instead of
+     * silently leaving a default in force for a long run. Giving any
+     * output flag enables metric collection and installs the
+     * sweep-isolation hooks before any threads start,
      * plus a fatal()/panic() exit-flush hook so a dying run still
      * leaves its --metrics-out / --sweep-report files on disk.
      */
-    static Expected<BenchSetup>
-    tryFromOptions(const Options &opts,
-                   std::vector<std::string> extra_flags = {});
+    static Expected<BenchSetup> tryFromOptions(const Options &opts);
 
     /** fatal()-on-error wrapper around tryFromOptions(). */
-    static BenchSetup fromOptions(const Options &opts,
-                                  std::vector<std::string> extra_flags = {});
+    static BenchSetup fromOptions(const Options &opts);
 };
 
 /**
@@ -123,21 +123,32 @@ struct BenchSetup
 core::PreparedTrace prepareWorkload(const std::string &name,
                                     const BenchSetup &setup);
 
-/**
- * Build all three workloads (or only --workload=<name> if given),
- * concurrently on setup.jobs threads, returned in canonical
- * (paper) order.
- */
-std::vector<core::PreparedTrace> prepareAll(const BenchSetup &setup,
-                                            const Options &opts);
+/** One annotation of every workload's trace that a bench needs. */
+struct Variant
+{
+    /** Metric-path segment and job-label suffix; empty only for the
+     *  plain setup.annotation. */
+    std::string label;
+    /** Its warmupInsts is ignored: every variant of a trace keeps
+     *  setup.warmupInsts. */
+    core::AnnotationOptions annotation;
+};
 
-/** Run the epoch model with warm-up taken from @p workload. */
-core::MlpResult runMlp(core::MlpConfig config,
-                       const core::PreparedTrace &workload);
+/**
+ * Build all three workloads (or only --workload=<name> if given) on
+ * setup.jobs threads: generate each once, annotated with
+ * @p variants[0], then annotate it once per further variant
+ * (core::PreparedTrace::annotate). Returned variant-major, workloads
+ * in canonical (paper) order: entry v * W + w is workload w's variant
+ * v. No variants means setup.annotation alone, unlabelled.
+ */
+std::vector<core::PreparedTrace>
+prepareAll(const BenchSetup &setup, const Options &opts,
+           std::vector<Variant> variants = {});
 
 /**
  * A bench's deferred job grid. Cells are enqueued with mlp() /
- * cycleSim() / task<T>(), executed together by run(), and read back
+ * cycleSim(), executed together by run(), and read back
  * through their Job handles in whatever order the bench formats its
  * tables. run() reports jobs/threads/wall-time/speedup on stderr so
  * stdout stays bit-identical across --jobs values.
@@ -157,27 +168,17 @@ class Sweep
     cycleSim(cyclesim::CycleSimConfig config,
              const core::PreparedTrace &workload);
 
-    /** Defer an arbitrary cell (e.g. prepare-variant-then-run). */
-    template <typename T, typename Fn>
-    Job<T>
-    task(std::string label, Fn &&fn)
-    {
-        return runner.defer<T>(std::move(label),
-                               std::function<T()>(std::forward<Fn>(fn)));
-    }
-
     /**
      * Execute every cell deferred since the last run(). May be called
      * again for a dependent second stage.
      */
     void run(const std::string &what = "sweep");
 
-    unsigned jobs() const { return runner.jobs(); }
-
   private:
     /**
-     * Defer one simulator cell, labelled "<kind> <workload>", that
-     * runs @p body at the workload's warm-up. The grid decides whether
+     * Defer one simulator cell, labelled "<kind> <workload>[/<variant>]",
+     * that runs @p body at the workload's warm-up under the metric
+     * labels <workload>[/<variant>]/<config>. The grid decides whether
      * it rides its workload's shared generation (core::CellGrid).
      */
     template <typename R, typename Config>

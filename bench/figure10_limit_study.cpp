@@ -9,29 +9,13 @@
  * perfVP/perfBP give +56%/+45%; perfVP+perfBP reach +134%/+215%/+57%;
  * gains on the non-RAE baseline are modest.
  */
-#include <array>
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.hh"
 
 using namespace mlpsim;
 using namespace mlpsim::bench;
-
-namespace {
-
-/** Re-annotate a workload with perfect-feature substrates. */
-core::PreparedTrace
-prepareVariant(const std::string &name, const BenchSetup &base,
-               bool perf_i, bool perf_bp, bool perf_vp)
-{
-    BenchSetup setup = base;
-    setup.annotation.hierarchy.perfectInstFetch = perf_i;
-    setup.annotation.branch.perfect = perf_bp;
-    setup.annotation.value.perfect = perf_vp;
-    return prepareWorkload(name, setup);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -56,39 +40,35 @@ main(int argc, char **argv)
 
     const struct
     {
+        const char *label;
         bool i, bp, vp;
-    } variants[] = {{false, false, false},
-                    {true, false, false},
-                    {false, false, true},
-                    {false, true, false},
-                    {false, true, true}};
+    } substrates[] = {{"base", false, false, false},
+                      {"perfI", true, false, false},
+                      {"perfVP", false, false, true},
+                      {"perfBP", false, true, false},
+                      {"perfVP+perfBP", false, true, true}};
+    constexpr size_t numVariants = std::size(substrates);
 
-    const std::vector<std::string> names =
-        workloads::selectWorkloads(opts.find("workload")).orFatal();
+    // Each workload's trace is generated once and annotated once per
+    // perfect-feature variant; both baselines run over every variant.
+    std::vector<Variant> variants;
+    for (const auto &sub : substrates) {
+        Variant variant{sub.label, setup.annotation};
+        variant.annotation.hierarchy.perfectInstFetch = sub.i;
+        variant.annotation.branch.perfect = sub.bp;
+        variant.annotation.value.perfect = sub.vp;
+        variants.push_back(std::move(variant));
+    }
+    const auto traces = prepareAll(setup, opts, variants);
+    const size_t numWorkloads = traces.size() / numVariants;
 
-    // One cell per (workload x variant): it materialises the variant's
-    // re-annotated trace once and runs *both* baselines over it (the
-    // serial version prepared each variant twice, once per baseline).
     Sweep sweep(setup);
-    std::vector<Job<std::array<double, 2>>> cells;
-    for (const auto &name : names) {
-        for (int v = 0; v < 5; ++v) {
-            const bool perf_i = variants[v].i;
-            const bool perf_bp = variants[v].bp;
-            const bool perf_vp = variants[v].vp;
-            cells.push_back(sweep.task<std::array<double, 2>>(
-                name + " variant " + std::to_string(v),
-                [&, name, perf_i, perf_bp, perf_vp] {
-                    const auto wl = prepareVariant(name, setup, perf_i,
-                                                   perf_bp, perf_vp);
-                    std::array<double, 2> mlp{};
-                    for (int b = 0; b < 2; ++b) {
-                        core::MlpConfig cfg = bases[b].cfg;
-                        cfg.valuePrediction = perf_vp;
-                        mlp[b] = runMlp(cfg, wl).mlp();
-                    }
-                    return mlp;
-                }));
+    std::vector<Job<core::MlpResult>> cells[2];
+    for (int b = 0; b < 2; ++b) {
+        for (size_t t = 0; t < traces.size(); ++t) {
+            core::MlpConfig cfg = bases[b].cfg;
+            cfg.valuePrediction = substrates[t / numWorkloads].vp;
+            cells[b].push_back(sweep.mlp(cfg, traces[t]));
         }
     }
     sweep.run();
@@ -97,14 +77,14 @@ main(int argc, char **argv)
         std::printf("-- baseline: %s --\n", bases[b].label);
         TextTable table({"workload", "base", "+perfI", "+perfVP",
                          "+perfBP", "+perfVP+perfBP", "max gain"});
-        for (size_t n = 0; n < names.size(); ++n) {
-            double mlp[5];
-            for (int v = 0; v < 5; ++v)
-                mlp[v] = cells[n * 5 + v].get()[b];
+        for (size_t w = 0; w < numWorkloads; ++w) {
+            double mlp[numVariants];
+            for (size_t v = 0; v < numVariants; ++v)
+                mlp[v] = cells[b][v * numWorkloads + w].get().mlp();
             table.addRow(
-                {names[n], TextTable::num(mlp[0]), TextTable::num(mlp[1]),
-                 TextTable::num(mlp[2]), TextTable::num(mlp[3]),
-                 TextTable::num(mlp[4]),
+                {traces[w].name(), TextTable::num(mlp[0]),
+                 TextTable::num(mlp[1]), TextTable::num(mlp[2]),
+                 TextTable::num(mlp[3]), TextTable::num(mlp[4]),
                  TextTable::num(100.0 * (mlp[4] / mlp[0] - 1.0), 0) +
                      "%"});
         }

@@ -45,17 +45,25 @@ main(int argc, char **argv)
     {
         const char *label;
         core::MlpConfig cfg;
-        bool perfBp, perfVp;
+        bool perfectPredictors; //!< perfect branch + value prediction
     } machines[] = {
-        {"64E", cfg64e, false, false},
-        {"128D", cfg128d, false, false},
-        {"64D/rob256", cfg64d_rob256, false, false},
-        {"RAE", rae, false, false},
-        {"RAE+VP", rae_vp, false, false},
-        {"RAE.perfVP.perfBP", rae_vp, true, true},
+        {"64E", cfg64e, false},
+        {"128D", cfg128d, false},
+        {"64D/rob256", cfg64d_rob256, false},
+        {"RAE", rae, false},
+        {"RAE+VP", rae_vp, false},
+        {"RAE.perfVP.perfBP", rae_vp, true},
     };
 
-    const auto wls = prepareAll(setup, opts);
+    // Each workload's trace, plainly annotated and as the perfect
+    // branch + value prediction variant the RAE.perfVP.perfBP machine
+    // runs over.
+    Variant perfect_predictors{"perfBP+perfVP", setup.annotation};
+    perfect_predictors.annotation.branch.perfect = true;
+    perfect_predictors.annotation.value.perfect = true;
+    const auto traces = prepareAll(
+        setup, opts, {Variant{"", setup.annotation}, perfect_predictors});
+    const size_t numWorkloads = traces.size() / 2;
 
     constexpr size_t numMachines = sizeof(machines) / sizeof(machines[0]);
 
@@ -67,9 +75,9 @@ main(int argc, char **argv)
     };
 
     Sweep sweep(setup);
-    std::vector<Cells> perWl(wls.size());
-    for (size_t w = 0; w < wls.size(); ++w) {
-        const auto &wl = wls[w];
+    std::vector<Cells> perWl(numWorkloads);
+    for (size_t w = 0; w < numWorkloads; ++w) {
+        const auto &wl = traces[w];
         Cells &cells = perWl[w];
 
         // CPI_perf and Overlap_CM measured once on the timed pipeline.
@@ -82,34 +90,16 @@ main(int argc, char **argv)
 
         cells.base = sweep.mlp(cfg64d, wl);
         for (const auto &m : machines) {
-            if (m.perfBp || m.perfVp) {
-                // The perfect-substrate machine re-annotates its own
-                // private copy of the workload inside the cell.
-                const std::string name = wl.name();
-                const bool perf_bp = m.perfBp;
-                const bool perf_vp = m.perfVp;
-                const core::MlpConfig cfg = m.cfg;
-                cells.machine.push_back(sweep.task<core::MlpResult>(
-                    name + " " + m.label,
-                    [name, perf_bp, perf_vp, cfg, setup] {
-                        BenchSetup perfect_setup = setup;
-                        perfect_setup.annotation.branch.perfect = perf_bp;
-                        perfect_setup.annotation.value.perfect = perf_vp;
-                        const auto wl2 =
-                            prepareWorkload(name, perfect_setup);
-                        return runMlp(cfg, wl2);
-                    }));
-            } else {
-                cells.machine.push_back(sweep.mlp(m.cfg, wl));
-            }
+            cells.machine.push_back(sweep.mlp(
+                m.cfg, m.perfectPredictors ? traces[numWorkloads + w] : wl));
         }
     }
     sweep.run();
 
     TextTable table({"workload", "machine", "MLP", "est CPI",
                      "improvement"});
-    for (size_t w = 0; w < wls.size(); ++w) {
-        const auto &wl = wls[w];
+    for (size_t w = 0; w < numWorkloads; ++w) {
+        const auto &wl = traces[w];
         const Cells &cells = perWl[w];
 
         const double cpi_perf = cells.cycPerfect.get().cpi();

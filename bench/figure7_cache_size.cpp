@@ -21,50 +21,37 @@ main(int argc, char **argv)
     printBanner("figure7_cache_size", "Figure 7 (impact of L2 size)",
                 setup);
 
-    // Each cell re-annotates its workload with a different L2, so the
-    // whole prepared trace is private to (and owned by) the cell.
-    struct CellResult
-    {
-        double missPer100;
-        double mlp;
+    // One annotation variant per L2 size over each workload's one
+    // generated trace; the engine config stays the default.
+    const uint64_t sizes_kb[] = {512, 1024, 2048, 4096, 8192};
+    const auto sizeLabel = [](uint64_t kb) {
+        return kb >= 1024 ? std::to_string(kb / 1024) + "MB"
+                          : std::to_string(kb) + "KB";
     };
+    std::vector<Variant> variants;
+    for (uint64_t kb : sizes_kb) {
+        Variant variant{"l2_" + sizeLabel(kb), setup.annotation};
+        variant.annotation.hierarchy.l2.sizeBytes = kb * 1024;
+        variants.push_back(std::move(variant));
+    }
+    const auto traces = prepareAll(setup, opts, variants);
 
     Sweep sweep(setup);
-    struct CellRef
-    {
-        std::string name;
-        uint64_t kb;
-        Job<CellResult> job;
-    };
-    std::vector<CellRef> cells;
-    for (const auto &name :
-         workloads::selectWorkloads(opts.find("workload")).orFatal()) {
-        for (uint64_t kb : {512u, 1024u, 2048u, 4096u, 8192u}) {
-            BenchSetup sized = setup;
-            sized.annotation.hierarchy.l2.sizeBytes = kb * 1024;
-            auto job = sweep.task<CellResult>(
-                name + " l2=" + std::to_string(kb) + "KB",
-                [name, sized] {
-                    const auto wl = prepareWorkload(name, sized);
-                    const auto r =
-                        runMlp(core::MlpConfig::defaultOoO(), wl);
-                    return CellResult{
-                        wl.annotated().misses().missRatePer100(),
-                        r.mlp()};
-                });
-            cells.push_back(CellRef{name, kb, std::move(job)});
-        }
-    }
+    std::vector<Job<core::MlpResult>> cells;
+    for (const auto &trace : traces)
+        cells.push_back(sweep.mlp(core::MlpConfig::defaultOoO(), trace));
     sweep.run();
 
     TextTable table({"workload", "L2", "miss/100", "MLP(64C)"});
-    for (const auto &cell : cells) {
-        table.addRow({cell.name,
-                      cell.kb >= 1024
-                          ? std::to_string(cell.kb / 1024) + "MB"
-                          : std::to_string(cell.kb) + "KB",
-                      TextTable::num(cell.job.get().missPer100, 3),
-                      TextTable::num(cell.job.get().mlp)});
+    const size_t numWorkloads = traces.size() / variants.size();
+    for (size_t w = 0; w < numWorkloads; ++w) {
+        for (size_t v = 0; v < variants.size(); ++v) {
+            const size_t i = v * numWorkloads + w;
+            const auto &misses = traces[i].annotated().misses();
+            table.addRow({traces[i].name(), sizeLabel(sizes_kb[v]),
+                          TextTable::num(misses.missRatePer100(), 3),
+                          TextTable::num(cells[i].get().mlp())});
+        }
     }
     std::printf("%s", table.render().c_str());
     std::printf("\nPaper shape: MLP falls with L2 size for database and "

@@ -46,12 +46,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    const BenchSetup setup =
-        BenchSetup::fromOptions(opts, {"cyclesim-only"});
-    // Every cell here is a cycle-accurate run already; the flag just
-    // skips the rendered table so the run reads as pure pipeline
-    // timing (the sweep batch report on stderr).
-    const bool cyclesim_only = opts.has("cyclesim-only");
+    const BenchSetup setup = BenchSetup::fromOptions(opts);
     printBanner("table1_cpi_components",
                 "Table 1 (CPI decomposition and MLP)", setup);
 
@@ -81,14 +76,6 @@ main(int argc, char **argv)
         }
     }
     sweep.run();
-
-    if (cyclesim_only) {
-        std::printf("cyclesim-only: %zu pipeline cells timed, "
-                    "decomposition table skipped\n",
-                    perWl.size() * 3);
-        writeBenchOutputs(setup, "table1_cpi_components");
-        return 0;
-    }
 
     for (size_t w = 0; w < wls.size(); ++w) {
         const auto &wl = wls[w];

@@ -20,12 +20,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    const BenchSetup setup =
-        BenchSetup::fromOptions(opts, {"cyclesim-only"});
-    // --engine-only-style timing mode: run only the cycle-accurate
-    // pipeline cells (no epoch-model jobs, no comparison table); the
-    // sweep batch report on stderr carries the timing.
-    const bool cyclesim_only = opts.has("cyclesim-only");
+    const BenchSetup setup = BenchSetup::fromOptions(opts);
     printBanner("table3_validation",
                 "Table 3 (MLPsim vs cycle-accurate simulator)", setup);
 
@@ -55,23 +50,12 @@ main(int argc, char **argv)
                     cfg.offChipLatency = lat;
                     row.cyc.push_back(sweep.cycleSim(cfg, wl));
                 }
-                if (!cyclesim_only) {
-                    row.model =
-                        sweep.mlp(core::MlpConfig::sized(window, ic), wl);
-                }
+                row.model = sweep.mlp(core::MlpConfig::sized(window, ic), wl);
                 rows.push_back(std::move(row));
             }
         }
     }
     sweep.run();
-
-    if (cyclesim_only) {
-        std::printf("cyclesim-only: %zu pipeline cells timed, "
-                    "comparison table skipped\n",
-                    rows.size() * 3);
-        writeBenchOutputs(setup, "table3_validation");
-        return 0;
-    }
 
     double worst_err_1000 = 0.0;
     size_t rowIdx = 0;

@@ -21,11 +21,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    const BenchSetup setup =
-        BenchSetup::fromOptions(opts, {"cyclesim-only"});
-    // --engine-only-style timing mode: only the cycle-accurate cells
-    // run; the sweep batch report on stderr carries the timing.
-    const bool cyclesim_only = opts.has("cyclesim-only");
+    const BenchSetup setup = BenchSetup::fromOptions(opts);
     printBanner("table4_cpi_estimation",
                 "Table 4 (estimated vs measured CPI, window 64, "
                 "penalty 1000)",
@@ -60,22 +56,12 @@ main(int argc, char **argv)
             cfg.offChipLatency = unsigned(penalty);
             perWl[w].timed.push_back(sweep.cycleSim(cfg, wls[w]));
         }
-        if (cyclesim_only)
-            continue;
         for (int i = 0; i < 3; ++i) {
             perWl[w].model.push_back(sweep.mlp(
                 core::MlpConfig::sized(64, configs[i]), wls[w]));
         }
     }
     sweep.run();
-
-    if (cyclesim_only) {
-        std::printf("cyclesim-only: %zu pipeline cells timed, "
-                    "estimation table skipped\n",
-                    perWl.size() * 4);
-        writeBenchOutputs(setup, "table4_cpi_estimation");
-        return 0;
-    }
 
     double global_worst = 0.0;
     for (size_t w = 0; w < wls.size(); ++w) {

@@ -5,7 +5,8 @@
 # Invoked by the bench_smoke_* ctest entries (see bench/CMakeLists.txt):
 #   cmake -DBENCH=<bench exe> -DCHECKER=<metrics_check exe>
 #         -DOUT=<snapshot destination> [-DTRACE_OUT=<trace destination>]
-#         [-DREQUIRE=<comma-separated metric paths>] [-DDETERMINISM=1]
+#         [-DREQUIRE=<comma-separated metric paths>]
+#         [-DEXTRA_REQUIRE=<more paths>] [-DDETERMINISM=1]
 #         -P cmake/bench_smoke.cmake
 #
 # With DETERMINISM the bench runs again at --jobs 1 and --jobs 8 and the
@@ -28,6 +29,9 @@ endif()
 
 run_or_die(${BENCH} ${budget} --jobs 2 --metrics-out ${OUT} ${trace_args})
 
+if(EXTRA_REQUIRE)
+    string(APPEND REQUIRE ",${EXTRA_REQUIRE}")
+endif()
 set(require_args)
 if(REQUIRE)
     set(require_args --require ${REQUIRE})

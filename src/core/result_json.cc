@@ -68,8 +68,8 @@ resultRecordFromJson(const JsonValue &entry, std::string *key,
     const auto getCount = [&entry](const char *name,
                                    uint64_t *out) -> Status {
         const JsonValue *field = entry.find(name);
-        if (!field || !field->isNumber())
-            return Status::dataLoss("missing record field '", name, "'");
+        if (!field || !field->isUinteger())
+            return Status::dataLoss("bad record field '", name, "'");
         *out = field->uinteger();
         return Status::okStatus();
     };
@@ -101,7 +101,7 @@ resultRecordFromJson(const JsonValue &entry, std::string *key,
     }
     for (std::size_t i = 0; i < numInhibitors; ++i) {
         const JsonValue &count = inhibitors->items()[i];
-        if (!count.isNumber())
+        if (!count.isUinteger())
             return Status::dataLoss("bad record field 'inhibitors'");
         result->inhibitors.count[i] = count.uinteger();
     }
@@ -111,7 +111,8 @@ resultRecordFromJson(const JsonValue &entry, std::string *key,
         return Status::dataLoss("bad record field 'accesses_per_epoch'");
     for (const JsonValue &pair : histogram->items()) {
         if (!pair.isArray() || pair.size() != 2 ||
-            !pair.items()[0].isNumber() || !pair.items()[1].isNumber()) {
+            !pair.items()[0].isUinteger() ||
+            !pair.items()[1].isUinteger()) {
             return Status::dataLoss(
                 "bad record field 'accesses_per_epoch'");
         }

@@ -189,13 +189,13 @@ std::shared_ptr<SharedCellGroup>
 CellGrid::groupFor(const PreparedTrace &trace)
 {
     // A materialised trace has no generation to share.
-    if (!sharesGeneration(trace.context()))
+    const WorkloadContext ctx = trace.context();
+    if (!sharesGeneration(ctx))
         return nullptr;
     for (auto &entry : groups)
-        if (entry.first == &trace)
+        if (entry.first == ctx.source)
             return entry.second;
-    groups.emplace_back(&trace,
-                        std::make_shared<SharedCellGroup>(trace.context()));
+    groups.emplace_back(ctx.source, std::make_shared<SharedCellGroup>(ctx));
     return groups.back().second;
 }
 

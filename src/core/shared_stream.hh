@@ -147,10 +147,11 @@ class SharedCellGroup
  * The cell scheduler of the sweep layers (bench::Sweep and the
  * daemon): defers each simulator cell of a batch on a SweepRunner and
  * decides whether it rides a shared generation. Every cell over a
- * re-streamed trace (sharesGeneration) joins its trace's
- * SharedCellGroup (one per trace per batch), carrying the deadline of
- * the runner's current job limits; a cell over a materialised trace is
- * a plain job over the trace's context. Either way the job returns
+ * re-streamed trace (sharesGeneration) joins the SharedCellGroup of
+ * its generated trace (one per batch, shared by the trace's annotation
+ * variants), carrying the deadline of the runner's current job limits;
+ * a cell over a materialised trace is a plain job over the trace's
+ * context. Either way the job returns
  * exactly its own cell's result and commits its own metrics, so
  * results and snapshots are byte-identical to running every cell on
  * its own.
@@ -181,8 +182,11 @@ class CellGrid
         auto slot = std::make_shared<std::optional<R>>();
         const size_t index = group->add(SharedCell{
             label,
-            [body, slot](const WorkloadContext &ctx) {
-                slot->emplace(body(ctx));
+            [body, slot, own = trace.context()](const WorkloadContext &ctx) {
+                // The group's stream, this trace's annotations.
+                WorkloadContext cell_ctx = own;
+                cell_ctx.attached = ctx.attached;
+                slot->emplace(body(cell_ctx));
             },
             runner.jobLimits().deadlineMillis});
         return runner.defer<R>(std::move(label), [group, index, slot] {
@@ -199,7 +203,7 @@ class CellGrid
      *  materialised. */
     std::shared_ptr<SharedCellGroup> groupFor(const PreparedTrace &trace);
 
-    std::vector<std::pair<const PreparedTrace *,
+    std::vector<std::pair<const trace::ChunkSource *,
                           std::shared_ptr<SharedCellGroup>>>
         groups;
 };

@@ -112,37 +112,67 @@ Expected<PreparedTrace>
 PreparedTrace::make(const TraceSpec &spec,
                     trace::GeneratedChunkSource::SourceFactory generator)
 {
-    PreparedTrace prepared(spec.workload);
-    const trace::ChunkSource *chunks = nullptr;
+    PreparedTrace prepared(spec.workload, spec.variant);
     if (spec.streamChunk == 0) {
-        prepared.buf = std::make_unique<trace::TraceBuffer>(spec.workload);
+        auto buf = std::make_shared<trace::TraceBuffer>(spec.workload);
         const auto source = generator();
         metrics::ScopedTimer t("workloads/generate_s");
-        prepared.buf->fill(*source, spec.totalInsts);
-        chunks = prepared.buf.get();
+        buf->fill(*source, spec.totalInsts);
+        prepared.src = std::move(buf);
     } else {
         // Streamed: no instruction is stored. Every stream open builds
         // a fresh generator, at the same seed, so the annotate pass and
         // every simulator run replay the identical instruction
         // sequence.
-        prepared.source = std::make_unique<trace::GeneratedChunkSource>(
+        prepared.src = std::make_shared<trace::GeneratedChunkSource>(
             spec.workload, spec.totalInsts, std::move(generator),
             spec.streamChunk);
-        chunks = prepared.source.get();
     }
 
-    MLPSIM_ASSIGN_OR_RETURN(AnnotatedTrace annotated,
-                            AnnotatedTrace::make(*chunks, spec.annotation));
-    prepared.ann = std::make_unique<AnnotatedTrace>(std::move(annotated));
+    MLPSIM_RETURN_IF_ERROR(prepared.annotateWith(spec.annotation));
     if (metrics::enabled()) {
         // Both modes count the instructions the annotate pass saw, so
-        // their metric snapshots stay byte-identical.
+        // their metric snapshots stay byte-identical. Variants of the
+        // trace (annotate()) count nothing here: it is one trace.
         auto &reg = metrics::cur();
         reg.add(metrics::scopedPath("workloads/traces"), 1);
         reg.add(metrics::scopedPath("workloads/generated_insts"),
                 prepared.ann->instructions());
     }
     return prepared;
+}
+
+Expected<PreparedTrace>
+PreparedTrace::annotate(std::string variant,
+                        const AnnotationOptions &options) const
+{
+    if (variant.empty()) {
+        return Status::invalidArgument(
+            "an annotation variant of trace '", traceName,
+            "' needs a name");
+    }
+    if (options.warmupInsts != warmupInsts()) {
+        return Status::invalidArgument(
+            "annotation variant '", variant, "' of trace '", traceName,
+            "' has a warm-up of ", options.warmupInsts,
+            " instructions, but the trace's is ", warmupInsts());
+    }
+    PreparedTrace out(traceName, std::move(variant));
+    out.src = src;
+    MLPSIM_RETURN_IF_ERROR(out.annotateWith(options));
+    return out;
+}
+
+Status
+PreparedTrace::annotateWith(const AnnotationOptions &options)
+{
+    std::optional<metrics::ScopedLabel> label;
+    if (!variantName.empty())
+        label.emplace(variantName);
+    MLPSIM_ASSIGN_OR_RETURN(AnnotatedTrace annotated,
+                            AnnotatedTrace::make(*src, options));
+    ann = std::make_unique<AnnotatedTrace>(std::move(annotated));
+    return Status::okStatus();
 }
 
 } // namespace mlpsim::core

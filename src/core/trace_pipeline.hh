@@ -5,6 +5,9 @@
  * PreparedTrace::make(TraceSpec) is the one way the benches, tools and
  * daemon turn a workload into an annotated trace: it builds the
  * generator, materialises or streams the trace, and annotates it.
+ * PreparedTrace::annotate derives an annotation variant (another L2
+ * size, a perfect predictor) that shares the generated trace and runs
+ * only the annotate pass.
  *
  * A trace is annotated once and then replayed by many simulator runs.
  * AnnotatedTrace::make (core/mlpsim.hh) opens one stream over the
@@ -70,6 +73,10 @@ struct TraceSpec
     /** Annotation substrates; annotation.warmupInsts is the trace's
      *  warm-up, the one value every simulator run must also use. */
     AnnotationOptions annotation;
+    /** Names this annotation in metric paths (<workload>/<variant>/…)
+     *  and sweep job labels; empty for a workload's plain
+     *  annotation. */
+    std::string variant;
 };
 
 /**
@@ -78,8 +85,10 @@ struct TraceSpec
  * materialised TraceBuffer, or a generator source that regenerates it
  * on demand — and the annotations of whichever it holds.
  *
- * Everything lives on the heap so the annotations' back-pointers stay
- * valid when the object itself is moved.
+ * The generated trace is held by shared ownership: every annotation
+ * variant of it (annotate()) shares the one TraceBuffer or generator
+ * source. Everything lives on the heap so the annotations'
+ * back-pointers stay valid when the object itself is moved.
  */
 class PreparedTrace
 {
@@ -104,8 +113,21 @@ class PreparedTrace
     make(const TraceSpec &spec,
          trace::GeneratedChunkSource::SourceFactory generator);
 
+    /**
+     * This trace annotated again, under @p options, as the variant
+     * named @p variant: the result shares this trace's generated trace
+     * and runs only the annotate pass (a streamed trace regenerates
+     * for it, as for any run). The variant must keep the trace's
+     * warm-up and have a non-empty name; otherwise, or if @p options
+     * are invalid, it is an InvalidArgument Status.
+     */
+    Expected<PreparedTrace> annotate(std::string variant,
+                                     const AnnotationOptions &options) const;
+
     /** The workload name. */
     const std::string &name() const { return traceName; }
+    /** The annotation variant's name; empty for a plain annotation. */
+    const std::string &variant() const { return variantName; }
     /** Warm-up instructions the annotations excluded; simulator runs
      *  over this trace pass the same value in their configs. */
     uint64_t warmupInsts() const { return ann->options().warmupInsts; }
@@ -113,16 +135,21 @@ class PreparedTrace
     WorkloadContext context() const { return ann->context(); }
     const AnnotatedTrace &annotated() const { return *ann; }
     /** The materialised trace; null when streamed. */
-    const trace::TraceBuffer *buffer() const { return buf.get(); }
+    const trace::TraceBuffer *buffer() const { return src->materialized(); }
 
   private:
-    explicit PreparedTrace(std::string name) : traceName(std::move(name))
+    PreparedTrace(std::string name, std::string variant_name)
+        : traceName(std::move(name)), variantName(std::move(variant_name))
     {
     }
 
+    /** The annotate pass, under the variant's metric label. */
+    Status annotateWith(const AnnotationOptions &options);
+
     std::string traceName;
-    std::unique_ptr<trace::TraceBuffer> buf;
-    std::unique_ptr<trace::GeneratedChunkSource> source;
+    std::string variantName;
+    /** The TraceBuffer, or the generator source when streamed. */
+    std::shared_ptr<const trace::ChunkSource> src;
     std::unique_ptr<AnnotatedTrace> ann;
 };
 

@@ -62,6 +62,13 @@ class JsonValue
     {
         return k == Kind::Int || k == Kind::Uint || k == Kind::Double;
     }
+    /** A non-negative integer that fits uint64: uinteger() is safe. A
+     *  fraction, or an integer beyond uint64, parses as a double and
+     *  is not one. */
+    bool isUinteger() const
+    {
+        return k == Kind::Uint || (k == Kind::Int && i >= 0);
+    }
     bool isString() const { return k == Kind::String; }
     bool isArray() const { return k == Kind::Array; }
     bool isObject() const { return k == Kind::Object; }
@@ -69,7 +76,7 @@ class JsonValue
     bool boolean() const;
     /** Any numeric kind, widened to double. */
     double number() const;
-    /** @pre isNumber() and the value is a non-negative integer. */
+    /** @pre isUinteger(). */
     uint64_t uinteger() const;
     const std::string &string() const;
 

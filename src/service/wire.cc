@@ -54,10 +54,7 @@ getUint(const JsonValue &doc, const char *name, bool required,
             return Status::invalidArgument("missing field '", name, "'");
         return Status::okStatus();
     }
-    // A fraction, or an integer too large for uint64, parses as a
-    // double; uinteger() would abort on it.
-    if (!field->isNumber() || field->kind() == JsonValue::Kind::Double ||
-        field->number() < 0.0)
+    if (!field->isUinteger())
         return Status::invalidArgument("field '", name,
                                        "' must be a non-negative "
                                        "integer");
@@ -159,8 +156,7 @@ configFromJson(const JsonValue &doc)
             return Status::invalidArgument("unknown config field '",
                                            key, "'");
 
-        if (!value.isNumber() || value.kind() == JsonValue::Kind::Double ||
-            value.number() < 0.0 || value.number() > 4294967295.0) {
+        if (!value.isUinteger() || value.uinteger() > 4294967295u) {
             return Status::invalidArgument("config field '", key,
                                            "' must be a u32");
         }

@@ -3,11 +3,16 @@
  * PreparedTrace::make, which builds every trace the benches, tools
  * and daemon use: both trace modes give identical simulator results,
  * an unknown workload is a Status in both, and the spec's warm-up is
- * the one every consumer sees.
+ * the one every consumer sees. PreparedTrace::annotate: an annotation
+ * variant shares its trace's generated trace and matches a trace made
+ * afresh with the same options.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mlpsim.hh"
@@ -59,6 +64,23 @@ expectSameResult(const core::MlpResult &a, const core::MlpResult &b)
     for (size_t i = 0; i < core::numInhibitors; ++i)
         EXPECT_EQ(a.inhibitors.count[i], b.inhibitors.count[i])
             << "inhibitor " << i;
+}
+
+/** Annotation options that each change a different substrate. */
+std::vector<std::pair<std::string, core::AnnotationOptions>>
+variantOptions()
+{
+    core::AnnotationOptions small_l2;
+    small_l2.hierarchy.l2.sizeBytes = 256 * 1024;
+    core::AnnotationOptions perfect;
+    perfect.hierarchy.perfectInstFetch = true;
+    perfect.branch.perfect = true;
+    perfect.value.perfect = true;
+    std::vector<std::pair<std::string, core::AnnotationOptions>> out{
+        {"l2_256KB", small_l2}, {"perfect", perfect}};
+    for (auto &[label, options] : out)
+        options.warmupInsts = kWarmup;
+    return out;
 }
 
 std::vector<core::MlpResult>
@@ -118,6 +140,70 @@ TEST(PreparedTrace, SpecWarmupReachesAnnotationsAndAccessor)
         EXPECT_EQ(trace.annotated().misses().measuredInsts,
                   kInsts - kWarmup);
         EXPECT_EQ(trace.context().size(), kInsts);
+    }
+}
+
+TEST(PreparedTrace, MaterialisedVariantAddsNoGeneration)
+{
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    const core::TraceSpec s = spec(0);
+    const auto trace =
+        core::PreparedTrace::make(s, [calls, s] {
+            ++*calls;
+            return workloads::makeWorkload(s.workload, s.seed);
+        }).orFatal();
+    ASSERT_EQ(calls->load(), 1);
+    for (const auto &[label, options] : variantOptions()) {
+        SCOPED_TRACE(label);
+        const auto variant = trace.annotate(label, options).orFatal();
+        EXPECT_EQ(variant.buffer(), trace.buffer());
+        EXPECT_EQ(variant.name(), "database");
+        EXPECT_EQ(variant.variant(), label);
+        runGrid(variant);
+    }
+    EXPECT_EQ(calls->load(), 1);
+}
+
+TEST(PreparedTrace, VariantMatchesAFreshMake)
+{
+    for (const uint32_t chunk : {0u, 4096u}) {
+        const auto trace = core::PreparedTrace::make(spec(chunk)).orFatal();
+        EXPECT_TRUE(trace.variant().empty());
+        for (const auto &[label, options] : variantOptions()) {
+            SCOPED_TRACE("chunk capacity " + std::to_string(chunk) + ", " +
+                         label);
+            const auto variant = trace.annotate(label, options).orFatal();
+            core::TraceSpec fresh_spec = spec(chunk);
+            fresh_spec.annotation = options;
+            const auto fresh =
+                core::PreparedTrace::make(fresh_spec).orFatal();
+            EXPECT_EQ(variant.annotated().misses().missRatePer100(),
+                      fresh.annotated().misses().missRatePer100());
+            const auto results = runGrid(variant);
+            const auto reference = runGrid(fresh);
+            for (size_t i = 0; i < results.size(); ++i) {
+                SCOPED_TRACE("config " + std::to_string(i));
+                expectSameResult(results[i], reference[i]);
+            }
+        }
+    }
+}
+
+TEST(PreparedTrace, VariantMustKeepTheWarmupAndHaveAName)
+{
+    for (const uint32_t chunk : {0u, 4096u}) {
+        SCOPED_TRACE("chunk capacity " + std::to_string(chunk));
+        const auto trace = core::PreparedTrace::make(spec(chunk)).orFatal();
+        core::AnnotationOptions options = trace.annotated().options();
+        options.warmupInsts = kWarmup + 1;
+        const auto shifted = trace.annotate("later", options);
+        ASSERT_FALSE(shifted.ok());
+        EXPECT_EQ(shifted.status().code(), ErrorCode::InvalidArgument);
+
+        const auto unnamed =
+            trace.annotate("", trace.annotated().options());
+        ASSERT_FALSE(unnamed.ok());
+        EXPECT_EQ(unnamed.status().code(), ErrorCode::InvalidArgument);
     }
 }
 

@@ -543,6 +543,41 @@ TEST(CellGrid, StreamedGridBuildsNoExtraGenerator)
     }
 }
 
+TEST(CellGrid, AnnotationVariantsShareTheirTracesGeneration)
+{
+    // Cells over a streamed trace and over an annotation variant of it
+    // ride one generation, each reading its own variant's annotations.
+    std::atomic<size_t> factory_calls{0};
+    const auto streamed = prepareCountedTrace(4096, factory_calls);
+    core::AnnotationOptions perfect = streamed.annotated().options();
+    perfect.branch.perfect = true;
+    perfect.value.perfect = true;
+    const auto variant = streamed.annotate("perfect", perfect).orFatal();
+    ASSERT_EQ(factory_calls.load(), 2u); // the two annotate passes
+    const auto materialised = prepareTrace(0);
+    const auto materialised_variant =
+        materialised.annotate("perfect", perfect).orFatal();
+
+    const auto configs = sampleConfigs();
+    core::CellGrid grid;
+    SweepRunner runner(2);
+    auto plain = deferAll(grid, runner, streamed, configs);
+    auto varied = deferAll(grid, runner, variant, configs);
+    runner.runAll();
+    EXPECT_EQ(factory_calls.load(), 3u);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        ASSERT_TRUE(plain[i].succeeded());
+        ASSERT_TRUE(varied[i].succeeded());
+        expectSameResult(plain[i].get(),
+                         core::runMlp(configs[i], materialised.context()));
+        expectSameResult(
+            varied[i].get(),
+            core::runMlp(configs[i], materialised_variant.context()));
+        EXPECT_NE(plain[i].get().epochs, varied[i].get().epochs);
+    }
+}
+
 TEST(CellGrid, RetriedCellRerunsAloneOverAFreshStream)
 {
     // A grouped cell that fails transiently once: its retry re-runs

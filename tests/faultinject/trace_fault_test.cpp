@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hh"
 #include "support/trace_corruption.hh"
 #include "trace/trace_io.hh"
 
@@ -27,7 +28,7 @@ namespace {
 std::string
 tempPath(const char *tag)
 {
-    return ::testing::TempDir() + "mlpsim_fault_" + tag + ".trace";
+    return test::tempPath(std::string("mlpsim_fault_") + tag, ".trace");
 }
 
 /** A small trace exercising every record field and class. */

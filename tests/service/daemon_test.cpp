@@ -22,6 +22,7 @@
 #include "service/daemon.hh"
 #include "service/framing.hh"
 #include "service/wire.hh"
+#include "support/temp_path.hh"
 #include "util/status.hh"
 
 namespace mlpsim::service {
@@ -355,7 +356,7 @@ TEST(DaemonTest, FailedPongWriteStillRunsTheBatchsDeferredCells)
 
 TEST(DaemonTest, CacheDirHoldsOnlyTheResultLog)
 {
-    const std::string dir = ::testing::TempDir() + "mlpsim_daemon_cache";
+    const std::string dir = test::tempPath("mlpsim_daemon_cache", "");
     std::remove((dir + "/results.rec").c_str());
     DaemonConfig config;
     config.jobs = 2;

@@ -14,6 +14,7 @@
 
 #include "core/result_json.hh"
 #include "service/result_cache.hh"
+#include "support/temp_path.hh"
 #include "util/recordio.hh"
 
 namespace mlpsim::service {
@@ -23,7 +24,7 @@ std::string
 tempPath(const std::string &tag)
 {
     const std::string path =
-        ::testing::TempDir() + "mlpsim_result_cache_" + tag + ".rec";
+        test::tempPath("mlpsim_result_cache_" + tag, ".rec");
     std::remove(path.c_str());
     return path;
 }
@@ -195,6 +196,44 @@ TEST(ResultCacheTest, OpenCompactsDuplicateAndDeadRecords)
     ASSERT_TRUE(again.ok()) << again.status().toString();
     EXPECT_FALSE(again->compacted());
     EXPECT_EQ(again->size(), 2u);
+}
+
+TEST(ResultCacheTest, NonIntegerCountsAreSkippedAndCompactedAway)
+{
+    const std::string path = tempPath("non_integer");
+    {
+        // CRC-valid records whose counts are not non-negative
+        // integers (a foreign or buggy writer): each is DataLoss on
+        // replay, never an abort.
+        auto log = RecordLog::open(path, "mlpsim-result-cache-v1");
+        ASSERT_TRUE(log.ok()) << log.status().toString();
+        metrics::JsonValue fractional =
+            core::resultRecordToJson("cell-fraction", sampleResult(1));
+        fractional.set("epochs", 1.5);
+        metrics::JsonValue negative =
+            core::resultRecordToJson("cell-negative", sampleResult(2));
+        negative.set("measured_insts", int64_t(-3));
+        ASSERT_TRUE(log->append(fractional.dump(0)).ok());
+        ASSERT_TRUE(log->append(negative.dump(0)).ok());
+        ASSERT_TRUE(log->append(core::resultRecordToJson(
+                                    "cell-ok", sampleResult(3))
+                                    .dump(0))
+                        .ok());
+    }
+    auto cache = ResultCache::open(path);
+    ASSERT_TRUE(cache.ok()) << cache.status().toString();
+    EXPECT_TRUE(cache->compacted());
+    EXPECT_EQ(cache->size(), 1u);
+
+    core::MlpResult loaded;
+    EXPECT_FALSE(cache->lookup("cell-fraction", &loaded));
+    EXPECT_FALSE(cache->lookup("cell-negative", &loaded));
+    ASSERT_TRUE(cache->lookup("cell-ok", &loaded));
+    EXPECT_EQ(dumpOf(loaded), dumpOf(sampleResult(3)));
+
+    auto contents = readRecordFile(path);
+    ASSERT_TRUE(contents.ok()) << contents.status().toString();
+    EXPECT_EQ(contents->records.size(), 1u);
 }
 
 TEST(ResultCacheTest, RepeatedKillCyclesNeverGrowTheLog)

@@ -5,6 +5,7 @@
 #include <unistd.h>
 #include <string>
 
+#include "support/temp_path.hh"
 #include "support/trace_corruption.hh"
 #include "trace/trace_io.hh"
 #include "workloads/micro.hh"
@@ -20,7 +21,7 @@ namespace {
 std::string
 tempPath(const char *tag)
 {
-    return ::testing::TempDir() + "mlpsim_" + tag + ".trace";
+    return test::tempPath(std::string("mlpsim_") + tag, ".trace");
 }
 
 } // namespace

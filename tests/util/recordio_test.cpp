@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hh"
 #include "util/recordio.hh"
 
 namespace mlpsim {
@@ -21,8 +22,7 @@ namespace {
 std::string
 tempPath(const std::string &tag)
 {
-    const std::string path =
-        ::testing::TempDir() + "mlpsim_recordio_" + tag + ".bin";
+    const std::string path = test::tempPath("mlpsim_recordio_" + tag, ".bin");
     std::remove(path.c_str());
     return path;
 }

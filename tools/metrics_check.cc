@@ -219,9 +219,9 @@ checkBenchPerf(const JsonValue &doc,
             }
             found = true;
             const JsonValue *rss = row.find("peak_rss_kb");
-            if (!rss->isNumber()) {
+            if (!rss || !rss->isUinteger()) {
                 fatal("bench-perf row for '", bench,
-                      "' has a non-numeric peak_rss_kb");
+                      "' has no non-negative integer peak_rss_kb");
             }
             if (rss->uinteger() > ceiling_kb) {
                 fatal("bench-perf row for '", bench, "' peaked at ",
@@ -289,8 +289,10 @@ checkSweepReport(const JsonValue &doc,
     for (unsigned i = 0; i < 4; ++i) {
         const JsonValue &count =
             requireMember(doc, names[i], "sweep-report");
-        if (!count.isNumber())
-            fatal("sweep-report \"", names[i], "\" is not a number");
+        if (!count.isUinteger()) {
+            fatal("sweep-report \"", names[i],
+                  "\" is not a non-negative integer");
+        }
         totals[i] = count.uinteger();
     }
     if (totals[1] + totals[2] != totals[0]) {

@@ -333,10 +333,15 @@ main(int argc, char **argv)
                 const std::string event =
                     doc.find("event")->string();
                 if (event == "planned") {
-                    const uint64_t hits =
-                        doc.find("hits")->uinteger();
-                    const uint64_t computed =
-                        doc.find("computed")->uinteger();
+                    const auto count = [&doc](const char *name) {
+                        const JsonValue *field = doc.find(name);
+                        if (!field || !field->isUinteger())
+                            fatal("planned event without a count '",
+                                  name, "'");
+                        return field->uinteger();
+                    };
+                    const uint64_t hits = count("hits");
+                    const uint64_t computed = count("computed");
                     cellHits += hits;
                     cellsComputed += computed;
                     const std::string &id = doc.find("id")->string();

@@ -18,8 +18,7 @@
  * Usage:
  *   sweep_faultinject [--jobs N] [--insts N] [--warmup N]
  *       [--stuck N] [--throw N] [--flaky N] [--flaky-failures F]
- *       [--deadline-ms D] [--retries R] [--report FILE]
- *       [--journal FILE] [--propagate]
+ *       [--deadline-ms D] [--retries R] [--report FILE] [--propagate]
  *
  * This binary is also the demonstration of the Status-returning
  * option path: it uses Options::parse / checkKnown / tryGetU64 /
@@ -37,8 +36,6 @@
 #include "core/mlpsim.hh"
 #include "core/trace_pipeline.hh"
 #include "metrics/export.hh"
-#include "service/result_cache.hh"
-#include "service/wire.hh"
 #include "util/cancellation.hh"
 #include "util/options.hh"
 #include "util/parallel.hh"
@@ -47,15 +44,6 @@
 using namespace mlpsim;
 
 namespace {
-
-struct GridCell
-{
-    std::string label;
-    core::MlpConfig config;
-    const core::PreparedTrace *trace;
-    /** Journal key (service::cellKey of the cell's trace and config). */
-    std::string journalKey;
-};
 
 /** Spin until the deadline: the "stuck job" a deadline exists for. */
 void
@@ -87,7 +75,7 @@ main(int argc, char **argv)
     const Status known = opts.checkKnown(
         {"jobs", "insts", "warmup", "stuck", "throw", "flaky",
          "flaky-failures", "deadline-ms", "retries", "report",
-         "journal", "propagate"});
+         "propagate"});
     if (!known.ok())
         return flagError(known);
 
@@ -127,11 +115,14 @@ main(int argc, char **argv)
             "stuck job would hang the sweep forever)"));
     }
 
-    // ----- build the real grid ------------------------------------
+    // ----- defer the real grid ------------------------------------
+    SweepRunner runner{unsigned(jobs)};
+    runner.setJobLimits(*limits);
     const auto &names = workloads::commercialWorkloadNames();
     std::vector<core::PreparedTrace> traces;
     traces.reserve(names.size()); // cells point into it
-    std::vector<GridCell> cells;
+    std::vector<std::string> labels;
+    std::vector<Job<core::MlpResult>> results;
     const std::pair<const char *, core::MlpConfig> configs[] = {
         {"64C", core::MlpConfig::defaultOoO()},
         {"64E", core::MlpConfig::sized(64, core::IssueConfig::E)},
@@ -146,41 +137,18 @@ main(int argc, char **argv)
         if (!trace.ok())
             return flagError(trace.status());
         traces.push_back(*std::move(trace));
-        for (const auto &[key, config] : configs) {
-            core::MlpConfig cell_config = config;
-            cell_config.warmupInsts = warmup;
-            const std::string label = name + "/" + key;
-            cells.push_back(GridCell{label, cell_config, &traces.back(),
-                                     service::cellKey(spec, cell_config)});
+        for (auto [key, config] : configs) {
+            config.warmupInsts = warmup;
+            labels.push_back(name + "/" + key);
+            results.push_back(runner.defer<core::MlpResult>(
+                labels.back(),
+                [config, trace = &traces.back()]() -> core::MlpResult {
+                    auto result = core::tryRunMlp(config, trace->context());
+                    if (!result.ok())
+                        throw StatusError(result.status());
+                    return *std::move(result);
+                }));
         }
-    }
-
-    // Without --journal the cache is memory-only: every lookup misses.
-    auto journal = service::ResultCache::open(opts.getString("journal", ""));
-    if (!journal.ok())
-        return flagError(journal.status());
-
-    // ----- defer everything ---------------------------------------
-    SweepRunner runner{unsigned(jobs)};
-    runner.setJobLimits(*limits);
-
-    std::vector<Job<core::MlpResult>> results(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const GridCell &cell = cells[i];
-        core::MlpResult replay;
-        if (journal->lookup(cell.journalKey, &replay)) {
-            std::printf("%-16s  mlp %.6f  (journal)\n", cell.label.c_str(),
-                        replay.mlp());
-            continue;
-        }
-        results[i] = runner.defer<core::MlpResult>(
-            cell.label, [&cell]() -> core::MlpResult {
-                auto result =
-                    core::tryRunMlp(cell.config, cell.trace->context());
-                if (!result.ok())
-                    throw StatusError(result.status());
-                return *std::move(result);
-            });
     }
 
     // Injected faults ride the same batch as the real cells.
@@ -209,15 +177,10 @@ main(int argc, char **argv)
     runner.runAll();
 
     // ----- report --------------------------------------------------
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!results[i].valid() || !results[i].succeeded())
-            continue;
-        const core::MlpResult &result = results[i].get();
-        std::printf("%-16s  mlp %.6f\n", cells[i].label.c_str(),
-                    result.mlp());
-        const Status st = journal->record(cells[i].journalKey, result);
-        if (!st.ok())
-            warn(st.toString());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].succeeded())
+            std::printf("%-16s  mlp %.6f\n", labels[i].c_str(),
+                        results[i].get().mlp());
     }
 
     const auto &batch = runner.lastBatch();
