@@ -94,8 +94,7 @@ BenchSetup::tryFromOptions(const Options &opts)
         setup.warmupInsts, opts.tryScaledInsts("warmup", setup.warmupInsts));
     MLPSIM_ASSIGN_OR_RETURN(
         setup.measureInsts, opts.tryScaledInsts("insts", setup.measureInsts));
-    MLPSIM_ASSIGN_OR_RETURN(uint64_t jobs, opts.tryGetU64("jobs", 0));
-    setup.jobs = unsigned(jobs);
+    MLPSIM_ASSIGN_OR_RETURN(setup.jobs, parseJobs(opts, 0));
     setup.annotation.warmupInsts = setup.warmupInsts;
     setup.metricsOut = opts.getString("metrics-out", "");
     setup.traceEventsOut = opts.getString("trace-events", "");

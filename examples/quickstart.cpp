@@ -29,7 +29,7 @@ main(int argc, char **argv)
     const uint64_t warmup = insts / 4;
 
     // 1. A synthetic OLTP trace (see workloads/ for the other
-    //    generators, or trace::readTrace for traces on disk).
+    //    generators).
     workloads::DatabaseWorkload database;
     trace::TraceBuffer buffer("database");
     buffer.fill(database, insts);

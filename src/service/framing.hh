@@ -15,7 +15,7 @@
  * at a boundary is a clean shutdown.
  *
  * Frames are capped at 16 MiB. A length word above the cap means the
- * peer is not speaking this protocol (e.g. someone piped a trace file
+ * peer is not speaking this protocol (e.g. someone piped a binary file
  * in); failing fast beats attempting a 4 GB allocation.
  *
  * FrameWriter serialises concurrent writers with a mutex so progress

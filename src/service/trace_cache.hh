@@ -13,8 +13,8 @@
  * One tier: an in-memory LRU of fully prepared traces, bounded by a
  * trace count (traces are the daemon's dominant memory consumer; the
  * default of 4 covers the three commercial workloads plus one odd
- * seed). Traces are never persisted: regenerating one is several
- * times faster than reading it back from a trace file (EXPERIMENTS.md,
+ * seed). Traces are never persisted: regenerating one measured several
+ * times faster than reading it back from a file (EXPERIMENTS.md,
  * "Persist results, not traces"), so a restarted daemon rebuilds its
  * traces and keeps only its results on disk (service/result_cache.hh).
  *

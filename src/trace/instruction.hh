@@ -14,8 +14,8 @@
  * branch target and the loaded/stored value share one word (they are
  * mutually exclusive by class — only branches have targets, and
  * branches carry no value), and the class, branch kind and taken flag
- * share one byte. Trace files (trace_io.hh) store the chunk columns
- * of trace_chunk.hh, which keep the same packed word and meta byte.
+ * share one byte. The structure-of-arrays chunks of trace_chunk.hh
+ * keep the same packed word and meta byte as columns.
  */
 #pragma once
 
@@ -123,10 +123,10 @@ struct Instruction
     static constexpr uint8_t takenBit = 1 << 6;
 
     /**
-     * Raw packed-byte accessors for the SoA trace chunk and the v3
-     * on-disk format, which store the meta byte and the shared
-     * payload word as columns rather than re-deriving them field by
-     * field. Invariant-preserving: a round trip through
+     * Raw packed-byte accessors for the SoA trace chunk, which
+     * stores the meta byte and the shared payload word as columns
+     * rather than re-deriving them field by field.
+     * Invariant-preserving: a round trip through
      * rawMeta()/rawPayload() reproduces the instruction exactly.
      */
     uint8_t rawMeta() const { return meta; }

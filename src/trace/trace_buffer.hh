@@ -19,7 +19,6 @@
  */
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,22 +53,6 @@ class TraceBuffer : public ChunkSource
     /** Drain @p source (up to @p limit instructions) into this buffer. */
     void fill(TraceSource &source, uint64_t limit);
 
-    /**
-     * Splice a pre-built full-capacity chunk (the v3 trace reader's
-     * zero-decode path). The chunk's base is rewritten to this
-     * buffer's running instruction index; the previous chunk, if any,
-     * must be full.
-     */
-    void
-    appendChunk(std::shared_ptr<TraceChunk> c)
-    {
-        assert(c->cap == chunkCapacity);
-        assert(chunkList.empty() || chunkList.back()->full());
-        chunkList.push_back(std::move(c));
-        chunkList.back()->base = n;
-        n += chunkList.back()->count;
-    }
-
     uint64_t size() const override { return n; }
     bool empty() const { return n == 0; }
 
@@ -89,7 +72,6 @@ class TraceBuffer : public ChunkSource
     static constexpr uint32_t chunkCapacity = defaultChunkCapacity;
 
     std::string name() const override { return label; }
-    void setName(std::string n_) { label = std::move(n_); }
 
     /** A replayable chunk-level view (zero-copy: shares the chunks). */
     std::unique_ptr<ChunkStream> open() const override;

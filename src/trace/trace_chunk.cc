@@ -22,8 +22,8 @@ namespace {
 
 /**
  * Fallback fan-out: each slot is an ordinary independent stream.
- * Used by sources whose open() is cheap (materialised buffers, file
- * readers) where sharing a generation buys nothing.
+ * Used by sources whose open() is cheap (materialised buffers) where
+ * sharing a generation buys nothing.
  */
 class IndependentFanout : public StreamFanout
 {

@@ -21,8 +21,8 @@
  * `count` is the only valid-index authority. Generator chunks are
  * reused (trace/stream_source.hh, recycledChunk()) once their last
  * reader drops them, and a reused chunk keeps its previous columns
- * past `count`; column `.size()` is the capacity or, for chunks read
- * from a file, `count`. Read local indices [0, count) only.
+ * past `count`; column `.size()` is the capacity. Read local indices
+ * [0, count) only.
  */
 #pragma once
 
@@ -62,9 +62,9 @@ class TraceChunk
 
     // The columns. u64 columns are 8 instructions per cache line; u8
     // columns are 64. Allocated to `cap` at construction; `count` is
-    // the fill level and the only valid-index authority (the file
-    // reader shrinks them to `count`, and a recycled chunk holds stale
-    // bytes past `count`, so .size() is not meaningful).
+    // the fill level and the only valid-index authority (a recycled
+    // chunk holds stale bytes past `count`, so .size() is not
+    // meaningful).
     std::vector<uint64_t> pc;
     std::vector<uint64_t> effAddr;
     std::vector<uint64_t> payload; //!< branch target or load/store value

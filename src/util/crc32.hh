@@ -1,9 +1,8 @@
 /**
  * @file
  * Streaming CRC-32 (IEEE 802.3, polynomial 0xEDB88320) used to
- * checksum trace-file payloads. Matches zlib's crc32() bit-for-bit so
- * external tools can produce compatible trace files with any standard
- * CRC library.
+ * checksum record-log frames (util/recordio.hh). Matches zlib's
+ * crc32() bit-for-bit, so any standard CRC library can check them.
  */
 #pragma once
 

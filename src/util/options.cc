@@ -206,4 +206,15 @@ parseJobLimits(const Options &opts)
     return limits;
 }
 
+Expected<unsigned>
+parseJobs(const Options &opts, uint64_t def)
+{
+    MLPSIM_ASSIGN_OR_RETURN(uint64_t jobs, opts.tryGetU64("jobs", def));
+    if (jobs > UINT_MAX) {
+        return Status::invalidArgument("--jobs=", jobs, " must be at most ",
+                                       UINT_MAX, " (0 = hardware threads)");
+    }
+    return unsigned(jobs);
+}
+
 } // namespace mlpsim

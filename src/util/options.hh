@@ -94,4 +94,12 @@ class Options
  */
 Expected<JobLimits> parseJobLimits(const Options &opts);
 
+/**
+ * The sweep worker-thread count given by --jobs (default @p def; 0
+ * means every hardware thread) — the one parser of this flag for
+ * every bench and tool. Rejects a malformed value and one that does
+ * not fit `unsigned`.
+ */
+Expected<unsigned> parseJobs(const Options &opts, uint64_t def);
+
 } // namespace mlpsim

@@ -4,13 +4,13 @@
  *
  * fatal()/panic() (logging.hh) terminate the process and are right for
  * interactive binaries where any error is the user's last word. A
- * production pipeline replaying thousands of trace files cannot afford
- * that: one corrupt record must fail *one* workload, descriptively,
- * and let the sweep continue. Library code therefore reports failures
- * as Status (or Expected<T> when there is a value to return) and lets
- * the caller decide whether to recover, skip, or die. Thin
- * fatal()-on-error wrappers preserve the old terminating behaviour for
- * the existing interactive entry points.
+ * long-running daemon serving thousands of sweep requests cannot
+ * afford that: one bad request must fail *one* request,
+ * descriptively, and let the daemon continue. Library code therefore
+ * reports failures as Status (or Expected<T> when there is a value to
+ * return) and lets the caller decide whether to recover, skip, or die.
+ * Thin fatal()-on-error wrappers preserve the old terminating
+ * behaviour for the existing interactive entry points.
  *
  * Conventions (see DESIGN.md "Error handling"):
  *  - Status / Expected<T>: any failure caused by *inputs* — files,

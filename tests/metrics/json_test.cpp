@@ -10,6 +10,7 @@
 #include <string>
 
 #include "metrics/json.hh"
+#include "support/temp_path.hh"
 
 namespace mlpsim::metrics {
 namespace {
@@ -160,8 +161,8 @@ TEST(Json, FindAndMissingMembers)
 
 TEST(Json, FileRoundTripIsAtomicAndExact)
 {
-    const std::string path =
-        testing::TempDir() + "/mlpsim_json_test.json";
+    // The plain and ASan/UBSan twins may run at the same time.
+    const std::string path = test::tempPath("mlpsim_json_test", ".json");
     JsonValue doc = JsonValue::object();
     doc.set("answer", uint64_t(42));
     doc.set("pi", 3.141592653589793);

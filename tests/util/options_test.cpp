@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "util/options.hh"
 #include "util/parallel.hh"
@@ -169,6 +170,34 @@ TEST(Options, JobLimitsCountTotalAttemptsThatFitUnsigned)
         auto limits = parseJobLimits(parse({bad}));
         ASSERT_FALSE(limits.ok());
         EXPECT_EQ(limits.status().code(), ErrorCode::InvalidArgument);
+    }
+}
+
+TEST(Options, JobsMustFitUnsigned)
+{
+    auto defaulted = parseJobs(parse({}), 2);
+    ASSERT_TRUE(defaulted.ok()) << defaulted.status().toString();
+    EXPECT_EQ(*defaulted, 2u);
+
+    // 0 keeps meaning every hardware thread; UINT_MAX is the largest
+    // count a SweepRunner takes.
+    for (const auto &[flag, want] :
+         {std::pair{"--jobs=0", 0u},
+          std::pair{"--jobs=4294967295", 4294967295u}}) {
+        SCOPED_TRACE(flag);
+        auto jobs = parseJobs(parse({flag}), 2);
+        ASSERT_TRUE(jobs.ok()) << jobs.status().toString();
+        EXPECT_EQ(*jobs, want);
+    }
+
+    // Values past UINT_MAX must not wrap: 2^32 would become 0 (every
+    // hardware thread), 2^32 + 1 a single thread.
+    for (const char *bad :
+         {"--jobs=4294967296", "--jobs=4294967297", "--jobs=x"}) {
+        SCOPED_TRACE(bad);
+        auto jobs = parseJobs(parse({bad}), 2);
+        ASSERT_FALSE(jobs.ok());
+        EXPECT_EQ(jobs.status().code(), ErrorCode::InvalidArgument);
     }
 }
 

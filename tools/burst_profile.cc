@@ -74,6 +74,7 @@ main(int argc, char **argv)
     const uint64_t warmup = opts.scaledInsts("warmup", 1'000'000);
     const uint64_t measure = opts.scaledInsts("insts", 3'000'000);
     const std::string machine = opts.getString("machine", "64C");
+    const unsigned jobs = parseJobs(opts, 0).orFatal();
 
     const std::string metrics_out = opts.getString("metrics-out", "");
     const std::string trace_events = opts.getString("trace-events", "");
@@ -84,7 +85,7 @@ main(int argc, char **argv)
 
     // One job per workload: prepare + annotate + simulate; results are
     // printed in canonical order regardless of completion order.
-    SweepRunner runner(unsigned(opts.getU64("jobs", 0)));
+    SweepRunner runner(jobs);
     std::vector<Job<core::MlpResult>> cells;
     for (const auto &name : names) {
         cells.push_back(runner.defer<core::MlpResult>(

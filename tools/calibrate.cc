@@ -54,6 +54,7 @@ main(int argc, char **argv)
     const uint64_t measure = opts.scaledInsts("insts", 3'000'000);
     const uint64_t total = warmup + measure;
     const uint64_t l2mb = opts.getU64("l2mb", 2);
+    const unsigned jobs = parseJobs(opts, 0).orFatal();
 
     const std::string targets_path = opts.getString("targets", "");
     const metrics::JsonValue targets_doc =
@@ -71,7 +72,7 @@ main(int argc, char **argv)
     const std::vector<std::string> names =
         workloads::selectWorkloads(opts.find("workload")).orFatal();
 
-    SweepRunner runner(unsigned(opts.getU64("jobs", 0)));
+    SweepRunner runner(jobs);
 
     // Stage 1: materialise + annotate every workload concurrently.
     std::vector<Job<core::PreparedTrace>> prepJobs;

@@ -62,7 +62,7 @@ main(int argc, char **argv)
 
     service::DaemonConfig config;
     config.cacheDir = opts.getString("cache-dir", "");
-    config.jobs = static_cast<unsigned>(opts.getU64("jobs", 0));
+    config.jobs = parseJobs(opts, 0).orFatal();
     config.traceCacheCapacity = opts.getU64("trace-cache", 4);
     config.maxInsts = opts.getU64("max-insts", 100'000'000);
     config.maxBatch =

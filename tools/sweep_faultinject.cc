@@ -79,7 +79,7 @@ main(int argc, char **argv)
     if (!known.ok())
         return flagError(known);
 
-    uint64_t insts = 0, warmup = 0, jobs = 0;
+    uint64_t insts = 0, warmup = 0;
     uint64_t stuck = 0, throwing = 0, flaky = 0, flaky_failures = 0;
     {
         // Every getter returns Expected; the first failure aborts the
@@ -92,7 +92,6 @@ main(int argc, char **argv)
         Binding bindings[] = {
             {&insts, opts.tryScaledInsts("insts", 20'000)},
             {&warmup, opts.tryScaledInsts("warmup", 2'000)},
-            {&jobs, opts.tryGetU64("jobs", 2)},
             {&stuck, opts.tryGetU64("stuck", 0)},
             {&throwing, opts.tryGetU64("throw", 0)},
             {&flaky, opts.tryGetU64("flaky", 0)},
@@ -104,6 +103,9 @@ main(int argc, char **argv)
             *binding.out = *binding.value;
         }
     }
+    const auto jobs = parseJobs(opts, 2);
+    if (!jobs.ok())
+        return flagError(jobs.status());
     const auto limits = parseJobLimits(opts);
     if (!limits.ok())
         return flagError(limits.status());
@@ -116,7 +118,7 @@ main(int argc, char **argv)
     }
 
     // ----- defer the real grid ------------------------------------
-    SweepRunner runner{unsigned(jobs)};
+    SweepRunner runner{*jobs};
     runner.setJobLimits(*limits);
     const auto &names = workloads::commercialWorkloadNames();
     std::vector<core::PreparedTrace> traces;
