@@ -124,10 +124,8 @@ BenchSetup::tryFromOptions(const Options &opts)
     }
     setup.streamChunk = uint32_t(stream_chunk);
 
-    if (!setup.metricsOut.empty() || !setup.traceEventsOut.empty()) {
+    if (!setup.metricsOut.empty() || !setup.traceEventsOut.empty())
         metrics::setEnabled(true);
-        metrics::installSweepIsolation();
-    }
     if (!setup.metricsOut.empty() || !setup.sweepReportOut.empty()) {
         // Best-effort flush on fatal()/panic(): a run dying mid-sweep
         // still leaves its requested output files behind. Failures

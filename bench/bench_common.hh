@@ -102,9 +102,9 @@ struct BenchSetup
      * MLPSIM_SCALE) from @p opts, after rejecting any flag outside the
      * standard bench set — a typo'd flag fails up front instead of
      * silently leaving a default in force for a long run. Giving any
-     * output flag enables metric collection and installs the
-     * sweep-isolation hooks before any threads start,
-     * plus a fatal()/panic() exit-flush hook so a dying run still
+     * output flag enables metric collection before any threads start
+     * (SweepRunner isolates each job's metrics by itself), plus a
+     * fatal()/panic() exit-flush hook so a dying run still
      * leaves its --metrics-out / --sweep-report files on disk.
      */
     static Expected<BenchSetup> tryFromOptions(const Options &opts);

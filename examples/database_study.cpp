@@ -12,9 +12,10 @@
 
 #include "core/cpi_model.hh"
 #include "core/mlpsim.hh"
+#include "core/trace_pipeline.hh"
 #include "util/options.hh"
 #include "util/table.hh"
-#include "workloads/database.hh"
+#include "workloads/factory.hh"
 
 using namespace mlpsim;
 
@@ -27,13 +28,12 @@ main(int argc, char **argv)
     const uint64_t warmup = insts / 4;
     const double latency = opts.getDouble("latency", 1000.0);
 
-    workloads::DatabaseWorkload database;
-    trace::TraceBuffer buffer("database");
-    buffer.fill(database, insts);
-    core::AnnotationOptions annotation;
-    annotation.warmupInsts = warmup;
-    const auto annotated =
-        core::AnnotatedTrace::make(buffer, annotation).orFatal();
+    core::TraceSpec spec;
+    spec.workload = "database";
+    spec.seed = workloads::presetSeed(spec.workload);
+    spec.totalInsts = insts;
+    spec.annotation.warmupInsts = warmup;
+    const auto trace = core::PreparedTrace::make(spec).orFatal();
 
     // Representative on-chip parameters for the projection (measure
     // them with cyclesim::CycleSim for full fidelity; see
@@ -65,7 +65,7 @@ main(int argc, char **argv)
     double base_cpi = 0.0;
     for (auto &step : steps) {
         step.cfg.warmupInsts = warmup;
-        const auto r = core::runMlp(step.cfg, annotated.context());
+        const auto r = core::runMlp(step.cfg, trace.context());
         core::CpiModelParams params{cpi_perf, overlap_cm,
                                     r.missRatePer100() / 100.0, latency,
                                     r.mlp()};
@@ -90,7 +90,7 @@ main(int argc, char **argv)
 
     std::printf("OLTP core study at %.0f-cycle off-chip latency "
                 "(%zu-instruction trace)\n\n",
-                latency, buffer.size());
+                latency, trace.buffer()->size());
     std::printf("%s", table.render().c_str());
     std::printf("\nReading the last column bottom-up is the paper's "
                 "story: capacity stops\nmattering once serialization "

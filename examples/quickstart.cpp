@@ -3,9 +3,10 @@
  * Quickstart: measure the MLP of a workload on a few machines.
  *
  * The five steps every mlpsim program follows:
- *   1. build (or load) an instruction trace;
+ *   1. generate an instruction trace;
  *   2. annotate it once (cache misses, branch mispredictions,
- *      value-prediction outcomes);
+ *      value-prediction outcomes) — core::PreparedTrace::make does
+ *      both;
  *   3. describe a machine with core::MlpConfig;
  *   4. run the epoch model;
  *   5. read MLP / epoch statistics out of core::MlpResult.
@@ -15,8 +16,9 @@
 #include <cstdio>
 
 #include "core/mlpsim.hh"
+#include "core/trace_pipeline.hh"
 #include "util/options.hh"
-#include "workloads/database.hh"
+#include "workloads/factory.hh"
 
 using namespace mlpsim;
 
@@ -28,24 +30,23 @@ main(int argc, char **argv)
     const uint64_t insts = opts.scaledInsts("insts", 2'000'000);
     const uint64_t warmup = insts / 4;
 
-    // 1. A synthetic OLTP trace (see workloads/ for the other
-    //    generators).
-    workloads::DatabaseWorkload database;
-    trace::TraceBuffer buffer("database");
-    buffer.fill(database, insts);
+    // 1. A synthetic OLTP trace at its preset seed (see workloads/
+    //    for the other generators).
+    core::TraceSpec spec;
+    spec.workload = "database";
+    spec.seed = workloads::presetSeed(spec.workload);
+    spec.totalInsts = insts;
 
     // 2. Annotate: one program-order pass through the default memory
     //    hierarchy (32KB L1s, 2MB L2), gshare+BTB+RAS front end and
     //    the missing-load value predictor.
-    core::AnnotationOptions annotation;
-    annotation.warmupInsts = warmup;
-    const auto annotated =
-        core::AnnotatedTrace::make(buffer, annotation).orFatal();
+    spec.annotation.warmupInsts = warmup;
+    const auto trace = core::PreparedTrace::make(spec).orFatal();
 
     std::printf("trace: %zu instructions (%llu warm-up)\n",
-                buffer.size(), (unsigned long long)warmup);
+                trace.buffer()->size(), (unsigned long long)warmup);
     std::printf("off-chip accesses per 100 instructions: %.2f\n\n",
-                annotated.misses().missRatePer100());
+                trace.annotated().misses().missRatePer100());
 
     // 3-5. A few machines from the paper.
     struct
@@ -68,7 +69,7 @@ main(int argc, char **argv)
     for (auto &m : machines) {
         m.cfg.warmupInsts = warmup;
         const core::MlpResult result =
-            core::runMlp(m.cfg, annotated.context());
+            core::runMlp(m.cfg, trace.context());
         std::printf("%-36s MLP = %.2f  (%llu accesses / %llu epochs)\n",
                     m.what, result.mlp(),
                     (unsigned long long)result.usefulAccesses,

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "core/mlpsim.hh"
+#include "core/trace_pipeline.hh"
 #include "util/options.hh"
 #include "util/table.hh"
 #include "workloads/factory.hh"
@@ -29,17 +30,16 @@ main(int argc, char **argv)
                      "RAE-2048+VP", "INF"});
 
     for (const auto &name : workloads::commercialWorkloadNames()) {
-        auto generator = workloads::makeWorkload(name);
-        trace::TraceBuffer buffer(name);
-        buffer.fill(*generator, insts);
-        core::AnnotationOptions annotation;
-        annotation.warmupInsts = warmup;
-        const auto annotated =
-            core::AnnotatedTrace::make(buffer, annotation).orFatal();
+        core::TraceSpec spec;
+        spec.workload = name;
+        spec.seed = workloads::presetSeed(name);
+        spec.totalInsts = insts;
+        spec.annotation.warmupInsts = warmup;
+        const auto trace = core::PreparedTrace::make(spec).orFatal();
 
         auto mlp = [&](core::MlpConfig cfg) {
             cfg.warmupInsts = warmup;
-            return core::runMlp(cfg, annotated.context()).mlp();
+            return core::runMlp(cfg, trace.context()).mlp();
         };
 
         std::vector<std::string> row{name};

@@ -1,9 +1,6 @@
 #include "registry.hh"
 
-#include <memory>
-
 #include "util/logging.hh"
-#include "util/parallel.hh"
 
 namespace mlpsim::metrics {
 
@@ -213,52 +210,6 @@ ScopedTimer::~ScopedTimer()
     const auto end = std::chrono::steady_clock::now();
     cur().addTime(path,
                   std::chrono::duration<double>(end - start).count());
-}
-
-// ----- sweep-job isolation -----------------------------------------
-
-namespace {
-
-/**
- * Per-job token: the job's private registry plus the CollectorScope
- * installing it on the executing thread between begin() and end().
- */
-struct JobCollector
-{
-    MetricRegistry registry;
-    std::unique_ptr<CollectorScope> scope;
-};
-
-} // namespace
-
-JobHooks
-sweepIsolationHooks()
-{
-    JobHooks hooks;
-    hooks.begin = [](const std::string &) -> std::shared_ptr<void> {
-        if (!enabled())
-            return nullptr;
-        auto collector = std::make_shared<JobCollector>();
-        collector->scope =
-            std::make_unique<CollectorScope>(&collector->registry);
-        return collector;
-    };
-    hooks.end = [](const std::shared_ptr<void> &token) {
-        if (auto *collector = static_cast<JobCollector *>(token.get()))
-            collector->scope.reset();
-    };
-    hooks.commit = [](const std::shared_ptr<void> &token,
-                      const std::string &) {
-        if (auto *collector = static_cast<JobCollector *>(token.get()))
-            MetricRegistry::global().merge(collector->registry);
-    };
-    return hooks;
-}
-
-void
-installSweepIsolation()
-{
-    SweepRunner::setJobHooks(sweepIsolationHooks());
 }
 
 } // namespace mlpsim::metrics

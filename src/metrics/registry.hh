@@ -17,12 +17,13 @@
  *     and floating-point accumulation is order-sensitive, so
  *     interleaving updates from concurrently running cells into one
  *     registry would make snapshots depend on thread scheduling.
- *     Instead, each SweepRunner job records into its own private
- *     registry (installed as the thread's *current* registry by the
- *     job-isolation hooks, see installSweepIsolation()), and completed
- *     job registries are merged into the global one in *submission
- *     order* after each batch. Identical flags therefore produce
- *     bit-identical snapshots for every --jobs value.
+ *     Instead, SweepRunner (util/parallel.hh) runs each job attempt
+ *     with its own private registry installed as the thread's
+ *     *current* one (CollectorScope), drops a failed attempt's, and
+ *     merges the successful jobs' registries into the global one in
+ *     *submission order* after each batch. No binary installs
+ *     anything: identical flags produce bit-identical snapshots for
+ *     every --jobs value.
  *
  *  3. **Hierarchical labels.** Metric paths follow
  *     `workload/config/component/metric` (e.g.
@@ -49,10 +50,7 @@
 
 #include "util/stats.hh"
 
-namespace mlpsim {
-struct JobHooks; // util/parallel.hh
-
-namespace metrics {
+namespace mlpsim::metrics {
 
 /** What a metric path holds (fixed at first touch, checked after). */
 enum class MetricKind : uint8_t {
@@ -115,8 +113,8 @@ class MetricRegistry
 
     /**
      * Fold every metric of @p other into this registry. Determinism
-     * contract: callers merge in submission order (the sweep hooks
-     * do), never in completion order.
+     * contract: callers merge in submission order (SweepRunner
+     * does), never in completion order.
      */
     void merge(const MetricRegistry &other);
 
@@ -135,8 +133,8 @@ class MetricRegistry
 
 /**
  * The thread's *current* registry: the global one by default, or a
- * job-private registry while a sweep job runs under the isolation
- * hooks. All scopedPath()-style instrumentation goes through cur().
+ * job-private registry while a SweepRunner job runs with collection
+ * on. All scopedPath()-style instrumentation goes through cur().
  */
 MetricRegistry &cur();
 
@@ -192,21 +190,4 @@ class ScopedTimer
     std::chrono::steady_clock::time_point start;
 };
 
-/**
- * Route every SweepRunner job through a private registry merged into
- * the global one in submission order (the determinism contract above).
- * Idempotent; installs process-wide hooks, so one call at option-parse
- * time covers every runner the binary creates.
- */
-void installSweepIsolation();
-
-/**
- * The hooks installSweepIsolation() installs, exposed so a caller can
- * compose them with its own instrumentation (the mlpsimd daemon wraps
- * them to stream per-cell progress events) before SweepRunner::
- * setJobHooks — there is only one process-wide hook slot.
- */
-JobHooks sweepIsolationHooks();
-
-} // namespace metrics
-} // namespace mlpsim
+} // namespace mlpsim::metrics

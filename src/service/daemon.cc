@@ -32,28 +32,18 @@ resultsLogPath(const std::string &cache_dir)
     return cache_dir + "/results.rec";
 }
 
-/** Our hook token: the wrapped metrics token plus the cell label. */
-struct CellToken
-{
-    std::shared_ptr<void> inner;
-    std::string label;
-};
-
 } // namespace
 
 Daemon::Daemon(DaemonConfig daemon_config)
     : config(daemon_config), runner(daemon_config.jobs),
       traces(daemon_config.traceCacheCapacity)
 {
-    installHooks();
-}
-
-Daemon::~Daemon()
-{
-    // Hand the hook slot back to the plain metrics isolation hooks
-    // (what every sweep binary installs), not to nothing, so in-
-    // process tests that keep running sweeps stay deterministic.
-    SweepRunner::setJobHooks(metrics::sweepIsolationHooks());
+    // Live per-cell progress, from this daemon's own runner only.
+    if (config.emitEvents) {
+        runner.setJobEndCallback([this](const std::string &label) {
+            emitFrame(makeCellDoneEvent(label));
+        });
+    }
 }
 
 Expected<std::unique_ptr<Daemon>>
@@ -76,36 +66,6 @@ Daemon::create(DaemonConfig daemon_config)
                               ? std::string()
                               : resultsLogPath(daemon_config.cacheDir)));
     return daemon;
-}
-
-void
-Daemon::installHooks()
-{
-    // Compose the metrics sweep-isolation hooks (deterministic
-    // submission-order merge) with live per-cell progress events.
-    const JobHooks base = metrics::sweepIsolationHooks();
-    JobHooks hooks;
-    hooks.begin = [base](const std::string &label) {
-        auto token = std::make_shared<CellToken>();
-        if (base.begin)
-            token->inner = base.begin(label);
-        token->label = label;
-        return token;
-    };
-    hooks.end = [this, base](const std::shared_ptr<void> &token) {
-        auto *cell = static_cast<CellToken *>(token.get());
-        if (base.end)
-            base.end(cell->inner);
-        if (config.emitEvents)
-            emitFrame(makeCellDoneEvent(cell->label));
-    };
-    hooks.commit = [base](const std::shared_ptr<void> &token,
-                          const std::string &label) {
-        auto *cell = static_cast<CellToken *>(token.get());
-        if (base.commit)
-            base.commit(cell->inner, label);
-    };
-    SweepRunner::setJobHooks(std::move(hooks));
 }
 
 void

@@ -33,9 +33,11 @@
  *      counterpart, because response bodies carry no cache metadata.
  *
  * Progress events (optional, --events): "planned" per request before
- * execution, "cell-done" streamed live from the job-completion hooks,
- * which also wrap the metrics sweep-isolation hooks so per-cell
- * metrics keep their deterministic submission-order merge.
+ * execution, "cell-done" streamed live after every cell attempt by the
+ * job-end callback of the daemon's own SweepRunner — so each of
+ * several daemons in one process streams exactly its own cells. Per-
+ * cell metrics keep SweepRunner's deterministic submission-order
+ * merge.
  *
  * Crash injection: killAfter > 0 makes the daemon _Exit(42) right
  * after recording its Nth computed cell, deliberately leaving a
@@ -97,12 +99,10 @@ class Daemon
   public:
     /**
      * Construct a daemon: opens (and replays) the persistent result
-     * cache under config.cacheDir and installs the composed job
-     * hooks. Fails if an existing cache file is unusable for append.
+     * cache under config.cacheDir. Fails if an existing cache file is
+     * unusable for append.
      */
     static Expected<std::unique_ptr<Daemon>> create(DaemonConfig config);
-
-    ~Daemon();
 
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
@@ -128,7 +128,6 @@ class Daemon
   private:
     explicit Daemon(DaemonConfig daemon_config);
 
-    void installHooks();
     void emitFrame(const metrics::JsonValue &event);
     Status handleBatch(const std::vector<std::string> &frames,
                        FrameWriter &writer);

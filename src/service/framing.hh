@@ -19,8 +19,8 @@
  * in); failing fast beats attempting a 4 GB allocation.
  *
  * FrameWriter serialises concurrent writers with a mutex so progress
- * events emitted from job hooks interleave with responses at frame
- * granularity, never mid-frame.
+ * events emitted from sweep job threads interleave with responses at
+ * frame granularity, never mid-frame.
  */
 #pragma once
 

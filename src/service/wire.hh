@@ -20,7 +20,7 @@
  *    frames interleaved with responses — "planned" (how many cells a
  *    request needs and how many the cache already had) and
  *    "cell-done" (a cell finished computing, streamed live from the
- *    job hooks).
+ *    runner's job-end callback).
  *  - `mlpsim-sweep-control-v1` (client → daemon): "ping" (answered
  *    with a "pong" event) and "shutdown" (daemon drains and exits).
  *

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "metrics/registry.hh"
+
 namespace mlpsim {
 
 // ----- ThreadPool --------------------------------------------------
@@ -45,24 +47,15 @@ ThreadPool::waitIdle()
 namespace {
 
 /**
- * Process-wide job-hook and span state. One mutex guards both; jobs
- * touch it twice each (hook copy at start, span append at end), which
- * is noise next to a job body that simulates millions of instructions.
+ * The process-wide span log. A batch appends to it once, which is
+ * noise next to job bodies that simulate millions of instructions.
  */
-std::mutex g_jobStateMutex;
-JobHooks g_jobHooks;
+std::mutex g_spanMutex;
 std::vector<JobSpan> g_jobSpans;
 
 /** 1-based id per pool worker thread; 0 on every other thread. */
 thread_local unsigned t_workerId = 0;
 std::atomic<unsigned> g_nextWorkerId{0};
-
-JobHooks
-currentJobHooks()
-{
-    std::lock_guard<std::mutex> lock(g_jobStateMutex);
-    return g_jobHooks;
-}
 
 } // namespace
 
@@ -154,14 +147,18 @@ retryBackoff(unsigned failed_attempt)
 } // namespace
 
 /**
- * Run one attempt of @p job under @p tok. Returns true on success;
- * otherwise fills @p failure with the classified Status.
+ * Run one attempt of @p job under @p tok, recording metrics into
+ * @p registry when it is not null. Returns true on success; otherwise
+ * fills @p failure with the classified Status.
  */
 bool
 SweepRunner::runAttempt(Pending &job, const CancelToken &tok,
-                        Status *failure)
+                        metrics::MetricRegistry *registry, Status *failure)
 {
     CancelScope scope(&tok);
+    std::optional<metrics::CollectorScope> collect;
+    if (registry)
+        collect.emplace(registry);
     try {
         // A zero deadline fails the job without running a single
         // instruction of its body.
@@ -181,7 +178,6 @@ SweepRunner::runAttempt(Pending &job, const CancelToken &tok,
 void
 SweepRunner::execute(Pending &job)
 {
-    const JobHooks hooks = currentJobHooks();
     const JobLimits &lim = job.slot->limits;
 
     const auto first_start = std::chrono::steady_clock::now();
@@ -194,28 +190,29 @@ SweepRunner::execute(Pending &job)
         CancelToken token;
         token.setDeadlineAfterMillis(lim.deadlineMillis);
 
-        // Per-attempt hook pair; a failed attempt's token is dropped
-        // below so partial metrics never reach the snapshot merge.
-        if (hooks.begin)
-            job.slot->hookToken = hooks.begin(job.slot->label);
+        // A private registry per attempt: a failed attempt's is
+        // dropped with it, so partial metrics never reach the merge.
+        std::shared_ptr<metrics::MetricRegistry> registry;
+        if (metrics::enabled())
+            registry = std::make_shared<metrics::MetricRegistry>();
 
         Status failure;
         const auto start = std::chrono::steady_clock::now();
-        const bool ok = runAttempt(job, token, &failure);
+        const bool ok = runAttempt(job, token, registry.get(), &failure);
         const auto end = std::chrono::steady_clock::now();
 
-        if (hooks.end)
-            hooks.end(job.slot->hookToken);
+        if (jobEnd)
+            jobEnd(job.slot->label);
 
         total_millis +=
             std::chrono::duration<double, std::milli>(end - start).count();
 
         if (ok) {
             job.slot->failStatus = Status::okStatus();
+            job.slot->registry = std::move(registry);
             break;
         }
 
-        job.slot->hookToken.reset();
         if (isRetryable(failure.code()) && attempt < lim.maxAttempts) {
             std::this_thread::sleep_for(retryBackoff(attempt));
             continue;
@@ -275,7 +272,7 @@ SweepRunner::runAll()
     }
 
     {
-        std::lock_guard<std::mutex> lock(g_jobStateMutex);
+        std::lock_guard<std::mutex> lock(g_spanMutex);
         for (const auto &job : jobs) {
             g_jobSpans.push_back(JobSpan{job.slot->label,
                                          job.slot->startMillis,
@@ -284,17 +281,13 @@ SweepRunner::runAll()
         }
     }
 
-    // Commit per-job hook tokens in submission order — the ordering
-    // the metrics layer's deterministic-merge contract depends on —
-    // and drop the tokens so job-private state is released with the
-    // batch, not with the Job<T> handles. Failed jobs have no token
-    // left (dropped in execute()), so only complete, successful
-    // attempts are merged.
-    const JobHooks hooks = currentJobHooks();
+    // Merge per-job metrics in submission order — the ordering the
+    // deterministic-snapshot contract depends on — releasing them with
+    // the batch, not with the Job<T> handles. Failed jobs kept none
+    // (see execute()), so only complete, successful attempts merge.
     for (const auto &job : jobs) {
-        if (hooks.commit && job.slot->hookToken)
-            hooks.commit(job.slot->hookToken, job.slot->label);
-        job.slot->hookToken.reset();
+        if (const auto registry = std::move(job.slot->registry))
+            metrics::MetricRegistry::global().merge(*registry);
     }
 
     // Graceful degradation: the sweep outlives its failed cells. The
@@ -308,17 +301,10 @@ SweepRunner::runAll()
     }
 }
 
-void
-SweepRunner::setJobHooks(JobHooks hooks)
-{
-    std::lock_guard<std::mutex> lock(g_jobStateMutex);
-    g_jobHooks = std::move(hooks);
-}
-
 std::vector<JobSpan>
 SweepRunner::drainSpans()
 {
-    std::lock_guard<std::mutex> lock(g_jobStateMutex);
+    std::lock_guard<std::mutex> lock(g_spanMutex);
     std::vector<JobSpan> out;
     out.swap(g_jobSpans);
     return out;

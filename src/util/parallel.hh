@@ -42,6 +42,16 @@
  *    fixed schedule first — 1 ms, doubling, capped at 2 s — so two
  *    runs of one sweep back off identically.
  *
+ * Metric isolation (metrics/registry.hh): while collection is on,
+ * every attempt of a job records into a private MetricRegistry,
+ * installed as its thread's current registry. A failed attempt's
+ * registry is dropped, so partial metrics never reach a snapshot, and
+ * runAll() merges the successful jobs' registries into
+ * MetricRegistry::global() in submission order. Snapshots are thus
+ * bit-identical for every --jobs value with nothing for a caller to
+ * install; this is why the runner is built into the mlpsim_metrics
+ * library although its header lives here.
+ *
  * On the all-success path none of this machinery observably runs:
  * results, stdout and --metrics-out files stay byte-identical to the
  * pre-fault-tolerance behaviour for every --jobs value.
@@ -68,6 +78,10 @@
 #include "util/status.hh"
 
 namespace mlpsim {
+
+namespace metrics {
+class MetricRegistry; // metrics/registry.hh
+}
 
 /**
  * A fixed set of worker threads draining one FIFO queue.
@@ -129,31 +143,6 @@ struct JobSpan
     unsigned worker = 0;       //!< 0 = the runner's calling thread
 };
 
-/**
- * Optional per-job instrumentation installed process-wide (see
- * SweepRunner::setJobHooks). `begin` runs on the executing thread
- * right before the job body and returns an opaque token; `end` runs on
- * the same thread right after the body; `commit` runs on the runAll()
- * caller once the batch finished, once per job in *submission order* —
- * the ordering the metrics layer relies on for deterministic merges.
- * begin/commit also receive the job's label, so hooks that report
- * progress (the mlpsimd event stream) can name the cell without a
- * side channel.
- *
- * Retried jobs get a fresh begin/end pair per attempt and only the
- * final attempt's token survives; failed jobs' tokens are dropped
- * without commit, so a half-executed attempt can never leak partial
- * metrics into the deterministic snapshot.
- */
-struct JobHooks
-{
-    std::function<std::shared_ptr<void>(const std::string &label)> begin;
-    std::function<void(const std::shared_ptr<void> &)> end;
-    std::function<void(const std::shared_ptr<void> &,
-                       const std::string &label)>
-        commit;
-};
-
 /** One recorded job failure (see the file comment's failure model). */
 struct JobFailure
 {
@@ -202,7 +191,9 @@ struct JobSlot
     std::string label;                //!< for diagnostics/progress
     Status failStatus;                //!< classified final failure
     JobLimits limits;                 //!< limits in force at defer()
-    std::shared_ptr<void> hookToken;  //!< JobHooks begin() result
+    /** The successful attempt's private metrics, until runAll()
+     *  merges them (null while metric collection is off). */
+    std::shared_ptr<metrics::MetricRegistry> registry;
     double startMillis = 0.0;         //!< since processEpoch()
     double wallMillis = 0.0;          //!< execution time of this job
     unsigned worker = 0;              //!< executing worker (0 = caller)
@@ -386,11 +377,15 @@ class SweepRunner
     const BatchStats &lastBatch() const { return batch; }
 
     /**
-     * Install process-wide per-job hooks (all runners, all batches).
-     * Pass a default-constructed JobHooks to uninstall. Not intended
-     * to change while a batch is in flight.
+     * Call @p callback with the job's label on the executing thread
+     * after every attempt of every job this runner executes — a job
+     * that fails at a zero deadline included, a retried job once per
+     * attempt. Not to be changed while a batch runs.
      */
-    static void setJobHooks(JobHooks hooks);
+    void setJobEndCallback(std::function<void(const std::string &)> callback)
+    {
+        jobEnd = std::move(callback);
+    }
 
     /**
      * All job spans recorded process-wide since the last drain, in
@@ -413,6 +408,7 @@ class SweepRunner
                  std::function<void()> body);
     void execute(Pending &job);
     static bool runAttempt(Pending &job, const CancelToken &tok,
+                           metrics::MetricRegistry *registry,
                            Status *failure);
 
     unsigned jobCount;
@@ -423,6 +419,7 @@ class SweepRunner
 
     JobLimits limits;
     std::vector<JobFailure> failures;  //!< last batch, submission order
+    std::function<void(const std::string &)> jobEnd;
 };
 
 } // namespace mlpsim

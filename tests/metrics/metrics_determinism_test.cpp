@@ -126,7 +126,6 @@ TEST(MetricsDeterminism, SweepSnapshotsBitIdenticalAcrossJobCounts)
 {
     ASSERT_FALSE(metrics::enabled());
     metrics::setEnabled(true);
-    metrics::installSweepIsolation();
 
     const std::string serial = sweepSnapshot(1);
     const std::string parallel = sweepSnapshot(8);

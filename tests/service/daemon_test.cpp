@@ -98,6 +98,15 @@ runSession(Daemon &daemon, const std::vector<std::string> &payloads)
     return session;
 }
 
+size_t
+cellDoneCount(const Session &session)
+{
+    size_t count = 0;
+    for (const JsonValue &event : session.events)
+        count += event.find("event")->string() == "cell-done";
+    return count;
+}
+
 std::unique_ptr<Daemon>
 memoryDaemon()
 {
@@ -347,11 +356,33 @@ TEST(DaemonTest, FailedPongWriteStillRunsTheBatchsDeferredCells)
         *daemon, {requestPayload("next", "database", "{\"window\":32}")});
     ASSERT_TRUE(next.served.ok()) << next.served.toString();
     ASSERT_EQ(next.responses.size(), 1u);
-    size_t cell_done = 0;
-    for (const JsonValue &event : next.events)
-        cell_done += event.find("event")->string() == "cell-done";
-    EXPECT_EQ(cell_done, 1u);
+    EXPECT_EQ(cellDoneCount(next), 1u);
     EXPECT_EQ(daemon->stats().cellsComputed, 2u);
+}
+
+TEST(DaemonTest, EachDaemonStreamsItsOwnCellDoneEvents)
+{
+    // Two daemons alive in one process: each streams the cell-done
+    // events of its own cells to its own client, and destroying one
+    // leaves the other's stream intact.
+    auto older = memoryDaemon();
+    auto newer = memoryDaemon();
+
+    const Session first =
+        runSession(*older, {requestPayload("older", "database", "{}")});
+    ASSERT_TRUE(first.served.ok()) << first.served.toString();
+    EXPECT_EQ(cellDoneCount(first), 1u);
+
+    const Session other =
+        runSession(*newer, {requestPayload("newer", "database", "{}")});
+    ASSERT_TRUE(other.served.ok()) << other.served.toString();
+    EXPECT_EQ(cellDoneCount(other), 1u);
+
+    newer.reset();
+    const Session after = runSession(
+        *older, {requestPayload("after", "database", "{\"window\":32}")});
+    ASSERT_TRUE(after.served.ok()) << after.served.toString();
+    EXPECT_EQ(cellDoneCount(after), 1u);
 }
 
 TEST(DaemonTest, CacheDirHoldsOnlyTheResultLog)

@@ -1,9 +1,11 @@
 /**
  * @file
  * SweepRunner / ThreadPool unit tests: submission-ordered result
- * collection, submission-ordered failure records, batch reuse, and
- * basic pool liveness. Compiled both plain (util target) and under
- * ThreadSanitizer (parallel_tests_tsan) in the default ctest tier.
+ * collection, submission-ordered failure records, batch reuse, per-job
+ * metric isolation, and basic pool liveness. Compiled plain
+ * (parallel_tests), under ASan/UBSan (faultinject_parallel_san) and
+ * under ThreadSanitizer (parallel_tests_tsan) in the default ctest
+ * tier.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/registry.hh"
 #include "util/parallel.hh"
 
 namespace mlpsim {
@@ -206,7 +209,7 @@ TEST(SweepRunnerTest, RecordsPerJobAndBatchTiming)
     auto job = runner.defer<int>("work", [] {
         volatile int64_t sink = 0;
         for (int64_t i = 0; i < 2'000'000; ++i)
-            sink += i;
+            sink = sink + i;
         return sink > 0 ? 1 : 0;
     });
     runner.runAll();
@@ -218,6 +221,45 @@ TEST(SweepRunnerTest, RecordsPerJobAndBatchTiming)
     EXPECT_GE(batch.busyMillis, 0.0);
     EXPECT_GE(batch.maxJobMillis, 0.0);
     EXPECT_GT(batch.concurrency(), 0.0);
+}
+
+TEST(SweepRunnerTest, MergesOnlySuccessfulAttemptsMetrics)
+{
+    // With collection on, the runner itself gives every attempt a
+    // private registry and drops a failed attempt's.
+    ASSERT_FALSE(metrics::enabled());
+    auto &global = metrics::MetricRegistry::global();
+    global.clear();
+    metrics::setEnabled(true);
+
+    SweepRunner runner(2);
+    JobLimits limits;
+    limits.maxAttempts = 3;
+    runner.setJobLimits(limits);
+    auto attempts_seen = std::make_shared<std::atomic<unsigned>>(0);
+    auto flaky = runner.defer<int>("flaky", [attempts_seen] {
+        metrics::cur().add("flaky/attempts");
+        if (attempts_seen->fetch_add(1) == 0)
+            throw StatusError(Status::unavailable("transient blip"));
+        return 1;
+    });
+    auto doomed = runner.defer<int>("doomed", []() -> int {
+        metrics::cur().add("doomed/attempts");
+        throw StatusError(Status::invalidArgument("never works"));
+    });
+    runner.runAll();
+
+    const auto snapshot = global.snapshot();
+    metrics::setEnabled(false);
+    global.clear();
+
+    EXPECT_TRUE(flaky.succeeded());
+    EXPECT_EQ(flaky.attempts(), 2u);
+    EXPECT_FALSE(doomed.succeeded());
+    EXPECT_EQ(doomed.attempts(), 1u);
+    ASSERT_EQ(snapshot.count("flaky/attempts"), 1u);
+    EXPECT_EQ(snapshot.at("flaky/attempts").counter, 1u);
+    EXPECT_EQ(snapshot.count("doomed/attempts"), 0u);
 }
 
 } // namespace

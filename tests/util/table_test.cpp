@@ -33,8 +33,9 @@ TEST(TextTable, ColumnsAreAligned)
     while (pos < out.size()) {
         const size_t eol = out.find('\n', pos);
         const size_t len = eol - pos;
-        if (prev_len != std::string::npos)
+        if (prev_len != std::string::npos) {
             EXPECT_EQ(len, prev_len);
+        }
         prev_len = len;
         pos = eol + 1;
     }

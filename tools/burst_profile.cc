@@ -78,10 +78,8 @@ main(int argc, char **argv)
 
     const std::string metrics_out = opts.getString("metrics-out", "");
     const std::string trace_events = opts.getString("trace-events", "");
-    if (!metrics_out.empty() || !trace_events.empty()) {
+    if (!metrics_out.empty() || !trace_events.empty())
         metrics::setEnabled(true);
-        metrics::installSweepIsolation();
-    }
 
     // One job per workload: prepare + annotate + simulate; results are
     // printed in canonical order regardless of completion order.

@@ -64,10 +64,8 @@ main(int argc, char **argv)
 
     const std::string metrics_out = opts.getString("metrics-out", "");
     const std::string trace_events = opts.getString("trace-events", "");
-    if (!metrics_out.empty() || !trace_events.empty()) {
+    if (!metrics_out.empty() || !trace_events.empty())
         metrics::setEnabled(true);
-        metrics::installSweepIsolation();
-    }
 
     const std::vector<std::string> names =
         workloads::selectWorkloads(opts.find("workload")).orFatal();

@@ -31,6 +31,7 @@
  * Everything a *client* can cause is answered with a classified
  * status:"error" response; no request content reaches fatal().
  */
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -65,8 +66,10 @@ main(int argc, char **argv)
     config.jobs = parseJobs(opts, 0).orFatal();
     config.traceCacheCapacity = opts.getU64("trace-cache", 4);
     config.maxInsts = opts.getU64("max-insts", 100'000'000);
-    config.maxBatch =
-        static_cast<unsigned>(opts.getU64("batch-max", 16));
+    const uint64_t batch_max = opts.getU64("batch-max", 16);
+    if (batch_max > UINT_MAX)
+        fatal("--batch-max=", batch_max, " must be at most ", UINT_MAX);
+    config.maxBatch = unsigned(batch_max);
     config.killAfter = opts.getU64("kill-after", 0);
     config.emitEvents = !opts.has("no-events");
     const uint64_t stream_chunk = opts.getU64("stream-chunk", 0);
