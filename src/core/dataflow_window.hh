@@ -2,10 +2,11 @@
  * @file
  * The dataflow window: which in-flight instruction waits on which.
  *
- * The epoch engine (DESIGN.md section 12) and the cycle-accurate
- * pipeline (section 14) must see the same register and memory
- * dependences; only timing separates them, epochs in one and cycles in
- * the other. This class template states the dependence side once:
+ * The epoch engine's dependence side (DESIGN.md section 12). The
+ * cycle-accurate pipeline (section 14) sees the same register and
+ * memory dependences but needs none of this: its program-order pass
+ * reads only each register's and address's newest writer. This class
+ * template holds:
  *
  *  - the power-of-two ring of in-flight entries, indexed by sequence
  *    number (trace index + 1; 0 is the null link);
@@ -19,7 +20,7 @@
  *    parked behind its oldest member (Table 2);
  *  - the ascending-seq ready pool.
  *
- * Each engine derives its entry from DataflowEntry and keeps only what
+ * The engine derives its entry from DataflowEntry and keeps only what
  * is its own: its timing (when a producer's value is available, when an
  * entry may retire), its Table 2 FIFO policies and its annotation flag
  * bits. The template has no virtual calls, so the hot path inlines.

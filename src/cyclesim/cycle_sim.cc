@@ -1,8 +1,14 @@
 #include "cycle_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
+#include "core/chunk_window.hh"
 #include "metrics/registry.hh"
 #include "util/cancellation.hh"
 #include "util/logging.hh"
@@ -64,392 +70,449 @@ CycleSimConfig::metricLabel() const
     return out;
 }
 
+
+namespace {
+
+using trace::InstClass;
+
+/**
+ * Issue slots taken per cycle, for every cycle in which an instruction
+ * not yet stamped may still issue. Issue is oldest-first, so an
+ * instruction issues in the first cycle at or after its ready cycle
+ * that older instructions left below the issue width. An instruction
+ * issues after it dispatches and dispatch cycles never fall, so every
+ * cycle up to the current dispatch cycle is dead: each slot is tagged
+ * with its cycle, a live cycle takes over any slot whose cycle is
+ * dead, and the ring doubles when two live cycles collide.
+ */
+class IssueSlots
+{
+  public:
+    explicit IssueSlots(uint64_t first_size)
+        : slots(std::bit_ceil(std::max<uint64_t>(first_size, 64))),
+          mask(slots.size() - 1)
+    {
+    }
+
+    /** Take a slot in the first cycle at or after @p ready with fewer
+     *  than @p width taken; cycles up to @p dead are dead. */
+    uint64_t
+    take(uint64_t ready, uint64_t dead, unsigned width)
+    {
+        for (uint64_t cycle = ready;;) {
+            Slot &slot = slots[cycle & mask];
+            if (slot.cycle != cycle) {
+                if (slot.cycle > dead) {
+                    grow(dead);
+                    continue;
+                }
+                slot = Slot{cycle, 0};
+            }
+            if (slot.taken < width) {
+                ++slot.taken;
+                return cycle;
+            }
+            ++cycle;
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        uint64_t cycle = 0;
+        uint32_t taken = 0;
+    };
+
+    void
+    grow(uint64_t dead)
+    {
+        // Live cycles distinct modulo n stay distinct modulo 2n.
+        std::vector<Slot> next(slots.size() * 2);
+        mask = next.size() - 1;
+        for (const Slot &slot : slots) {
+            if (slot.cycle > dead)
+                next[slot.cycle & mask] = slot;
+        }
+        slots.swap(next);
+    }
+
+    std::vector<Slot> slots;
+    uint64_t mask;
+};
+
+/**
+ * MLP(t) over the measured cycles [lo, hi). Each useful off-chip
+ * access is outstanding over [start, start + latency), so the sum of
+ * MLP(t) is the summed length of those intervals clipped to [lo, hi)
+ * and the cycles with MLP(t) > 0 are their union's length. All
+ * intervals are equally long, so folding them in ascending start
+ * order sweeps the union with one running end. Starts arrive out of
+ * order (a data access starts when its instruction issues), so they
+ * wait in a min-heap until no later start can be smaller and they end
+ * before hi: the heap holds the last few hundred instructions'
+ * accesses, never the trace's.
+ */
+class OffChipIntervals
+{
+  public:
+    explicit OffChipIntervals(uint64_t access_latency)
+        : latency(access_latency)
+    {
+    }
+
+    void add(uint64_t start) { pending.push(start); }
+
+    /** Measurement starts at cycle @p lo_cycle. */
+    void
+    measureFrom(uint64_t lo_cycle)
+    {
+        measuring = true;
+        lo = lo_cycle;
+    }
+
+    /** Fold every pending access that starts at or before @p frontier,
+     *  below which no later access starts, and ends by @p horizon, a
+     *  lower bound on hi (and on lo while measurement has not begun). */
+    void
+    settle(uint64_t frontier, uint64_t horizon)
+    {
+        while (!pending.empty() && pending.top() <= frontier &&
+               pending.top() + latency <= horizon) {
+            fold(pending.top(), pending.top() + latency);
+            pending.pop();
+        }
+    }
+
+    /** Fold the rest, clipped to end at @p hi, into @p result. */
+    void
+    finish(uint64_t hi, CycleSimResult &result)
+    {
+        for (; !pending.empty(); pending.pop())
+            fold(pending.top(), std::min(pending.top() + latency, hi));
+        // A cycle loop sums MLP(t) in a double, one integer product at
+        // a time; below 2^53 every partial sum is exact, so one
+        // conversion gives the same bits.
+        result.mlpSum = double(sum);
+        result.mlpCycles = covered;
+    }
+
+  private:
+    void
+    fold(uint64_t start, uint64_t end)
+    {
+        const uint64_t from = std::max(start, lo);
+        if (!measuring || end <= from)
+            return; // an access folded before measuring ends by lo
+        sum += end - from;
+        covered += end - std::min(end, std::max(from, coveredEnd));
+        coveredEnd = std::max(coveredEnd, end);
+    }
+
+    const uint64_t latency;
+    std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+        pending;
+    bool measuring = false;
+    uint64_t lo = 0;
+    uint64_t coveredEnd = 0; //!< the union so far ends here
+    uint64_t sum = 0;
+    uint64_t covered = 0;
+};
+
+/** The cycles a younger instruction reads of an older one. */
+struct Stamp
+{
+    uint64_t fetchNext = 0; //!< fetch cycle + 1
+    uint64_t dispatch = 0;
+    uint64_t done = 0;      //!< issue + latency: the value is available
+    uint64_t commit = 0;
+    uint64_t storeKey = 0;  //!< address key + 1 of a store or atomic
+    uint64_t prevStore = 0; //!< index + 1 of the previous such in its
+                            //!< address bucket
+};
+
+/**
+ * One program-order pass over the trace (DESIGN.md section 14). A
+ * cycle-by-cycle pipeline (the reference copy in cycle_sim_test.cpp)
+ * runs commit, issue, dispatch and fetch, in that order, in every
+ * cycle in which any of them can act. So instruction i is fetched in
+ * F(i), dispatched in D(i), issued in I(i), done in C(i) and committed
+ * in K(i), where (a term whose index is negative drops out):
+ *
+ *   F(i) = max(F(i-1), F(i-fetchWidth) + 1, D(i-fetchBufferSize),
+ *              C(b) + branchRedirectPenalty for the last mispredicted
+ *              branch b < i); an instruction miss starts its access
+ *              in that cycle and F(i) is the cycle it returns;
+ *   D(i) = max(F(i) + 1, D(i-1), D(i-dispatchWidth) + 1,
+ *              K(i-robSize), K(s) for the last serializing s < i,
+ *              K(i-1) if i serializes, and the issueWindowSize-th
+ *              largest I(j) over j < i);
+ *   I(i) = the first cycle at or after R(i) in which fewer than
+ *          issueWidth older instructions issued, where R(i) =
+ *          max(D(i) + 1, C of each source register's and the
+ *          forwarding store's newest older writer; config A memory
+ *          ops: I of the previous memory op; branches: I of the
+ *          previous branch; config B loads: the cycle by which every
+ *          older store's address producers are done);
+ *   C(i) = I(i) + latency;
+ *   K(i) = max(C(i), K(i-1), K(i-commitWidth) + 1).
+ *
+ * Every term reads only older instructions: fetch, dispatch and
+ * commit are in order, and issue is oldest-first, so a younger
+ * instruction never takes an older one's issue slot. A writer that
+ * has committed by D(i) has C <= K <= D(i) < I(i), so reading the
+ * newest writer whether or not it is still in flight changes nothing.
+ * An instruction a ROB or more back has committed by D(i), so neither
+ * has a store that far back anything to forward.
+ */
+class Pass
+{
+  public:
+    Pass(const CycleSimConfig &config, const core::WorkloadContext &wl)
+        : cfg(config), misses(*wl.misses), branches(*wl.branches),
+          stampMask(std::bit_ceil(uint64_t(std::max(
+                        {cfg.fetchWidth, cfg.dispatchWidth,
+                         cfg.commitWidth, cfg.fetchBufferSize,
+                         cfg.robSize})) + 1) - 1),
+          stamps(stampMask + 1),
+          issueSlots(uint64_t(std::max({cfg.aluLatency, cfg.l1Latency,
+                                        cfg.l2Latency,
+                                        cfg.offChipLatency})) + 1),
+          offChip(cfg.offChipLatency),
+          bucketMask(std::bit_ceil(2 * uint64_t(cfg.robSize)) - 1),
+          storeHeads(bucketMask + 1),
+          missLatency(cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency)
+    {
+        if (cfg.warmupInsts == 0)
+            offChip.measureFrom(0);
+    }
+
+    /** Stamp instruction @p idx, row @p ci of chunk @p ck. */
+    void
+    step(const trace::TraceChunk &ck, uint32_t ci, uint64_t idx)
+    {
+        // Before the ring wraps, a slot not yet written reads as all
+        // zeros, which no term below can raise.
+        const auto back = [&](uint64_t distance) -> const Stamp & {
+            return stamps[(idx - distance) & stampMask];
+        };
+        const InstClass cls = ck.cls(ci);
+        const uint64_t addr_key = ck.effAddr[ci] >> 3;
+        const bool serializing = cls == InstClass::Serializing;
+        const bool atomic = serializing && ck.effAddr[ci] != 0;
+        const bool prefetch = cls == InstClass::Prefetch;
+        const bool load_like = cls == InstClass::Load || prefetch || atomic;
+        const bool store = cls == InstClass::Store;
+        const bool branch = cls == InstClass::Branch;
+        const bool in_order_mem =
+            cfg.issue == IssueConfig::A && (load_like || store);
+
+        uint64_t fetch =
+            std::max({lastFetch, back(cfg.fetchWidth).fetchNext,
+                      back(cfg.fetchBufferSize).dispatch, redirect});
+        if (misses.fetchMiss(idx)) {
+            if (!cfg.perfectL2)
+                recordOffChip(idx, fetch);
+            fetch += missLatency;
+        }
+
+        uint64_t dispatch = std::max(
+            {fetch + 1, lastDispatch, back(cfg.dispatchWidth).dispatch + 1,
+             back(cfg.robSize).commit, drain});
+        if (serializing)
+            dispatch = std::max(dispatch, lastCommit);
+        if (olderIssues.size() == cfg.issueWindowSize)
+            dispatch = std::max(dispatch, olderIssues.top());
+
+        const uint8_t src0 = ck.src0[ci];
+        const uint8_t src2 = ck.src2[ci];
+        uint64_t ready = std::max({dispatch + 1, regDone[src0],
+                                   regDone[ck.src1[ci]], regDone[src2]});
+        if (load_like && !prefetch) {
+            // The newest older store to the address, if less than a
+            // ROB back.
+            for (uint64_t s = storeHeads[bucketOf(addr_key)];
+                 s != 0 && s + cfg.robSize > idx + 1;
+                 s = stamps[(s - 1) & stampMask].prevStore) {
+                const Stamp &older = stamps[(s - 1) & stampMask];
+                if (older.storeKey == addr_key + 1) {
+                    ready = std::max(ready, older.done);
+                    break;
+                }
+            }
+        }
+        if (in_order_mem)
+            ready = std::max(ready, lastMemIssue);
+        if (branch)
+            ready = std::max(ready, lastBranchIssue);
+        if (cfg.issue == IssueConfig::B && load_like)
+            ready = std::max(ready, storeAddrsDone);
+        const uint64_t issue =
+            issueSlots.take(ready, dispatch, cfg.issueWidth);
+
+        const bool data_miss = misses.dataMiss(idx);
+        unsigned latency = cfg.aluLatency;
+        if (prefetch) {
+            latency = 1; // prefetches are fire-and-forget
+        } else if (load_like) {
+            latency = data_miss             ? missLatency
+                      : misses.dataL2Hit(idx) ? cfg.l2Latency
+                                              : cfg.l1Latency;
+        }
+        const uint64_t done = issue + latency;
+        if (!cfg.perfectL2 && (data_miss || misses.usefulPrefetch(idx)))
+            recordOffChip(idx, issue);
+        if (branch && branches.isMispredict(idx)) {
+            // Trace-driven wrong path: fetch waits for the branch to
+            // resolve, then pays the redirect.
+            redirect = done + cfg.branchRedirectPenalty;
+        }
+        const uint64_t commit = std::max(
+            {done, lastCommit, back(cfg.commitWidth).commit + 1});
+
+        // What younger instructions read of this one. A store's
+        // address is known once src0 and src2 are (src1 is its data).
+        if (store)
+            storeAddrsDone = std::max(
+                {storeAddrsDone, regDone[src0], regDone[src2]});
+        if (ck.dst[ci] != trace::noReg)
+            regDone[ck.dst[ci]] = done;
+        Stamp &self = stamps[idx & stampMask];
+        self = Stamp{fetch + 1, dispatch, done, commit, 0, 0};
+        if (store || atomic) {
+            self.storeKey = addr_key + 1;
+            self.prevStore =
+                std::exchange(storeHeads[bucketOf(addr_key)], idx + 1);
+        }
+        if (serializing)
+            drain = commit;
+        if (in_order_mem)
+            lastMemIssue = issue;
+        if (branch)
+            lastBranchIssue = issue;
+        if (cfg.issueWindowSize < cfg.robSize) {
+            // Keep the issueWindowSize largest issue cycles so far.
+            olderIssues.push(issue);
+            if (olderIssues.size() > cfg.issueWindowSize)
+                olderIssues.pop();
+        }
+        lastFetch = fetch;
+        lastDispatch = dispatch;
+        lastCommit = commit;
+
+        if (idx + 1 == cfg.warmupInsts) {
+            measureStart = commit;
+            offChip.measureFrom(commit);
+        }
+        // Every later access starts at or after F(i): an instruction
+        // miss where a later fetch begins, a data access after a later
+        // dispatch. And hi > K(i).
+        offChip.settle(fetch, commit);
+    }
+
+    /** Measurements once all @p size instructions are stamped. */
+    CycleSimResult
+    finish(uint64_t size)
+    {
+        CycleSimResult result;
+        // The last cycle commits the last instruction. A warm-up at or
+        // past the end of the trace measures nothing (guarded like
+        // epoch_engine.cc, instead of wrapping to ~2^64).
+        const uint64_t end = size ? lastCommit + 1 : 0;
+        if (cfg.warmupInsts <= size)
+            result.cycles = end - measureStart;
+        result.instructions =
+            size > cfg.warmupInsts ? size - cfg.warmupInsts : 0;
+        result.offChipAccesses = offChipAccesses;
+        offChip.finish(end, result);
+        return result;
+    }
+
+  private:
+    uint64_t
+    bucketOf(uint64_t addr_key) const
+    {
+        // Multiply-shift (Fibonacci) hash, as util::StoreMap's.
+        return (addr_key * 0x9E3779B97F4A7C15ull >> 32) & bucketMask;
+    }
+
+    void
+    recordOffChip(uint64_t idx, uint64_t start)
+    {
+        offChip.add(start);
+        if (idx >= cfg.warmupInsts)
+            ++offChipAccesses;
+    }
+
+    const CycleSimConfig &cfg;
+    const memory::MissAnnotations &misses;
+    const branch::BranchAnnotations &branches;
+
+    // Stamps up to a ROB, fetch buffer or width back, at idx &
+    // stampMask.
+    const uint64_t stampMask;
+    std::vector<Stamp> stamps;
+    IssueSlots issueSlots;
+    OffChipIntervals offChip;
+
+    // Done cycle of each register's newest writer (noReg stays 0).
+    std::array<uint64_t, 256> regDone{};
+    // Index + 1 of the newest store or atomic per address-key bucket,
+    // chained through the stamps to the previous one in its bucket. A
+    // chain is walked only while it is less than a ROB back, so
+    // nothing is ever erased.
+    const uint64_t bucketMask;
+    std::vector<uint64_t> storeHeads;
+
+    // The issueWindowSize largest older issue cycles, smallest on
+    // top; kept only when the issue window is smaller than the ROB.
+    std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+        olderIssues;
+
+    const unsigned missLatency; //!< an off-chip access, or a perfect L2
+
+    uint64_t lastFetch = 0;
+    uint64_t lastDispatch = 0;
+    uint64_t lastCommit = 0;
+    uint64_t redirect = 0;        //!< fetch resumes after a mispredict
+    uint64_t drain = 0;           //!< last serializing instruction's K
+    uint64_t lastMemIssue = 0;    //!< config A
+    uint64_t lastBranchIssue = 0;
+    uint64_t storeAddrsDone = 0;  //!< config B
+    uint64_t measureStart = 0;
+    uint64_t offChipAccesses = 0;
+};
+
+} // namespace
+
 CycleSim::CycleSim(const CycleSimConfig &config,
                    const core::WorkloadContext &workload)
-    : cfg(config), wl(workload), window(wl), dispatchCur(window),
-      fetchCur(window),
-      df(wl.size(), config.robSize, config.issue == IssueConfig::B)
+    : cfg(config), wl(workload)
 {
     MLPSIM_ASSERT(wl.hasTrace() && wl.misses && wl.branches,
                   "workload context incomplete");
     const Status valid = cfg.validate();
     MLPSIM_ASSERT(valid.ok(), valid.message());
-    memFifo.reset(256);
-    branchFifo.reset(256);
-
-    // Calendar ring: more buckets than the longest latency, so no two
-    // pending events share one; at least one bitmap word.
-    const uint64_t horizon = std::max(
-        {cfg.aluLatency, cfg.l1Latency, cfg.l2Latency, cfg.offChipLatency});
-    const uint64_t buckets =
-        std::bit_ceil(std::max<uint64_t>(horizon + 1, 64));
-    wheel.assign(size_t(buckets), Bucket{});
-    wheelBusy.assign(size_t(buckets / 64), 0);
-    wheelMask = buckets - 1;
-}
-
-CycleSim::Bucket &
-CycleSim::bucketFor(uint64_t cycle)
-{
-    MLPSIM_ASSERT(cycle > now && cycle - now <= wheelMask,
-                  "event scheduled beyond the calendar ring's horizon");
-    const uint64_t b = cycle & wheelMask;
-    wheelBusy[b >> 6] |= uint64_t(1) << (b & 63);
-    return wheel[b];
-}
-
-unsigned
-CycleSim::dataLatency(const RobEntry &entry) const
-{
-    if (entry.is(kDMiss))
-        return cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency;
-    if (entry.is(kDL2))
-        return cfg.l2Latency;
-    return cfg.l1Latency;
-}
-
-void
-CycleSim::makeEntry(uint64_t idx)
-{
-    // The window renames and links the entry; the pipeline adds its
-    // annotation bits and its Table 2 queues.
-    const trace::TraceChunk &ck = dispatchCur.at(idx);
-    RobEntry &entry = df.dispatch(
-        ck, uint32_t(idx - ck.base), [this](const RobEntry &producer) {
-            return producer.is(kDone) && producer.completeCycle <= now;
-        });
-    if (wl.misses->dataMiss(idx))
-        entry.flags |= kDMiss;
-    if (wl.misses->usefulPrefetch(idx))
-        entry.flags |= kUsefulPmiss;
-    if (wl.misses->dataL2Hit(idx))
-        entry.flags |= kDL2;
-
-    // Config A keeps *all* memory operations in order — prefetches
-    // included, unlike the epoch engine's idealised treatment — and
-    // branches issue in order for every supported config.
-    if (cfg.issue == IssueConfig::A && entry.is(kMemOp))
-        memFifo.push(entry.seq);
-    if (entry.is(kBranch))
-        branchFifo.push(entry.seq);
-}
-
-void
-CycleSim::recordOffChip(uint64_t idx, uint64_t complete_cycle)
-{
-    ++bucketFor(complete_cycle).offChipReturns;
-    ++outstandingCount;
-    if (idx >= cfg.warmupInsts)
-        ++result.offChipAccesses;
-}
-
-void
-CycleSim::drainDue()
-{
-    const uint64_t b = now & wheelMask;
-    uint64_t &busy = wheelBusy[b >> 6];
-    const uint64_t bit = uint64_t(1) << (b & 63);
-    if ((busy & bit) == 0)
-        return;
-    busy &= ~bit;
-    Bucket &bucket = wheel[b];
-    outstandingCount -= bucket.offChipReturns;
-    bucket.offChipReturns = 0;
-    Seq seq = bucket.dueHead;
-    bucket.dueHead = 0;
-    // Delivery order within a cycle does not matter: every effect of
-    // notifyConsumers (pending counts, the unresolved-store list, the
-    // ready pool, which pops in seq order) depends only on the set of
-    // producers completing this cycle.
-    while (seq != 0) {
-        RobEntry &entry = df.entryRef(seq);
-        // A completion always fires no later than the cycle its entry
-        // could first retire, so the slot cannot have been recycled.
-        MLPSIM_ASSERT(entry.seq == seq, "completion for a recycled slot");
-        seq = entry.nextDue;
-        df.notifyConsumers(entry);
-    }
-}
-
-bool
-CycleSim::commitStage()
-{
-    bool any = false;
-    for (unsigned n = 0; n < cfg.commitWidth && !df.empty(); ++n) {
-        const RobEntry &head = df.oldest();
-        if (!head.is(kDone) || head.completeCycle > now)
-            break;
-        if (serializeBlockSeq == head.seq)
-            serializeBlockSeq = 0;
-        df.retireOldest();
-        ++committed;
-        any = true;
-        if (!measuring && committed >= cfg.warmupInsts) {
-            measuring = true;
-            measureStartCycle = now;
-        }
-    }
-    return any;
-}
-
-void
-CycleSim::issueEntry(RobEntry &entry)
-{
-    entry.flags |= kDone;
-    MLPSIM_ASSERT(iwOccupancy > 0, "issue window underflow");
-    --iwOccupancy;
-
-    unsigned latency = cfg.aluLatency;
-    if (entry.is(kPrefetch)) {
-        latency = 1; // prefetches are fire-and-forget
-    } else if (entry.is(kLoadLike)) {
-        latency = dataLatency(entry);
-    }
-    entry.completeCycle = now + latency;
-    Bucket &due = bucketFor(entry.completeCycle);
-    entry.nextDue = due.dueHead;
-    due.dueHead = entry.seq;
-
-    const uint64_t idx = uint64_t(entry.seq) - 1;
-    if (!cfg.perfectL2 && (entry.is(kDMiss) || entry.is(kUsefulPmiss)))
-        recordOffChip(idx, now + cfg.offChipLatency);
-
-    if (mispredBlockSeq == entry.seq) {
-        // The blocking mispredicted branch now has a known resolution
-        // time; convert the stall into a timed redirect.
-        fetchResumeCycle =
-            std::max(fetchResumeCycle,
-                     entry.completeCycle + cfg.branchRedirectPenalty);
-        mispredBlockSeq = 0;
-    }
-
-    // Advancing an in-order queue is itself a wake event: the next
-    // queue head may have been dropped from the pool waiting for it.
-    if (cfg.issue == IssueConfig::A && entry.is(kMemOp)) {
-        memFifo.pop();
-        if (!memFifo.empty())
-            df.pushCandidate(df.entryRef(memFifo.front()));
-    }
-    if (entry.is(kBranch)) {
-        branchFifo.pop();
-        if (!branchFifo.empty())
-            df.pushCandidate(df.entryRef(branchFifo.front()));
-    }
-}
-
-bool
-CycleSim::issueStage()
-{
-    // Drain ready candidates oldest-first. Each pop either issues
-    // (counted against the issue width) or parks the entry on the wake
-    // event that can next change its eligibility: operand completion,
-    // an in-order FIFO advance, or the oldest unresolved store
-    // resolving. Width exhaustion leaves the rest pooled for the next
-    // cycle, which the old scan expressed by re-walking them. The
-    // constraint predicates below reproduce the scan's "seen earlier
-    // unissued/unresolved" flags: a flag was raised exactly when an
-    // older entry of the guarded class had not issued by this cycle.
-    bool any = false;
-    unsigned issued_now = 0;
-    while (issued_now < cfg.issueWidth && df.hasCandidates()) {
-        RobEntry &entry = df.popCandidate();
-        if (entry.is(kDone))
-            continue;
-        if (entry.pendingProds != 0)
-            continue; // woken by a queue advance ahead of its operands
-        if (cfg.issue == IssueConfig::A && entry.is(kMemOp) &&
-            memFifo.front() != entry.seq)
-            continue; // an older memory op has not issued
-        if (entry.is(kBranch) && branchFifo.front() != entry.seq)
-            continue; // an older branch has not issued
-        if (entry.is(kLoadLike) && df.parkBehindUnresolvedStore(entry))
-            continue; // an older store's address is unresolved
-        issueEntry(entry);
-        ++issued_now;
-        any = true;
-    }
-    return any;
-}
-
-bool
-CycleSim::dispatchStage()
-{
-    bool any = false;
-    for (unsigned n = 0; n < cfg.dispatchWidth; ++n) {
-        if (nextDispatchIdx >= nextFetchIdx)
-            break;
-        if (serializeBlockSeq != 0)
-            break; // draining behind a serializing instruction
-        if (df.occupancy() >= cfg.robSize ||
-            iwOccupancy >= cfg.issueWindowSize) {
-            break;
-        }
-        const trace::TraceChunk &ck = dispatchCur.at(nextDispatchIdx);
-        if (ck.isSerializing(uint32_t(nextDispatchIdx - ck.base))) {
-            // Straightforward drain: dispatch only into an empty ROB
-            // and block younger dispatch until it commits.
-            if (!df.empty())
-                break;
-            makeEntry(nextDispatchIdx);
-            serializeBlockSeq = nextDispatchIdx + 1;
-            ++iwOccupancy;
-            ++nextDispatchIdx;
-            any = true;
-            break;
-        }
-        makeEntry(nextDispatchIdx);
-        ++iwOccupancy;
-        ++nextDispatchIdx;
-        any = true;
-    }
-    // Everything below the dispatch point is dead to this pipeline:
-    // the stream-backed window may drop those chunks.
-    if (any)
-        window.releaseBefore(nextDispatchIdx);
-    return any;
-}
-
-bool
-CycleSim::fetchStage()
-{
-    if (now < fetchResumeCycle || mispredBlockSeq != 0)
-        return false;
-
-    bool any = false;
-    const uint64_t trace_size = wl.size();
-    for (unsigned n = 0; n < cfg.fetchWidth; ++n) {
-        if (nextFetchIdx >= trace_size ||
-            nextFetchIdx - nextDispatchIdx >= cfg.fetchBufferSize) {
-            break;
-        }
-        const uint64_t idx = nextFetchIdx;
-        if (wl.misses->fetchMiss(idx) && !imissHandled) {
-            imissHandled = true;
-            const unsigned latency =
-                cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency;
-            fetchResumeCycle = now + latency;
-            if (!cfg.perfectL2)
-                recordOffChip(idx, now + cfg.offChipLatency);
-            any = true;
-            break;
-        }
-        imissHandled = false;
-        ++nextFetchIdx;
-        any = true;
-
-        const trace::TraceChunk &ck = fetchCur.at(idx);
-        if (ck.isBranch(uint32_t(idx - ck.base)) &&
-            wl.branches->isMispredict(idx)) {
-            // Trace-driven wrong path: fetch stalls until the branch
-            // resolves (wrong-path work would be useless anyway and
-            // must not contribute to MLP).
-            mispredBlockSeq = idx + 1;
-            break;
-        }
-    }
-    return any;
-}
-
-uint64_t
-CycleSim::nextEventCycle() const
-{
-    uint64_t next = ~0ULL;
-    // First busy bucket at or after now + 1, scanning the bitmap once
-    // around: the start word again last, for the buckets below start.
-    // Bucket now itself was drained this cycle, so it reads idle.
-    const uint64_t start = (now + 1) & wheelMask;
-    const size_t words = wheelBusy.size();
-    size_t w = size_t(start >> 6);
-    uint64_t bits = wheelBusy[w] & (~uint64_t(0) << (start & 63));
-    for (size_t n = 0; n <= words; ++n) {
-        if (bits != 0) {
-            const uint64_t b = (uint64_t(w) << 6) | std::countr_zero(bits);
-            next = now + 1 + ((b - start) & wheelMask);
-            break;
-        }
-        w = (w + 1) & (words - 1);
-        bits = wheelBusy[w];
-    }
-    if (fetchResumeCycle > now)
-        next = std::min(next, fetchResumeCycle);
-    return next;
-}
-
-void
-CycleSim::accumulateMlp(uint64_t from_cycle, uint64_t to_cycle)
-{
-    // No off-chip access returns inside (from_cycle, to_cycle): each
-    // return is a ring event, and the loop never skips one. Returns at
-    // from_cycle were retired by drainDue().
-    if (measuring && outstandingCount != 0) {
-        result.mlpSum +=
-            double(outstandingCount) * double(to_cycle - from_cycle);
-        result.mlpCycles += to_cycle - from_cycle;
-    }
 }
 
 CycleSimResult
 CycleSim::run()
 {
-    const uint64_t trace_size = wl.size();
-    result = CycleSimResult{};
-    if (cfg.warmupInsts == 0) {
-        measuring = true;
-        measureStartCycle = 0;
-    }
-
-    // Livelock guard: generous upper bound on total simulated cycles,
-    // computed with saturating arithmetic so a large --insts x large
-    // --mp sweep cannot overflow it into a spurious (or absent) trip.
-    uint64_t guard = uint64_t(cfg.offChipLatency) + 64;
-    if (__builtin_mul_overflow(guard, trace_size, &guard) ||
-        __builtin_add_overflow(guard, uint64_t(10'000'000), &guard))
-        guard = ~uint64_t(0);
-
-    // Cancellation poll cadence: every ~64K simulated cycles. Cheap
-    // against the per-cycle work in between, frequent enough that a
-    // deadline lands within a fraction of a second of wall time.
-    uint64_t next_poll = now + 65536;
-
-    while (committed < trace_size) {
-        if (now >= next_poll) {
-            pollCancellation();
-            next_poll = now + 65536;
+    const uint64_t size = wl.size();
+    Pass pass(cfg, wl);
+    core::ChunkWindow window(wl);
+    for (uint64_t idx = 0; idx < size;) {
+        const trace::ChunkPtr chunk = window.chunkFor(idx);
+        for (uint32_t ci = uint32_t(idx - chunk->base); ci < chunk->count;
+             ++ci, ++idx) {
+            if ((idx & 0xFFFF) == 0)
+                pollCancellation();
+            pass.step(*chunk, ci, idx);
         }
-        // Deliver every value due by this cycle before any stage looks
-        // at readiness: a completion always lands no later than the
-        // first cycle its entry could retire, so consumer links are
-        // walked strictly before their slots can be recycled.
-        drainDue();
-
-        bool work = false;
-        work |= commitStage();
-        work |= issueStage();
-        work |= dispatchStage();
-        work |= fetchStage();
-
-        uint64_t next = now + 1;
-        if (!work) {
-            const uint64_t event = nextEventCycle();
-            if (event == ~0ULL)
-                panic("cycle sim deadlock at cycle ", now, ", committed ",
-                      committed, " of ", trace_size);
-            next = std::max(next, event);
-        }
-
-        accumulateMlp(now, next);
-        if (guard < next - now)
-            panic("cycle sim livelock at cycle ", now);
-        guard -= next - now;
-        now = next;
+        // The pass never reads behind idx: a streamed window drops the
+        // chunk.
+        window.releaseBefore(idx);
     }
-
-    result.cycles = measuring ? now - measureStartCycle : 0;
-    // Guarded like epoch_engine.cc / inorder_model.cc: a warm-up at or
-    // past the end of the trace measures nothing (instead of wrapping
-    // to ~2^64 and poisoning CPI).
-    result.instructions =
-        committed > cfg.warmupInsts ? committed - cfg.warmupInsts : 0;
+    const CycleSimResult result = pass.finish(size);
 
     if (metrics::enabled()) {
         auto &m = metrics::cur();

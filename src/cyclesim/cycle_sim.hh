@@ -19,34 +19,26 @@
  * the number of useful off-chip accesses outstanding; average MLP is
  * its mean over the cycles where it is non-zero (paper Section 2.1).
  *
- * Implementation notes (DESIGN.md section 14). The scheduler is
- * event-driven and shares its dependence tracking with the epoch
- * engine: the dataflow window (core/dataflow_window.hh) holds the
- * ring of in-flight instructions, renaming and store forwarding, the
- * consumer lists that re-examine an instruction only when one of its
- * producers completes (O(dependence edges) instead of an O(window)
- * rescan every cycle), config B's unresolved-store list and the
- * ready pool. This pipeline adds cycle timing: completions and
- * off-chip returns sit in a calendar ring of per-cycle buckets (every
- * event lies at most the largest configured latency ahead, so the
- * bucket index cycle & mask is unique) whose busy bitmap also finds
- * the next event when an idle stretch is skipped. Its Table 2 rules
- * for config-A memory ops and for branches are in-order FIFOs whose
- * head advances wake exactly the instructions they were blocking.
- * Ready instructions drain in ascending sequence order, which
- * reproduces the old oldest-first scan's issue order, and therefore
- * every CycleSimResult bit, exactly.
+ * Implementation notes (DESIGN.md section 14). The pipeline is timed
+ * in one program-order pass, not a cycle loop. Fetch, dispatch and
+ * commit are in order and issue is oldest-first, so no instruction's
+ * cycles depend on a younger one: run() stamps each instruction's
+ * fetch, dispatch, issue, done and commit cycle from the stamps of
+ * older instructions alone (the recurrences are in cycle_sim.cc). It
+ * keeps the stamps of the last ROB's worth of instructions, the done
+ * cycle of each register's and each address's newest writer, and the
+ * issue counts of the cycles still ahead. MLP(t) comes from the
+ * off-chip access intervals the pass records. Every CycleSimResult
+ * bit equals the cycle-by-cycle pipeline's, which the
+ * CycleSimEquivalence tests keep as their reference.
  */
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <string>
 
-#include "core/chunk_window.hh"
-#include "core/dataflow_window.hh"
 #include "core/mlp_config.hh"
 #include "core/workload_context.hh"
-#include "util/seq_containers.hh"
 #include "util/status.hh"
 
 namespace mlpsim::cyclesim {
@@ -78,14 +70,14 @@ struct CycleSimConfig
     uint64_t warmupInsts = 0;
 
     /** Largest accepted execution latency, in cycles (the paper's
-     *  largest is 1000). Every scheduled event lies at most this far
-     *  ahead, which bounds the scheduler's calendar ring. */
+     *  largest is 1000). It bounds the first size of the pass's
+     *  per-cycle issue-count ring, which grows on demand after. */
     static constexpr unsigned maxLatency = 65536;
 
     /**
      * Width/size/latency sanity, mirroring MlpConfig::validate().
-     * Execution latencies must be >= 1: the event-driven scheduler
-     * delivers a value no earlier than the cycle after issue, so a
+     * Execution latencies must be >= 1: a value is consumed no
+     * earlier than the cycle after its producer issues, so a
      * zero-latency producer would be consumable a cycle late. They
      * must also be <= maxLatency. The CycleSim constructor asserts
      * this; bench setup surfaces it as a Status before any sweep
@@ -138,93 +130,11 @@ class CycleSim
     CycleSimResult run();
 
   private:
-    using Seq = util::Seq;
-
-    // --- RobEntry::flags bits: the window's, then the pipeline's ---
-    using enum core::DataflowEntry::Flag;
-    static constexpr uint16_t kDMiss = kFirstEngineFlag << 0; //!< off-chip
-    static constexpr uint16_t kDL2 = kFirstEngineFlag << 1;   //!< L2 hit
-    static constexpr uint16_t kUsefulPmiss = kFirstEngineFlag << 2;
-
-    /** One in-flight instruction, exactly one cache line; kDone means
-     *  issued. */
-    struct alignas(64) RobEntry : core::DataflowEntry
-    {
-        uint64_t completeCycle = 0;    //!< valid once issued
-        Seq nextDue = 0;               //!< next completion, same bucket
-    };
-
-    static_assert(sizeof(RobEntry) == 64,
-                  "RobEntry must stay one cache line; see the "
-                  "packed-layout notes in DESIGN.md section 14");
-
-    /**
-     * One cycle of the calendar ring that holds every scheduled event.
-     * The ring's power-of-two size exceeds every configured latency, so
-     * each pending event (all within (now, now + latency]) owns a
-     * distinct bucket, drained at the top of its cycle.
-     */
-    struct Bucket
-    {
-        Seq dueHead = 0;             //!< completion chain via nextDue
-        uint32_t offChipReturns = 0; //!< useful off-chip accesses ending
-    };
-
-    // --- pipeline stages (each returns whether it made progress) ---
-    bool commitStage();
-    bool issueStage();
-    bool dispatchStage();
-    bool fetchStage();
-    uint64_t nextEventCycle() const;
-
-    // --- event-driven scheduler helpers ---
-    void makeEntry(uint64_t idx);
-    void issueEntry(RobEntry &entry);
-    void drainDue();
-
-    unsigned dataLatency(const RobEntry &entry) const;
-    void recordOffChip(uint64_t idx, uint64_t complete_cycle);
-    void accumulateMlp(uint64_t from_cycle, uint64_t to_cycle);
-
-    /** Calendar-ring bucket of @p cycle, marked busy; the cycle must
-     *  lie within the ring's horizon. */
-    Bucket &bucketFor(uint64_t cycle);
-
-    // --- configuration and inputs ---
     const CycleSimConfig cfg;
     // Held by value (it is five non-owning pointers): callers routinely
     // pass a context materialised in the constructor call itself, and a
     // reference member would dangle by the time run() executes.
     const core::WorkloadContext wl;
-    core::ChunkWindow window;      //!< buffer- or stream-backed chunks
-    core::InstCursor dispatchCur;  //!< makeEntry's trailing cursor
-    core::InstCursor fetchCur;     //!< fetch's leading cursor
-
-    // --- machine state ---
-    uint64_t now = 0;
-    core::DataflowWindow<RobEntry> df; //!< ROB ring, renaming, wakeup
-    unsigned iwOccupancy = 0;          //!< dispatched, not yet issued
-    util::SeqFifo memFifo;             //!< config-A in-order memory ops
-    util::SeqFifo branchFifo;          //!< in-order branches (A/B/C)
-
-    uint64_t nextFetchIdx = 0;
-    uint64_t nextDispatchIdx = 0;
-    uint64_t fetchResumeCycle = 0;   //!< instruction-miss stall
-    bool imissHandled = false;
-    uint64_t mispredBlockSeq = 0;    //!< 0 = not blocked
-    uint64_t serializeBlockSeq = 0;  //!< 0 = not blocked
-
-    // Calendar ring of scheduled events (see Bucket): wheel[cycle &
-    // wheelMask]. Fetch redirects are tracked by fetchResumeCycle.
-    std::vector<Bucket> wheel;
-    std::vector<uint64_t> wheelBusy;   //!< one bit per non-empty bucket
-    uint64_t wheelMask = 0;
-    uint64_t outstandingCount = 0;     //!< useful off-chip accesses out
-
-    bool measuring = false;
-    uint64_t committed = 0;
-    uint64_t measureStartCycle = 0;
-    CycleSimResult result;
 };
 
 } // namespace mlpsim::cyclesim

@@ -1,15 +1,16 @@
 /**
  * @file
- * Sequence-number containers for the event-driven simulators.
+ * Sequence-number containers for the simulators.
  *
- * Both the epoch engine (DESIGN.md section 12) and the cycle-accurate
- * pipeline (section 14) track in-flight instructions by a 32-bit
- * sequence number (trace index + 1, 0 = null). Their shared dependence
- * state, core/dataflow_window.hh, keeps the newest in-flight store per
- * address key in a StoreMap and its ready candidates in a ReadyPool;
- * each engine keeps SeqFifos for its Table 2 in-order issue rules
- * (config-A memory ops, in-order branches). None of the three knows
- * about entries or timing.
+ * The epoch engine (DESIGN.md section 12) tracks in-flight
+ * instructions by a 32-bit sequence number (trace index + 1, 0 =
+ * null). Its dependence state, core/dataflow_window.hh, keeps the
+ * newest in-flight store per address key in a StoreMap and its ready
+ * candidates in a ReadyPool, and the engine keeps SeqFifos for its
+ * Table 2 in-order issue rules (config-A memory ops, in-order branches).
+ * All three serve only the epoch engine: the cycle-accurate pipeline's
+ * program-order pass (section 14) has no in-flight window to track.
+ * None of them knows about entries or timing.
  */
 #pragma once
 

@@ -195,21 +195,43 @@ TEST(StreamingTrace, InOrderModelMatchesMaterialised)
 
 TEST(StreamingTrace, CycleSimMatchesMaterialised)
 {
-    const Materialised ref;
-    const auto source = makeStream(4096);
-    const auto streamed =
-        core::AnnotatedTrace::make(source, annotationOptions()).orFatal();
+    // The pipeline reads each instruction once, in order, and drops a
+    // streamed chunk as it leaves it; chunk edges must change nothing
+    // under any issue rule or window shape.
+    std::vector<cyclesim::CycleSimConfig> configs;
+    for (auto ic : {core::IssueConfig::A, core::IssueConfig::B,
+                    core::IssueConfig::C}) {
+        cyclesim::CycleSimConfig cfg;
+        cfg.issue = ic;
+        cfg.warmupInsts = kWarmup;
+        configs.push_back(cfg);
+        cfg.issueWindowSize = 16;
+        cfg.robSize = 64;
+        configs.push_back(cfg);
+    }
 
-    cyclesim::CycleSimConfig cfg;
-    cfg.warmupInsts = kWarmup;
-    cfg.validate().orFatal();
-    const auto a = cyclesim::CycleSim(cfg, ref.annotated->context()).run();
-    const auto b = cyclesim::CycleSim(cfg, streamed.context()).run();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.offChipAccesses, b.offChipAccesses);
-    EXPECT_EQ(a.mlpCycles, b.mlpCycles);
-    EXPECT_EQ(a.mlpSum, b.mlpSum);
+    const Materialised ref;
+    // 4096 and 3001 leave a partial last chunk of the 40000
+    // instructions; 1000 divides them.
+    for (uint32_t chunk_cap : {4096u, 3001u, 1000u}) {
+        const auto source = makeStream(chunk_cap);
+        const auto streamed =
+            core::AnnotatedTrace::make(source, annotationOptions())
+                .orFatal();
+        for (const cyclesim::CycleSimConfig &cfg : configs) {
+            SCOPED_TRACE(testing::Message() << "chunk=" << chunk_cap << " "
+                                            << cfg.metricLabel());
+            cfg.validate().orFatal();
+            const auto a =
+                cyclesim::CycleSim(cfg, ref.annotated->context()).run();
+            const auto b = cyclesim::CycleSim(cfg, streamed.context()).run();
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_EQ(a.instructions, b.instructions);
+            EXPECT_EQ(a.offChipAccesses, b.offChipAccesses);
+            EXPECT_EQ(a.mlpCycles, b.mlpCycles);
+            EXPECT_EQ(a.mlpSum, b.mlpSum);
+        }
+    }
 }
 
 TEST(StreamingTrace, BackToBackEngineRunsReuseTheSameSource)

@@ -236,8 +236,9 @@ TEST(CycleSimConfigValidate, RejectsBadConfigs)
         cfg.*width = 0;
         EXPECT_FALSE(cfg.validate().ok());
     }
-    // Latencies are capped: the scheduler's calendar ring spans the
-    // largest of them, so an unbounded one would size it unboundedly.
+    // Latencies are capped: the largest of them sizes the pipeline's
+    // per-cycle issue-count ring when it starts, so an unbounded one
+    // would size it unboundedly.
     for (unsigned CycleSimConfig::*latency :
          {&CycleSimConfig::aluLatency, &CycleSimConfig::l1Latency,
           &CycleSimConfig::l2Latency, &CycleSimConfig::offChipLatency}) {
@@ -430,9 +431,9 @@ TEST(CycleSim, PerfectL2ReportsNoMlp)
 //
 // A line-for-line copy of the pre-overhaul scheduler: std::deque ROB,
 // per-cycle rescan of the unissued window, unordered_map store
-// producers. The production scheduler (ring-buffer ROB, event-driven
-// wakeup) must reproduce its timing bit for bit; the seeded mini-grid
-// below compares every result field exactly.
+// producers. The production pipeline (one program-order pass that
+// stamps each instruction's cycles) must reproduce its timing bit for
+// bit; the seeded grids below compare every result field exactly.
 
 namespace {
 
@@ -955,6 +956,103 @@ TEST(CycleSimEquivalence, MatchesTheLegacyScanSchedulerExactly)
                     expectMatchesReference(redirect, ctx);
                 }
             }
+        }
+    }
+}
+
+TEST(CycleSimEquivalence, WidthsBuffersAndLatenciesMatchTheLegacyScan)
+{
+    // The program-order pass reads parameters the Table 3 grid never
+    // varies: each width a different distance back, fetch buffers
+    // smaller than the fetch width, an issue window smaller than the
+    // ROB, and latencies other than one-cycle ALUs and three-cycle L1
+    // hits.
+    struct Widths
+    {
+        unsigned fetch, dispatch, issue, commit;
+    };
+    const Widths widths[] = {{1, 1, 1, 1}, {1, 2, 3, 4}, {4, 3, 2, 1},
+                             {5, 1, 3, 2}, {2, 5, 4, 3}, {3, 4, 1, 5},
+                             {5, 5, 5, 5}};
+    for (uint32_t seed : {4u, 5u}) {
+        ScriptedTrace s = randomTrace(0xBEEF + seed, 500);
+        const auto ctx = s.context();
+        for (auto ic : {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
+            for (const Widths &w : widths) {
+                for (unsigned buffer : {1u, 2u, 8u}) {
+                    CycleSimConfig cfg;
+                    cfg.issue = ic;
+                    cfg.fetchWidth = w.fetch;
+                    cfg.dispatchWidth = w.dispatch;
+                    cfg.issueWidth = w.issue;
+                    cfg.commitWidth = w.commit;
+                    cfg.fetchBufferSize = buffer;
+                    cfg.offChipLatency = 60;
+                    CycleSimConfig slow = cfg;
+                    slow.aluLatency = 2;
+                    slow.l1Latency = 4;
+                    slow.warmupInsts = 100;
+                    CycleSimConfig narrow = cfg;
+                    narrow.issueWindowSize = 6;
+                    narrow.robSize = 24;
+                    for (const CycleSimConfig &c : {cfg, slow, narrow}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "seed=" << seed << " "
+                                     << c.metricLabel() << " widths="
+                                     << c.fetchWidth << c.dispatchWidth
+                                     << c.issueWidth << c.commitWidth
+                                     << " buffer=" << c.fetchBufferSize
+                                     << " alu=" << c.aluLatency);
+                        expectMatchesReference(c, ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    // Every width 300: a miss that 599 instructions wait on releases
+    // them all in one cycle, more than an 8-bit issue count can hold,
+    // and the youngest of them feeds one more miss.
+    ScriptedTrace fan_out;
+    fan_out.add(makeLoad(0x100, r1, 0xA000), Miss::Data);
+    for (unsigned i = 1; i < 600; ++i)
+        fan_out.add(makeAlu(0x100 + 4 * i, uint8_t(2 + i % 40), r1));
+    fan_out.add(makeLoad(0x100 + 4 * 600, r1, 0xB000, uint8_t(2 + 599 % 40)),
+                Miss::Data);
+    ScriptedTrace mixed = randomTrace(0xFACE, 800);
+    for (ScriptedTrace *s : {&fan_out, &mixed}) {
+        const auto ctx = s->context();
+        for (auto ic : {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
+            CycleSimConfig cfg;
+            cfg.issue = ic;
+            cfg.fetchWidth = cfg.dispatchWidth = cfg.issueWidth =
+                cfg.commitWidth = 300;
+            cfg.fetchBufferSize = cfg.issueWindowSize = cfg.robSize =
+                1024;
+            SCOPED_TRACE(testing::Message()
+                         << cfg.metricLabel() << " widths=300");
+            expectMatchesReference(cfg, ctx);
+        }
+    }
+
+    // A chain of dependent off-chip loads keeps a ROB's worth of issue
+    // cycles a miss latency apart, far more cycles than the per-cycle
+    // issue-count ring first holds.
+    ScriptedTrace chain;
+    for (unsigned i = 0; i < 400; ++i) {
+        chain.add(makeLoad(0x100 + 8 * i, r1, 0xA000 + 64 * i, r1),
+                  Miss::Data);
+        chain.add(makeAlu(0x104 + 8 * i, uint8_t(2 + i % 8), r1));
+    }
+    const auto chain_ctx = chain.context();
+    for (unsigned lat : {200u, 1000u, 5000u}) {
+        for (unsigned rob : {32u, 128u}) {
+            CycleSimConfig cfg;
+            cfg.offChipLatency = lat;
+            cfg.issueWindowSize = cfg.robSize = rob;
+            cfg.warmupInsts = 50;
+            SCOPED_TRACE(testing::Message() << cfg.metricLabel());
+            expectMatchesReference(cfg, chain_ctx);
         }
     }
 }

@@ -110,6 +110,8 @@ TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
 
 TEST(EngineCancelTest, CycleSimHonoursADeadlineMidRun)
 {
+    // The pipeline polls once every 64K instructions, about 30 times
+    // over this trace.
     SweepRunner runner(1);
     runner.setJobLimits(withDeadline(2.0));
     auto job = runner.defer<cyclesim::CycleSimResult>(
@@ -128,9 +130,10 @@ TEST(EngineCancelTest, CycleSimHonoursADeadlineMidRun)
 
 TEST(EngineCancelTest, CycleSimConfigAHonoursADeadlineMidRun)
 {
-    // Config A threads every memory op through the in-order FIFO, the
-    // slowest and most stall-prone scheduler mode — the event-driven
-    // fast-forward must still hit the 64K-cycle poll cadence there.
+    // Config A issues every memory op in order, the most stall-prone
+    // mode, at a 1000-cycle miss latency. The pipeline's work and its
+    // cancellation poll go by instructions, not simulated cycles, so
+    // the deadline still lands at a poll every 64K instructions.
     SweepRunner runner(1);
     runner.setJobLimits(withDeadline(2.0));
     auto job = runner.defer<cyclesim::CycleSimResult>(
