@@ -6,16 +6,17 @@
  * DESIGN.md. These guard against performance regressions in the
  * simulation loop itself.
  *
- * Besides the usual console table, every run writes a machine-readable
- * summary (default BENCH_perf.json, --metrics-out FILE to move it):
- * one `{bench, workload, config, wall_s, instr_per_s, peak_rss_kb}`
- * row per benchmark, for tracking simulator throughput across
- * revisions without scraping console output.
+ * Besides the usual console table, a run given --metrics-out FILE
+ * writes a machine-readable summary there: one `{bench, workload,
+ * config, wall_s, instr_per_s, peak_rss_kb}` row per benchmark, for
+ * tracking simulator throughput across revisions without scraping
+ * console output. Without the flag it writes no file, so a filtered
+ * run cannot overwrite the committed reference, BENCH_perf.json.
  *
  * --engine-only restricts the run to the epoch-engine replay
  * benchmarks (BM_EpochEngine*). Those replay a trace that was
  * generated and annotated once, outside the timed region, so the
- * resulting BENCH_perf.json isolates engine-level instr_per_s from
+ * resulting summary isolates engine-level instr_per_s from
  * workload-generation and annotation throughput. --cyclesim-only does
  * the same for the cycle-accurate reference pipeline (BM_CycleSim*).
  */
@@ -250,6 +251,22 @@ BM_WorkloadGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGeneration);
 
+/** The materialised prepare step: generate and annotate one trace of
+ *  the Figure 4 sweep's shape, as every bench and the daemon do. */
+void
+BM_PreparedTraceMake(benchmark::State &state)
+{
+    core::TraceSpec spec;
+    spec.workload = "database";
+    spec.seed = workloads::workloadSeed(spec.workload);
+    spec.totalInsts = warmTraceInsts;
+    spec.annotation.warmupInsts = warmWarmupInsts;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core::PreparedTrace::make(spec).orFatal());
+    state.SetItemsProcessed(int64_t(state.iterations()) * warmTraceInsts);
+}
+BENCHMARK(BM_PreparedTraceMake)->UseRealTime();
+
 void
 BM_InOrderModel(benchmark::State &state)
 {
@@ -327,8 +344,9 @@ class PerfJsonReporter : public benchmark::ConsoleReporter
             const double per_iter =
                 name == "EpochEngineStream"
                     ? double(traceInsts) * double(streamFanout)
-                : name == "EpochEngineWarm" ? double(warmTraceInsts)
-                                            : double(traceInsts);
+                : name == "EpochEngineWarm" || name == "PreparedTraceMake"
+                    ? double(warmTraceInsts)
+                    : double(traceInsts);
             const double instrs = double(run.iterations) * per_iter;
             row.set("instr_per_s",
                     run.real_accumulated_time > 0.0
@@ -350,7 +368,7 @@ main(int argc, char **argv)
     // Peel off --metrics-out, --engine-only and --cyclesim-only before
     // google-benchmark sees (and rejects) them; everything else passes
     // through to the library.
-    std::string metrics_out = "BENCH_perf.json";
+    std::string metrics_out; // empty: no summary file
     bool engine_only = false;
     bool cyclesim_only = false;
     bool stream_only = false;
@@ -403,10 +421,12 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    metrics::writeJsonFile(
-        metrics_out,
-        metrics::makeBenchPerfDoc(std::move(reporter.results)))
-        .orFatal();
-    inform("perf summary written to ", metrics_out);
+    if (!metrics_out.empty()) {
+        metrics::writeJsonFile(
+            metrics_out,
+            metrics::makeBenchPerfDoc(std::move(reporter.results)))
+            .orFatal();
+        inform("perf summary written to ", metrics_out);
+    }
     return 0;
 }

@@ -11,10 +11,23 @@
 #   cmake -DBENCH=<perf_microbench exe> -DCHECKER=<metrics_check exe>
 #         -DOUT=<summary destination> -P cmake/bench_perf_smoke.cmake
 
+# Every command runs in a fresh, empty directory, and a
+# perf_microbench run that leaves a BENCH_perf.json there fails: the
+# summary goes only where --metrics-out says, so a run from the repo
+# root can never overwrite the committed reference.
+set(WORKDIR ${OUT}.cwd)
+file(REMOVE_RECURSE ${WORKDIR})
+file(MAKE_DIRECTORY ${WORKDIR})
+
 function(run_or_die)
-    execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET)
+    execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET
+                    WORKING_DIRECTORY ${WORKDIR})
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR "command failed (exit ${rc}): ${ARGN}")
+    endif()
+    if(EXISTS ${WORKDIR}/BENCH_perf.json)
+        message(FATAL_ERROR
+            "command left a BENCH_perf.json in its working directory: ${ARGN}")
     endif()
 endfunction()
 

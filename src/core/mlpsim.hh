@@ -34,6 +34,8 @@
 
 namespace mlpsim::core {
 
+class PreparedTrace;
+
 /** Substrate configurations used to annotate a trace. */
 struct AnnotationOptions
 {
@@ -83,8 +85,16 @@ class AnnotatedTrace
     const AnnotationOptions &options() const { return opts; }
 
   private:
+    // PreparedTrace::make fills the planes of a trace it generates in
+    // the same pass.
+    friend class PreparedTrace;
+
+    /** Unannotated: the planes are filled in by the caller. */
     AnnotatedTrace(const trace::ChunkSource &source,
-                   const AnnotationOptions &options);
+                   const AnnotationOptions &options)
+        : src(&source), opts(options)
+    {
+    }
 
     const trace::ChunkSource *src;
     AnnotationOptions opts;

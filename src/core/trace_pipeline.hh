@@ -4,7 +4,10 @@
  *
  * PreparedTrace::make(TraceSpec) is the one way the benches, tools and
  * daemon turn a workload into an annotated trace: it builds the
- * generator, materialises or streams the trace, and annotates it.
+ * generator, materialises or streams the trace, and annotates it. A
+ * materialised trace is generated and annotated in one overlapped
+ * pass: the calling thread fills the buffer's chunks while a helper
+ * thread runs the annotators over each finished one.
  * PreparedTrace::annotate derives an annotation variant (another L2
  * size, a perfect predictor) that shares the generated trace and runs
  * only the annotate pass.
@@ -145,6 +148,15 @@ class PreparedTrace
 
     /** The annotate pass, under the variant's metric label. */
     Status annotateWith(const AnnotationOptions &options);
+
+    /**
+     * Materialise: fill a TraceBuffer from @p generator and annotate
+     * it in one overlapped pass (this thread generates, a helper
+     * thread annotates each chunk once it is complete), with the
+     * metrics the two passes in turn would record.
+     */
+    Status generateAndAnnotate(const TraceSpec &spec,
+                               trace::TraceSource &generator);
 
     std::string traceName;
     std::string variantName;

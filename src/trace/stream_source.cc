@@ -1,5 +1,6 @@
 #include "stream_source.hh"
 
+#include <algorithm>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -96,23 +97,23 @@ produceAll(ChunkRing &ring, TraceSource &src, uint64_t limit,
            uint32_t chunk_cap)
 {
     uint64_t produced = 0;
-    Instruction inst;
-    bool more = true;
-    while (produced < limit && more) {
+    while (produced < limit) {
         auto chunk = recycledChunk(produced, chunk_cap);
         ChunkFiller fill(*chunk);
-        while (!fill.full() && produced < limit && (more = src.next(inst))) {
-            fill.append(inst);
-            ++produced;
-        }
+        const uint32_t want =
+            uint32_t(std::min<uint64_t>(chunk_cap, limit - produced));
+        const uint32_t got = src.nextBatch(fill, want);
         fill.publish();
-        if (chunk->empty())
+        produced += got;
+        if (got == 0)
             break;
         if (!ring.push(std::move(chunk))) {
             // Every consumer detached: the simulation was destroyed or
             // cancelled; abandon the stream.
             return;
         }
+        if (got < want)
+            break; // the source ran dry
     }
     ring.close();
 }

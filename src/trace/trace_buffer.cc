@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/cancellation.hh"
+#include "util/logging.hh"
 
 namespace mlpsim::trace {
 
@@ -38,10 +39,17 @@ TraceBuffer::open() const
 void
 TraceBuffer::fill(TraceSource &source, uint64_t limit)
 {
-    Instruction inst;
+    fill(source, limit, {});
+}
+
+void
+TraceBuffer::fill(TraceSource &source, uint64_t limit,
+                  const std::function<void(ChunkPtr)> &completed)
+{
+    MLPSIM_ASSERT(!completed || chunkList.empty() || chunkList.back()->full(),
+                  "a chunk handed out by fill() would be written again");
     uint64_t remaining = limit;
-    bool more = true;
-    while (remaining > 0 && more) {
+    while (remaining > 0) {
         // Trace generation is the other long phase of a sweep job, so
         // it polls for cancellation too (once per chunk).
         pollCancellation();
@@ -49,18 +57,23 @@ TraceBuffer::fill(TraceSource &source, uint64_t limit)
             chunkList.push_back(
                 std::make_shared<TraceChunk>(n, chunkCapacity));
         ChunkFiller fill(*chunkList.back());
-        while (!fill.full() && remaining > 0 &&
-               (more = source.next(inst))) {
-            fill.append(inst);
-            --remaining;
-        }
-        n += fill.appended();
+        const uint32_t want =
+            uint32_t(std::min<uint64_t>(fill.room(), remaining));
+        const uint32_t got = source.nextBatch(fill, want);
         fill.publish();
+        n += got;
+        remaining -= got;
+        // An exhausted source can leave a chunk that was opened for it
+        // but never received an instruction.
+        if (chunkList.back()->empty()) {
+            chunkList.pop_back();
+            break;
+        }
+        if (completed)
+            completed(chunkList.back());
+        if (got < want)
+            break; // the source ran dry
     }
-    // An exhausted source can leave a chunk that was opened for it
-    // but never received an instruction.
-    if (!chunkList.empty() && chunkList.back()->empty())
-        chunkList.pop_back();
 }
 
 } // namespace mlpsim::trace

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,6 +53,16 @@ class TraceBuffer : public ChunkSource
 
     /** Drain @p source (up to @p limit instructions) into this buffer. */
     void fill(TraceSource &source, uint64_t limit);
+
+    /**
+     * fill(), handing each chunk to @p completed as soon as it holds
+     * its last instruction (it is full, or the fill is over), so
+     * another thread can read it while later chunks are generated. A
+     * handed chunk is never written again: the buffer must be empty or
+     * end in a full chunk.
+     */
+    void fill(TraceSource &source, uint64_t limit,
+              const std::function<void(ChunkPtr)> &completed);
 
     uint64_t size() const override { return n; }
     bool empty() const { return n == 0; }

@@ -18,18 +18,21 @@
  * the chunk's first instruction so consumers can address annotation
  * planes and inter-chunk state by absolute instruction index.
  *
- * `count` is the only valid-index authority. Generator chunks are
- * reused (trace/stream_source.hh, recycledChunk()) once their last
- * reader drops them, and a reused chunk keeps its previous columns
- * past `count`; column `.size()` is the capacity. Read local indices
- * [0, count) only.
+ * `count` is the only valid-index authority. Columns are allocated
+ * to the capacity but not zeroed: a fresh chunk holds indeterminate
+ * bytes past `count`, and generator chunks are reused
+ * (trace/stream_source.hh, recycledChunk()) once their last reader
+ * drops them, keeping their previous columns past `count`. Column
+ * `.size()` is the capacity. Read local indices [0, count) only.
  */
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/instruction.hh"
@@ -46,6 +49,41 @@ class TraceBuffer;
  */
 constexpr uint32_t defaultChunkCapacity = 1u << 14;
 
+/**
+ * An allocator whose value-less construct() default-initialises, so
+ * resizing a vector of integers allocates without zeroing: a chunk's
+ * columns are written by the generator before anyone reads them, and
+ * zeroing 29 bytes per instruction of a long trace first would be
+ * wasted stores.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** One column of a TraceChunk. */
+template <typename T>
+using Column = std::vector<T, DefaultInitAllocator<T>>;
+
 /** One fixed-capacity structure-of-arrays run of instructions. */
 class TraceChunk
 {
@@ -61,18 +99,18 @@ class TraceChunk
     uint32_t cap = defaultChunkCapacity;
 
     // The columns. u64 columns are 8 instructions per cache line; u8
-    // columns are 64. Allocated to `cap` at construction; `count` is
-    // the fill level and the only valid-index authority (a recycled
-    // chunk holds stale bytes past `count`, so .size() is not
-    // meaningful).
-    std::vector<uint64_t> pc;
-    std::vector<uint64_t> effAddr;
-    std::vector<uint64_t> payload; //!< branch target or load/store value
-    std::vector<uint8_t> meta;     //!< packed cls/brKind/taken byte
-    std::vector<uint8_t> dst;
-    std::vector<uint8_t> src0;
-    std::vector<uint8_t> src1;
-    std::vector<uint8_t> src2;
+    // columns are 64. Allocated, unzeroed, to `cap` at construction;
+    // `count` is the fill level and the only valid-index authority
+    // (past `count` a chunk holds indeterminate or stale bytes, so
+    // .size() is not meaningful).
+    Column<uint64_t> pc;
+    Column<uint64_t> effAddr;
+    Column<uint64_t> payload; //!< branch target or load/store value
+    Column<uint8_t> meta;     //!< packed cls/brKind/taken byte
+    Column<uint8_t> dst;
+    Column<uint8_t> src0;
+    Column<uint8_t> src1;
+    Column<uint8_t> src2;
 
     bool full() const { return count == cap; }
     bool empty() const { return count == 0; }
@@ -129,13 +167,12 @@ class TraceChunk
 };
 
 /**
- * Raw-pointer append cursor for the per-instruction producer loops
- * (TraceBuffer::fill, the streaming generator thread). Appending
- * through the chunk reference reloads eight vector data pointers per
- * instruction — the compiler cannot keep them cached across the
- * opaque TraceSource::next() call — so the filler snapshots them
- * once. publish() writes the fill level back; the chunk must not be
- * resized or read below publish() while a filler is live.
+ * Raw-pointer append cursor for the producer loops (TraceBuffer::fill,
+ * the streaming generator thread), handed to TraceSource::nextBatch().
+ * Appending through the chunk reference would reload eight vector data
+ * pointers per instruction, so the filler snapshots them once.
+ * publish() writes the fill level back; the chunk must not be resized
+ * or read below publish() while a filler is live.
  */
 class ChunkFiller
 {
@@ -150,6 +187,8 @@ class ChunkFiller
     }
 
     bool full() const { return pos == cap; }
+    /** Instructions that still fit. */
+    uint32_t room() const { return cap - pos; }
 
     void
     append(const Instruction &inst)
@@ -166,8 +205,14 @@ class ChunkFiller
         ++pos;
     }
 
-    /** Instructions appended since construction. */
-    uint32_t appended() const { return pos - ck->count; }
+    /** Append @p n packed records (at most room()). */
+    void
+    append(const Instruction *insts, uint32_t n)
+    {
+        assert(n <= room());
+        for (uint32_t i = 0; i < n; ++i)
+            append(insts[i]);
+    }
 
     /** Make the appended instructions visible in the chunk. */
     void publish() { ck->count = pos; }

@@ -1,5 +1,7 @@
 #include "workload_base.hh"
 
+#include <algorithm>
+
 namespace mlpsim::workloads {
 
 using trace::BranchKind;
@@ -12,14 +14,38 @@ WorkloadBase::WorkloadBase(std::string workload_name, uint64_t seed)
     callStack.push_back(Frame{0, 0});
 }
 
+void
+WorkloadBase::refill()
+{
+    pending.clear();
+    pendingHead = 0;
+    while (pending.empty())
+        generate();
+}
+
 bool
 WorkloadBase::next(Instruction &inst)
 {
-    while (pending.empty())
-        generate();
-    inst = pending.front();
-    pending.pop_front();
+    if (pendingHead == pending.size())
+        refill();
+    inst = pending[pendingHead++];
     return true;
+}
+
+uint32_t
+WorkloadBase::nextBatch(trace::ChunkFiller &out, uint32_t max)
+{
+    uint32_t n = 0;
+    while (n < max) {
+        if (pendingHead == pending.size())
+            refill();
+        const uint32_t take = uint32_t(
+            std::min<size_t>(pending.size() - pendingHead, max - n));
+        out.append(pending.data() + pendingHead, take);
+        pendingHead += take;
+        n += take;
+    }
+    return n;
 }
 
 WorkloadBase::Frame &

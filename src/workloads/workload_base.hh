@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -47,6 +46,9 @@ class WorkloadBase : public trace::TraceSource
     WorkloadBase(std::string workload_name, uint64_t seed);
 
     bool next(trace::Instruction &inst) final;
+    /** Copies whole runs of generated instructions into @p out,
+     *  calling generate() whenever the pending run is drained. */
+    uint32_t nextBatch(trace::ChunkFiller &out, uint32_t max) final;
     std::string name() const final { return label; }
 
   protected:
@@ -144,10 +146,16 @@ class WorkloadBase : public trace::TraceSource
     const Frame &frame() const;
     uint64_t pcAt(const Frame &f) const;
     void push(const trace::Instruction &inst);
+    /** Start a new pending run with the next unit of work. */
+    void refill();
 
     std::string label;
     Rng rng;
-    std::deque<trace::Instruction> pending;
+    /** Generated instructions not yet handed out: [pendingHead, end).
+     *  generate() runs only once the run is drained, so the stream is
+     *  the same whichever of next() and nextBatch() reads it. */
+    std::vector<trace::Instruction> pending;
+    size_t pendingHead = 0;
     std::vector<Frame> callStack;
     uint64_t emitted = 0;
 };

@@ -25,6 +25,7 @@
 #include "util/cancellation.hh"
 #include "util/parallel.hh"
 #include "workloads/factory.hh"
+#include "support/annotation_equality.hh"
 
 namespace mlpsim::test {
 
@@ -78,44 +79,6 @@ struct Materialised
                 .orFatal());
     }
 };
-
-void
-expectSameAnnotations(const core::AnnotatedTrace &streamed,
-                      const core::AnnotatedTrace &reference)
-{
-    const auto &sm = streamed.misses();
-    const auto &rm = reference.misses();
-    EXPECT_EQ(sm.measuredInsts, rm.measuredInsts);
-    EXPECT_EQ(sm.fetchMisses, rm.fetchMisses);
-    EXPECT_EQ(sm.loadMisses, rm.loadMisses);
-    EXPECT_EQ(sm.storeMisses, rm.storeMisses);
-    EXPECT_EQ(sm.usefulPrefetches, rm.usefulPrefetches);
-    EXPECT_EQ(sm.uselessPrefetches, rm.uselessPrefetches);
-    ASSERT_EQ(sm.size(), rm.size());
-
-    const auto &sb = streamed.branches();
-    const auto &rb = reference.branches();
-    EXPECT_EQ(sb.branches, rb.branches);
-    EXPECT_EQ(sb.mispredicts, rb.mispredicts);
-
-    const auto &sv = streamed.values();
-    const auto &rv = reference.values();
-    EXPECT_EQ(sv.missingLoads, rv.missingLoads);
-    EXPECT_EQ(sv.correct, rv.correct);
-    EXPECT_EQ(sv.wrong, rv.wrong);
-    EXPECT_EQ(sv.noPredict, rv.noPredict);
-
-    // Every per-instruction plane, bit for bit.
-    for (size_t i = 0; i < rm.size(); ++i) {
-        ASSERT_EQ(sm.fetchMiss(i), rm.fetchMiss(i)) << "at " << i;
-        ASSERT_EQ(sm.dataMiss(i), rm.dataMiss(i)) << "at " << i;
-        ASSERT_EQ(sm.usefulPrefetch(i), rm.usefulPrefetch(i)) << "at " << i;
-        ASSERT_EQ(sm.dataL2Hit(i), rm.dataL2Hit(i)) << "at " << i;
-        ASSERT_EQ(sm.storeMiss(i), rm.storeMiss(i)) << "at " << i;
-        ASSERT_EQ(sb.isMispredict(i), rb.isMispredict(i)) << "at " << i;
-        ASSERT_EQ(sv.outcome[i], rv.outcome[i]) << "at " << i;
-    }
-}
 
 } // namespace
 

@@ -1,12 +1,19 @@
 /** @file The workload-authoring framework: PC layout, call/return
- *  consistency, loops, mixed hot work. */
+ *  consistency, loops, mixed hot work, and batch emission into chunk
+ *  columns. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "trace/trace_chunk.hh"
+#include "workloads/factory.hh"
+#include "workloads/micro.hh"
 #include "workloads/workload_base.hh"
 
 namespace mlpsim::test {
@@ -206,6 +213,86 @@ TEST(WorkloadBase, PcsStayInsideTheFunctionStride)
     for (size_t i = 1; i < insts.size(); ++i) {
         EXPECT_GE(insts[i].pc, base);
         EXPECT_LT(insts[i].pc, base + 1024);
+    }
+}
+
+namespace {
+
+/** Every generator makeWorkload() knows, plus the micro workloads, as
+ *  factories of fresh generators at one seed. */
+std::vector<std::function<std::unique_ptr<WorkloadBase>()>>
+everyGenerator()
+{
+    std::vector<std::function<std::unique_ptr<WorkloadBase>()>> out;
+    for (const std::string &name : commercialWorkloadNames())
+        out.push_back([name] { return makeWorkload(name, 7); });
+    out.push_back([] {
+        return std::make_unique<PointerChaseWorkload>(
+            PointerChaseWorkload::Params{});
+    });
+    out.push_back([] {
+        return std::make_unique<IndependentStreamsWorkload>(
+            IndependentStreamsWorkload::Params{});
+    });
+    out.push_back([] {
+        return std::make_unique<SerializingStormWorkload>(
+            SerializingStormWorkload::Params{});
+    });
+    out.push_back([] {
+        return std::make_unique<PrefetchedStreamWorkload>(
+            PrefetchedStreamWorkload::Params{});
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(WorkloadBase, BatchFillYieldsTheSameStreamAsNext)
+{
+    // Odd batch sizes straddle every generate() unit boundary; a
+    // next() between batches checks that the two calls share one
+    // stream position.
+    constexpr size_t total = 100'000;
+    const uint32_t batches[] = {1, 7, 613, 4096, 3, 16384};
+    for (const auto &make : everyGenerator()) {
+        auto reference = make();
+        auto batched = make();
+        SCOPED_TRACE(reference->name());
+
+        std::vector<Instruction> expected(total);
+        for (Instruction &inst : expected)
+            ASSERT_TRUE(reference->next(inst));
+
+        std::vector<Instruction> actual;
+        trace::TraceChunk chunk(0, 1u << 14);
+        for (size_t b = 0; actual.size() < total; ++b) {
+            chunk.count = 0;
+            trace::ChunkFiller fill(chunk);
+            const uint32_t want = uint32_t(std::min<size_t>(
+                batches[b % std::size(batches)], total - actual.size()));
+            ASSERT_EQ(batched->nextBatch(fill, want), want);
+            fill.publish();
+            for (uint32_t i = 0; i < chunk.count; ++i)
+                actual.push_back(chunk.get(i));
+            if (b % 5 == 4 && actual.size() < total) {
+                Instruction inst;
+                ASSERT_TRUE(batched->next(inst));
+                actual.push_back(inst);
+            }
+        }
+
+        ASSERT_EQ(actual.size(), total);
+        for (size_t i = 0; i < total; ++i) {
+            const Instruction &x = actual[i];
+            const Instruction &y = expected[i];
+            ASSERT_EQ(x.pc, y.pc) << "at " << i;
+            ASSERT_EQ(x.effAddr, y.effAddr) << "at " << i;
+            ASSERT_EQ(x.rawPayload(), y.rawPayload()) << "at " << i;
+            ASSERT_EQ(x.rawMeta(), y.rawMeta()) << "at " << i;
+            ASSERT_EQ(x.dst, y.dst) << "at " << i;
+            for (int k = 0; k < 3; ++k)
+                ASSERT_EQ(x.src[k], y.src[k]) << "at " << i << " src " << k;
+        }
     }
 }
 
