@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/socket.h>
@@ -14,10 +12,8 @@
 #include <unistd.h>
 
 #include "core/mlpsim.hh"
-#include "core/shared_stream.hh"
 #include "metrics/registry.hh"
 #include "service/framing.hh"
-#include "service/wire.hh"
 #include "util/logging.hh"
 
 namespace mlpsim::service {
@@ -113,249 +109,207 @@ Daemon::recordComputedCell(const std::string &cell_key,
     }
 }
 
-Status
-Daemon::handleBatch(const std::vector<std::string> &frames,
-                    FrameWriter &writer)
+void
+Daemon::startCells()
 {
-    /** What one planned cell resolves to. */
-    struct PlannedCell
-    {
-        Job<core::MlpResult> job;  //!< valid() iff deferred this batch
-        core::MlpResult cached;    //!< the result when hit
-        bool hit = false;
-    };
-    /** Per-frame disposition, in frame order. */
-    struct Outcome
-    {
-        std::optional<JsonValue> earlyResponse; //!< pre-built error
-        std::optional<SweepRequest> request;
-        std::vector<std::string> keys; //!< cell keys, config order
-        uint64_t hits = 0;
-        uint64_t computed = 0;
-        bool control = false;
-    };
+    runner.start();
+    // Seal the streamed groups: a group runs as soon as its first job
+    // does, so cells deferred from here on form new groups.
+    grid.clear();
+    framesSinceStart = 0;
+}
 
-    std::vector<Outcome> outcomes(frames.size());
-    std::unordered_map<std::string, PlannedCell> plan;
-    std::vector<std::string> defer_order;
-    const ServiceStats before = counters;
+void
+Daemon::plan(const std::string &frame, FrameWriter &writer,
+             Status *write_error)
+{
+    Outstanding outcome;
 
-    // Streamed mode: a batch's computed cells, grouped by prepared
-    // trace, consume shared stream generations instead of each cell
-    // regenerating the trace (see core::CellGrid). The grid outlives
-    // runAll() below.
-    core::CellGrid grid;
+    auto doc = JsonValue::parse(frame);
+    if (!doc.ok()) {
+        outcome.earlyResponse = makeErrorResponse(
+            "", "",
+            Status::invalidArgument("request is not valid JSON: ",
+                                    doc.status().message()));
+        outstanding.push_back(std::move(outcome));
+        return;
+    }
 
-    // A failed pong write ends planning, but not before the cells
-    // already deferred have run and been recorded: a job left queued
-    // would run inside the next connection's batch.
-    Status stream_error;
-
-    for (size_t i = 0; i < frames.size() && stream_error.ok(); ++i) {
-        Outcome &outcome = outcomes[i];
-
-        auto doc = JsonValue::parse(frames[i]);
-        if (!doc.ok()) {
+    const JsonValue *schema = doc->find("schema");
+    if (schema && schema->isString() &&
+        schema->string() == sweepControlSchema) {
+        const JsonValue *cmd = doc->find("command");
+        const std::string command =
+            cmd && cmd->isString() ? cmd->string() : "";
+        if (command == "shutdown") {
+            shuttingDown = true;
+        } else if (command == "ping") {
+            *write_error = writer.write(makeEvent("pong").dump(0));
+        } else {
             outcome.earlyResponse = makeErrorResponse(
                 "", "",
-                Status::invalidArgument("request is not valid JSON: ",
-                                        doc.status().message()));
+                Status::invalidArgument("unknown control command '",
+                                        command, "'"));
+            outstanding.push_back(std::move(outcome));
+        }
+        return;
+    }
+
+    auto parsed = parseSweepRequest(*doc, config.maxInsts);
+    if (!parsed.ok()) {
+        // Salvage the id for correlation when it parsed at least that
+        // far; the request itself is rejected, not the connection and
+        // certainly not the process.
+        std::string id;
+        if (const JsonValue *id_field = doc->find("id");
+            id_field && id_field->isString())
+            id = id_field->string();
+        outcome.earlyResponse = makeErrorResponse(id, "", parsed.status());
+        outstanding.push_back(std::move(outcome));
+        return;
+    }
+    outcome.request = std::move(*parsed);
+    const SweepRequest &request = *outcome.request;
+    ++counters.requests;
+    counters.cells += request.configs.size();
+
+    std::shared_ptr<const core::PreparedTrace> prepared;
+    Status trace_error;
+    uint64_t hits = 0, computed = 0;
+    for (const RequestConfig &rc : request.configs) {
+        PlannedCell cell;
+        cell.key = cellKey(request, rc.config);
+
+        if (const auto it = inFlight.find(cell.key); it != inFlight.end()) {
+            // An earlier outstanding request (or this one) already
+            // computes this cell: share its job.
+            cell.job = it->second;
+            ++hits;
+            outcome.cells.push_back(std::move(cell));
+            continue;
+        }
+        if (results.lookup(cell.key, &cell.cached)) {
+            ++hits;
+            outcome.cells.push_back(std::move(cell));
             continue;
         }
 
-        const JsonValue *schema = doc->find("schema");
-        if (schema && schema->isString() &&
-            schema->string() == sweepControlSchema) {
-            outcome.control = true;
-            const JsonValue *cmd = doc->find("command");
-            const std::string command =
-                cmd && cmd->isString() ? cmd->string() : "";
-            if (command == "shutdown") {
-                shuttingDown = true;
-            } else if (command == "ping") {
-                stream_error = writer.write(makeEvent("pong").dump(0));
-            } else {
-                outcome.earlyResponse = makeErrorResponse(
-                    "", "",
-                    Status::invalidArgument(
-                        "unknown control command '", command, "'"));
-            }
-            continue;
-        }
-
-        auto parsed = parseSweepRequest(*doc, config.maxInsts);
-        if (!parsed.ok()) {
-            // Salvage the id for correlation when it parsed at least
-            // that far; the request itself is rejected, not the
-            // connection and certainly not the process.
-            std::string id;
-            if (const JsonValue *id_field = doc->find("id");
-                id_field && id_field->isString())
-                id = id_field->string();
-            outcome.earlyResponse =
-                makeErrorResponse(id, "", parsed.status());
-            continue;
-        }
-        outcome.request = std::move(*parsed);
-        SweepRequest &request = *outcome.request;
-        ++counters.requests;
-        counters.cells += request.configs.size();
-
-        std::shared_ptr<const core::PreparedTrace> prepared;
-        Status trace_error;
-        for (const RequestConfig &rc : request.configs) {
-            std::string key = cellKey(request, rc.config);
-
-            if (const auto it = plan.find(key); it != plan.end()) {
-                // Cache hit or within-batch dedup onto an in-flight
-                // job; either way this request computes nothing new.
-                ++outcome.hits;
-                outcome.keys.push_back(std::move(key));
-                continue;
-            }
-
-            core::MlpResult cached;
-            if (results.lookup(key, &cached)) {
-                PlannedCell cell;
-                cell.cached = cached;
-                cell.hit = true;
-                plan.emplace(key, std::move(cell));
-                ++outcome.hits;
-                outcome.keys.push_back(std::move(key));
-                continue;
-            }
-
-            if (!prepared && trace_error.ok()) {
-                core::TraceSpec spec;
-                spec.workload = request.workload;
-                spec.seed = request.seed;
-                spec.totalInsts = request.warmup + request.insts;
-                spec.streamChunk = config.streamChunk;
-                spec.annotation.warmupInsts = request.warmup;
-                auto trace = traces.get(spec);
-                if (trace.ok())
-                    prepared = *trace;
-                else
-                    trace_error = trace.status();
-            }
-            if (!trace_error.ok())
+        if (!prepared) {
+            core::TraceSpec spec;
+            spec.workload = request.workload;
+            spec.seed = request.seed;
+            spec.totalInsts = request.warmup + request.insts;
+            spec.streamChunk = config.streamChunk;
+            spec.annotation.warmupInsts = request.warmup;
+            // A build is coming: let the workers run the cells planned
+            // so far while this thread builds.
+            if (!traces.contains(spec))
+                startCells();
+            auto trace = traces.get(spec);
+            if (!trace.ok()) {
+                trace_error = trace.status();
                 break;
-
-            JobLimits limits;
-            limits.deadlineMillis = request.deadlineMillis;
-            limits.maxAttempts = request.maxAttempts;
-            runner.setJobLimits(limits);
-
-            PlannedCell cell;
-            const core::MlpConfig job_config = rc.config;
-            const std::string workload = request.workload;
-            // The body holds the trace, so a cache eviction cannot
-            // free it under a queued cell.
-            cell.job = grid.defer<core::MlpResult>(
-                runner, *prepared, workload + "/" + rc.name,
-                [prepared, job_config,
-                 workload](const core::WorkloadContext &ctx) {
-                    metrics::ScopedLabel wl(workload);
-                    metrics::ScopedLabel cfg(job_config.metricLabel());
-                    auto r = core::tryRunMlp(job_config, ctx);
-                    if (!r.ok())
-                        throw StatusError(r.status());
-                    return *std::move(r);
-                });
-            plan.emplace(key, std::move(cell));
-            defer_order.push_back(key);
-            ++outcome.computed;
-            ++counters.cellsComputed;
-            outcome.keys.push_back(std::move(key));
-        }
-        counters.cellHits += outcome.hits;
-
-        if (!trace_error.ok()) {
-            outcome.earlyResponse = makeErrorResponse(
-                request.id, requestHash(request),
-                std::move(trace_error)
-                    .withContext("preparing trace for workload '",
-                                 request.workload, "'"));
-        }
-    }
-
-    // Progress preamble (frame order), then the one shared batch.
-    if (config.emitEvents && stream_error.ok()) {
-        for (const Outcome &outcome : outcomes) {
-            if (outcome.request && !outcome.earlyResponse) {
-                emitFrame(makePlannedEvent(
-                    outcome.request->id, outcome.keys.size(),
-                    outcome.hits, outcome.computed));
             }
+            prepared = *std::move(trace);
         }
-    }
-    if (!defer_order.empty())
-        runner.runAll();
 
-    // Persist computed cells in submission order — deterministic log
-    // contents for a given request history, and where the killAfter
-    // crash countdown lives.
-    for (const std::string &key : defer_order) {
-        const PlannedCell &cell = plan.at(key);
+        JobLimits limits;
+        limits.deadlineMillis = request.deadlineMillis;
+        limits.maxAttempts = request.maxAttempts;
+        runner.setJobLimits(limits);
+
+        const core::MlpConfig job_config = rc.config;
+        const std::string workload = request.workload;
+        // The body holds the trace, so a cache eviction cannot free it
+        // under a queued cell; the runner drops the body once it ran.
+        cell.job = grid.defer<core::MlpResult>(
+            runner, *prepared, workload + "/" + rc.name,
+            [prepared, job_config,
+             workload](const core::WorkloadContext &ctx) {
+                metrics::ScopedLabel wl(workload);
+                metrics::ScopedLabel cfg(job_config.metricLabel());
+                auto r = core::tryRunMlp(job_config, ctx);
+                if (!r.ok())
+                    throw StatusError(r.status());
+                return *std::move(r);
+            });
+        cell.owned = true;
+        inFlight.emplace(cell.key, cell.job);
+        ++computed;
+        ++counters.cellsComputed;
+        outcome.cells.push_back(std::move(cell));
+    }
+    counters.cellHits += hits;
+
+    if (!trace_error.ok()) {
+        // The trace is fetched before the request defers any cell, so
+        // it owns none: its hits need not be waited for.
+        outcome.cells.clear();
+        outcome.earlyResponse = makeErrorResponse(
+            request.id, requestHash(request),
+            std::move(trace_error)
+                .withContext("preparing trace for workload '",
+                             request.workload, "'"));
+    } else if (config.emitEvents) {
+        emitFrame(makePlannedEvent(request.id, outcome.cells.size(), hits,
+                                   computed));
+    }
+    outstanding.push_back(std::move(outcome));
+}
+
+bool
+Daemon::Outstanding::done() const
+{
+    for (const PlannedCell &cell : cells)
+        if (cell.job.valid() && !cell.job.done())
+            return false;
+    return true;
+}
+
+Status
+Daemon::retire(FrameWriter &writer, bool respond)
+{
+    Outstanding outcome = std::move(outstanding.front());
+    outstanding.pop_front();
+
+    // Persist the cells this request computed in submission order —
+    // deterministic log contents for a given request history, and
+    // where the killAfter crash countdown lives. A later duplicate now
+    // finds the cell in the result cache.
+    for (const PlannedCell &cell : outcome.cells) {
+        if (!cell.owned)
+            continue;
         if (cell.job.succeeded())
-            recordComputedCell(key, cell.job.get());
+            recordComputedCell(cell.key, cell.job.get());
+        inFlight.erase(cell.key);
     }
-    MLPSIM_RETURN_IF_ERROR(stream_error);
+    if (!respond)
+        return Status::okStatus();
 
-    // Responses, strictly in frame order.
-    for (const Outcome &outcome : outcomes) {
-        if (outcome.earlyResponse) {
+    if (outcome.earlyResponse) {
+        ++counters.responsesError;
+        return writer.write(outcome.earlyResponse->dump(0));
+    }
+    const SweepRequest &request = *outcome.request;
+    std::vector<ResponseRow> rows;
+    for (size_t j = 0; j < outcome.cells.size(); ++j) {
+        const PlannedCell &cell = outcome.cells[j];
+        if (!cell.job.valid()) {
+            rows.push_back({request.configs[j].name, cell.cached});
+        } else if (cell.job.succeeded()) {
+            rows.push_back({request.configs[j].name, cell.job.get()});
+        } else {
+            Status failed = cell.job.status();
+            failed = std::move(failed).withContext(
+                "cell '", request.workload, "/", request.configs[j].name,
+                "'");
             ++counters.responsesError;
-            MLPSIM_RETURN_IF_ERROR(
-                writer.write(outcome.earlyResponse->dump(0)));
-            continue;
+            return writer.write(
+                makeErrorResponse(request.id, requestHash(request), failed)
+                    .dump(0));
         }
-        if (!outcome.request)
-            continue; // control frame, already handled
-
-        const SweepRequest &request = *outcome.request;
-        std::vector<ResponseRow> rows;
-        Status failed;
-        for (size_t j = 0; j < outcome.keys.size(); ++j) {
-            const PlannedCell &cell = plan.at(outcome.keys[j]);
-            if (cell.hit) {
-                rows.push_back({request.configs[j].name, cell.cached});
-            } else if (cell.job.succeeded()) {
-                rows.push_back(
-                    {request.configs[j].name, cell.job.get()});
-            } else {
-                failed = cell.job.status();
-                failed = std::move(failed).withContext(
-                    "cell '", request.workload, "/",
-                    request.configs[j].name, "'");
-                break;
-            }
-        }
-        if (!failed.ok()) {
-            ++counters.responsesError;
-            MLPSIM_RETURN_IF_ERROR(writer.write(
-                makeErrorResponse(request.id, requestHash(request),
-                                  failed)
-                    .dump(0)));
-            continue;
-        }
-        MLPSIM_RETURN_IF_ERROR(
-            writer.write(makeOkResponse(request, rows).dump(0)));
     }
-
-    if (metrics::enabled()) {
-        auto &global = metrics::MetricRegistry::global();
-        global.add("service/requests",
-                   counters.requests - before.requests);
-        global.add("service/cells", counters.cells - before.cells);
-        global.add("service/cell_hits",
-                   counters.cellHits - before.cellHits);
-        global.add("service/cells_computed",
-                   counters.cellsComputed - before.cellsComputed);
-        global.add("service/responses_error",
-                   counters.responsesError - before.responsesError);
-    }
-    return Status::okStatus();
+    return writer.write(makeOkResponse(request, rows).dump(0));
 }
 
 Status
@@ -367,49 +321,78 @@ Daemon::serve(int in_fd, int out_fd)
         std::lock_guard<std::mutex> lock(writerMutex);
         activeWriter = &writer;
     }
+    const ServiceStats before = counters;
 
-    Status outcome;
-    bool eof = false;
-    while (!shuttingDown && !eof && outcome.ok()) {
-        std::vector<std::string> frames;
-        std::string frame;
-
-        auto first = reader.read(&frame);
-        if (!first.ok()) {
-            outcome = first.status();
-            break;
+    // A ROB of frames: each frame is planned as it is read, its cells
+    // run while later frames are read and their traces built, and
+    // answers retire strictly in frame order. A failed read stops
+    // reading but still answers the frames before it; a failed write
+    // stops reading and answering, but the cells already planned still
+    // run and are recorded, so no job is left to run in the next
+    // connection's batch.
+    Status read_error, write_error;
+    bool reading = true;
+    bool served_frames = false;
+    for (;;) {
+        while (!outstanding.empty() && outstanding.front().done()) {
+            const Status answered = retire(writer, write_error.ok());
+            if (write_error.ok())
+                write_error = answered;
         }
-        if (!*first)
-            break; // clean EOF at a frame boundary
-        frames.push_back(std::move(frame));
-
-        // Drain the burst the client already queued so duplicates and
-        // siblings share one ThreadPool batch.
-        while (frames.size() < config.maxBatch && reader.pending()) {
-            auto more = reader.read(&frame);
-            if (!more.ok()) {
-                outcome = more.status();
+        if (!write_error.ok())
+            reading = false;
+        if (outstanding.empty()) {
+            // Every started cell is done: close the runner's batch
+            // (failure records, spans, the submission-order metric
+            // merge).
+            runner.runAll();
+            if (!reading)
                 break;
-            }
-            if (!*more) {
-                eof = true;
-                break;
-            }
-            frames.push_back(std::move(frame));
         }
 
-        const Status handled = handleBatch(frames, writer);
-        if (outcome.ok() && !handled.ok())
-            outcome = handled;
+        if (reading && (outstanding.empty() || reader.pending())) {
+            std::string frame;
+            auto got = reader.read(&frame);
+            if (!got.ok() || !*got) {
+                if (!got.ok())
+                    read_error = got.status();
+                reading = false; // error, or clean EOF at a boundary
+                continue;
+            }
+            served_frames = true;
+            plan(frame, writer, &write_error);
+            if (shuttingDown)
+                reading = false;
+            if (++framesSinceStart >= config.maxBatch)
+                startCells();
+            continue;
+        }
+
+        // Nothing to read: run what is planned, wait for the oldest.
+        startCells();
+        for (const PlannedCell &cell : outstanding.front().cells)
+            if (cell.job.valid())
+                runner.wait(cell.job);
     }
 
+    if (served_frames && metrics::enabled()) {
+        auto &global = metrics::MetricRegistry::global();
+        global.add("service/requests", counters.requests - before.requests);
+        global.add("service/cells", counters.cells - before.cells);
+        global.add("service/cell_hits",
+                   counters.cellHits - before.cellHits);
+        global.add("service/cells_computed",
+                   counters.cellsComputed - before.cellsComputed);
+        global.add("service/responses_error",
+                   counters.responsesError - before.responsesError);
+    }
     if (shuttingDown && config.emitEvents)
         emitFrame(makeEvent("bye"));
     {
         std::lock_guard<std::mutex> lock(writerMutex);
         activeWriter = nullptr;
     }
-    return outcome;
+    return read_error.ok() ? write_error : read_error;
 }
 
 Status

@@ -65,6 +65,14 @@ TraceCache::get(const core::TraceSpec &spec)
     return prepared;
 }
 
+bool
+TraceCache::contains(const core::TraceSpec &spec) const
+{
+    const std::string canonical = traceKey(spec);
+    std::lock_guard<std::mutex> lock(mutex);
+    return index.count(canonical) != 0;
+}
+
 TraceCache::Stats
 TraceCache::stats() const
 {

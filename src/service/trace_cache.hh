@@ -52,6 +52,12 @@ class TraceCache
     Expected<std::shared_ptr<const core::PreparedTrace>>
     get(const core::TraceSpec &spec);
 
+    /**
+     * True if @p spec's trace is cached, so get() would not build.
+     * Neither counts as a lookup nor touches the LRU order.
+     */
+    bool contains(const core::TraceSpec &spec) const;
+
     struct Stats
     {
         uint64_t memoryHits = 0;

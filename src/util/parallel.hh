@@ -9,11 +9,20 @@
  * SweepRunner exploits that without giving up reproducibility:
  *
  *  - Jobs are *deferred*: defer() records a closure and returns a
- *    typed Job<T> handle; nothing executes until runAll().
+ *    typed Job<T> handle; nothing executes until start() or runAll().
  *  - runAll() executes all pending jobs on a fixed pool of worker
  *    threads (or inline on the calling thread when the runner was
  *    built with one job slot, which is bit-for-bit today's serial
- *    behaviour).
+ *    behaviour) and closes the batch.
+ *  - start() hands the jobs deferred so far to the pool without
+ *    waiting (one job slot: runs them inline), and wait() blocks until
+ *    one job is done, so a caller can overlap its own work with the
+ *    batch and read each job as it finishes. runAll() still closes the
+ *    batch: stats, failure records, spans and the metric merge cover
+ *    every job started since the previous runAll().
+ *  - A job start() handed out has its closure destroyed as soon as it
+ *    has run, so what it captured (a shared trace, say) is released
+ *    then, not when the batch closes.
  *  - Results are collected in *submission order*: a Job<T> handle is a
  *    stable slot, so consumers read the grid back in exactly the order
  *    they built it no matter which worker finished first. Stdout
@@ -61,6 +70,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -198,7 +208,9 @@ struct JobSlot
     double wallMillis = 0.0;          //!< execution time of this job
     unsigned worker = 0;              //!< executing worker (0 = caller)
     unsigned attempts = 1;            //!< attempts actually executed
-    bool done = false;                //!< ran (successfully or not)
+    /** Ran (successfully or not). Set last, under the runner's done
+     *  lock, so a reader that sees it also sees every field above. */
+    std::atomic<bool> done{false};
 
     /** fatal() unless the job ran and left a result (@p has_value). */
     void requireResult(bool has_value) const;
@@ -213,10 +225,10 @@ struct TypedJobSlot final : JobSlot
 } // namespace detail
 
 /**
- * Handle to one deferred job's future result. Valid to read after the
- * owning SweepRunner::runAll() returned; reading a failed job's result
- * is fatal, so a caller that can do without it checks succeeded()
- * first.
+ * Handle to one deferred job's future result. Valid to read once the
+ * job is done: after the owning SweepRunner::runAll() or wait() for it
+ * returned. Reading a failed job's result is fatal, so a caller that
+ * can do without it checks succeeded() first.
  */
 template <typename T>
 class Job
@@ -224,7 +236,7 @@ class Job
   public:
     Job() = default;
 
-    /** The job's result. @pre the owning runAll() has returned;
+    /** The job's result. @pre the job is done (runAll() or wait());
      *  fatal() with the job's label and Status if it failed. */
     const T &
     get() const
@@ -249,8 +261,12 @@ class Job
     bool
     succeeded() const
     {
-        return slot && slot->done && slot->failStatus.ok();
+        return done() && slot->failStatus.ok();
     }
+
+    /** True once the job ran, successfully or not. Safe to call while
+     *  the job runs on another thread. */
+    bool done() const { return slot && slot->done.load(); }
 
     /** OK while/after a successful run; the final failure otherwise. */
     const Status &
@@ -294,6 +310,18 @@ class Job
  * deferred since the previous call (so dependent stages are expressed
  * as consecutive batches). Worker threads are created lazily on the
  * first parallel batch and reused across batches.
+ *
+ * A caller that overlaps its own work with the batch starts it early
+ * and reads each job as it finishes:
+ * @code
+ *   auto a = runner.defer<double>("cell a", [] { return runA(); });
+ *   runner.start();                              // a runs meanwhile
+ *   auto b = runner.defer<double>("cell b", [] { return runB(); });
+ *   runner.start();
+ *   runner.wait(a);
+ *   use(a.get());                                // b may still run
+ *   runner.runAll();                             // closes the batch
+ * @endcode
  */
 class SweepRunner
 {
@@ -325,13 +353,17 @@ class SweepRunner
      */
     explicit SweepRunner(unsigned job_count = 0);
 
+    /** Waits for every started job: they reference the runner. */
+    ~SweepRunner();
+
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
     /** The effective parallelism (resolved, never 0). */
     unsigned jobs() const { return jobCount; }
 
-    /** Record @p fn for the next runAll(); returns its result handle. */
+    /** Record @p fn for the next start() or runAll(); returns its
+     *  result handle. */
     template <typename T>
     Job<T>
     defer(std::string label, std::function<T()> fn)
@@ -357,9 +389,32 @@ class SweepRunner
      * Execute all jobs deferred since the last runAll(). Blocks until
      * every one of them finished and never throws: every failure is
      * recorded (see lastFailures()), and successful slots are readable
-     * through their Job<T> handles.
+     * through their Job<T> handles. Jobs that start() already started
+     * belong to this batch too: their stats, failures, spans and
+     * metrics are collected here, in submission order.
      */
     void runAll();
+
+    /**
+     * Hand every job deferred so far to the worker pool and return
+     * without waiting. With one job slot the jobs run inline on the
+     * calling thread before start() returns. Each of these jobs drops
+     * its closure as soon as it has run.
+     */
+    void start();
+
+    /**
+     * Block until @p job is done; start() first if anything is still
+     * deferred, so it never waits on a job nothing will run. Its
+     * result is then readable, before runAll() closes the batch.
+     */
+    template <typename T>
+    void
+    wait(const Job<T> &job)
+    {
+        MLPSIM_ASSERT(job.slot, "SweepRunner::wait() on an empty handle");
+        waitFor(*job.slot);
+    }
 
     /** Limits applied to jobs deferred after this call. */
     void setJobLimits(JobLimits job_limits) { limits = job_limits; }
@@ -402,20 +457,30 @@ class SweepRunner
     {
         std::shared_ptr<detail::JobSlot> slot;
         std::function<void()> body;  //!< fills the slot's value
+        bool releaseWhenRun = false; //!< start()ed: drop body once run
     };
 
     void enqueue(std::shared_ptr<detail::JobSlot> slot,
                  std::function<void()> body);
+    void launch(bool run_inline, bool release_when_run);
     void execute(Pending &job);
+    void waitFor(const detail::JobSlot &slot);
     static bool runAttempt(Pending &job, const CancelToken &tok,
                            metrics::MetricRegistry *registry,
                            Status *failure);
 
     unsigned jobCount;
-    std::vector<Pending> pending;
+    std::vector<Pending> pending;      //!< deferred, not yet started
+    /** Started since the last runAll(). A deque, so the references
+     *  the pool's workers hold stay valid while start() appends. */
+    std::deque<Pending> started;
+    std::chrono::steady_clock::time_point batchStart;
     std::size_t deferredCount = 0;
     std::unique_ptr<ThreadPool> pool;  //!< lazily created, reused
     BatchStats batch;
+
+    std::mutex doneMutex;              //!< guards every slot's `done`
+    std::condition_variable jobDone;   //!< a started job finished
 
     JobLimits limits;
     std::vector<JobFailure> failures;  //!< last batch, submission order

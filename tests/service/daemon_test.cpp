@@ -147,6 +147,76 @@ TEST(DaemonTest, AnswersRequestsInFrameOrder)
     EXPECT_EQ(planned, 2u);
 }
 
+/** Index of the first frame of @p session matching both needles. */
+size_t
+frameIndex(const Session &session, const std::string &a,
+           const std::string &b)
+{
+    for (size_t i = 0; i < session.frames.size(); ++i) {
+        const std::string &frame = session.frames[i];
+        if (frame.find(a) != std::string::npos &&
+            frame.find(b) != std::string::npos)
+            return i;
+    }
+    ADD_FAILURE() << "no frame holds " << a << " and " << b;
+    return session.frames.size();
+}
+
+TEST(DaemonTest, AnswersInFrameOrderWhenALaterRequestFinishesFirst)
+{
+    // A runahead cell at a large budget, then a cheap cell over another
+    // trace: the cheap cell starts while its trace's build overlaps the
+    // slow one, and ends first, yet its answer waits its turn.
+    auto daemon = memoryDaemon();
+    const Session session = runSession(
+        *daemon,
+        {requestPayload("slow", "database", "{\"mode\":\"runahead\"}",
+                        1'000'000),
+         requestPayload("fast", "specweb99", "{}")});
+    ASSERT_TRUE(session.served.ok()) << session.served.toString();
+    ASSERT_EQ(session.responses.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        const JsonValue doc =
+            JsonValue::parse(session.responses[i]).orFatal();
+        EXPECT_EQ(doc.find("status")->string(), "ok");
+        EXPECT_EQ(doc.find("id")->string(), i == 0 ? "slow" : "fast");
+    }
+    EXPECT_LT(frameIndex(session, "\"cell-done\"", "specweb99/"),
+              frameIndex(session, "\"id\":\"slow\"", "\"results\""));
+}
+
+TEST(DaemonTest, DuplicateOfAnInFlightCellSharesItsJob)
+{
+    // --batch-max 1 starts each frame's cells before the next frame
+    // is planned, so the duplicate finds the slow cell running, not in
+    // the result cache: it must join that job, not compute it again.
+    DaemonConfig config;
+    config.jobs = 2;
+    config.maxBatch = 1;
+    auto daemon = Daemon::create(config);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().toString();
+    const std::string slow = requestPayload(
+        "dup", "database", "{\"mode\":\"runahead\"}", 1'000'000);
+    const Session session = runSession(**daemon, {slow, slow});
+    ASSERT_TRUE(session.served.ok()) << session.served.toString();
+    ASSERT_EQ(session.responses.size(), 2u);
+    EXPECT_EQ(session.responses[0], session.responses[1]);
+    EXPECT_EQ((*daemon)->stats().cellsComputed, 1u);
+    EXPECT_EQ((*daemon)->stats().cellHits, 1u);
+    EXPECT_EQ(cellDoneCount(session), 1u);
+
+    // The duplicate was planned while the first request was still
+    // outstanding: its planned event precedes the first answer.
+    size_t planned = 0, second_planned = session.frames.size();
+    for (size_t i = 0; i < session.frames.size(); ++i) {
+        if (session.frames[i].find("\"planned\"") != std::string::npos &&
+            ++planned == 2)
+            second_planned = i;
+    }
+    EXPECT_LT(second_planned,
+              frameIndex(session, "\"id\":\"dup\"", "\"results\""));
+}
+
 TEST(DaemonTest, DuplicateInOneBatchIsDedupedAndByteIdentical)
 {
     auto daemon = memoryDaemon();

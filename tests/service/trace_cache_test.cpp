@@ -2,7 +2,8 @@
  * @file
  * TraceCache tests: the daemon's in-memory LRU of prepared traces.
  * Covers eviction order at capacity, the hit and build counters, the
- * capacity floor, a failed build caching nothing, and streamed specs.
+ * non-counting contains() probe, the capacity floor, a failed build
+ * caching nothing, and streamed specs.
  */
 #include <gtest/gtest.h>
 
@@ -64,6 +65,24 @@ TEST(TraceCacheTest, EvictsLeastRecentlyUsedAtCapacity)
 
     get(cache, spec(2));
     expectStats(cache, 2, 4); // B was rebuilt
+}
+
+TEST(TraceCacheTest, ContainsProbesWithoutCountingOrTouching)
+{
+    // The daemon asks contains() before a lookup to learn whether a
+    // build is coming; the probe must not count as a hit or bump A.
+    TraceCache cache(2);
+    EXPECT_FALSE(cache.contains(spec(1)));
+    get(cache, spec(1));
+    get(cache, spec(2));
+    EXPECT_TRUE(cache.contains(spec(1)));
+    EXPECT_TRUE(cache.contains(spec(2)));
+    expectStats(cache, 0, 2);
+
+    get(cache, spec(3)); // evicts A: the probe left it least recent
+    EXPECT_FALSE(cache.contains(spec(1)));
+    EXPECT_NE(get(cache, spec(1)), nullptr);
+    expectStats(cache, 0, 4);
 }
 
 TEST(TraceCacheTest, HitsReturnTheSharedTraceAndCountOnce)

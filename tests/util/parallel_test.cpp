@@ -2,7 +2,8 @@
  * @file
  * SweepRunner / ThreadPool unit tests: submission-ordered result
  * collection, submission-ordered failure records, batch reuse, per-job
- * metric isolation, and basic pool liveness. Compiled plain
+ * metric isolation, start()/wait() overlap and closure release, and
+ * basic pool liveness. Compiled plain
  * (parallel_tests), under ASan/UBSan (faultinject_parallel_san) and
  * under ThreadSanitizer (parallel_tests_tsan) in the default ctest
  * tier.
@@ -10,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "metrics/export.hh"
 #include "metrics/registry.hh"
 #include "util/parallel.hh"
 
@@ -260,6 +265,114 @@ TEST(SweepRunnerTest, MergesOnlySuccessfulAttemptsMetrics)
     ASSERT_EQ(snapshot.count("flaky/attempts"), 1u);
     EXPECT_EQ(snapshot.at("flaky/attempts").counter, 1u);
     EXPECT_EQ(snapshot.count("doomed/attempts"), 0u);
+}
+
+TEST(SweepRunnerTest, StartedJobRunsWhileTheCallerGoesOn)
+{
+    // The job waits for a latch only the caller opens, after start()
+    // returned: inline execution would never get there.
+    SweepRunner runner(2);
+    std::latch running(1), opened(1);
+    auto job = runner.defer<int>("gated", [&running, &opened] {
+        running.count_down();
+        opened.wait();
+        return 7;
+    });
+    runner.start();
+    running.wait();
+    EXPECT_FALSE(job.done());
+    opened.count_down();
+    runner.wait(job);
+    EXPECT_TRUE(job.done());
+    EXPECT_EQ(job.get(), 7);
+    runner.runAll();
+    EXPECT_EQ(runner.lastBatch().jobs, 1u);
+}
+
+TEST(SweepRunnerTest, FinishedJobReleasesItsClosureBeforeRunAll)
+{
+    // What a job captured (the daemon's cells capture a whole trace)
+    // is freed when the job has run, not when the batch closes.
+    SweepRunner runner(2);
+    auto captured = std::make_shared<int>(5);
+    const std::weak_ptr<int> watch = captured;
+    auto job = runner.defer<int>(
+        "holder", [held = std::move(captured)] { return *held; });
+    EXPECT_FALSE(watch.expired());
+    runner.start();
+    runner.wait(job);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(job.get(), 5);
+    runner.runAll();
+}
+
+/** The global snapshot, as JSON text, of a batch of jobs that finish
+ *  out of submission order, started by @p run. */
+template <typename Run>
+std::string
+snapshotOfStaggeredJobs(Run run)
+{
+    auto &global = metrics::MetricRegistry::global();
+    global.clear();
+    metrics::setEnabled(true);
+    {
+        SweepRunner runner(4);
+        run(runner, [&runner](int i) {
+            runner.deferVoid("staggered", [i] {
+                // Later jobs finish first.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(2 * (8 - i)));
+                metrics::cur().set("order/last", i);
+                metrics::cur().observe("order/samples", 0.1 * i + 1e-9);
+                metrics::cur().add("order/jobs");
+            });
+        });
+    }
+    const std::string snapshot = metrics::toJson(global.snapshot()).dump(0);
+    metrics::setEnabled(false);
+    global.clear();
+    return snapshot;
+}
+
+TEST(SweepRunnerTest, StartThenRunAllMergesMetricsInSubmissionOrder)
+{
+    ASSERT_FALSE(metrics::enabled());
+    const std::string plain =
+        snapshotOfStaggeredJobs([](SweepRunner &runner, auto defer) {
+            for (int i = 0; i < 8; ++i)
+                defer(i);
+            runner.runAll();
+        });
+    const std::string started =
+        snapshotOfStaggeredJobs([](SweepRunner &runner, auto defer) {
+            for (int i = 0; i < 8; ++i) {
+                defer(i);
+                if (i % 3 == 2)
+                    runner.start();
+            }
+            runner.start();
+            runner.runAll();
+            EXPECT_EQ(runner.lastBatch().jobs, 8u);
+        });
+    EXPECT_NE(plain.find("order/last"), std::string::npos);
+    EXPECT_EQ(started, plain);
+}
+
+TEST(SweepRunnerTest, StartAtOneJobRunsInlineOnTheCaller)
+{
+    SweepRunner runner(1);
+    std::thread::id ran_on;
+    auto job = runner.defer<int>("inline", [&ran_on] {
+        ran_on = std::this_thread::get_id();
+        return 3;
+    });
+    runner.start();
+    EXPECT_TRUE(job.done());
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    runner.wait(job);
+    EXPECT_EQ(job.get(), 3);
+    runner.runAll();
+    EXPECT_EQ(runner.lastBatch().jobs, 1u);
 }
 
 } // namespace

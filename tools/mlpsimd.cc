@@ -4,9 +4,11 @@
  *
  * Accepts framed mlpsim-sweep-request-v1 documents (service/wire.hh)
  * over stdin/stdout (--stdio, the default — the transport sweep_client
- * --spawn uses) or an AF_UNIX stream socket (--socket PATH), batches
- * compatible requests onto one shared SweepRunner, and serves
- * duplicate work from two content-addressed caches: prepared traces
+ * --spawn uses) or an AF_UNIX stream socket (--socket PATH), runs their
+ * cells on one shared SweepRunner while it reads and plans later
+ * requests, answers each request as soon as it and every earlier one
+ * are done, and serves duplicate work from two content-addressed
+ * caches: prepared traces
  * (an in-memory LRU; traces are regenerated, never persisted) and
  * finished cell results (a persistent CRC-framed recordio log that
  * survives crashes and warms the next daemon). See service/daemon.hh
@@ -20,7 +22,8 @@
  *   --jobs N            sweep worker threads (0 = hardware)
  *   --trace-cache N     in-memory prepared-trace LRU capacity
  *   --max-insts N       reject requests above this warmup+insts
- *   --batch-max N       max frames drained into one batch
+ *   --batch-max N       max frames planned before their cells
+ *                       start
  *   --kill-after N      crash-inject: _Exit(42) after N recorded
  *                       cells, leaving a torn cache tail (tests)
  *   --no-events         suppress progress event frames

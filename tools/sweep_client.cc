@@ -19,8 +19,9 @@
  *    with --min-hit-ratio / --min-cell-hits (CI gates).
  *
  * Requests are pipelined up to --window outstanding frames, so the
- * daemon's batch-drain path is exercised, and responses are matched
- * FIFO (the protocol guarantees request-order responses).
+ * daemon plans later frames (and builds their traces) while earlier
+ * requests' cells run, and responses are matched FIFO (the protocol
+ * guarantees request-order responses).
  *
  * The summary can be written as a bench-perf row (--bench-out) in the
  * BENCH_perf.json schema: bench "Service", the six standard keys,
