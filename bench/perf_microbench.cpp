@@ -112,8 +112,9 @@ BENCHMARK(BM_EpochEngine)->Arg(64)->Arg(256)->Arg(2048);
  * The Figure 4 sweep's trace shape (500k warm-up + 1.5M measured
  * instructions). BM_EpochEngine's short cold trace is dense with
  * off-chip events; past the warm-up most instructions fall in quiet
- * stretches between them, which is what the engine's fast-forward
- * skips, so only this shape shows that path's speed.
+ * stretches between them, which the engine's conveyor advances a
+ * dispatch batch at a time, so only this shape shows that path's
+ * speed.
  */
 constexpr uint64_t warmWarmupInsts = 500'000;
 constexpr uint64_t warmTraceInsts = 2'000'000;

@@ -69,9 +69,10 @@ class ChunkWindow
             trace::ChunkPtr c = src->next();
             MLPSIM_ASSERT(c, "chunk stream ended before index ", idx);
             window.push_back(std::move(c));
-            // A reader that skipped ahead (the epoch engine's quiet
-            // fast-forward) may pull chunks already released: drop
-            // them on arrival so the window stays a few chunks wide.
+            // A reader that ran ahead of the released point (the
+            // epoch engine's conveyor) may pull chunks already
+            // released: drop them on arrival so the window stays a
+            // few chunks wide.
             dropReleased();
         }
         const uint64_t front_base = window.front()->base;

@@ -110,9 +110,6 @@ void
 InOrderRun::closeEpoch(Inhibitor cause)
 {
     MLPSIM_ASSERT(epochOpen, "closing a closed epoch");
-    // Epoch boundaries are the cancellation poll points, as in the
-    // epoch engine.
-    pollCancellation();
     if (triggerIdx >= cfg.warmupInsts) {
         ++result.epochs;
         result.usefulAccesses += epochAccesses;
@@ -265,6 +262,10 @@ InOrderRun::run()
         const uint32_t ck_count = ck.count;
         for (uint32_t ci = uint32_t(i - ck.base); ci < ck_count;
              ++ci, ++i) {
+            // Poll every 64K instructions, as the epoch engine does,
+            // so a miss-free stretch cannot outrun a deadline.
+            if ((i & 0xFFFF) == 0)
+                pollCancellation();
             step(ck, ci, i);
         }
     }

@@ -431,7 +431,7 @@ class Pass
     uint64_t
     bucketOf(uint64_t addr_key) const
     {
-        // Multiply-shift (Fibonacci) hash, as util::StoreMap's.
+        // Multiply-shift (Fibonacci) hash, as the epoch engine's.
         return (addr_key * 0x9E3779B97F4A7C15ull >> 32) & bucketMask;
     }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Cancellation through the real simulation kernels: the epoch engine,
- * the in-order model, the cycle-accurate reference pipeline and the
- * workload generators all poll the ambient CancelToken at their
- * natural epoch/chunk boundaries, so a deadline fires
+ * the in-order model and the cycle-accurate reference pipeline poll
+ * the ambient CancelToken every 64K instructions and the workload
+ * generators every chunk, so a deadline fires
  * *mid-simulation* — not just between jobs. These tests run genuine
  * (if small) simulations and assert the deadline lands while they are
  * inside the kernel loops.
@@ -15,6 +15,7 @@
 
 #include "core/mlpsim.hh"
 #include "cyclesim/cycle_sim.hh"
+#include "tests/support/test_harness.hh"
 #include "trace/trace_buffer.hh"
 #include "util/cancellation.hh"
 #include "util/parallel.hh"
@@ -101,6 +102,35 @@ TEST(EngineCancelTest, InOrderModelHonoursACancelledScope)
             (void)core::runMlp(config, context);
             ADD_FAILURE() << core::coreModeName(mode)
                           << " ran to completion under a cancelled scope";
+        } catch (const StatusError &e) {
+            EXPECT_EQ(e.status().code(), ErrorCode::DeadlineExceeded)
+                << core::coreModeName(mode);
+        }
+    }
+}
+
+TEST(EngineCancelTest, MissFreeTraceHonoursACancelledScope)
+{
+    // No off-chip access means no epoch ever closes, so only the
+    // kernels' every-64K-instructions polls can see the deadline.
+    test::ScriptedTrace scripted;
+    for (unsigned i = 0; i < 200'000; ++i)
+        scripted.add(trace::makeAlu(0x1000 + 4 * i, uint8_t(1 + i % 8)));
+    const core::WorkloadContext context = scripted.context();
+    CancelToken token;
+    token.setDeadlineAfterMillis(0.0);
+    CancelScope scope(&token);
+    for (auto mode :
+         {core::CoreMode::OutOfOrder, core::CoreMode::Runahead,
+          core::CoreMode::InOrderStallOnMiss,
+          core::CoreMode::InOrderStallOnUse}) {
+        core::MlpConfig config = core::MlpConfig::defaultOoO();
+        config.mode = mode;
+        try {
+            const core::MlpResult r = core::runMlp(config, context);
+            ADD_FAILURE() << core::coreModeName(mode)
+                          << " ran to completion under a cancelled scope"
+                          << " (epochs=" << r.epochs << ")";
         } catch (const StatusError &e) {
             EXPECT_EQ(e.status().code(), ErrorCode::DeadlineExceeded)
                 << core::coreModeName(mode);

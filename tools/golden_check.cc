@@ -33,10 +33,11 @@
  * issue configs A-E, each again with a 40-instruction epoch horizon,
  * plus runahead (default and 64-instruction distance), the finite
  * store buffer and value prediction at fetch buffers 1/32/300. Besides
- * every MlpResult field, each cell records the engine's main-loop
- * iteration count (the core/epoch_engine/loop_iterations counter), so
- * a rewrite of the engine's loop must reproduce its step structure,
- * not just its results.
+ * every MlpResult field, each cell records the iteration count of the
+ * phase loop the engine models, which the engine rebuilds from its
+ * stamps (the core/epoch_engine/loop_iterations counter), so a change
+ * to the engine must reproduce its step structure, not just its
+ * results.
  *
  * Checkpoint/resume (the golden_resume ctest):
  *   --journal FILE      persist each completed cell to FILE and skip
