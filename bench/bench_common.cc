@@ -179,13 +179,6 @@ traceSpec(const std::string &name, const BenchSetup &setup)
 
 } // namespace
 
-core::PreparedTrace
-prepareWorkload(const std::string &name, const BenchSetup &setup)
-{
-    metrics::ScopedLabel wl_label(name);
-    return core::PreparedTrace::make(traceSpec(name, setup)).orFatal();
-}
-
 std::vector<core::PreparedTrace>
 prepareAll(const BenchSetup &setup, const Options &opts,
            std::vector<Variant> variants)

@@ -113,16 +113,6 @@ struct BenchSetup
     static BenchSetup fromOptions(const Options &opts);
 };
 
-/**
- * Build one workload under @p setup (core::PreparedTrace::make),
- * materialised or streamed per setup.streamChunk. @p name must be one
- * of workloads::commercialWorkloadNames(). The trace seed is
- * workloads::workloadSeed(name), so the result does not depend on
- * which thread (or in which order) the preparation runs.
- */
-core::PreparedTrace prepareWorkload(const std::string &name,
-                                    const BenchSetup &setup);
-
 /** One annotation of every workload's trace that a bench needs. */
 struct Variant
 {
@@ -140,7 +130,9 @@ struct Variant
  * @p variants[0], then annotate it once per further variant
  * (core::PreparedTrace::annotate). Returned variant-major, workloads
  * in canonical (paper) order: entry v * W + w is workload w's variant
- * v. No variants means setup.annotation alone, unlabelled.
+ * v. No variants means setup.annotation alone, unlabelled. Each
+ * trace is seeded by workloads::workloadSeed(name), so it does not
+ * depend on which thread, or in which order, it is prepared.
  */
 std::vector<core::PreparedTrace>
 prepareAll(const BenchSetup &setup, const Options &opts,

@@ -34,8 +34,6 @@
 
 namespace mlpsim::core {
 
-class PreparedTrace;
-
 /** Substrate configurations used to annotate a trace. */
 struct AnnotationOptions
 {
@@ -69,10 +67,15 @@ class AnnotatedTrace
     /**
      * Validate @p options, then stream @p source once through the
      * annotators. The source must outlive the returned object.
+     *
+     * With @p keep, an empty TraceBuffer, each chunk is also kept in
+     * it (TraceBuffer::adopt) once annotated, and the result annotates
+     * @p keep instead of @p source: this is how PreparedTrace::make
+     * materialises one generation of a trace.
      */
     static Expected<AnnotatedTrace>
-    make(const trace::ChunkSource &source,
-         const AnnotationOptions &options);
+    make(const trace::ChunkSource &source, const AnnotationOptions &options,
+         trace::TraceBuffer *keep = nullptr);
 
     /** Borrowing view passed to the simulators. */
     WorkloadContext context() const;
@@ -85,11 +88,7 @@ class AnnotatedTrace
     const AnnotationOptions &options() const { return opts; }
 
   private:
-    // PreparedTrace::make fills the planes of a trace it generates in
-    // the same pass.
-    friend class PreparedTrace;
-
-    /** Unannotated: the planes are filled in by the caller. */
+    /** Unannotated: make() fills in the planes. */
     AnnotatedTrace(const trace::ChunkSource &source,
                    const AnnotationOptions &options)
         : src(&source), opts(options)

@@ -4,10 +4,11 @@
  *
  * PreparedTrace::make(TraceSpec) is the one way the benches, tools and
  * daemon turn a workload into an annotated trace: it builds the
- * generator, materialises or streams the trace, and annotates it. A
- * materialised trace is generated and annotated in one overlapped
- * pass: the calling thread fills the buffer's chunks while a helper
- * thread runs the annotators over each finished one.
+ * generator and annotates one generation of the trace. Both modes
+ * build it the same way and differ only in whether the pass keeps the
+ * generation's chunks: a materialised trace keeps them in a
+ * TraceBuffer and drops the generator, a streamed one keeps the
+ * generator and drops the chunks.
  * PreparedTrace::annotate derives an annotation variant (another L2
  * size, a perfect predictor) that shares the generated trace and runs
  * only the annotate pass.
@@ -20,10 +21,10 @@
  * boundaries. Only the whole-trace annotation planes (~1 bit per
  * instruction per plane) are kept: a streamed trace's chunks are
  * dropped once the annotators have seen them, which is where
- * streaming's ≥5× peak-RSS win over materialisation comes from. A
- * materialised TraceBuffer runs the very same loop over its own
- * chunks, so the two modes are bit-identical by construction, for any
- * chunk size.
+ * streaming's ≥5× peak-RSS win over materialisation comes from.
+ * Every pass runs this one loop — over a generation, or over a
+ * TraceBuffer's own chunks for a variant of a materialised trace — so
+ * the two modes are bit-identical by construction, for any chunk size.
  *
  * The annotation planes must be whole-trace, completed before any
  * engine runs: a demand touch credits a pending software prefetch
@@ -97,19 +98,19 @@ class PreparedTrace
 {
   public:
     /**
-     * Generate (or, streamed, set up to regenerate) the trace
-     * @p spec names and run the annotate pass over it. An unknown
-     * workload or invalid annotation options return a Status in both
-     * modes. Under metric collection this records the generate time
-     * (materialised) and the workloads/traces and
-     * workloads/generated_insts counters.
+     * Generate the trace @p spec names and run the annotate pass over
+     * it, keeping its chunks when materialised (streamed, every run
+     * regenerates it). An unknown workload or invalid annotation
+     * options return a Status in both modes. Under metric collection
+     * this records the workloads/traces and workloads/generated_insts
+     * counters.
      */
     static Expected<PreparedTrace> make(const TraceSpec &spec);
 
     /**
      * make() over @p generator instead of the named workload's own
-     * generator: called once to materialise, or once per generation
-     * when streamed, it must yield the same stream on every call.
+     * generator: called once per generation (once in all when
+     * materialised), it must yield the same stream on every call.
      * spec.workload only names the trace; spec.seed is unused.
      */
     static Expected<PreparedTrace>
@@ -146,17 +147,11 @@ class PreparedTrace
     {
     }
 
-    /** The annotate pass, under the variant's metric label. */
-    Status annotateWith(const AnnotationOptions &options);
-
-    /**
-     * Materialise: fill a TraceBuffer from @p generator and annotate
-     * it in one overlapped pass (this thread generates, a helper
-     * thread annotates each chunk once it is complete), with the
-     * metrics the two passes in turn would record.
-     */
-    Status generateAndAnnotate(const TraceSpec &spec,
-                               trace::TraceSource &generator);
+    /** The annotate pass over src, under the variant's metric label,
+     *  keeping each chunk in @p keep if given
+     *  (AnnotatedTrace::make). */
+    Status annotateWith(const AnnotationOptions &options,
+                        trace::TraceBuffer *keep = nullptr);
 
     std::string traceName;
     std::string variantName;

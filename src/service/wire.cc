@@ -62,11 +62,60 @@ getUint(const JsonValue &doc, const char *name, bool required,
     return Status::okStatus();
 }
 
-/** The one cell-key builder both public overloads share. */
+/** One cache level of annotationToJson(). */
+JsonValue
+cacheToJson(const memory::CacheConfig &cache)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("size", cache.sizeBytes);
+    doc.set("assoc", uint64_t(cache.assoc));
+    doc.set("line", uint64_t(cache.lineBytes));
+    return doc;
+}
+
+/** Every annotation input but the warm-up (the cell key has it), in
+ *  a fixed member order. */
+JsonValue
+annotationToJson(const core::AnnotationOptions &options)
+{
+    const memory::HierarchyConfig &h = options.hierarchy;
+    JsonValue hierarchy = JsonValue::object();
+    hierarchy.set("l1i", cacheToJson(h.l1i));
+    hierarchy.set("l1d", cacheToJson(h.l1d));
+    hierarchy.set("l2", cacheToJson(h.l2));
+    hierarchy.set("tlb_entries", uint64_t(h.tlbEntries));
+    hierarchy.set("page_bytes", uint64_t(h.pageBytes));
+    hierarchy.set("perfect_l2", h.perfectL2);
+    hierarchy.set("perfect_inst_fetch", h.perfectInstFetch);
+
+    const branch::BranchConfig &b = options.branch;
+    JsonValue branch = JsonValue::object();
+    branch.set("gshare_entries", uint64_t(b.gshareEntries));
+    branch.set("history_bits", uint64_t(b.historyBits));
+    branch.set("btb_entries", uint64_t(b.btbEntries));
+    branch.set("btb_assoc", uint64_t(b.btbAssoc));
+    branch.set("ras_depth", uint64_t(b.rasDepth));
+    branch.set("perfect", b.perfect);
+
+    JsonValue value = JsonValue::object();
+    value.set("entries", uint64_t(options.value.entries));
+    value.set("perfect", options.value.perfect);
+
+    JsonValue doc = JsonValue::object();
+    doc.set("hierarchy", std::move(hierarchy));
+    doc.set("branch", std::move(branch));
+    doc.set("value", std::move(value));
+    doc.set("build_values", options.buildValues);
+    return doc;
+}
+
+/** The one cell-key builder both public overloads share. A trace
+ *  annotated other than by default adds its @p annotation. */
 std::string
 canonicalCellKey(const std::string &workload, uint64_t seed,
                  uint64_t warmup, uint64_t insts,
-                 const core::MlpConfig &config)
+                 const core::MlpConfig &config,
+                 JsonValue annotation = JsonValue())
 {
     JsonValue doc = JsonValue::object();
     doc.set("schema", "mlpsim-sweep-cell-v1");
@@ -74,6 +123,8 @@ canonicalCellKey(const std::string &workload, uint64_t seed,
     doc.set("seed", seed);
     doc.set("warmup", warmup);
     doc.set("insts", insts);
+    if (!annotation.isNull())
+        doc.set("annotation", std::move(annotation));
     doc.set("config", configToJson(config));
     return doc.dump(0);
 }
@@ -270,8 +321,14 @@ std::string
 cellKey(const core::TraceSpec &trace, const core::MlpConfig &config)
 {
     const uint64_t warmup = trace.annotation.warmupInsts;
+    // The default annotation stays implicit, so its cells keep the
+    // keys a wire request (which cannot name another) gives them.
+    JsonValue annotation = annotationToJson(trace.annotation);
+    if (annotation == annotationToJson(core::AnnotationOptions{}))
+        annotation = JsonValue();
     return canonicalCellKey(trace.workload, trace.seed, warmup,
-                            trace.totalInsts - warmup, config);
+                            trace.totalInsts - warmup, config,
+                            std::move(annotation));
 }
 
 std::string

@@ -106,10 +106,14 @@ std::string cellKey(const SweepRequest &request,
 
 /**
  * The same key for @p config simulated over the trace @p trace names
- * (its workload, seed, warm-up and measured budget): how the tools
- * that resume a sweep from a ResultCache key their cells. A cell
- * keyed here and the daemon cell of the matching request have equal
- * keys.
+ * (its workload, seed, warm-up and measured budget, and its
+ * annotation): how the tools that resume a sweep from a ResultCache
+ * key their cells. An annotation other than AnnotationOptions{}
+ * (warm-up aside) adds a fixed-order "annotation" member — hierarchy,
+ * branch and value predictor configs and buildValues — so an L2-size
+ * or perfect-predictor variant is another cell. Under the default
+ * annotation a cell keyed here and the daemon cell of the matching
+ * request have equal keys.
  */
 std::string cellKey(const core::TraceSpec &trace,
                     const core::MlpConfig &config);

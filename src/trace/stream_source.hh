@@ -25,8 +25,10 @@
  *
  * Chunk storage is recycled: the producer takes its chunks from a
  * process-wide, bounded free list (recycledChunk()), and a chunk goes
- * back to the list when its last reader drops it. A reused chunk keeps
- * its old column bytes past `count`, so readers stop at `count`.
+ * back to the list when its last reader drops it — a consumer done
+ * with it, or a materialised TraceBuffer that kept it (adopt()) being
+ * destroyed. A reused chunk keeps its old column bytes past `count`,
+ * so readers stop at `count`.
  */
 #pragma once
 

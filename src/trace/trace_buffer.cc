@@ -39,24 +39,14 @@ TraceBuffer::open() const
 void
 TraceBuffer::fill(TraceSource &source, uint64_t limit)
 {
-    fill(source, limit, {});
-}
-
-void
-TraceBuffer::fill(TraceSource &source, uint64_t limit,
-                  const std::function<void(ChunkPtr)> &completed)
-{
-    MLPSIM_ASSERT(!completed || chunkList.empty() || chunkList.back()->full(),
-                  "a chunk handed out by fill() would be written again");
     uint64_t remaining = limit;
     while (remaining > 0) {
         // Trace generation is the other long phase of a sweep job, so
         // it polls for cancellation too (once per chunk).
         pollCancellation();
-        if (chunkList.empty() || chunkList.back()->full())
-            chunkList.push_back(
-                std::make_shared<TraceChunk>(n, chunkCapacity));
-        ChunkFiller fill(*chunkList.back());
+        if (!tail || tail->full())
+            openChunk();
+        ChunkFiller fill(*tail);
         const uint32_t want =
             uint32_t(std::min<uint64_t>(fill.room(), remaining));
         const uint32_t got = source.nextBatch(fill, want);
@@ -65,15 +55,37 @@ TraceBuffer::fill(TraceSource &source, uint64_t limit,
         remaining -= got;
         // An exhausted source can leave a chunk that was opened for it
         // but never received an instruction.
-        if (chunkList.back()->empty()) {
+        if (tail->empty()) {
             chunkList.pop_back();
+            tail.reset();
             break;
         }
-        if (completed)
-            completed(chunkList.back());
         if (got < want)
             break; // the source ran dry
     }
+}
+
+void
+TraceBuffer::adopt(ChunkPtr chunk)
+{
+    MLPSIM_ASSERT(chunkList.empty() || chunkList.back()->full(),
+                  "only the last chunk of a TraceBuffer may be partial");
+    MLPSIM_ASSERT(chunk->cap == chunkCapacity && chunk->base == n &&
+                      !chunk->empty(),
+                  "a kept chunk must be a non-empty TraceBuffer chunk "
+                  "starting at the buffer's size");
+    n += chunk->count;
+    chunkList.push_back(std::move(chunk));
+    tail.reset();
+}
+
+void
+TraceBuffer::openChunk()
+{
+    MLPSIM_ASSERT(chunkList.empty() || chunkList.back()->full(),
+                  "only the last chunk of a TraceBuffer may be partial");
+    tail = std::make_shared<TraceChunk>(n, chunkCapacity);
+    chunkList.push_back(tail);
 }
 
 } // namespace mlpsim::trace

@@ -16,11 +16,16 @@
  * returns the buffer itself, which lets readers skip the stream: all
  * chunks except the last are full, so random access is one divide
  * away: at(i) = chunk(i / cap).get(i % cap).
+ *
+ * A buffer writes its own chunks (append(), fill()) or keeps chunks
+ * another producer wrote (adopt()): PreparedTrace::make materialises
+ * a trace by keeping the chunks of the one generation it annotates,
+ * which come from the generators' recycled chunks and go back to
+ * their free list with the buffer (stream_source.hh).
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -44,10 +49,9 @@ class TraceBuffer : public ChunkSource
     void
     append(const Instruction &inst)
     {
-        if (chunkList.empty() || chunkList.back()->full())
-            chunkList.push_back(
-                std::make_shared<TraceChunk>(n, chunkCapacity));
-        chunkList.back()->append(inst);
+        if (!tail || tail->full())
+            openChunk();
+        tail->append(inst);
         ++n;
     }
 
@@ -55,14 +59,13 @@ class TraceBuffer : public ChunkSource
     void fill(TraceSource &source, uint64_t limit);
 
     /**
-     * fill(), handing each chunk to @p completed as soon as it holds
-     * its last instruction (it is full, or the fill is over), so
-     * another thread can read it while later chunks are generated. A
-     * handed chunk is never written again: the buffer must be empty or
-     * end in a full chunk.
+     * Keep @p chunk, a non-empty chunk another producer (a
+     * generation) wrote, as this buffer's next one. Its capacity must
+     * be chunkCapacity and its base size(), and the buffer must be
+     * empty or end in a full chunk, so every chunk but the last stays
+     * full. A kept chunk is never written again.
      */
-    void fill(TraceSource &source, uint64_t limit,
-              const std::function<void(ChunkPtr)> &completed);
+    void adopt(ChunkPtr chunk);
 
     uint64_t size() const override { return n; }
     bool empty() const { return n == 0; }
@@ -90,7 +93,12 @@ class TraceBuffer : public ChunkSource
     const TraceBuffer *materialized() const override { return this; }
 
   private:
-    std::vector<std::shared_ptr<TraceChunk>> chunkList;
+    /** Start a chunk of this buffer's own for append() and fill(). */
+    void openChunk();
+
+    std::vector<ChunkPtr> chunkList;
+    /** The last chunk while this buffer writes it; null after adopt(). */
+    std::shared_ptr<TraceChunk> tail;
     size_t n = 0;
     std::string label = "trace";
 };

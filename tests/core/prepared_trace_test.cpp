@@ -5,10 +5,11 @@
  * an unknown workload is a Status in both, and the spec's warm-up is
  * the one every consumer sees. PreparedTrace::annotate: an annotation
  * variant shares its trace's generated trace and matches a trace made
- * afresh with the same options. A materialised make generates and
- * annotates in one overlapped pass, and must equal the two passes run
- * one after the other: chunk columns, annotation planes, metrics, and
- * a deadline's Status.
+ * afresh with the same options. A materialised make keeps the chunks
+ * of the one generation it annotates, and must equal filling a buffer
+ * and then annotating it: chunk columns, annotation planes, metrics,
+ * and a deadline's Status. A dropped materialised trace gives its
+ * chunks back to the generators' free list.
  */
 #include <gtest/gtest.h>
 
@@ -202,7 +203,7 @@ class ExpiringSource : public trace::TraceSource
 TEST(PreparedTrace, MaterialisedMakeEqualsFillThenAnnotate)
 {
     // Three full chunks and a partial one, so the last chunk the
-    // helper thread annotates is not full.
+    // trace keeps is not full.
     constexpr uint64_t insts = 3 * trace::defaultChunkCapacity + 1234;
     constexpr uint64_t warmup = 7000;
     for (const std::string &name : workloads::commercialWorkloadNames()) {
@@ -233,7 +234,8 @@ TEST(PreparedTrace, DeadlineMidMakeIsDeadlineExceededAndJoinsTheHelper)
     core::TraceSpec s = spec(0);
     s.totalInsts = 8 * trace::defaultChunkCapacity;
     CancelToken token;
-    // Mid-trace: the helper has chunks to annotate when it expires.
+    // Mid-trace: the generation's producer thread, which sets the
+    // deadline, is still running when the annotate pass sees it.
     const uint64_t expire_after = 2 * trace::defaultChunkCapacity + 100;
     {
         CancelScope scope(&token);
@@ -249,8 +251,8 @@ TEST(PreparedTrace, DeadlineMidMakeIsDeadlineExceededAndJoinsTheHelper)
         }
     }
     EXPECT_TRUE(token.stopRequested());
-    // The helper was joined before make returned; its /proc entry may
-    // take a moment to go.
+    // The producer was joined before make returned; its /proc entry
+    // may take a moment to go.
     const auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (threadCount() > threads_before &&
@@ -268,10 +270,10 @@ TEST(PreparedTrace, MaterialisedSnapshotMatchesTheTwoPassBuild)
         core::TraceSpec s = spec(0);
         s.variant = variant;
 
-        const std::string overlapped = snapshotOf(
+        const std::string materialised = snapshotOf(
             [&] { (void)core::PreparedTrace::make(s).orFatal(); });
-        // The build the overlapped pass replaces, step by step: fill,
-        // annotate under the variant's label, count the trace.
+        // The same build in two passes, step by step: fill, annotate
+        // under the variant's label, count the trace.
         const std::string two_pass = snapshotOf([&] {
             trace::TraceBuffer buffer(s.workload);
             buffer.fill(*workloads::makeWorkload(s.workload, s.seed),
@@ -292,10 +294,25 @@ TEST(PreparedTrace, MaterialisedSnapshotMatchesTheTwoPassBuild)
         const std::string streamed = snapshotOf(
             [&] { (void)core::PreparedTrace::make(s).orFatal(); });
 
-        EXPECT_NE(overlapped.find("core/annotate/insts"), std::string::npos);
-        EXPECT_EQ(overlapped, two_pass);
-        EXPECT_EQ(overlapped, streamed);
+        EXPECT_NE(materialised.find("core/annotate/insts"), std::string::npos);
+        EXPECT_EQ(materialised, two_pass);
+        EXPECT_EQ(materialised, streamed);
     }
+}
+
+TEST(PreparedTrace, DroppedMaterialisedTraceRecyclesItsChunks)
+{
+    // A materialised trace keeps its generation's chunks, which come
+    // from the free list and return to it, at most maxRecycledChunks
+    // of them, when the trace goes.
+    core::TraceSpec s = spec(0);
+    const size_t chunks = trace::maxRecycledChunks + 2;
+    s.totalInsts = chunks * uint64_t(trace::TraceBuffer::chunkCapacity);
+    {
+        const auto made = core::PreparedTrace::make(s).orFatal();
+        ASSERT_EQ(made.buffer()->numChunks(), chunks);
+    }
+    EXPECT_EQ(trace::recycledChunksIdle(), trace::maxRecycledChunks);
 }
 
 TEST(PreparedTrace, StreamedMatchesMaterialised)

@@ -46,6 +46,17 @@ prepare(unsigned jobs)
     return bench::prepareAll(smallSetup(jobs), opts);
 }
 
+/** The one trace prepareAll() builds for `--workload=<name>`. */
+PreparedTrace
+prepareOne(const std::string &name)
+{
+    char arg0[] = "determinism_test";
+    std::string flag = "--workload=" + name;
+    char *argv[] = {arg0, flag.data()};
+    Options opts(2, argv);
+    return std::move(bench::prepareAll(smallSetup(1), opts).front());
+}
+
 /** The grid every test sweeps: three machines per workload. */
 std::vector<core::MlpConfig>
 machineGrid()
@@ -101,12 +112,12 @@ TEST(SweepDeterminism, ParallelPreparationYieldsBitIdenticalTraces)
 
 TEST(SweepDeterminism, SeedsDependOnNameNotPreparationOrder)
 {
-    // prepareWorkload() must give the same trace no matter which other
+    // prepareAll() must give the same trace no matter which other
     // workloads were prepared before it on the same thread.
-    const auto alone = bench::prepareWorkload("specweb99", smallSetup(1));
-    bench::prepareWorkload("database", smallSetup(1));
-    bench::prepareWorkload("specjbb2000", smallSetup(1));
-    const auto after = bench::prepareWorkload("specweb99", smallSetup(1));
+    const auto alone = prepareOne("specweb99");
+    prepareOne("database");
+    prepareOne("specjbb2000");
+    const auto after = prepareOne("specweb99");
     ASSERT_EQ(alone.buffer()->size(), after.buffer()->size());
     for (size_t i = 0; i < alone.buffer()->size(); ++i) {
         ASSERT_EQ(alone.buffer()->at(i).pc, after.buffer()->at(i).pc)

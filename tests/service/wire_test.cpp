@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "metrics/json.hh"
 #include "service/wire.hh"
@@ -227,6 +228,37 @@ TEST(CellKeyTest, TraceSpecKeyMatchesTheRequestKey)
     // is another cell.
     spec.annotation.warmupInsts += 1;
     EXPECT_NE(cellKey(spec, config), cellKey(*request, config));
+}
+
+TEST(CellKeyTest, TraceSpecKeyNamesTheAnnotation)
+{
+    // An annotation variant of a trace (another L2, a perfect
+    // predictor) has other planes, so its cells are other cells.
+    core::TraceSpec base;
+    base.workload = "database";
+    base.seed = 7;
+    base.totalInsts = 3000;
+    base.annotation.warmupInsts = 1000;
+    const core::MlpConfig config;
+    const std::string key = cellKey(base, config);
+    // The default annotation stays out of the key, as in a request's.
+    EXPECT_EQ(key.find("annotation"), std::string::npos);
+
+    std::vector<core::TraceSpec> variants(4, base);
+    variants[0].annotation.hierarchy.l2.sizeBytes /= 2;
+    variants[1].annotation.branch.perfect = true;
+    variants[2].annotation.value.perfect = true;
+    variants[3].annotation.buildValues = false;
+    std::vector<std::string> keys{key};
+    for (const core::TraceSpec &variant : variants) {
+        keys.push_back(cellKey(variant, config));
+        EXPECT_NE(keys.back().find("\"annotation\":{\"hierarchy\":"),
+                  std::string::npos)
+            << keys.back();
+    }
+    for (size_t i = 0; i < keys.size(); ++i)
+        for (size_t j = i + 1; j < keys.size(); ++j)
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
 }
 
 TEST(ContentHashTest, StableAndSixteenHexChars)

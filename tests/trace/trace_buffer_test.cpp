@@ -1,7 +1,10 @@
-/** @file TraceBuffer semantics: filling, access and chunk replay. */
+/** @file TraceBuffer semantics: filling, access, chunk replay and
+ *  chunks kept from another producer. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <memory>
 #include <string>
 
 #include "trace/trace_buffer.hh"
@@ -138,6 +141,42 @@ TEST(TraceBuffer, FillStopsAtSourceEnd)
     full.fill(exact, 2 * TraceBuffer::chunkCapacity);
     EXPECT_EQ(full.size(), TraceBuffer::chunkCapacity);
     EXPECT_EQ(full.numChunks(), 1u);
+}
+
+TEST(TraceBuffer, AdoptKeepsChunksAndNeverWritesThem)
+{
+    // Two full chunks and a partial tail, written by another producer.
+    constexpr uint32_t cap = TraceBuffer::chunkCapacity;
+    const size_t n = 2 * size_t(cap) + 100;
+    TraceBuffer buf;
+    for (size_t base = 0; base < n; base += cap) {
+        auto chunk = std::make_shared<TraceChunk>(base, cap);
+        for (size_t i = base; i < std::min(n, base + cap); ++i)
+            chunk->append(indexedLoad(i));
+        buf.adopt(std::move(chunk));
+    }
+    ASSERT_EQ(buf.size(), n);
+    ASSERT_EQ(buf.numChunks(), 3u);
+    for (const size_t i : {size_t(0), size_t(cap) - 1, size_t(cap), n - 1})
+        EXPECT_TRUE(sameInst(buf.at(i), indexedLoad(i))) << i;
+
+    // Nothing may follow a kept partial chunk, and a kept chunk must
+    // start where the buffer ends.
+    EXPECT_DEATH(buf.append(indexedLoad(n)), "only the last chunk");
+    EXPECT_DEATH(buf.adopt(std::make_shared<TraceChunk>(n, cap)),
+                 "only the last chunk");
+    TraceBuffer gap;
+    auto late = std::make_shared<TraceChunk>(1, cap);
+    late->append(indexedLoad(1));
+    EXPECT_DEATH(gap.adopt(late), "kept chunk");
+
+    // After a kept full chunk, append() starts a chunk of its own.
+    TraceBuffer mixed;
+    mixed.adopt(buf.chunkPtr(0));
+    mixed.append(indexedLoad(cap));
+    ASSERT_EQ(mixed.numChunks(), 2u);
+    EXPECT_EQ(mixed.chunk(0).count, cap);
+    EXPECT_TRUE(sameInst(mixed.at(cap), indexedLoad(cap)));
 }
 
 } // namespace mlpsim::test
